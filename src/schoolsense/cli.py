@@ -7,8 +7,16 @@ consume the repaired store and emit report CSVs. Every command is
 deterministic given its config and data: no wall-clock dependence, stable
 ordering, full-precision decimals.
 
-Exit codes: 0 success, 1 environment/I-O failure, 2 usage or config error.
 Config keys may be overridden with SCHOOLSENSE_<KEY> environment variables.
+Errors are mapped to exit codes in `main` only, and each failure prints one
+``error:`` line to stderr:
+
+  0  success
+  1  environment or I/O failure: a file cannot be read or written
+     (OSError), or the store on disk is inconsistent (StoreIntegrityError)
+  2  usage, config or input error: bad arguments, ConfigError (including a
+     stage run before its inputs exist), ScenarioError, a malformed input
+     file (IngestError), ModelError or QualityError
 """
 
 from __future__ import annotations
@@ -30,11 +38,14 @@ from . import quality as quality_mod
 from .ingest import (
     IngestError,
     SeriesStore,
+    StoreIntegrityError,
+    last_wins,
     load_weather,
     parse_catalog,
     parse_measurements,
 )
 from .model import (
+    CATEGORIES,
     DAY_SECONDS,
     DeploymentCatalog,
     ModelError,
@@ -57,7 +68,7 @@ ENV_PREFIX = "SCHOOLSENSE_"
 
 
 class ConfigError(ValueError):
-    pass
+    """Bad config, or a command that cannot run with what is configured."""
 
 
 @dataclass(frozen=True)
@@ -86,14 +97,14 @@ class RunConfig:
     event_within_minutes: float = 30.0
 
     def __post_init__(self):
-        positive = (
-            "env_window_hours", "power_window_hours", "repair_window_hours",
-            "fill_window_hours", "smooth_minutes", "spike_sigma",
-            "swing_threshold", "r_threshold", "event_drop", "event_within_minutes",
-        )
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(f.default, (int, float)):
+                continue  # paths
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{f.name} must be a number, got {value!r}")
+            if value <= 0:
+                raise ConfigError(f"{f.name} must be positive")
         if self.acceptability not in (80, 90):
             raise ConfigError("acceptability must be 80 or 90")
 
@@ -126,6 +137,8 @@ def load_config(path: Path | str, env: dict | None = None) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config syntax error at line {exc.lineno}: {exc.msg}") from None
+    if not isinstance(data, dict):
+        raise ConfigError("config root must be an object")
 
     field_names = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = set(data) - field_names
@@ -142,15 +155,21 @@ def load_config(path: Path | str, env: dict | None = None) -> RunConfig:
     missing = {"catalog", "store", "out"} - set(data)
     if missing:
         raise ConfigError(f"config missing required keys: {sorted(missing)}")
-    base = path.parent
+
+    def resolve(name: str, value) -> Path:
+        if not isinstance(value, str):
+            raise ConfigError(f"{name} must be a path, got {value!r}")
+        p = Path(value)
+        return p if p.is_absolute() else path.parent / p
+
     kwargs = {}
     for name, value in data.items():
         if name in _PATH_KEYS and value is not None:
-            p = Path(value)
-            kwargs[name] = p if p.is_absolute() else base / p
+            kwargs[name] = resolve(name, value)
         elif name == "measurements":
-            kwargs[name] = tuple(
-                (Path(v) if Path(v).is_absolute() else base / v) for v in value)
+            if not isinstance(value, list):
+                raise ConfigError(f"measurements must be a list of paths, got {value!r}")
+            kwargs[name] = tuple(resolve(name, v) for v in value)
         else:
             kwargs[name] = value
     return RunConfig(**kwargs)
@@ -158,27 +177,20 @@ def load_config(path: Path | str, env: dict | None = None) -> RunConfig:
 
 def _write_csv(path: Path, header: str, rows: list[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join([header, *rows]) + ("\n" if rows else "\n"))
+    path.write_text("\n".join([header, *rows]) + "\n")
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
-def cmd_synth(spec_path: Path, out_dir: Path) -> int:
+def _parse_file(parse, path: Path, *args):
+    """Read one input file and parse it; a format error names the file."""
     try:
-        document = Path(spec_path).read_text()
-    except OSError as exc:
-        return _fail(f"cannot read scenario spec {spec_path}: {exc}", EXIT_USAGE)
-    try:
-        spec = ScenarioSpec.from_json(document)
-    except ScenarioError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    try:
-        scenario = generate(spec, out_dir)
-    except OSError as exc:
-        return _fail(f"cannot write scenario to {out_dir}: {exc}", EXIT_IO)
+        return parse(path.read_text(), *args)
+    except (IngestError, UnicodeDecodeError) as exc:
+        raise IngestError(f"{path}: {exc}") from None
+
+
+def cmd_synth(spec_path: Path, out_dir: Path) -> None:
+    spec = ScenarioSpec.from_json(Path(spec_path).read_text())
+    scenario = generate(spec, out_dir)
     truth = scenario.ground_truth
     n_rooms = sum(len(s.rooms) for s in scenario.catalog.sites)
     print(f"scenario written to {out_dir}")
@@ -189,64 +201,37 @@ def cmd_synth(spec_path: Path, out_dir: Path) -> int:
         print(f"  {site.site_id}: outage {truth.outage_fraction(ids):.4f} "
               f"(target {site.outage_fraction}), zero rate {site.zero_error_rate}, "
               f"spike rate {site.spike_rate}")
-    return EXIT_OK
 
 
-def _merge_series(a: TimeSeries, b: TimeSeries) -> TimeSeries:
-    times = np.concatenate((a.times, b.times))
-    values = np.concatenate((a.values, b.values))
-    order = np.argsort(times, kind="stable")
-    times, values = times[order], values[order]
-    if len(times) > 1:
-        last = np.concatenate((times[1:] != times[:-1], [True]))
-        times, values = times[last], values[last]
-    return TimeSeries(a.sensor_id, times, values)
-
-
-def cmd_ingest(config: RunConfig) -> int:
-    try:
-        catalog = parse_catalog(config.catalog.read_text())
-    except OSError as exc:
-        return _fail(f"cannot read catalog: {exc}", EXIT_USAGE)
-    except IngestError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+def cmd_ingest(config: RunConfig) -> None:
+    catalog = _parse_file(parse_catalog, config.catalog)
     paths = list(config.measurements)
     if not paths:
-        return _fail("no measurement files configured", EXIT_USAGE)
+        raise ConfigError("no measurement files configured")
 
-    merged: dict[str, TimeSeries] = {}
+    parts: dict[str, list[TimeSeries]] = {}
     rejects: dict[str, int] = {}
     total_lines = 0
     for path in paths:
-        try:
-            document = path.read_text()
-        except OSError as exc:
-            return _fail(f"cannot read measurements {path}: {exc}", EXIT_IO)
-        try:
-            parsed = parse_measurements(document, catalog)
-        except IngestError as exc:
-            return _fail(f"{path}: {exc}", EXIT_USAGE)
+        parsed = _parse_file(parse_measurements, path, catalog)
         for sensor_id, series in parsed.series.items():
             total_lines += len(series)
-            if sensor_id in merged:
-                merged[sensor_id] = _merge_series(merged[sensor_id], series)
-            else:
-                merged[sensor_id] = series
+            parts.setdefault(sensor_id, []).append(series)
         for sensor_id, count in parsed.rejected.items():
             rejects[sensor_id] = rejects.get(sensor_id, 0) + count
 
-    try:
-        store = SeriesStore(config.store)
-        for sensor_id in sorted(merged):
-            store.save(catalog.sensor(sensor_id).site_id, merged[sensor_id])
-        _write_csv(
-            config.out / "rejects.csv", "sensor_id,lines",
-            [f"{sid},{rejects[sid]}" for sid in sorted(rejects)])
-    except OSError as exc:
-        return _fail(f"cannot write store: {exc}", EXIT_IO)
+    store = SeriesStore(config.store)
+    for sensor_id in sorted(parts):
+        # files are read in order, so a later file's sample wins a repeated timestamp
+        merged = last_wins(sensor_id,
+                           np.concatenate([s.times for s in parts[sensor_id]]),
+                           np.concatenate([s.values for s in parts[sensor_id]]))
+        store.save(catalog.sensor(sensor_id).site_id, merged)
+    _write_csv(
+        config.out / "rejects.csv", "sensor_id,lines",
+        [f"{sid},{rejects[sid]}" for sid in sorted(rejects)])
     print(f"ingested {total_lines} samples from {len(paths)} files "
           f"into {config.store}; {sum(rejects.values())} rejected lines")
-    return EXIT_OK
 
 
 def _load_all_series(
@@ -259,21 +244,15 @@ def _load_all_series(
     }
 
 
-def cmd_quality(config: RunConfig, end: date | None = None) -> int:
-    try:
-        catalog = parse_catalog(config.catalog.read_text())
-    except (OSError, IngestError) as exc:
-        return _fail(f"catalog: {exc}", EXIT_USAGE)
+def cmd_quality(config: RunConfig, end: date | None = None) -> None:
+    catalog = _parse_file(parse_catalog, config.catalog)
     store = SeriesStore(config.store)
     if not store.sites():
-        return _fail(f"no data in store {config.store}", EXIT_USAGE)
-    try:
-        raw = _load_all_series(store, catalog)
-    except IngestError as exc:
-        return _fail(str(exc), EXIT_IO)
+        raise ConfigError(f"no data in store {config.store}")
+    raw = _load_all_series(store, catalog)
     last_times = [int(s.times[-1]) for s in raw.values() if len(s)]
     if not last_times:
-        return _fail("no data in store (all sensors empty)", EXIT_USAGE)
+        raise ConfigError("no data in store (all sensors empty)")
     if end is None:
         end_epoch = ((max(last_times) // DAY_SECONDS) + 1) * DAY_SECONDS
     else:
@@ -283,15 +262,12 @@ def cmd_quality(config: RunConfig, end: date | None = None) -> int:
     qconfig = config.quality_config()
     repaired_store = SeriesStore(config.repaired)
     repairs: dict[str, quality_mod.RepairedSeries] = {}
-    try:
-        for meta in catalog.sensors:
-            site = catalog.site(meta.site_id)
-            outcome = quality_mod.repair_series(raw[meta.sensor_id], meta, site, qconfig)
-            repairs[meta.sensor_id] = outcome
-            if len(outcome.series):
-                repaired_store.save(meta.site_id, outcome.series)
-    except OSError as exc:
-        return _fail(f"cannot write repaired store: {exc}", EXIT_IO)
+    for meta in catalog.sensors:
+        site = catalog.site(meta.site_id)
+        outcome = quality_mod.repair_series(raw[meta.sensor_id], meta, site, qconfig)
+        repairs[meta.sensor_id] = outcome
+        if len(outcome.series):
+            repaired_store.save(meta.site_id, outcome.series)
 
     # per sensor per day: expected, observed, outage, flags by kind, fills
     flag_days: dict[tuple[str, int, quality_mod.FlagKind], int] = {}
@@ -341,7 +317,7 @@ def cmd_quality(config: RunConfig, end: date | None = None) -> int:
 
     category_pct = quality_mod.category_outage_percentages(cells, catalog)
     kind_rows = []
-    for category in ("environmental", "atmospheric", "weather", "power"):
+    for category in CATEGORIES:
         metas = [m for m in catalog.sensors if m.kind.category == category]
         if not metas:
             continue
@@ -358,7 +334,13 @@ def cmd_quality(config: RunConfig, end: date | None = None) -> int:
     print(f"quality report for {len(catalog.sensors)} sensors written to {config.out}")
     for site_id in sorted(site_pct):
         print(f"  site {site_id}: outage {site_pct[site_id]:.2f}%")
-    return EXIT_OK
+
+
+def _repaired_store(config: RunConfig) -> SeriesStore:
+    store = SeriesStore(config.repaired)
+    if not store.sites():
+        raise ConfigError(f"no repaired series in {config.repaired}; run quality first")
+    return store
 
 
 def _indoor_room_sensors(catalog: DeploymentCatalog, site_id: str) -> dict[str, str]:
@@ -370,26 +352,13 @@ def _indoor_room_sensors(catalog: DeploymentCatalog, site_id: str) -> dict[str, 
     return out
 
 
-def cmd_comfort(config: RunConfig, start: date, end: date, acceptability: int | None = None) -> int:
+def cmd_comfort(config: RunConfig, start: date, end: date, acceptability: int | None = None) -> None:
     acceptability = acceptability if acceptability is not None else config.acceptability
-    if acceptability not in (80, 90):
-        return _fail(f"acceptability must be 80 or 90, got {acceptability}", EXIT_USAGE)
-    try:
-        catalog = parse_catalog(config.catalog.read_text())
-    except (OSError, IngestError) as exc:
-        return _fail(f"catalog: {exc}", EXIT_USAGE)
+    catalog = _parse_file(parse_catalog, config.catalog)
     if config.weather is None:
-        return _fail("no weather file configured", EXIT_USAGE)
-    try:
-        weather = load_weather(config.weather.read_text())
-    except OSError as exc:
-        return _fail(f"cannot read weather: {exc}", EXIT_USAGE)
-    except IngestError as exc:
-        return _fail(f"weather: {exc}", EXIT_USAGE)
-    store = SeriesStore(config.repaired)
-    if not store.sites():
-        return _fail(f"no repaired series in {config.repaired}; run quality first",
-                     EXIT_USAGE)
+        raise ConfigError("no weather file configured")
+    weather = _parse_file(load_weather, config.weather)
+    store = _repaired_store(config)
 
     daily_rows = []
     summary_rows = []
@@ -427,36 +396,22 @@ def cmd_comfort(config: RunConfig, start: date, end: date, acceptability: int | 
             plot_rows.append(f"{site.site_id},{day_to_date(day).isoformat()},{mean!r}")
 
     if not summary_rows:
-        return _fail("no scorable site in the period (missing weather or data)",
-                     EXIT_USAGE)
-    try:
-        _write_csv(config.out / "comfort_daily.csv",
-                   "site_id,room_id,date,score,hours_evaluated,acceptability,t_pmo",
-                   daily_rows)
-        _write_csv(config.out / "comfort_sites.csv",
-                   "site_id,acceptability,room_days,mean,min,max,q1,q3", summary_rows)
-        _write_csv(config.out / "comfort_plot.csv", "site_id,date,score", plot_rows)
-    except OSError as exc:
-        return _fail(f"cannot write reports: {exc}", EXIT_IO)
+        raise ConfigError("no scorable site in the period (missing weather or data)")
+    _write_csv(config.out / "comfort_daily.csv",
+               "site_id,room_id,date,score,hours_evaluated,acceptability,t_pmo",
+               daily_rows)
+    _write_csv(config.out / "comfort_sites.csv",
+               "site_id,acceptability,room_days,mean,min,max,q1,q3", summary_rows)
+    _write_csv(config.out / "comfort_plot.csv", "site_id,date,score", plot_rows)
     print(f"comfort reports for [{start}, {end}) at {acceptability}% written to {config.out}")
-    return EXIT_OK
 
 
-def cmd_perf(config: RunConfig, start: date | None = None, end: date | None = None) -> int:
-    try:
-        catalog = parse_catalog(config.catalog.read_text())
-    except (OSError, IngestError) as exc:
-        return _fail(f"catalog: {exc}", EXIT_USAGE)
+def cmd_perf(config: RunConfig, start: date | None = None, end: date | None = None) -> None:
+    catalog = _parse_file(parse_catalog, config.catalog)
     weather = {}
     if config.weather is not None:
-        try:
-            weather = load_weather(config.weather.read_text())
-        except (OSError, IngestError) as exc:
-            return _fail(f"weather: {exc}", EXIT_USAGE)
-    store = SeriesStore(config.repaired)
-    if not store.sites():
-        return _fail(f"no repaired series in {config.repaired}; run quality first",
-                     EXIT_USAGE)
+        weather = _parse_file(load_weather, config.weather)
+    store = _repaired_store(config)
 
     swing_rows = []
     corr_rows = []
@@ -529,21 +484,17 @@ def cmd_perf(config: RunConfig, start: date | None = None, end: date | None = No
         text_lines.append(
             f"anomaly site={site_id} room={report.room_id} kind={report.kind.value} "
             f"{metric}={value!r} dates={dates}")
-    try:
-        _write_csv(config.out / "perf_swings.csv",
-                   "site_id,room_id,date,min_t,max_t,swing,rise_hours", swing_rows)
-        _write_csv(config.out / "perf_correlation.csv",
-                   "site_id,room_id,orientation,r,hours", corr_rows)
-        _write_csv(config.out / "perf_anomalies.csv",
-                   "site_id,room_id,kind,metric,value,dates", anomaly_rows)
-        notes_text = "".join(f"# {n}\n" for n in notes)
-        (config.out / "perf_anomalies.txt").write_text(
-            notes_text + "\n".join(text_lines) + ("\n" if text_lines else ""))
-    except OSError as exc:
-        return _fail(f"cannot write reports: {exc}", EXIT_IO)
+    _write_csv(config.out / "perf_swings.csv",
+               "site_id,room_id,date,min_t,max_t,swing,rise_hours", swing_rows)
+    _write_csv(config.out / "perf_correlation.csv",
+               "site_id,room_id,orientation,r,hours", corr_rows)
+    _write_csv(config.out / "perf_anomalies.csv",
+               "site_id,room_id,kind,metric,value,dates", anomaly_rows)
+    notes_text = "".join(f"# {n}\n" for n in notes)
+    (config.out / "perf_anomalies.txt").write_text(
+        notes_text + "\n".join(text_lines) + ("\n" if text_lines else ""))
     print(f"performance reports written to {config.out}: "
           f"{len(anomaly_rows)} anomaly records")
-    return EXIT_OK
 
 
 def _parse_date(text: str) -> date:
@@ -571,9 +522,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None, help="override output directory")
         if name == "ingest":
             p.add_argument("--measurements", type=Path, nargs="*", default=None)
-        if name in ("quality", "comfort", "perf"):
+        if name in ("comfort", "perf"):
             p.add_argument("--from", dest="start", type=_parse_date, default=None,
                            required=needs_period)
+        if name in ("quality", "comfort", "perf"):
             p.add_argument("--to", dest="end", type=_parse_date, default=None,
                            required=needs_period)
         if name == "comfort":
@@ -581,32 +533,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "synth":
-        return cmd_synth(args.spec, args.out)
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
 
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+
+def _run(args: argparse.Namespace) -> None:
+    if args.command == "synth":
+        cmd_synth(args.spec, args.out)
+        return
+    config = load_config(args.config)
     if args.out is not None:
         config = dataclasses.replace(config, out=args.out)
-    if args.command == "ingest" and args.measurements is not None:
-        config = dataclasses.replace(config, measurements=tuple(args.measurements))
+    if args.command == "ingest":
+        if args.measurements is not None:
+            config = dataclasses.replace(config, measurements=tuple(args.measurements))
+        cmd_ingest(config)
+    elif args.command == "quality":
+        cmd_quality(config, end=args.end)
+    elif args.command == "comfort":
+        cmd_comfort(config, args.start, args.end, args.acceptability)
+    else:
+        cmd_perf(config, args.start, args.end)
 
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "ingest":
-            return cmd_ingest(config)
-        if args.command == "quality":
-            return cmd_quality(config, end=args.end)
-        if args.command == "comfort":
-            return cmd_comfort(config, args.start, args.end, args.acceptability)
-        if args.command == "perf":
-            return cmd_perf(config, args.start, args.end)
-    except (ModelError, quality_mod.QualityError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    raise AssertionError(f"unhandled command {args.command}")
+        _run(args)
+    except (OSError, StoreIntegrityError) as exc:
+        return _fail(exc, EXIT_IO)
+    except (ConfigError, ScenarioError, IngestError, ModelError,
+            quality_mod.QualityError) as exc:
+        return _fail(exc, EXIT_USAGE)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -178,6 +178,16 @@ def _parse_timestamps(texts: list[str], line_numbers: list[int]) -> np.ndarray:
     return out
 
 
+def last_wins(sensor_id: str, times: np.ndarray, values: np.ndarray) -> TimeSeries:
+    """A series from samples in arrival order; a repeated timestamp keeps its last value."""
+    order = np.argsort(times, kind="stable")
+    times, values = times[order], values[order]
+    if len(times) > 1:
+        last_of_run = np.concatenate((times[1:] != times[:-1], [True]))
+        times, values = times[last_of_run], values[last_of_run]
+    return TimeSeries(sensor_id, times, values)
+
+
 @dataclass(frozen=True)
 class ParsedMeasurements:
     series: dict[str, TimeSeries]
@@ -234,30 +244,18 @@ def parse_measurements(document: str, catalog: DeploymentCatalog) -> ParsedMeasu
         i = int(bad[0])
         raise MeasurementFormatError(f"non-finite value {raw_values[i]!r}", lines[i])
 
-    id_arr = np.array(ids)
-    order_keys = np.array(lines, dtype=np.int64)
     series: dict[str, TimeSeries] = {}
-    unique_ids, inverse = np.unique(id_arr, return_inverse=True)
-    for k, sensor_id in enumerate(unique_ids):
-        idx = np.flatnonzero(inverse == k)
-        sub_order = np.lexsort((order_keys[idx], times[idx]))
-        t = times[idx][sub_order]
-        v = values[idx][sub_order]
-        if len(t) > 1:
-            last_of_run = np.concatenate((t[1:] != t[:-1], [True]))
-            t, v = t[last_of_run], v[last_of_run]
-        series[str(sensor_id)] = TimeSeries(str(sensor_id), t, v)
+    unique_ids, inverse = np.unique(np.array(ids), return_inverse=True)
+    for k, sensor_id in enumerate(unique_ids.tolist()):
+        idx = np.flatnonzero(inverse == k)  # file order
+        series[sensor_id] = last_wins(sensor_id, times[idx], values[idx])
     return ParsedMeasurements(series, rejected)
 
 
-def write_measurements_csv(series: Mapping[str, TimeSeries] | Iterable[TimeSeries]) -> str:
+def write_measurements_csv(series: Mapping[str, TimeSeries]) -> str:
     """Serialize series to the measurements CSV format (reference producer)."""
-    if isinstance(series, Mapping):
-        items = [series[k] for k in series]
-    else:
-        items = list(series)
     out = [",".join(MEASUREMENT_HEADER)]
-    for s in items:
+    for s in series.values():
         sid = s.sensor_id
         for t, v in zip(s.times.tolist(), s.values.tolist()):
             out.append(f"{sid},{format_iso8601(t)},{float(v)!r}")
@@ -371,6 +369,16 @@ class SeriesStore:
     def _sensor_dir(self, site_id: str, sensor_id: str) -> Path:
         return self.root / site_id / sensor_id
 
+    @staticmethod
+    def _read_manifest(path: Path) -> dict:
+        try:
+            manifest = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise StoreIntegrityError(f"{path}: corrupt manifest: {exc}") from None
+        if not isinstance(manifest, dict):
+            raise StoreIntegrityError(f"{path}: manifest is not an object")
+        return manifest
+
     def save(self, site_id: str, series: TimeSeries) -> int:
         """Write the series' day partitions; returns number of partitions."""
         sensor_dir = self._sensor_dir(site_id, series.sensor_id)
@@ -378,7 +386,7 @@ class SeriesStore:
         manifest_path = sensor_dir / "manifest.json"
         manifest = {}
         if manifest_path.exists():
-            manifest = json.loads(manifest_path.read_text())
+            manifest = self._read_manifest(manifest_path)
 
         days = series.times // DAY_SECONDS
         boundaries = np.flatnonzero(np.diff(days)) + 1
@@ -406,7 +414,7 @@ class SeriesStore:
         manifest_path = sensor_dir / "manifest.json"
         if not manifest_path.exists():
             raise StoreIntegrityError(f"{sensor_dir}: missing manifest")
-        manifest = json.loads(manifest_path.read_text())
+        manifest = self._read_manifest(manifest_path)
 
         all_times: list[np.ndarray] = []
         all_values: list[np.ndarray] = []
@@ -437,9 +445,3 @@ class SeriesStore:
         if not self.root.is_dir():
             return []
         return sorted(p.name for p in self.root.iterdir() if p.is_dir())
-
-    def sensors(self, site_id: str) -> list[str]:
-        site_dir = self.root / site_id
-        if not site_dir.is_dir():
-            return []
-        return sorted(p.name for p in site_dir.iterdir() if p.is_dir())

@@ -16,7 +16,6 @@ import numpy as np
 
 DAY_SECONDS = 86400
 SCHOOL_DAY_START = 8 * 3600 + 30 * 60   # 08:30 local, inclusive
-SCHOOL_DAY_END = 16 * 3600 + 30 * 60    # 16:30 local, exclusive
 SCHOOL_DAY_SLOTS = 8                    # hourly slots tiling 08:30-16:30
 
 # 1970-01-01 was a Thursday; +3 makes Monday == 0.
@@ -46,10 +45,6 @@ def to_epoch(ts: datetime | date | int) -> int:
     raise ModelError(f"not a timestamp: {ts!r}")
 
 
-def to_datetime(epoch: int) -> datetime:
-    return datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-
-
 def parse_iso8601(text: str) -> int:
     """Parse an ISO-8601 instant ('Z' or explicit offset) to epoch seconds."""
     raw = text.strip()
@@ -65,12 +60,7 @@ def parse_iso8601(text: str) -> int:
 
 
 def format_iso8601(epoch: int) -> str:
-    return to_datetime(epoch).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def epoch_day(epoch: int | np.ndarray, tz_offset_minutes: int = 0):
-    """Local calendar day as days-since-epoch."""
-    return (epoch + tz_offset_minutes * 60) // DAY_SECONDS
+    return datetime.fromtimestamp(int(epoch), tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def day_to_date(day_index: int) -> date:
@@ -152,19 +142,6 @@ class Orientation(Enum):
 
 
 @dataclass(frozen=True)
-class Measurement:
-    """One reading from one sensor."""
-
-    sensor_id: str
-    at: int  # epoch seconds UTC
-    value: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ModelError(f"non-finite value for {self.sensor_id}: {self.value!r}")
-
-
-@dataclass(frozen=True)
 class TimeSeries:
     """Ordered samples of one sensor: strictly increasing times, finite values."""
 
@@ -185,14 +162,6 @@ class TimeSeries:
         values.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_samples(cls, sensor_id: str, samples) -> TimeSeries:
-        """Build from an iterable of (timestamp-like, value) pairs."""
-        pairs = [(to_epoch(t), float(v)) for t, v in samples]
-        times = np.array([t for t, _ in pairs], dtype=np.int64)
-        values = np.array([v for _, v in pairs], dtype=np.float64)
-        return cls(sensor_id, times, values)
 
     @classmethod
     def empty(cls, sensor_id: str) -> TimeSeries:
@@ -309,9 +278,6 @@ class DeploymentCatalog:
     def sensors_for_site(self, site_id: str) -> list[SensorMeta]:
         return [m for m in self.sensors if m.site_id == site_id]
 
-    def sensors_for_room(self, site_id: str, room_id: str) -> list[SensorMeta]:
-        return [m for m in self.sensors if m.site_id == site_id and m.room_id == room_id]
-
 
 @dataclass(frozen=True)
 class TimeWindow:
@@ -342,20 +308,10 @@ def slice_series(series: TimeSeries, start, end) -> TimeSeries:
     return series.take(slice(i, j))
 
 
-def local_seconds_of_day(times: np.ndarray, tz_offset_minutes: int) -> np.ndarray:
-    return (times + tz_offset_minutes * 60) % DAY_SECONDS
-
-
 def local_weekday(times: np.ndarray, tz_offset_minutes: int) -> np.ndarray:
     """Local day of week, Monday == 0 .. Sunday == 6."""
     days = (times + tz_offset_minutes * 60) // DAY_SECONDS
     return (days + _EPOCH_WEEKDAY_SHIFT) % 7
-
-
-def filter_school_hours(series: TimeSeries, tz_offset_minutes: int = 0) -> TimeSeries:
-    """Keep samples whose local wall-clock time lies in [08:30, 16:30)."""
-    tod = local_seconds_of_day(series.times, tz_offset_minutes)
-    return series.take((tod >= SCHOOL_DAY_START) & (tod < SCHOOL_DAY_END))
 
 
 def filter_weekends(series: TimeSeries, tz_offset_minutes: int = 0) -> TimeSeries:

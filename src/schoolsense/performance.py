@@ -13,7 +13,6 @@ envelope signal. Three detectors:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,8 +37,8 @@ class CorrelationUndefined(PerformanceError):
 
 # Half-sine daylight template: 12 h of nonzero gain centred on the peak hour.
 # Peaks shift with facade orientation (solar noon for S, +2 h for SW, -2 h
-# for SE); north-ish facades see little direct sun. Overridable table.
-DEFAULT_ORIENTATION_TEMPLATE: dict[Orientation, tuple[float, float]] = {
+# for SE); north-ish facades see little direct sun.
+ORIENTATION_TEMPLATE: dict[Orientation, tuple[float, float]] = {
     Orientation.E: (8.0, 1.0),
     Orientation.SE: (10.0, 1.0),
     Orientation.S: (12.0, 1.0),
@@ -51,19 +50,12 @@ DEFAULT_ORIENTATION_TEMPLATE: dict[Orientation, tuple[float, float]] = {
 }
 
 
-def orientation_gain(
-    hour_of_day: float,
-    orientation: Orientation,
-    template: dict[Orientation, tuple[float, float]] | None = None,
-) -> float:
-    """Relative daylight gain for a facade at a local hour of day."""
-    peak, amplitude = (template or DEFAULT_ORIENTATION_TEMPLATE)[orientation]
-    if amplitude == 0.0:
-        return 0.0
+def orientation_gain(hour_of_day: np.ndarray, orientation: Orientation) -> np.ndarray:
+    """Relative daylight gain for a facade at local hours of day (fractional)."""
+    peak, amplitude = ORIENTATION_TEMPLATE[orientation]
     phase = (hour_of_day - (peak - 6.0)) / 12.0
-    if not 0.0 <= phase <= 1.0:
-        return 0.0
-    return amplitude * math.sin(math.pi * phase)
+    inside = (phase >= 0.0) & (phase <= 1.0)
+    return np.where(inside, amplitude * np.sin(np.pi * np.clip(phase, 0.0, 1.0)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -180,7 +172,6 @@ def solar_gain_correlation(
     *,
     room_id: str | None = None,
     min_hours: int = 24,
-    template: dict[Orientation, tuple[float, float]] | None = None,
 ) -> CorrelationReport:
     """Pearson correlation of hourly indoor rise against the solar proxy.
 
@@ -204,6 +195,7 @@ def solar_gain_correlation(
     np.add.at(sums, inverse, weekend.values)
     np.add.at(counts, inverse, 1)
     means = sums / counts
+    gains = orientation_gain((hours % 24) + 0.5, orientation)
 
     proxies = []
     rises = []
@@ -217,7 +209,7 @@ def solar_gain_correlation(
         if at is None:
             continue
         cloud = at[2]
-        gain = orientation_gain((h % 24) + 0.5, orientation, template)
+        gain = float(gains[i])
         if gain <= 0.0:
             continue
         proxies.append((1.0 - cloud) * gain)

@@ -37,33 +37,6 @@ class QualityError(ValueError):
 
 
 @dataclass(frozen=True)
-class QuartileSummary:
-    """Quartiles of a window plus the derived acceptance bounds."""
-
-    q1: float
-    q3: float
-    iqr: float
-    lower: float
-    upper: float
-
-    @classmethod
-    def from_quartiles(cls, q1: float, q3: float) -> QuartileSummary:
-        if q3 < q1:
-            raise QualityError(f"q3 < q1 ({q3} < {q1})")
-        iqr = q3 - q1
-        return cls(q1=q1, q3=q3, iqr=iqr, lower=q1 - 3.0 * iqr, upper=q3 + 3.0 * iqr)
-
-
-def quartiles(values) -> QuartileSummary:
-    """Quartile summary of a value list, linear interpolation between ranks."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or len(arr) < 4:
-        raise QualityError(f"need at least 4 values, got {arr.size}")
-    q1, q3 = np.percentile(arr, [25.0, 75.0])
-    return QuartileSummary.from_quartiles(float(q1), float(q3))
-
-
-@dataclass(frozen=True)
 class AvailabilityCell:
     """Expected vs observed sample counts for one sensor on one UTC day."""
 
@@ -173,6 +146,7 @@ def zero_implausible_for(meta: SensorMeta, site: Site) -> bool:
 
 
 def _interp_rank(sorted_vals: list[float], q: float) -> float:
+    """Quantile q of a sorted list, linear interpolation between ranks."""
     pos = (len(sorted_vals) - 1) * q
     lo = int(pos)
     frac = pos - lo
@@ -241,8 +215,8 @@ def flag_outliers(
         if flag is None and len(window_vals) >= min_window_samples:
             q1 = _interp_rank(window_vals, 0.25)
             q3 = _interp_rank(window_vals, 0.75)
-            bounds = QuartileSummary.from_quartiles(q1, q3)
-            if v < bounds.lower or v > bounds.upper:
+            iqr = q3 - q1
+            if v < q1 - 3.0 * iqr or v > q3 + 3.0 * iqr:
                 flag = FlagKind.BOUND_VIOLATION
 
         if flag is not None:

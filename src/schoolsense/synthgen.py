@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .ingest import (
     WeatherHistory,
@@ -43,7 +42,7 @@ from .model import (
     format_iso8601,
     parse_iso8601,
 )
-from .performance import DEFAULT_ORIENTATION_TEMPLATE
+from .performance import orientation_gain
 
 
 class ScenarioError(ValueError):
@@ -281,19 +280,13 @@ def _thermal_lag(signal_in: np.ndarray, rate: int) -> np.ndarray:
     if len(signal_in) == 0:
         return signal_in
     alpha = float(np.exp(-rate / GAIN_TIME_CONSTANT_S))
-    out = lfilter([1.0 - alpha], [1.0, -alpha], signal_in)
+    out = np.empty(len(signal_in))
+    prev = 0.0
+    for i, x in enumerate(signal_in.tolist()):
+        prev = alpha * prev + (1.0 - alpha) * x
+        out[i] = prev
     out += alpha * signal_in[0] * alpha ** np.arange(len(signal_in))  # warm start
     return out
-
-
-def _gain_template(local_hour: np.ndarray, orientation: Orientation) -> np.ndarray:
-    """Vector version of performance.orientation_gain, same template table."""
-    peak, amplitude = DEFAULT_ORIENTATION_TEMPLATE[orientation]
-    if amplitude == 0.0:
-        return np.zeros_like(local_hour, dtype=np.float64)
-    phase = (local_hour - (peak - 6.0)) / 12.0
-    inside = (phase >= 0.0) & (phase <= 1.0)
-    return np.where(inside, amplitude * np.sin(np.pi * np.clip(phase, 0.0, 1.0)), 0.0)
 
 
 def _ar1(rng: np.random.Generator, n: int, rho: float) -> np.ndarray:
@@ -453,7 +446,7 @@ class _SiteGenerator:
         solar_input = (
             spec.gain_amplitude * blinds_mult
             * (1.0 - self.cloud[hidx])
-            * _gain_template(h_loc, room.orientation)
+            * orientation_gain(h_loc, room.orientation)
         )
         gain = _thermal_lag(solar_input, spec.sensing_rate)
         values = (

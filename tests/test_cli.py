@@ -1,0 +1,175 @@
+"""Exit codes and error reporting of the command-line pipeline."""
+
+from __future__ import annotations
+
+import json
+import shutil
+
+import numpy as np
+import pytest
+
+from schoolsense import cli
+from schoolsense.ingest import SeriesStore
+
+SPEC = {
+    "seed": 5,
+    "start": "2017-10-02",
+    "days": 9,
+    "sensing_rate": 600,
+    "sites": [{"site_id": "s1", "rooms": [{"room_id": "a", "occupant_events": 1}]}],
+}
+COMFORT = ["--from", "2017-10-09", "--to", "2017-10-11"]
+
+
+@pytest.fixture(scope="module")
+def prepared(tmp_path_factory):
+    """Synthesized inputs, ingested and repaired once for the whole module."""
+    root = tmp_path_factory.mktemp("prepared")
+    (root / "spec.json").write_text(json.dumps(SPEC))
+    assert cli.main(["synth", str(root / "spec.json"), "--out", str(root / "inputs")]) == 0
+    _write_config(root)
+    for command in ("ingest", "quality"):
+        assert cli.main([command, "--config", str(root / "config.json")]) == 0
+    return root
+
+
+def _write_config(root, **overrides):
+    inputs = root / "inputs"
+    config = {
+        "catalog": str(inputs / "catalog.json"),
+        "weather": str(inputs / "weather.csv"),
+        "store": str(root / "store"),
+        "out": str(root / "out"),
+        "measurements": [str(inputs / "measurements" / "s1.csv")],
+        **overrides,
+    }
+    (root / "config.json").write_text(json.dumps(config))
+    return ["--config", str(root / "config.json")]
+
+
+@pytest.fixture
+def work(prepared, tmp_path):
+    """A private copy of the prepared workspace."""
+    root = tmp_path / "work"
+    shutil.copytree(prepared, root)
+    _write_config(root)
+    return root
+
+
+def _run(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+def _assert_one_error_line(err):
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1, err
+
+
+def _truncate_partition(store_root):
+    part = sorted((store_root / "s1" / "s1-a-temp").glob("*.csv"))[0]
+    part.write_text("\n".join(part.read_text().splitlines()[:-1]) + "\n")
+
+
+def test_spike_sigma_not_a_number_is_config_error(work, capsys, monkeypatch):
+    monkeypatch.setenv("SCHOOLSENSE_SPIKE_SIGMA", "abc")
+    code, err = _run(["quality", "--config", str(work / "config.json")], capsys)
+    assert code == 2
+    assert "spike_sigma" in err
+    _assert_one_error_line(err)
+
+
+@pytest.mark.parametrize("command", [["comfort", *COMFORT], ["perf"]])
+def test_truncated_repaired_partition_exits_1(work, capsys, command):
+    _truncate_partition(work / "out" / "repaired")
+    code, err = _run([*command, "--config", str(work / "config.json")], capsys)
+    assert code == 1
+    assert "row count" in err
+    _assert_one_error_line(err)
+
+
+@pytest.mark.parametrize("command, store", [
+    (["quality"], "store"),
+    (["perf"], "out/repaired"),
+])
+def test_corrupt_manifest_exits_1(work, capsys, command, store):
+    (work / store / "s1" / "s1-a-temp" / "manifest.json").write_text("{")
+    code, err = _run([*command, "--config", str(work / "config.json")], capsys)
+    assert code == 1
+    assert "corrupt manifest" in err
+    _assert_one_error_line(err)
+
+
+@pytest.mark.parametrize("command, overrides, expected", [
+    (["quality"], {"colour": "blue"}, 2),
+    (["ingest"], {"catalog": "missing/catalog.json"}, 1),
+    (["ingest"], {"measurements": ["missing/m.csv"]}, 1),
+    (["comfort", *COMFORT], {"weather": "missing/weather.csv"}, 1),
+    (["ingest"], {"measurements": []}, 2),
+    (["ingest"], {"measurements": 5}, 2),
+    (["ingest"], {"catalog": 5}, 2),
+    (["quality"], {"min_window_samples": 0}, 2),
+])
+def test_config_problems_map_to_exit_codes(work, capsys, command, overrides, expected):
+    conf = _write_config(work, **overrides)
+    code, err = _run([*command, *conf], capsys)
+    assert code == expected
+    _assert_one_error_line(err)
+
+
+def test_missing_scenario_spec_exits_1(tmp_path, capsys):
+    code, err = _run(["synth", str(tmp_path / "nope.json"), "--out", str(tmp_path)], capsys)
+    assert code == 1
+    _assert_one_error_line(err)
+
+
+def test_malformed_measurements_name_the_file(work, capsys):
+    bad = work / "bad.csv"
+    bad.write_text("sensor_id,timestamp,value\ns1-a-temp,2017-10-02T00:00:00Z\n")
+    code, err = _run(["ingest", *_write_config(work, measurements=[str(bad)])], capsys)
+    assert code == 2
+    assert f"{bad}: line 2" in err
+    _assert_one_error_line(err)
+
+
+def test_non_utf8_measurements_exit_2(work, capsys):
+    bad = work / "bad.csv"
+    bad.write_bytes(b"sensor_id,timestamp,value\n\xff\xfe,1,2\n")
+    code, err = _run(["ingest", *_write_config(work, measurements=[str(bad)])], capsys)
+    assert code == 2
+    assert str(bad) in err
+    _assert_one_error_line(err)
+
+
+def test_config_root_must_be_an_object(work, capsys):
+    (work / "config.json").write_text("[]")
+    code, err = _run(["quality", "--config", str(work / "config.json")], capsys)
+    assert code == 2
+    _assert_one_error_line(err)
+
+
+def test_quality_has_no_from_option(work, capsys):
+    code, err = _run(["quality", "--config", str(work / "config.json"),
+                      "--from", "2017-10-05"], capsys)
+    assert code == 2
+    _assert_one_error_line(err)
+
+
+def test_ingest_later_file_wins_repeated_timestamp(work):
+    first = work / "first.csv"
+    second = work / "second.csv"
+    first.write_text("sensor_id,timestamp,value\n"
+                     "s1-a-temp,2017-10-02T00:00:00Z,20.0\n"
+                     "s1-a-temp,2017-10-02T00:10:00Z,21.0\n")
+    second.write_text("sensor_id,timestamp,value\n"
+                      "s1-a-temp,2017-10-02T00:20:00Z,22.0\n"
+                      "s1-a-temp,2017-10-02T00:10:00Z,25.0\n")
+    store = work / "fresh_store"
+    conf = _write_config(work, store=str(store), measurements=[str(first), str(second)])
+    assert cli.main(["ingest", *conf]) == 0
+    loaded = SeriesStore(store).load("s1", "s1-a-temp").series
+    assert loaded.values.tolist() == [20.0, 25.0, 22.0]
+    assert np.all(np.diff(loaded.times) == 600)

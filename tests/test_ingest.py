@@ -252,6 +252,18 @@ def test_store_corrupt_manifest_detected(tmp_path):
         store.load("alpha", "t1")
 
 
+@pytest.mark.parametrize("text", ["{", "[1, 2]"])
+def test_store_unreadable_manifest_detected(tmp_path, text):
+    series = series_at("t1", utc(2017, 9, 4), 30, np.arange(10.0))
+    store = SeriesStore(tmp_path)
+    store.save("alpha", series)
+    (tmp_path / "alpha" / "t1" / "manifest.json").write_text(text)
+    with pytest.raises(StoreIntegrityError, match="manifest"):
+        store.load("alpha", "t1")
+    with pytest.raises(StoreIntegrityError, match="manifest"):
+        store.save("alpha", series)
+
+
 def test_store_incremental_save_merges_manifest(tmp_path):
     store = SeriesStore(tmp_path)
     store.save("alpha", series_at("t1", utc(2017, 9, 4), 3600, np.arange(24.0)))

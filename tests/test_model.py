@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from schoolsense.model import (
     Classroom,
     DeploymentCatalog,
-    Measurement,
     ModelError,
     Orientation,
     SensorKind,
@@ -17,7 +16,6 @@ from schoolsense.model import (
     Site,
     TimeSeries,
     TimeWindow,
-    filter_school_hours,
     filter_weekends,
     filter_weekdays,
     format_iso8601,
@@ -35,14 +33,6 @@ def test_timestamp_range_covers_deployment_era():
     assert early < late
     assert format_iso8601(early) == "2015-01-01T00:00:00Z"
     assert format_iso8601(late) == "2030-01-01T00:00:00Z"
-
-
-def test_measurement_rejects_non_finite():
-    Measurement("s", utc(2017, 9, 4), 21.5)
-    with pytest.raises(ModelError):
-        Measurement("s", utc(2017, 9, 4), float("nan"))
-    with pytest.raises(ModelError):
-        Measurement("s", utc(2017, 9, 4), float("inf"))
 
 
 def test_series_requires_strictly_increasing_times():
@@ -152,25 +142,6 @@ def test_slice_composition(a, b, c, d):
     assert np.array_equal(twice.times, once.times)
 
 
-def test_school_hours_filter():
-    day = utc(2017, 9, 6)  # a Wednesday
-    s = TimeSeries("s", np.array(
-        [day + 3 * 3600,                # 03:00 local
-         day + 9 * 3600,                # 09:00 local
-         day + 16 * 3600 + 30 * 60]),   # 16:30 local, boundary
-        np.array([1.0, 2.0, 3.0]))
-    kept = filter_school_hours(s, tz_offset_minutes=0)
-    assert kept.values.tolist() == [2.0]
-
-
-def test_school_hours_respect_tz_offset():
-    day = utc(2017, 9, 6)
-    s = TimeSeries("s", np.array([day + 8 * 3600]), np.array([1.0]))
-    # 08:00 UTC is 09:00 at +60 minutes, inside; 08:00 at 0 offset is outside
-    assert len(filter_school_hours(s, 60)) == 1
-    assert len(filter_school_hours(s, 0)) == 0
-
-
 def test_weekend_filter_keeps_saturday():
     saturday = utc(2017, 9, 30, 12)  # 30/Sep 2017 was a Saturday
     wednesday = utc(2017, 9, 27, 12)
@@ -186,13 +157,12 @@ def test_weekend_filter_empty_series():
 
 @given(st.lists(st.integers(0, 14 * 86400 - 1), min_size=0, max_size=50, unique=True),
        st.sampled_from([-120, 0, 60, 120]))
-def test_filters_commute_and_preserve_order(offsets, tz):
+def test_weekday_weekend_filters_partition_in_order(offsets, tz):
     base = utc(2017, 9, 4)
     times = np.array(sorted(offsets), dtype=np.int64) + base
     s = TimeSeries("s", times, np.zeros(len(times)))
-    ab = filter_school_hours(filter_weekends(s, tz), tz)
-    ba = filter_weekends(filter_school_hours(s, tz), tz)
-    assert np.array_equal(ab.times, ba.times)
-    for out in (ab, ba):
+    weekend, weekday = filter_weekends(s, tz), filter_weekdays(s, tz)
+    assert np.array_equal(np.sort(np.concatenate((weekend.times, weekday.times))), s.times)
+    for out in (weekend, weekday):
         if len(out) > 1:
             assert np.all(np.diff(out.times) > 0)

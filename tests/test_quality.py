@@ -25,12 +25,12 @@ from schoolsense.quality import (
     flag_outliers,
     moving_average,
     outage_percentage,
-    quartiles,
     repair_series,
     replace_outliers,
     site_outage_percentages,
     zero_implausible_for,
 )
+from schoolsense.quality import _interp_rank
 
 from conftest import series_at, utc
 
@@ -47,23 +47,24 @@ def rank_percentile(sorted_vals: list[float], q: float) -> float:
 
 def test_quartiles_eight_values():
     # oracle: sorted [1..8], q1 at rank 1.75 -> 2.75, q3 at rank 5.25 -> 6.25
-    qs = quartiles([1, 2, 3, 4, 5, 6, 7, 8])
-    assert qs.q1 == pytest.approx(2.75)
-    assert qs.q3 == pytest.approx(6.25)
-    assert qs.iqr == pytest.approx(3.5)
-    assert qs.lower == pytest.approx(-7.75)
-    assert qs.upper == pytest.approx(16.75)
+    values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+    assert _interp_rank(values, 0.25) == pytest.approx(2.75)
+    assert _interp_rank(values, 0.5) == pytest.approx(4.5)
+    assert _interp_rank(values, 0.75) == pytest.approx(6.25)
 
 
 def test_quartiles_constant_list():
-    qs = quartiles([5, 5, 5, 5])
-    assert qs.iqr == 0
-    assert qs.lower == qs.upper == 5
+    for q in (0.25, 0.5, 0.75):
+        assert _interp_rank([5.0, 5.0, 5.0, 5.0], q) == 5.0
 
 
 def test_quartiles_too_few():
-    with pytest.raises(QualityError):
-        quartiles([1, 2, 3])
+    # [20, 20, 20, 20, 900] has q1 == q3 == 20, so 900 breaks the 3*IQR
+    # bounds; with fewer samples in the window than required, no bound test runs
+    series = series_at("s", utc(2017, 9, 4), 30, [20.0] * 4 + [900.0])
+    assert flag_outliers(series, TimeWindow.hours(1), min_window_samples=6) == []
+    flags = flag_outliers(series, TimeWindow.hours(1), min_window_samples=5)
+    assert [(f.index, f.kind) for f in flags] == [(4, FlagKind.BOUND_VIOLATION)]
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=60))
@@ -71,17 +72,16 @@ def test_quartiles_permutation_invariant(values):
     rng = np.random.default_rng(0)
     shuffled = list(values)
     rng.shuffle(shuffled)
-    a, b = quartiles(values), quartiles(shuffled)
-    assert a.q1 == pytest.approx(b.q1, rel=1e-12, abs=1e-12)
-    assert a.q3 == pytest.approx(b.q3, rel=1e-12, abs=1e-12)
+    a, b = sorted(values), sorted(shuffled)
+    for q in (0.25, 0.5, 0.75):
+        assert _interp_rank(a, q) == _interp_rank(b, q)
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=80))
 def test_quartiles_match_rank_oracle(values):
-    qs = quartiles(values)
     s = sorted(values)
-    assert qs.q1 == pytest.approx(rank_percentile(s, 0.25), rel=1e-9, abs=1e-9)
-    assert qs.q3 == pytest.approx(rank_percentile(s, 0.75), rel=1e-9, abs=1e-9)
+    for q in (0.25, 0.5, 0.75):
+        assert _interp_rank(s, q) == pytest.approx(rank_percentile(s, q), rel=1e-9, abs=1e-9)
 
 
 def _avail_catalog(rate=30):
