@@ -133,7 +133,7 @@ def load_config(path: Path | str, env: dict | None = None) -> RunConfig:
     path = Path(path)
     try:
         data = json.loads(path.read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config syntax error at line {exc.lineno}: {exc.msg}") from None
@@ -211,26 +211,26 @@ def cmd_ingest(config: RunConfig) -> None:
 
     parts: dict[str, list[TimeSeries]] = {}
     rejects: dict[str, int] = {}
-    total_lines = 0
     for path in paths:
         parsed = _parse_file(parse_measurements, path, catalog)
         for sensor_id, series in parsed.series.items():
-            total_lines += len(series)
             parts.setdefault(sensor_id, []).append(series)
         for sensor_id, count in parsed.rejected.items():
             rejects[sensor_id] = rejects.get(sensor_id, 0) + count
 
     store = SeriesStore(config.store)
+    stored = 0
     for sensor_id in sorted(parts):
         # files are read in order, so a later file's sample wins a repeated timestamp
         merged = last_wins(sensor_id,
                            np.concatenate([s.times for s in parts[sensor_id]]),
                            np.concatenate([s.values for s in parts[sensor_id]]))
         store.save(catalog.sensor(sensor_id).site_id, merged)
+        stored += len(merged)
     _write_csv(
         config.out / "rejects.csv", "sensor_id,lines",
         [f"{sid},{rejects[sid]}" for sid in sorted(rejects)])
-    print(f"ingested {total_lines} samples from {len(paths)} files "
+    print(f"ingested {stored} samples from {len(paths)} files "
           f"into {config.store}; {sum(rejects.values())} rejected lines")
 
 
@@ -422,10 +422,9 @@ def cmd_perf(config: RunConfig, start: date | None = None, end: date | None = No
         correlations = []
         for room_id, sensor_id in sorted(_indoor_room_sensors(catalog, site.site_id).items()):
             series = store.load(site.site_id, sensor_id).series
-            if start is not None and end is not None:
-                lo = to_epoch(start) - tz * 60
-                hi = to_epoch(end) - tz * 60
-                series = slice_series(series, lo, hi)
+            lo = -(2 ** 63) if start is None else to_epoch(start) - tz * 60
+            hi = 2 ** 63 - 1 if end is None else to_epoch(end) - tz * 60
+            series = slice_series(series, lo, hi)
             if not len(series):
                 continue
             report = perf_mod.weekend_daily_swings(series, tz, room_id=room_id)

@@ -8,6 +8,8 @@ File formats:
   store         ``<root>/<site_id>/<sensor_id>/<YYYY-MM-DD>.csv`` partitions
                 plus a ``manifest.json`` sidecar with per-day row counts.
 
+All three CSV formats share one table reader and one float-column parser,
+and their timestamps go through the `model` codec a whole column at a time.
 Values are serialized as shortest round-trip decimals so store/load is
 bit-exact. Unknown sensors are quarantined into a rejects report rather than
 failing the whole file: real deployments drift from their catalogs.
@@ -18,7 +20,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -35,13 +36,13 @@ from .model import (
     SensorMeta,
     Site,
     TimeSeries,
-    day_to_date,
     format_iso8601,
     parse_iso8601,
 )
 
 MEASUREMENT_HEADER = ["sensor_id", "timestamp", "value"]
 WEATHER_HEADER = ["site_id", "timestamp", "outdoor_temp_c", "wind_speed_ms", "cloud_cover"]
+PARTITION_HEADER = ["timestamp", "value"]
 
 
 class IngestError(ValueError):
@@ -53,9 +54,7 @@ class CatalogError(IngestError):
 
 
 class MeasurementFormatError(IngestError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+    pass
 
 
 class WeatherFormatError(IngestError):
@@ -161,21 +160,51 @@ def catalog_to_json(catalog: DeploymentCatalog) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _parse_timestamps(texts: list[str], line_numbers: list[int]) -> np.ndarray:
-    """Vectorized ISO-8601 'Z' parse with a slow fallback for odd rows."""
-    if texts and all(t.endswith("Z") for t in texts):
-        try:
-            stamps = np.array([t[:-1] for t in texts], dtype="datetime64[s]")
-            return stamps.astype(np.int64)
-        except ValueError:
-            pass
-    out = np.empty(len(texts), dtype=np.int64)
-    for i, text in enumerate(texts):
-        try:
-            out[i] = parse_iso8601(text)
-        except ModelError as exc:
-            raise MeasurementFormatError(str(exc), line_numbers[i]) from None
-    return out
+def _read_table(document: str, header: list[str], error: type[IngestError]):
+    """The columns (tuples of str) of a CSV document below its header, and their line numbers.
+
+    Blank lines are skipped; a wrong header or field count raises `error` with its line.
+    """
+    rows = list(csv.reader(io.StringIO(document)))
+    if not rows or rows[0] != header:
+        raise error(f"line 1: expected header {','.join(header)!r}, got {rows[:1]!r}")
+    lines = [n for n, row in enumerate(rows[1:], start=2) if row]
+    rows = [row for row in rows[1:] if row]
+    if set(map(len, rows)) - {len(header)}:
+        line, row = next((n, r) for n, r in zip(lines, rows) if len(r) != len(header))
+        raise error(f"line {line}: expected {len(header)} fields, got {len(row)}")
+    return list(zip(*rows)) or [()] * len(header), lines
+
+
+def _group_rows(keys) -> dict[str, np.ndarray]:
+    """Row indices of each distinct key in file order, keys sorted."""
+    unique, inverse = np.unique(np.array(keys, dtype=str), return_inverse=True)
+    return {key: np.flatnonzero(inverse == k) for k, key in enumerate(unique.tolist())}
+
+
+def _time_column(texts, lines, error: type[IngestError]) -> np.ndarray:
+    try:
+        return parse_iso8601(texts)
+    except ModelError as exc:
+        raise error(f"line {lines[exc.index]}: {exc}") from None
+
+
+def _float_column(texts, lines, error: type[IngestError]) -> np.ndarray:
+    """Float64 values of a text column; a bad or non-finite value raises `error`."""
+    try:
+        values = np.array(texts, dtype=np.float64)
+    except ValueError:
+        values = np.empty(len(texts))
+        for i, text in enumerate(texts):
+            try:
+                values[i] = float(text)
+            except ValueError:
+                raise error(f"line {lines[i]}: bad value {text!r}") from None
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        i = int(bad[0])
+        raise error(f"line {lines[i]}: non-finite value {texts[i]!r}")
+    return values
 
 
 def last_wins(sensor_id: str, times: np.ndarray, values: np.ndarray) -> TimeSeries:
@@ -201,54 +230,18 @@ def parse_measurements(document: str, catalog: DeploymentCatalog) -> ParsedMeasu
     (sensor, timestamp) pairs collapse to the last occurrence in file order.
     Unknown sensor ids are quarantined, malformed lines are an error.
     """
-    reader = csv.reader(io.StringIO(document))
-    header = next(reader, None)
-    if header != MEASUREMENT_HEADER:
-        raise MeasurementFormatError(
-            f"expected header {','.join(MEASUREMENT_HEADER)!r}, got {header!r}", 1)
-
-    ids: list[str] = []
-    stamps: list[str] = []
-    raw_values: list[str] = []
-    lines: list[int] = []
-    rejected: dict[str, int] = {}
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise MeasurementFormatError(f"expected 3 fields, got {len(row)}", line_no)
-        sensor_id = row[0]
-        if not catalog.has_sensor(sensor_id):
-            rejected[sensor_id] = rejected.get(sensor_id, 0) + 1
-            continue
-        ids.append(sensor_id)
-        stamps.append(row[1])
-        raw_values.append(row[2])
-        lines.append(line_no)
-
-    if not ids:
-        return ParsedMeasurements({}, rejected)
-
-    times = _parse_timestamps(stamps, lines)
-    try:
-        values = np.array(raw_values, dtype=np.float64)
-    except ValueError:
-        for i, raw in enumerate(raw_values):
-            try:
-                float(raw)
-            except ValueError:
-                raise MeasurementFormatError(f"bad value {raw!r}", lines[i]) from None
-        raise
-    bad = np.flatnonzero(~np.isfinite(values))
-    if len(bad):
-        i = int(bad[0])
-        raise MeasurementFormatError(f"non-finite value {raw_values[i]!r}", lines[i])
-
-    series: dict[str, TimeSeries] = {}
-    unique_ids, inverse = np.unique(np.array(ids), return_inverse=True)
-    for k, sensor_id in enumerate(unique_ids.tolist()):
-        idx = np.flatnonzero(inverse == k)  # file order
-        series[sensor_id] = last_wins(sensor_id, times[idx], values[idx])
+    (ids, stamps, raw_values), lines = _read_table(
+        document, MEASUREMENT_HEADER, MeasurementFormatError)
+    groups = _group_rows(ids)
+    rejected = {sid: len(idx) for sid, idx in groups.items() if not catalog.has_sensor(sid)}
+    if rejected:
+        keep = [i for i, sid in enumerate(ids) if sid not in rejected]
+        ids, stamps, raw_values, lines = (
+            [column[i] for i in keep] for column in (ids, stamps, raw_values, lines))
+        groups = _group_rows(ids)
+    times = _time_column(stamps, lines, MeasurementFormatError)
+    values = _float_column(raw_values, lines, MeasurementFormatError)
+    series = {sid: last_wins(sid, times[idx], values[idx]) for sid, idx in groups.items()}
     return ParsedMeasurements(series, rejected)
 
 
@@ -257,8 +250,8 @@ def write_measurements_csv(series: Mapping[str, TimeSeries]) -> str:
     out = [",".join(MEASUREMENT_HEADER)]
     for s in series.values():
         sid = s.sensor_id
-        for t, v in zip(s.times.tolist(), s.values.tolist()):
-            out.append(f"{sid},{format_iso8601(t)},{float(v)!r}")
+        out.extend(f"{sid},{t},{v!r}"
+                   for t, v in zip(format_iso8601(s.times), s.values.tolist()))
     return "\n".join(out) + "\n"
 
 
@@ -288,65 +281,42 @@ class WeatherHistory:
 
 def load_weather(document: str) -> dict[str, WeatherHistory]:
     """Parse an hourly weather CSV into per-site histories."""
-    reader = csv.reader(io.StringIO(document))
-    header = next(reader, None)
-    if header != WEATHER_HEADER:
-        raise WeatherFormatError(
-            f"expected header {','.join(WEATHER_HEADER)!r}, got {header!r}")
-
-    rows: dict[str, list[tuple[int, float, float, float]]] = {}
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 5:
-            raise WeatherFormatError(f"line {line_no}: expected 5 fields, got {len(row)}")
-        try:
-            t = parse_iso8601(row[1])
-            temp, wind, cloud = float(row[2]), float(row[3]), float(row[4])
-        except (ModelError, ValueError) as exc:
-            raise WeatherFormatError(f"line {line_no}: {exc}") from None
-        if not (math.isfinite(temp) and math.isfinite(wind) and math.isfinite(cloud)):
-            raise WeatherFormatError(f"line {line_no}: non-finite value")
-        if t % 3600 != 0:
-            raise WeatherFormatError(
-                f"line {line_no}: timestamp {row[1]} not on the hourly grid")
-        if not 0.0 <= cloud <= 1.0:
-            raise WeatherFormatError(
-                f"line {line_no}: cloud cover {cloud} outside [0, 1]")
-        if wind < 0.0:
-            raise WeatherFormatError(f"line {line_no}: negative wind speed {wind}")
-        rows.setdefault(row[0], []).append((t, temp, wind, cloud))
+    (site_ids, stamps, *measured), lines = _read_table(
+        document, WEATHER_HEADER, WeatherFormatError)
+    times = _time_column(stamps, lines, WeatherFormatError)
+    temp, wind, cloud = (_float_column(c, lines, WeatherFormatError) for c in measured)
+    for bad, message in ((times % 3600 != 0, "timestamp not on the hourly grid"),
+                         ((cloud < 0.0) | (cloud > 1.0), "cloud cover outside [0, 1]"),
+                         (wind < 0.0, "negative wind speed")):
+        if bad.any():
+            raise WeatherFormatError(f"line {lines[int(np.argmax(bad))]}: {message}")
 
     histories: dict[str, WeatherHistory] = {}
-    for site_id in sorted(rows):
-        entries = rows[site_id]
-        times = np.array([e[0] for e in entries], dtype=np.int64)
-        if len(times) > 1 and not np.all(np.diff(times) > 0):
+    for site_id, idx in _group_rows(site_ids).items():
+        site_times = times[idx]
+        deltas = np.diff(site_times)
+        if np.any(deltas <= 0):
             raise WeatherFormatError(f"site {site_id}: timestamps not strictly increasing")
-        gaps = []
-        deltas = np.diff(times)
-        for i in np.flatnonzero(deltas > 3600):
-            gaps.append((int(times[i]) + 3600, int(times[i + 1])))
         histories[site_id] = WeatherHistory(
             site_id=site_id,
-            times=times,
-            outdoor_temp=np.array([e[1] for e in entries]),
-            wind_speed=np.array([e[2] for e in entries]),
-            cloud_cover=np.array([e[3] for e in entries]),
-            gaps=tuple(gaps),
+            times=site_times,
+            outdoor_temp=temp[idx],
+            wind_speed=wind[idx],
+            cloud_cover=cloud[idx],
+            gaps=tuple((int(site_times[i]) + 3600, int(site_times[i + 1]))
+                       for i in np.flatnonzero(deltas > 3600)),
         )
     return histories
 
 
 def write_weather_csv(histories: Mapping[str, WeatherHistory]) -> str:
     out = [",".join(WEATHER_HEADER)]
-    for site_id in histories:
-        h = histories[site_id]
-        for i in range(len(h)):
-            out.append(
-                f"{site_id},{format_iso8601(int(h.times[i]))},"
-                f"{float(h.outdoor_temp[i])!r},{float(h.wind_speed[i])!r},"
-                f"{float(h.cloud_cover[i])!r}")
+    for site_id, h in histories.items():
+        out.extend(
+            f"{site_id},{t},{temp!r},{wind!r},{cloud!r}"
+            for t, temp, wind, cloud in zip(
+                format_iso8601(h.times), h.outdoor_temp.tolist(), h.wind_speed.tolist(),
+                h.cloud_cover.tolist()))
     return "\n".join(out) + "\n"
 
 
@@ -373,7 +343,7 @@ class SeriesStore:
     def _read_manifest(path: Path) -> dict:
         try:
             manifest = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8 or not JSON
             raise StoreIntegrityError(f"{path}: corrupt manifest: {exc}") from None
         if not isinstance(manifest, dict):
             raise StoreIntegrityError(f"{path}: manifest is not an object")
@@ -389,18 +359,17 @@ class SeriesStore:
             manifest = self._read_manifest(manifest_path)
 
         days = series.times // DAY_SECONDS
+        stamps = format_iso8601(series.times)
+        values = series.values.tolist()
         boundaries = np.flatnonzero(np.diff(days)) + 1
         starts = np.concatenate(([0], boundaries))
         ends = np.concatenate((boundaries, [len(series)]))
         for a, b in zip(starts.tolist(), ends.tolist()):
             if b == a:
                 continue
-            day = int(days[a])
-            day_name = day_to_date(day).isoformat()
-            rows = ["timestamp,value"]
-            ts = series.times[a:b].tolist()
-            vs = series.values[a:b].tolist()
-            rows.extend(f"{format_iso8601(t)},{v!r}" for t, v in zip(ts, vs))
+            day_name = stamps[a][:10]
+            rows = [",".join(PARTITION_HEADER)]
+            rows.extend(f"{t},{v!r}" for t, v in zip(stamps[a:b], values[a:b]))
             (sensor_dir / f"{day_name}.csv").write_text("\n".join(rows) + "\n")
             manifest[day_name] = b - a
         manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -416,26 +385,22 @@ class SeriesStore:
             raise StoreIntegrityError(f"{sensor_dir}: missing manifest")
         manifest = self._read_manifest(manifest_path)
 
-        all_times: list[np.ndarray] = []
-        all_values: list[np.ndarray] = []
+        all_times = [np.empty(0, dtype=np.int64)]
+        all_values = [np.empty(0, dtype=np.float64)]
         for day_name in sorted(manifest):
             part = sensor_dir / f"{day_name}.csv"
             if not part.exists():
                 raise StoreIntegrityError(f"{part}: partition listed in manifest is missing")
-            lines = part.read_text().splitlines()
-            if not lines or lines[0] != "timestamp,value":
-                raise StoreIntegrityError(f"{part}: bad partition header")
-            body = lines[1:]
-            if len(body) != manifest[day_name]:
-                raise StoreIntegrityError(
-                    f"{part}: row count {len(body)} != manifest {manifest[day_name]}")
-            if not body:
-                continue
-            stamps, values = zip(*(line.split(",", 1) for line in body))
-            all_times.append(_parse_timestamps(list(stamps), list(range(2, len(body) + 2))))
-            all_values.append(np.array(values, dtype=np.float64))
-        if not all_times:
-            return LoadResult(TimeSeries.empty(sensor_id), found=True)
+            try:
+                (stamps, values), lines = _read_table(
+                    part.read_text(), PARTITION_HEADER, StoreIntegrityError)
+                if len(lines) != manifest[day_name]:
+                    raise StoreIntegrityError(
+                        f"row count {len(lines)} != manifest {manifest[day_name]}")
+                all_times.append(_time_column(stamps, lines, StoreIntegrityError))
+                all_values.append(_float_column(values, lines, StoreIntegrityError))
+            except (StoreIntegrityError, UnicodeDecodeError) as exc:
+                raise StoreIntegrityError(f"{part}: {exc}") from None
         return LoadResult(
             TimeSeries(sensor_id, np.concatenate(all_times), np.concatenate(all_values)),
             found=True,

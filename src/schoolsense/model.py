@@ -4,6 +4,10 @@ Timestamps are UTC throughout, held as integer epoch seconds. Local wall-clock
 time only appears where analysis needs it (school hours, weekend days) and is
 derived from a fixed per-site UTC offset in minutes; no DST table is applied.
 All types are immutable values and all operations are pure functions.
+
+This is the only timestamp codec. It writes ``YYYY-MM-DDTHH:MM:SSZ`` and reads
+what ``datetime.fromisoformat`` reads once surrounding blanks are stripped and
+a final ``Z``/``z`` means ``+00:00``; naive stamps are UTC, fractions truncate.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ _EPOCH_WEEKDAY_SHIFT = 3
 
 
 class ModelError(ValueError):
-    """Invalid domain value or violated invariant."""
+    """Invalid domain value or violated invariant; `index` locates a bad sequence entry."""
+
+    index: int | None = None
 
 
 def to_epoch(ts: datetime | date | int) -> int:
@@ -45,22 +51,52 @@ def to_epoch(ts: datetime | date | int) -> int:
     raise ModelError(f"not a timestamp: {ts!r}")
 
 
-def parse_iso8601(text: str) -> int:
-    """Parse an ISO-8601 instant ('Z' or explicit offset) to epoch seconds."""
-    raw = text.strip()
-    if raw.endswith(("Z", "z")):
-        raw = raw[:-1] + "+00:00"
-    try:
-        dt = datetime.fromisoformat(raw)
-    except ValueError as exc:
-        raise ModelError(f"bad timestamp {text!r}: {exc}") from None
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+# Per character, the codes of the written form from year 1000 on (numpy reads
+# year 0, fromisoformat does not).
+_WRITTEN_LOW, _WRITTEN_HIGH = (np.array([bound]).view(np.uint32)
+                               for bound in ("1000-00-00T00:00:00Z", "9999-19-39T29:59:59Z"))
 
 
-def format_iso8601(epoch: int) -> str:
-    return datetime.fromtimestamp(int(epoch), tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+def parse_iso8601(text):
+    """Epoch seconds of an ISO-8601 instant: an int for a str, an int64 array for a sequence.
+
+    Entries in the written form are parsed in one numpy call, any other entry
+    alone. A bad entry raises ModelError with its position as `index`.
+    """
+    if isinstance(text, str):
+        raw = text.strip()
+        if raw.endswith(("Z", "z")):
+            raw = raw[:-1] + "+00:00"
+        try:
+            dt = datetime.fromisoformat(raw)
+        except ValueError as exc:
+            raise ModelError(f"bad timestamp {text!r}: {exc}") from None
+        return to_epoch(dt)
+    texts = list(text)
+    codes = np.array(texts, dtype="U20").view(np.uint32).reshape(len(texts), 20)
+    written = (codes >= _WRITTEN_LOW) & (codes <= _WRITTEN_HIGH)
+    fast = (np.fromiter(map(len, texts), np.int64, len(texts)) == 20) & written.all(axis=1)
+    out = np.empty(len(texts), dtype=np.int64)
+    try:  # those codes are ASCII: as bytes, the first 19 are the stamp without its 'Z'
+        stamps = codes[fast, :19].astype(np.uint8).view("S19").astype("datetime64[s]")
+        out[fast] = stamps.view(np.int64).ravel()
+    except ValueError:  # a field out of range: the entry-by-entry path names it
+        fast[:] = False
+    for i in np.flatnonzero(~fast).tolist():
+        try:
+            out[i] = parse_iso8601(texts[i])
+        except ModelError as exc:
+            exc.index = i
+            raise
+    return out
+
+
+def format_iso8601(epoch):
+    """Written-form text: a str for an int, a list of str for an int64 array."""
+    if isinstance(epoch, (int, np.integer)):
+        return f"{np.datetime64(int(epoch), 's')}Z"
+    text = np.datetime_as_string(np.asarray(epoch, dtype="datetime64[s]"), unit="s")
+    return [f"{stamp}Z" for stamp in text.tolist()]
 
 
 def day_to_date(day_index: int) -> date:
@@ -169,9 +205,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def __iter__(self):
-        return zip(self.times.tolist(), self.values.tolist())
 
     def replace_values(self, values: np.ndarray) -> TimeSeries:
         return TimeSeries(self.sensor_id, self.times, values)

@@ -216,16 +216,17 @@ class GroundTruth:
             "expected": self.expected,
             "deleted": self.deleted,
             "outage_intervals": {
-                s: [[format_iso8601(a), format_iso8601(b)] for a, b in iv]
+                s: np.reshape(format_iso8601(np.ravel(iv)), (-1, 2)).tolist()
                 for s, iv in self.outage_intervals.items()
             },
             "outliers": {
-                s: [[format_iso8601(t), kind] for t, kind in items]
+                s: [[stamp, kind] for stamp, (_, kind)
+                    in zip(format_iso8601([t for t, _ in items]), items)]
                 for s, items in self.outliers.items()
             },
             "room_traits": self.room_traits,
             "occupant_events": {
-                room: [format_iso8601(t) for t in times]
+                room: format_iso8601(times)
                 for room, times in self.occupant_events.items()
             },
         }
@@ -238,16 +239,17 @@ class GroundTruth:
             expected={k: int(v) for k, v in data["expected"].items()},
             deleted={k: int(v) for k, v in data["deleted"].items()},
             outage_intervals={
-                s: [(parse_iso8601(a), parse_iso8601(b)) for a, b in iv]
+                s: [tuple(p) for p in parse_iso8601(np.ravel(iv)).reshape(-1, 2).tolist()]
                 for s, iv in data["outage_intervals"].items()
             },
             outliers={
-                s: [(parse_iso8601(t), kind) for t, kind in items]
+                s: list(zip(parse_iso8601([t for t, _ in items]).tolist(),
+                            [kind for _, kind in items]))
                 for s, items in data["outliers"].items()
             },
             room_traits=data["room_traits"],
             occupant_events={
-                room: [parse_iso8601(t) for t in times]
+                room: parse_iso8601(times).tolist()
                 for room, times in data["occupant_events"].items()
             },
         )

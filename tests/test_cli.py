@@ -103,6 +103,43 @@ def test_corrupt_manifest_exits_1(work, capsys, command, store):
     _assert_one_error_line(err)
 
 
+def _replace_field(part, column, text):
+    lines = part.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[column] = text
+    lines[2] = ",".join(fields)
+    part.write_text("\n".join(lines) + "\n")
+
+
+def _append_bytes(path, data=b"\xff\xfe"):
+    path.write_bytes(path.read_bytes() + data)
+
+
+STORE_DAMAGE = {
+    "non-numeric value": lambda part, manifest: _replace_field(part, 1, "abc"),
+    "bad timestamp": lambda part, manifest: _replace_field(part, 0, "not-a-time"),
+    "wall-clock timestamp": lambda part, manifest: _replace_field(part, 0, "todayZ"),
+    "non-UTF-8 partition": lambda part, manifest: _append_bytes(part),
+    "non-UTF-8 manifest": lambda part, manifest: _append_bytes(manifest),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(STORE_DAMAGE))
+@pytest.mark.parametrize("command, store", [
+    (["quality"], "store"),
+    (["perf"], "out/repaired"),
+])
+def test_damaged_store_exits_1_naming_the_file(work, capsys, command, store, damage):
+    sensor_dir = work / store / "s1" / "s1-a-temp"
+    part = sorted(sensor_dir.glob("*.csv"))[0]
+    STORE_DAMAGE[damage](part, sensor_dir / "manifest.json")
+    code, err = _run([*command, "--config", str(work / "config.json")], capsys)
+    assert code == 1
+    named = sensor_dir / "manifest.json" if "manifest" in damage else part
+    assert f"error: {named}: " in err
+    _assert_one_error_line(err)
+
+
 @pytest.mark.parametrize("command, overrides, expected", [
     (["quality"], {"colour": "blue"}, 2),
     (["ingest"], {"catalog": "missing/catalog.json"}, 1),
@@ -144,6 +181,14 @@ def test_non_utf8_measurements_exit_2(work, capsys):
     _assert_one_error_line(err)
 
 
+def test_non_utf8_config_exits_2(work, capsys):
+    _append_bytes(work / "config.json")
+    code, err = _run(["quality", "--config", str(work / "config.json")], capsys)
+    assert code == 2
+    assert "config" in err
+    _assert_one_error_line(err)
+
+
 def test_config_root_must_be_an_object(work, capsys):
     (work / "config.json").write_text("[]")
     code, err = _run(["quality", "--config", str(work / "config.json")], capsys)
@@ -158,7 +203,23 @@ def test_quality_has_no_from_option(work, capsys):
     _assert_one_error_line(err)
 
 
-def test_ingest_later_file_wins_repeated_timestamp(work):
+def _perf_reports(work, *period):
+    assert cli.main(["perf", "--config", str(work / "config.json"), *period]) == 0
+    return {p.name: p.read_bytes() for p in sorted((work / "out").glob("perf_*"))}
+
+
+@pytest.mark.parametrize("bound, equivalent", [
+    (["--from", "2017-10-09"], ["--from", "2017-10-09", "--to", "2017-10-11"]),
+    (["--to", "2017-10-07"], ["--from", "2017-10-02", "--to", "2017-10-07"]),
+])
+def test_perf_applies_each_bound_alone(work, bound, equivalent):
+    # the store holds 2017-10-02 .. 2017-10-10
+    alone = _perf_reports(work, *bound)
+    assert alone == _perf_reports(work, *equivalent)
+    assert alone != _perf_reports(work)
+
+
+def test_ingest_later_file_wins_repeated_timestamp(work, capsys):
     first = work / "first.csv"
     second = work / "second.csv"
     first.write_text("sensor_id,timestamp,value\n"
@@ -170,6 +231,7 @@ def test_ingest_later_file_wins_repeated_timestamp(work):
     store = work / "fresh_store"
     conf = _write_config(work, store=str(store), measurements=[str(first), str(second)])
     assert cli.main(["ingest", *conf]) == 0
+    assert capsys.readouterr().out.startswith("ingested 3 samples from 2 files")
     loaded = SeriesStore(store).load("s1", "s1-a-temp").series
     assert loaded.values.tolist() == [20.0, 25.0, 22.0]
     assert np.all(np.diff(loaded.times) == 600)

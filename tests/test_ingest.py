@@ -137,6 +137,29 @@ def test_parse_measurements_malformed_line_number(catalog):
         parse_measurements(doc, catalog)
 
 
+NON_ISO_STAMPS = ["todayZ", "nowZ", "NaTZ", "Z", "2017Z", "2017-10Z"]
+
+
+@pytest.mark.parametrize("stamp", NON_ISO_STAMPS)
+def test_parse_measurements_rejects_non_iso_stamp_with_line(catalog, stamp):
+    doc = (
+        "sensor_id,timestamp,value\n"
+        "site0-t,2017-09-30T10:00:00Z,21.5\n"
+        "\n"
+        f"site0-t,{stamp},21.5\n"
+    )
+    with pytest.raises(MeasurementFormatError, match=f"line 4: bad timestamp '{stamp}'"):
+        parse_measurements(doc, catalog)
+
+
+def test_parse_measurements_reads_every_iso_form(catalog):
+    stamps = ["2017-09-30T10:00:00Z", "2017-09-30T12:00:01+02:00", "2017-09-30 10:00:02z",
+              "2017-09-30T10:00:03.9Z", "2017-09-30T10:00:04"]
+    doc = "sensor_id,timestamp,value\n" + "".join(f"site0-t,{t},1.0\n" for t in stamps)
+    series = parse_measurements(doc, catalog).series["site0-t"]
+    assert series.times.tolist() == [utc(2017, 9, 30, 10) + k for k in range(5)]
+
+
 def test_parse_measurements_rejects_non_finite(catalog):
     doc = "sensor_id,timestamp,value\nsite0-t,2017-09-30T10:00:00Z,inf\n"
     with pytest.raises(MeasurementFormatError, match="non-finite"):
@@ -202,6 +225,20 @@ def test_load_weather_gap_recorded():
 def test_load_weather_rejects_off_grid_timestamp():
     rows = [f"a,2017-09-04T00:30:00Z,15.0,1.0,0.5"]
     with pytest.raises(WeatherFormatError, match="hourly"):
+        load_weather(_weather_doc(rows))
+
+
+@pytest.mark.parametrize("stamp", NON_ISO_STAMPS)
+def test_load_weather_rejects_non_iso_stamp_with_line(stamp):
+    rows = [f"a,{format_iso8601(utc(2017, 9, 4))},15.0,1.0,0.5", f"a,{stamp},15.0,1.0,0.5"]
+    with pytest.raises(WeatherFormatError, match=f"line 3: bad timestamp '{stamp}'"):
+        load_weather(_weather_doc(rows))
+
+
+def test_load_weather_rejects_bad_value_with_line():
+    t0 = utc(2017, 9, 4)
+    rows = [f"a,{format_iso8601(t0)},15.0,1.0,0.5", f"a,{format_iso8601(t0 + 3600)},x,1.0,0.5"]
+    with pytest.raises(WeatherFormatError, match="line 3: bad value 'x'"):
         load_weather(_weather_doc(rows))
 
 

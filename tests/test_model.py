@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from datetime import date
+from datetime import date, datetime, timezone
 
 import numpy as np
 import pytest
@@ -33,6 +33,54 @@ def test_timestamp_range_covers_deployment_era():
     assert early < late
     assert format_iso8601(early) == "2015-01-01T00:00:00Z"
     assert format_iso8601(late) == "2030-01-01T00:00:00Z"
+
+
+def _strftime_oracle(epoch: int) -> str:
+    return datetime.fromtimestamp(epoch, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+@given(st.lists(st.integers(utc(1900, 1, 1), utc(2100, 1, 1) - 1), max_size=40))
+def test_codec_matches_strftime_and_round_trips(epochs):
+    times = np.array(epochs, dtype=np.int64)
+    texts = format_iso8601(times)
+    assert texts == [_strftime_oracle(t) for t in epochs]
+    assert texts == [format_iso8601(t) for t in epochs]
+    parsed = parse_iso8601(texts)
+    assert parsed.dtype == np.int64
+    assert parsed.tolist() == epochs
+    assert [parse_iso8601(t) for t in texts] == epochs
+
+
+MIXED_STAMPS = [
+    "2017-10-02T10:00:00Z",
+    "2017-10-02T12:00:00+02:00",
+    "2017-10-02T10:00:00z",
+    "2017-10-02 10:00:00Z",
+    "2017-10-02",
+    "2017-10-02T10:00:00.75Z",
+    " 2017-10-02T10:00:00Z ",
+    "1969-12-31T23:59:59.5Z",
+    "0999-12-31T23:59:59Z",
+    "2017-10-02T10:00:00",
+]
+
+
+def test_sequence_parse_agrees_with_scalar_parse():
+    assert parse_iso8601(MIXED_STAMPS).tolist() == [parse_iso8601(t) for t in MIXED_STAMPS]
+    assert parse_iso8601(()).tolist() == []
+
+
+@pytest.mark.parametrize("bad", [
+    "todayZ", "nowZ", "NaTZ", "Z", "2017Z", "2017-10Z",
+    "0000-01-01T00:00:00Z", "2017-02-29T00:00:00Z", "2017-10-02T24:00:00Z",
+    "2017-10-02T00:00:00Zjunk",
+])
+def test_bad_stamp_is_rejected_with_its_index(bad):
+    with pytest.raises(ModelError):
+        parse_iso8601(bad)
+    with pytest.raises(ModelError) as info:
+        parse_iso8601(["2017-10-02T00:00:00Z", "2017-10-02", bad, "2017-10-03T00:00:00Z"])
+    assert info.value.index == 2
 
 
 def test_series_requires_strictly_increasing_times():
