@@ -326,6 +326,22 @@ class LoadResult:
     found: bool
 
 
+def _check_partition_times(times: np.ndarray, lines, day_name: str, before: np.ndarray) -> None:
+    """A partition's stamps lie on the day its name states and strictly
+    increase, also past `before`, the last stamp of the partition before."""
+    try:
+        day = parse_iso8601(f"{day_name}T00:00:00Z") // DAY_SECONDS
+    except ModelError:
+        raise StoreIntegrityError(f"partition name {day_name!r} is not a date") from None
+    other = np.flatnonzero(times // DAY_SECONDS != day)
+    if len(other):
+        raise StoreIntegrityError(f"line {lines[other[0]]}: timestamp of another day")
+    repeated = np.flatnonzero(np.diff(np.concatenate((before, times))) <= 0)
+    if len(repeated):
+        line = lines[repeated[0] + 1 - len(before)]
+        raise StoreIntegrityError(f"line {line}: timestamp not after the one before")
+
+
 class SeriesStore:
     """Partitioned on-disk series store, one CSV per sensor per UTC day.
 
@@ -397,7 +413,9 @@ class SeriesStore:
                 if len(lines) != manifest[day_name]:
                     raise StoreIntegrityError(
                         f"row count {len(lines)} != manifest {manifest[day_name]}")
-                all_times.append(_time_column(stamps, lines, StoreIntegrityError))
+                times = _time_column(stamps, lines, StoreIntegrityError)
+                _check_partition_times(times, lines, day_name, all_times[-1][-1:])
+                all_times.append(times)
                 all_values.append(_float_column(values, lines, StoreIntegrityError))
             except (StoreIntegrityError, UnicodeDecodeError) as exc:
                 raise StoreIntegrityError(f"{part}: {exc}") from None

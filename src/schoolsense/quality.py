@@ -2,16 +2,19 @@
 detection and repair, moving-window smoothing and gap filling.
 
 Outlier bounds follow the interquartile-range rule: values outside
-[Q1 - 3*IQR, Q3 + 3*IQR] of their trailing time window are flagged. Zero
-readings are flagged for sensor kinds where zero is physically implausible,
-and power sensors are additionally screened for transient spikes. Flagged
-samples are replaced by the window minimum or maximum of the surviving
-(non-flagged) samples. Repair order is fixed: flag, replace, fill, smooth.
+[Q1 - 3*IQR, Q3 + 3*IQR] of their trailing time window are flagged. The
+quartiles come from all samples in the window, flagged or not, so flags
+never change them and the bound test runs over a whole series at once.
+Zero readings are flagged for sensor kinds where zero is physically
+implausible, and power sensors are additionally screened for transient
+spikes; that screen measures each jump against the samples that survived
+before it, so it alone runs sample by sample. Flagged samples are replaced
+by the window minimum or maximum of the surviving (non-flagged) samples.
+Repair order is fixed: flag, replace, fill, smooth.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -155,6 +158,78 @@ def _interp_rank(sorted_vals: list[float], q: float) -> float:
     return sorted_vals[lo] + frac * (sorted_vals[lo + 1] - sorted_vals[lo])
 
 
+def _window_starts(times: np.ndarray, at: np.ndarray, w: int) -> np.ndarray:
+    """For each t in `at`, the index of the first sample of `times` after t - w."""
+    return np.searchsorted(times, at - w, side="right")
+
+
+def _kth_smallest(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The k-th smallest (0-based) of values[lo:hi] for every query (lo, hi, k).
+
+    A wavelet matrix over the values' ranks answers all queries together,
+    one vector step per bit of the rank, most significant first. At each
+    level the samples are stably split by that bit, zeros first; a query
+    whose k lies past the zeros of its range takes the ones. The result is
+    a value of the slice, exactly.
+    """
+    n = len(values)
+    order = np.argsort(values, kind="stable")
+    level = np.empty(n, dtype=np.int64)
+    level[order] = np.arange(n)
+    k = k.copy()
+    rank = np.zeros(len(k), dtype=np.int64)
+    # moves[i] is where boundary i of a level lands on the next level:
+    # moves[i, 0] for a query that follows the zeros, moves[i, 1] the ones
+    moves = np.zeros((n + 1, 2), dtype=np.int64)
+    land = moves.ravel()  # land[2*i + bit] == moves[i, bit]
+    boundary = np.arange(n + 1)
+    lo, hi = 2 * lo, 2 * hi
+    for bit in reversed(range((n - 1).bit_length())):
+        ones = ((level >> bit) & 1).astype(bool)
+        np.cumsum(~ones, out=moves[1:, 0])
+        np.subtract(boundary + moves[-1, 0], moves[:, 0], out=moves[:, 1])
+        zeros_lo = land.take(lo)
+        zeros = land.take(hi) - zeros_lo
+        up = k >= zeros
+        k -= zeros * up
+        rank |= up.astype(np.int64) << bit
+        lo = 2 * land.take(lo + up)
+        hi = 2 * land.take(hi + up)
+        level = level.take(np.argsort(ones, kind="stable"))
+    return values[order[rank]]
+
+
+def _interp(a: np.ndarray, b: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """`_interp_rank`'s arithmetic between order statistics a <= b."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(frac == 0.0, a, a + frac * (b - a))
+
+
+def _bound_violations(values: np.ndarray, starts: np.ndarray, min_window_samples: int) -> np.ndarray:
+    """Mask of samples outside [Q1 - 3*IQR, Q3 + 3*IQR] of values[starts[i]:i + 1].
+
+    The quartiles are those `_interp_rank` gives for every sample of the
+    window; windows of fewer than `min_window_samples` samples are not tested.
+    """
+    ends = np.arange(1, len(values) + 1)
+    tested = np.flatnonzero(ends - starts >= min_window_samples)
+    lo, hi = starts[tested], ends[tested]
+    last = hi - lo - 1
+    pos1, pos3 = last * 0.25, last * 0.75
+    r1, r3 = pos1.astype(np.int64), pos3.astype(np.int64)
+    ranks = np.concatenate((r1, np.minimum(r1 + 1, last), r3, np.minimum(r3 + 1, last)))
+    a1, b1, a3, b3 = np.split(_kth_smallest(values, np.tile(lo, 4), np.tile(hi, 4), ranks), 4)
+    q1 = _interp(a1, b1, pos1 - r1)
+    q3 = _interp(a3, b3, pos3 - r3)
+    v = values[tested]
+    with np.errstate(over="ignore", invalid="ignore"):
+        iqr = q3 - q1
+        outside = (v < q1 - 3.0 * iqr) | (v > q3 + 3.0 * iqr)
+    mask = np.zeros(len(values), dtype=bool)
+    mask[tested[outside]] = True
+    return mask
+
+
 def flag_outliers(
     series: TimeSeries,
     window: TimeWindow,
@@ -167,58 +242,66 @@ def flag_outliers(
     """Flag outliers per sample against its trailing time window.
 
     A sample is evaluated against the quartile bounds of the window
-    (t - W, t] containing it; windows holding fewer than
+    (t - W, t] containing it. The quartiles come from all samples in the
+    window, flagged or not, so flags never change them and the bound test
+    runs over the whole series at once; windows holding fewer than
     `min_window_samples` samples leave the sample unflagged. Zero readings
     are always flagged where zero is implausible for the sensor kind; they
     need no window. Power sensors get a spike check: a jump away from the
-    last surviving value larger than `spike_sigma` trailing standard
-    deviations. At most one flag is emitted per sample (zero > spike >
-    bound violation).
+    last surviving value larger than `spike_sigma` standard deviations of
+    the window's surviving (non-flagged) samples. That check depends on
+    earlier flags and is the only sequential one. At most one flag is
+    emitted per sample (zero > spike > bound violation).
     """
-    w = window.duration
-    times = series.times
     values = series.values
     n = len(series)
-    flags: list[OutlierFlag] = []
-    check_spikes = kind is SensorKind.POWER_PHASE
+    if n == 0:
+        return []
+    starts = _window_starts(series.times, series.times, window.duration)
+    zero = values == 0.0 if zero_implausible else np.zeros(n, dtype=bool)
+    bound = _bound_violations(values, starts, min_window_samples)
+    if kind is not SensorKind.POWER_PHASE:
+        flagged = np.flatnonzero(zero | bound).tolist()
+        return [OutlierFlag(i, FlagKind.ZERO_ERROR if zero[i] else FlagKind.BOUND_VIOLATION)
+                for i in flagged]
+    return _flag_with_spikes(values.tolist(), starts.tolist(), zero.tolist(), bound.tolist(),
+                             spike_sigma, min_window_samples)
 
-    window_vals: list[float] = []  # sorted values of all samples in window
-    in_window: list[int] = []      # indices currently inside the window
+
+def _flag_with_spikes(
+    values: list[float],
+    starts: list[int],
+    zero: list[bool],
+    bound: list[bool],
+    spike_sigma: float,
+    min_window_samples: int,
+) -> list[OutlierFlag]:
+    """Sample by sample: zero and bound flags as given, spikes against the
+    running mean and variance of the window's surviving samples."""
+    flags: list[OutlierFlag] = []
+    flagged = [False] * len(values)
     left = 0
-    # running stats over the window's surviving (non-flagged) samples
     clean_sum = 0.0
     clean_sumsq = 0.0
     clean_count = 0
-    flagged = np.zeros(n, dtype=bool)
     last_clean: float | None = None
-
-    for i in range(n):
-        t = times[i]
-        v = float(values[i])
-        while left < i and times[left] <= t - w:
-            old = float(values[left])
-            del window_vals[bisect.bisect_left(window_vals, old)]
+    for i, v in enumerate(values):
+        while left < starts[i]:
             if not flagged[left]:
+                old = values[left]
                 clean_sum -= old
                 clean_sumsq -= old * old
                 clean_count -= 1
             left += 1
-        bisect.insort(window_vals, v)
-
         flag: FlagKind | None = None
-        if zero_implausible and v == 0.0:
+        if zero[i]:
             flag = FlagKind.ZERO_ERROR
-        elif check_spikes and clean_count >= min_window_samples and last_clean is not None:
+        elif clean_count >= min_window_samples and last_clean is not None:
             variance = max(0.0, clean_sumsq / clean_count - (clean_sum / clean_count) ** 2)
             if abs(v - last_clean) > spike_sigma * math.sqrt(variance):
                 flag = FlagKind.SPIKE
-        if flag is None and len(window_vals) >= min_window_samples:
-            q1 = _interp_rank(window_vals, 0.25)
-            q3 = _interp_rank(window_vals, 0.75)
-            iqr = q3 - q1
-            if v < q1 - 3.0 * iqr or v > q3 + 3.0 * iqr:
-                flag = FlagKind.BOUND_VIOLATION
-
+        if flag is None and bound[i]:
+            flag = FlagKind.BOUND_VIOLATION
         if flag is not None:
             flagged[i] = True
             flags.append(OutlierFlag(i, flag))
@@ -255,37 +338,29 @@ def replace_outliers(
     if not flag_list:
         return RepairResult(series, (), ())
 
+    index = np.unique([f.index for f in flag_list])
     flagged = np.zeros(n, dtype=bool)
-    for f in flag_list:
-        flagged[f.index] = True
-
-    w = window.duration
+    flagged[index] = True
     times = series.times
+    starts = _window_starts(times, times[index], window.duration)
     values = series.values.copy()
-    clean_vals: list[float] = []  # sorted non-flagged values in window
-    left = 0
+    keep = np.ones(n, dtype=bool)
     replaced = []
     dropped = []
-    keep = np.ones(n, dtype=bool)
-
-    for i in range(n):
-        t = times[i]
-        while left < i and times[left] <= t - w:
-            if not flagged[left]:
-                del clean_vals[bisect.bisect_left(clean_vals, float(series.values[left]))]
-            left += 1
-        if flagged[i]:
-            v = float(series.values[i])
-            if not clean_vals:
-                keep[i] = False
-                dropped.append(int(t))
-                continue
-            median = _interp_rank(clean_vals, 0.5)
-            new = clean_vals[0] if v < median else clean_vals[-1]
-            values[i] = new
-            replaced.append((int(t), v, new))
-        else:
-            bisect.insort(clean_vals, float(series.values[i]))
+    for i, start in zip(index.tolist(), starts.tolist()):
+        t = int(times[i])
+        v = float(series.values[i])
+        # stable: of equal values (0.0 and -0.0) the earliest is the minimum
+        # and the latest the maximum
+        clean_vals = np.sort(series.values[start:i][~flagged[start:i]], kind="stable").tolist()
+        if not clean_vals:
+            keep[i] = False
+            dropped.append(t)
+            continue
+        median = _interp_rank(clean_vals, 0.5)
+        new = clean_vals[0] if v < median else clean_vals[-1]
+        values[i] = new
+        replaced.append((t, v, new))
 
     repaired = TimeSeries(series.sensor_id, times[keep], values[keep])
     return RepairResult(repaired, tuple(replaced), tuple(dropped))
@@ -297,7 +372,7 @@ def moving_average(series: TimeSeries, window: TimeWindow) -> TimeSeries:
         return series
     w = window.duration
     times = series.times
-    starts = np.searchsorted(times, times - w, side="right")
+    starts = _window_starts(times, times, w)
     prefix = np.concatenate(([0.0], np.cumsum(series.values)))
     idx = np.arange(1, len(series) + 1)
     means = (prefix[idx] - prefix[starts]) / (idx - starts)
@@ -340,21 +415,16 @@ def fill_missing(series: TimeSeries, meta: SensorMeta, window: TimeWindow) -> Fi
     grid_values[bucket_idx] = values[keep_mask]  # later samples overwrite earlier
 
     missing = np.flatnonzero(np.isnan(grid_values))
+    gaps = grid[missing]
     prefix = np.concatenate(([0.0], np.cumsum(values)))
-    filled = []
-    unfilled = []
-    for gi in missing:
-        g = int(grid[gi])
-        lo = int(np.searchsorted(times, g - w, side="right"))
-        hi = int(np.searchsorted(times, g, side="left"))
-        if hi > lo:
-            grid_values[gi] = (prefix[hi] - prefix[lo]) / (hi - lo)
-            filled.append(g)
-        else:
-            unfilled.append(g)
+    lo = _window_starts(times, gaps, w)
+    hi = np.searchsorted(times, gaps, side="left")
+    found = hi > lo
+    lo, hi = lo[found], hi[found]
+    grid_values[missing[found]] = (prefix[hi] - prefix[lo]) / (hi - lo)
     present = ~np.isnan(grid_values)
     out = TimeSeries(series.sensor_id, grid[present], grid_values[present])
-    return FillResult(out, tuple(filled), tuple(unfilled))
+    return FillResult(out, tuple(gaps[found].tolist()), tuple(gaps[~found].tolist()))
 
 
 @dataclass(frozen=True)
@@ -389,9 +459,6 @@ class RepairedSeries:
     dropped: tuple[int, ...]
     filled: tuple[int, ...]
     unfilled: tuple[int, ...]
-
-    def flag_count(self, kind: FlagKind) -> int:
-        return sum(1 for f in self.flags if f.kind is kind)
 
 
 def repair_series(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import shutil
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -103,12 +104,22 @@ def test_corrupt_manifest_exits_1(work, capsys, command, store):
     _assert_one_error_line(err)
 
 
-def _replace_field(part, column, text):
+def _replace_field(part, column, text, line=2):
     lines = part.read_text().splitlines()
-    fields = lines[2].split(",")
+    fields = lines[line].split(",")
     fields[column] = text
-    lines[2] = ",".join(fields)
+    lines[line] = ",".join(fields)
     part.write_text("\n".join(lines) + "\n")
+
+
+def _copy_row(part, source, target):
+    lines = part.read_text().splitlines()
+    lines[target] = lines[source]
+    part.write_text("\n".join(lines) + "\n")
+
+
+def _next_day(day_name):
+    return (date.fromisoformat(day_name) + timedelta(days=1)).isoformat()
 
 
 def _append_bytes(path, data=b"\xff\xfe"):
@@ -121,6 +132,9 @@ STORE_DAMAGE = {
     "wall-clock timestamp": lambda part, manifest: _replace_field(part, 0, "todayZ"),
     "non-UTF-8 partition": lambda part, manifest: _append_bytes(part),
     "non-UTF-8 manifest": lambda part, manifest: _append_bytes(manifest),
+    "repeated timestamp": lambda part, manifest: _copy_row(part, 1, 2),
+    "timestamp of another day": lambda part, manifest: _replace_field(
+        part, 0, f"{_next_day(part.stem)}T12:00:00Z", line=-1),
 }
 
 

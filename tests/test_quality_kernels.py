@@ -1,0 +1,154 @@
+"""The array kernels of `quality` against the per-sample loops they replaced.
+
+Every comparison is exact: the same flag list, byte-equal arrays (so the
+sign of a zero counts) and the same time tuples.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from schoolsense.model import SensorKind, SensorMeta, TimeSeries, TimeWindow
+from schoolsense.quality import (
+    FlagKind,
+    OutlierFlag,
+    fill_missing,
+    flag_outliers,
+    replace_outliers,
+)
+
+from conftest import utc
+from quality_oracles import oracle_fill_missing, oracle_flag_outliers, oracle_replace_outliers
+
+T0 = utc(2017, 9, 4)
+# a few values, so windows hold ties, and both zeros
+TIED_VALUES = (0.0, -0.0, 1.0, 2.0, 2.5, -3.0, 20.0, 20.0, 1000.0)
+# zeros of both signs as the window minimum, so a repair must pick the right one
+SIGNED_ZEROS = (0.0, -0.0, 0.0, 5.0, 6.0, 40.0)
+
+short_steps = st.one_of(
+    st.sampled_from((1, 30, 60, 60, 60, 300)),
+    st.integers(1, 4000),
+    st.sampled_from((3600, 7200)),  # outage gaps
+)
+steps = st.one_of(short_steps, st.just(90000))
+values = st.one_of(st.sampled_from(TIED_VALUES), st.floats(-1e3, 1e3))
+palettes = st.sampled_from((values, st.sampled_from(SIGNED_ZEROS)))
+
+
+@st.composite
+def series(draw, min_size=0, max_size=150, value=None, step=steps):
+    gaps = draw(st.lists(step, min_size=min_size, max_size=max_size))
+    times = T0 + np.cumsum(np.array([0, *gaps], dtype=np.int64))[:len(gaps)]
+    value = draw(palettes) if value is None else value
+    vals = draw(st.lists(value, min_size=len(gaps), max_size=len(gaps)))
+    return TimeSeries("s", times, np.array(vals, dtype=np.float64))
+
+
+@st.composite
+def power_series(draw):
+    """Power readings near a base load with injected jumps and zeros."""
+    base = draw(series(min_size=1, value=st.sampled_from((500.0, 501.0, 499.0, 500.5)),
+                       step=st.sampled_from((30, 60, 60, 60, 120, 4000))))
+    vals = base.values.copy()
+    jumps = draw(st.lists(st.integers(0, len(vals) - 1), max_size=8))
+    for i in jumps:
+        vals[i] = draw(st.sampled_from((5000.0, 0.0, -0.0, 50.0, 20000.0)))
+    return base.replace_values(vals)
+
+
+windows = st.builds(TimeWindow, st.one_of(st.integers(1, 20000), st.sampled_from((3600, 86400))))
+FLAG_OPTIONS = dict(
+    kind=st.sampled_from((None, *SensorKind)),
+    zero_implausible=st.booleans(),
+    spike_sigma=st.sampled_from((0.5, 2.0, 5.0)),
+    min_window_samples=st.integers(1, 8),
+)
+
+
+def _assert_same_repair(got, want):
+    assert got.series.times.tobytes() == want.series.times.tobytes()
+    assert got.series.values.tobytes() == want.series.values.tobytes()
+    assert repr(got.replaced) == repr(want.replaced)  # repr tells -0.0 from 0.0
+    assert got.dropped == want.dropped
+
+
+@settings(deadline=None, max_examples=150)
+@given(series(), windows, st.fixed_dictionaries(FLAG_OPTIONS))
+def test_flag_outliers_matches_loop(s, window, options):
+    assert flag_outliers(s, window, **options) == oracle_flag_outliers(s, window, **options)
+
+
+@settings(deadline=None, max_examples=100)
+@given(power_series(), windows, st.booleans(), st.sampled_from((0.5, 2.0, 5.0)),
+       st.integers(1, 6))
+def test_flag_outliers_power_spikes_match_loop(s, window, zero_implausible, sigma, min_samples):
+    options = dict(kind=SensorKind.POWER_PHASE, zero_implausible=zero_implausible,
+                   spike_sigma=sigma, min_window_samples=min_samples)
+    assert flag_outliers(s, window, **options) == oracle_flag_outliers(s, window, **options)
+
+
+def test_flag_outliers_matches_loop_on_day_windows():
+    # 24 h windows of 1,440 samples at 60 s, with outages, ties and zeros
+    rng = np.random.default_rng(7)
+    times = T0 + 60 * np.flatnonzero(rng.random(4 * 1440) > 0.2)
+    vals = np.round(20.0 + 3.0 * np.sin(times / 9000.0) + rng.normal(0, 0.3, len(times)), 1)
+    vals[rng.integers(0, len(vals), 40)] = 0.0
+    vals[rng.integers(0, len(vals), 10)] = 90.0
+    s = TimeSeries("s", times, vals)
+    seen = set()
+    for kind in (SensorKind.INDOOR_TEMPERATURE, SensorKind.POWER_PHASE):
+        got = flag_outliers(s, TimeWindow.hours(24), kind=kind, zero_implausible=True)
+        assert got == oracle_flag_outliers(s, TimeWindow.hours(24), kind=kind,
+                                           zero_implausible=True)
+        seen |= {f.kind for f in got}
+    assert seen == set(FlagKind)
+
+
+@st.composite
+def flagged_series(draw):
+    s = draw(series(min_size=1))
+    index = st.integers(0, len(s) - 1)
+    flags = draw(st.lists(st.builds(OutlierFlag, index, st.sampled_from(FlagKind)),
+                          max_size=len(s) + 3))
+    return s, flags
+
+
+def _minute_series(values):
+    return TimeSeries("s", T0 + 60 * np.arange(len(values)), np.array(values))
+
+
+@settings(deadline=None, max_examples=100)
+@given(flagged_series(), windows)
+# the window minimum, then the maximum, is a zero of either sign
+@example((_minute_series([-0.0, 0.0, 5.0, 6.0, 7.0, 0.0]), [OutlierFlag(5, FlagKind.ZERO_ERROR)]),
+         TimeWindow(3600))
+@example((_minute_series([-0.0, 0.0, -3.0, -4.0, -5.0, 9.0]), [OutlierFlag(5, FlagKind.SPIKE)]),
+         TimeWindow(3600))
+def test_replace_outliers_matches_loop(case, window):
+    s, flags = case
+    _assert_same_repair(replace_outliers(s, flags, window),
+                        oracle_replace_outliers(s, flags, window))
+
+
+@settings(deadline=None, max_examples=75)
+@given(series(), windows, st.fixed_dictionaries(FLAG_OPTIONS))
+def test_replace_outliers_of_flagged_series_matches_loop(s, window, options):
+    flags = flag_outliers(s, window, **options)
+    repair = TimeWindow(3600)
+    _assert_same_repair(replace_outliers(s, flags, repair),
+                        oracle_replace_outliers(s, flags, repair))
+
+
+@settings(deadline=None, max_examples=100)
+@given(series(max_size=80, step=short_steps),
+       windows, st.sampled_from((7, 30, 60, 300, 600)))
+def test_fill_missing_matches_loop(s, window, rate):
+    meta = SensorMeta("s", "a", SensorKind.INDOOR_TEMPERATURE, rate)
+    got = fill_missing(s, meta, window)
+    want = oracle_fill_missing(s, meta, window)
+    assert got.series.times.tobytes() == want.series.times.tobytes()
+    assert got.series.values.tobytes() == want.series.values.tobytes()
+    assert got.filled == want.filled
+    assert got.unfilled == want.unfilled
