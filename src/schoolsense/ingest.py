@@ -5,14 +5,17 @@ File formats:
   measurements  CSV, header ``sensor_id,timestamp,value``, ISO-8601 UTC.
   weather       CSV, header ``site_id,timestamp,outdoor_temp_c,wind_speed_ms,
                 cloud_cover``, hourly grid.
-  store         ``<root>/<site_id>/<sensor_id>/<YYYY-MM-DD>.csv`` partitions
-                plus a ``manifest.json`` sidecar with per-day row counts.
+  store         ``<root>/<site_id>/<sensor_id>/<YYYY-MM-DD>.bin`` partitions of
+                packed little-endian (int64 epoch seconds, float64 value)
+                records, plus a ``manifest.json`` sidecar with each day's row
+                count and crc32.
 
-All three CSV formats share one table reader and one float-column parser,
-and their timestamps go through the `model` codec a whole column at a time.
-Values are serialized as shortest round-trip decimals so store/load is
-bit-exact. Unknown sensors are quarantined into a rejects report rather than
-failing the whole file: real deployments drift from their catalogs.
+Both CSV formats share one table reader and one float-column parser, and
+their timestamps go through the `model` codec a whole column at a time.
+Written values are shortest round-trip decimals, and store partitions hold
+the raw float64 bytes, so every round trip is bit-exact. Unknown sensors are
+quarantined into a rejects report rather than failing the whole file: real
+deployments drift from their catalogs.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -42,7 +46,6 @@ from .model import (
 
 MEASUREMENT_HEADER = ["sensor_id", "timestamp", "value"]
 WEATHER_HEADER = ["site_id", "timestamp", "outdoor_temp_c", "wind_speed_ms", "cloud_cover"]
-PARTITION_HEADER = ["timestamp", "value"]
 
 
 class IngestError(ValueError):
@@ -326,27 +329,45 @@ class LoadResult:
     found: bool
 
 
-def _check_partition_times(times: np.ndarray, lines, day_name: str, before: np.ndarray) -> None:
-    """A partition's stamps lie on the day its name states and strictly
-    increase, also past `before`, the last stamp of the partition before."""
+# One stored sample: epoch seconds and value, little-endian, 16 bytes.
+RECORD = np.dtype([("t", "<i8"), ("v", "<f8")])
+
+
+def _raise_at_row(index: int, parts: list[Path], rows: list[int], message: str):
+    """Raise `message` for record `index` of the partitions concatenated in
+    order, naming its partition and its row there, counted from 1."""
+    ends = np.cumsum(rows)
+    k = int(np.searchsorted(ends, index, side="right"))
+    raise StoreIntegrityError(f"{parts[k]}: row {index - ends[k] + rows[k] + 1}: {message}")
+
+
+def _check_partition_times(times: np.ndarray, parts: list[Path], rows: list[int]) -> None:
+    """The stamps of a sensor's partitions, concatenated in day order, lie on
+    the day each partition's name states and strictly increase, also from
+    one partition to the next."""
     try:
-        day = parse_iso8601(f"{day_name}T00:00:00Z") // DAY_SECONDS
-    except ModelError:
-        raise StoreIntegrityError(f"partition name {day_name!r} is not a date") from None
-    other = np.flatnonzero(times // DAY_SECONDS != day)
-    if len(other):
-        raise StoreIntegrityError(f"line {lines[other[0]]}: timestamp of another day")
-    repeated = np.flatnonzero(np.diff(np.concatenate((before, times))) <= 0)
-    if len(repeated):
-        line = lines[repeated[0] + 1 - len(before)]
-        raise StoreIntegrityError(f"line {line}: timestamp not after the one before")
+        days = parse_iso8601([f"{part.stem}T00:00:00Z" for part in parts]) // DAY_SECONDS
+    except ModelError as exc:
+        raise StoreIntegrityError(f"{parts[exc.index]}: partition name is not a date") from None
+    other_day = times // DAY_SECONDS != np.repeat(days, rows)
+    not_after = np.concatenate(([False], np.diff(times) <= 0))
+    bad = other_day | not_after
+    if bad.any():
+        i = int(np.argmax(bad))
+        _raise_at_row(i, parts, rows, "timestamp of another day" if other_day[i]
+                      else "timestamp not after the one before")
 
 
 class SeriesStore:
-    """Partitioned on-disk series store, one CSV per sensor per UTC day.
+    """Partitioned on-disk series store, one record file per sensor per UTC day.
 
-    Writes are serialized per partition (one writer per sensor directory);
-    reads verify row counts against the manifest sidecar.
+    A partition holds `RECORD`s, so it is written with one `tobytes` and read
+    with one `frombuffer`; save and load are bit-exact. The manifest maps each
+    day to its row count and the crc32 of its bytes. Writes are serialized
+    per partition (one writer per sensor directory); a load checks, in order:
+    the manifest's shape, that each partition exists, its size against the
+    row count, its crc32, its stamps (on the named day, strictly increasing
+    across partitions) and that every value is finite.
     """
 
     def __init__(self, root: Path | str):
@@ -363,10 +384,21 @@ class SeriesStore:
             raise StoreIntegrityError(f"{path}: corrupt manifest: {exc}") from None
         if not isinstance(manifest, dict):
             raise StoreIntegrityError(f"{path}: manifest is not an object")
+        for day_name, entry in manifest.items():
+            if isinstance(entry, int):
+                raise StoreIntegrityError(
+                    f"{path}: manifest of a store with CSV partitions; "
+                    f"re-run ingest and the stages after it")
+            if not (isinstance(entry, dict)
+                    and all(isinstance(entry.get(key), int) for key in ("rows", "crc32"))):
+                raise StoreIntegrityError(
+                    f"{path}: manifest entry {day_name!r} is not an object "
+                    f"with integer rows and crc32")
         return manifest
 
     def save(self, site_id: str, series: TimeSeries) -> int:
-        """Write the series' day partitions; returns number of partitions."""
+        """Write the series' day partitions, replacing any of the same day,
+        and merge them into the manifest; returns how many were written."""
         sensor_dir = self._sensor_dir(site_id, series.sensor_id)
         sensor_dir.mkdir(parents=True, exist_ok=True)
         manifest_path = sensor_dir / "manifest.json"
@@ -374,21 +406,18 @@ class SeriesStore:
         if manifest_path.exists():
             manifest = self._read_manifest(manifest_path)
 
+        records = np.empty(len(series), RECORD)
+        records["t"] = series.times
+        records["v"] = series.values
         days = series.times // DAY_SECONDS
-        stamps = format_iso8601(series.times)
-        values = series.values.tolist()
-        boundaries = np.flatnonzero(np.diff(days)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [len(series)]))
-        for a, b in zip(starts.tolist(), ends.tolist()):
-            if b == a:
-                continue
-            day_name = stamps[a][:10]
-            rows = [",".join(PARTITION_HEADER)]
-            rows.extend(f"{t},{v!r}" for t, v in zip(stamps[a:b], values[a:b]))
-            (sensor_dir / f"{day_name}.csv").write_text("\n".join(rows) + "\n")
-            manifest[day_name] = b - a
-        manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        starts = np.flatnonzero(np.diff(days, prepend=days[:1] - 1)).tolist()
+        ends = starts[1:] + [len(series)]
+        day_names = [stamp[:10] for stamp in format_iso8601(series.times[starts])]
+        for day_name, a, b in zip(day_names, starts, ends):
+            data = records[a:b].tobytes()
+            (sensor_dir / f"{day_name}.bin").write_bytes(data)
+            manifest[day_name] = {"rows": b - a, "crc32": zlib.crc32(data)}
+        manifest_path.write_text(json.dumps(manifest, sort_keys=True) + "\n")
         return len(starts)
 
     def load(self, site_id: str, sensor_id: str) -> LoadResult:
@@ -401,28 +430,27 @@ class SeriesStore:
             raise StoreIntegrityError(f"{sensor_dir}: missing manifest")
         manifest = self._read_manifest(manifest_path)
 
-        all_times = [np.empty(0, dtype=np.int64)]
-        all_values = [np.empty(0, dtype=np.float64)]
-        for day_name in sorted(manifest):
-            part = sensor_dir / f"{day_name}.csv"
+        day_names = sorted(manifest)
+        parts = [sensor_dir / f"{day_name}.bin" for day_name in day_names]
+        rows = [manifest[day_name]["rows"] for day_name in day_names]
+        chunks = []
+        for part, n, day_name in zip(parts, rows, day_names):
             if not part.exists():
                 raise StoreIntegrityError(f"{part}: partition listed in manifest is missing")
-            try:
-                (stamps, values), lines = _read_table(
-                    part.read_text(), PARTITION_HEADER, StoreIntegrityError)
-                if len(lines) != manifest[day_name]:
-                    raise StoreIntegrityError(
-                        f"row count {len(lines)} != manifest {manifest[day_name]}")
-                times = _time_column(stamps, lines, StoreIntegrityError)
-                _check_partition_times(times, lines, day_name, all_times[-1][-1:])
-                all_times.append(times)
-                all_values.append(_float_column(values, lines, StoreIntegrityError))
-            except (StoreIntegrityError, UnicodeDecodeError) as exc:
-                raise StoreIntegrityError(f"{part}: {exc}") from None
-        return LoadResult(
-            TimeSeries(sensor_id, np.concatenate(all_times), np.concatenate(all_values)),
-            found=True,
-        )
+            data = part.read_bytes()
+            if len(data) != n * RECORD.itemsize:
+                raise StoreIntegrityError(
+                    f"{part}: {len(data)} bytes, but manifest row count {n} "
+                    f"needs {n * RECORD.itemsize}")
+            if zlib.crc32(data) != manifest[day_name]["crc32"]:
+                raise StoreIntegrityError(f"{part}: crc32 does not match the manifest")
+            chunks.append(data)
+        records = np.frombuffer(b"".join(chunks), RECORD)
+        _check_partition_times(records["t"], parts, rows)
+        non_finite = ~np.isfinite(records["v"])
+        if non_finite.any():
+            _raise_at_row(int(np.argmax(non_finite)), parts, rows, "non-finite value")
+        return LoadResult(TimeSeries(sensor_id, records["t"], records["v"]), found=True)
 
     def sites(self) -> list[str]:
         if not self.root.is_dir():

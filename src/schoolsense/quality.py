@@ -297,7 +297,10 @@ def _flag_with_spikes(
         if zero[i]:
             flag = FlagKind.ZERO_ERROR
         elif clean_count >= min_window_samples and last_clean is not None:
-            variance = max(0.0, clean_sumsq / clean_count - (clean_sum / clean_count) ** 2)
+            try:
+                variance = max(0.0, clean_sumsq / clean_count - (clean_sum / clean_count) ** 2)
+            except OverflowError:  # a mean beyond 1e154: no finite scale, so no spike
+                variance = math.inf
             if abs(v - last_clean) > spike_sigma * math.sqrt(variance):
                 flag = FlagKind.SPIKE
         if flag is None and bound[i]:

@@ -40,7 +40,6 @@ from .model import (
     TimeSeries,
     date_to_day,
     format_iso8601,
-    parse_iso8601,
 )
 from .performance import orientation_gain
 
@@ -231,28 +230,6 @@ class GroundTruth:
             },
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, document: str) -> GroundTruth:
-        data = json.loads(document)
-        return cls(
-            expected={k: int(v) for k, v in data["expected"].items()},
-            deleted={k: int(v) for k, v in data["deleted"].items()},
-            outage_intervals={
-                s: [tuple(p) for p in parse_iso8601(np.ravel(iv)).reshape(-1, 2).tolist()]
-                for s, iv in data["outage_intervals"].items()
-            },
-            outliers={
-                s: list(zip(parse_iso8601([t for t, _ in items]).tolist(),
-                            [kind for _, kind in items]))
-                for s, items in data["outliers"].items()
-            },
-            room_traits=data["room_traits"],
-            occupant_events={
-                room: parse_iso8601(times).tolist()
-                for room, times in data["occupant_events"].items()
-            },
-        )
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 import shutil
+import zlib
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 from schoolsense import cli
-from schoolsense.ingest import SeriesStore
+from schoolsense.ingest import RECORD, SeriesStore
 
 SPEC = {
     "seed": 5,
@@ -71,8 +72,8 @@ def _assert_one_error_line(err):
 
 
 def _truncate_partition(store_root):
-    part = sorted((store_root / "s1" / "s1-a-temp").glob("*.csv"))[0]
-    part.write_text("\n".join(part.read_text().splitlines()[:-1]) + "\n")
+    part = sorted((store_root / "s1" / "s1-a-temp").glob("*.bin"))[0]
+    part.write_bytes(part.read_bytes()[:-RECORD.itemsize])
 
 
 def test_spike_sigma_not_a_number_is_config_error(work, capsys, monkeypatch):
@@ -104,37 +105,69 @@ def test_corrupt_manifest_exits_1(work, capsys, command, store):
     _assert_one_error_line(err)
 
 
-def _replace_field(part, column, text, line=2):
-    lines = part.read_text().splitlines()
-    fields = lines[line].split(",")
-    fields[column] = text
-    lines[line] = ",".join(fields)
-    part.write_text("\n".join(lines) + "\n")
+def _set_record(part, manifest, row, **fields):
+    """Change one record and restamp the manifest's crc32, so that the checks
+    after the crc are the ones that see the change."""
+    records = np.fromfile(part, RECORD)
+    for name, value in fields.items():
+        records[name][row] = value
+    part.write_bytes(records.tobytes())
+    entries = json.loads(manifest.read_text())
+    entries[part.stem]["crc32"] = zlib.crc32(records.tobytes())
+    manifest.write_text(json.dumps(entries))
 
 
-def _copy_row(part, source, target):
-    lines = part.read_text().splitlines()
-    lines[target] = lines[source]
-    part.write_text("\n".join(lines) + "\n")
+def _noon_of_next_day(part):
+    day = date.fromisoformat(part.stem) + timedelta(days=1)
+    return (day - date(1970, 1, 1)).days * 86400 + 12 * 3600
 
 
-def _next_day(day_name):
-    return (date.fromisoformat(day_name) + timedelta(days=1)).isoformat()
+def _flip_byte(part, at=RECORD.itemsize + 8):
+    """Flip the lowest mantissa bit of the second value: only the crc32 can tell."""
+    data = bytearray(part.read_bytes())
+    data[at] ^= 0x01
+    part.write_bytes(bytes(data))
+
+
+def _edit_manifest(manifest, edit):
+    entries = json.loads(manifest.read_text())
+    manifest.write_text(json.dumps({day: edit(entry) for day, entry in entries.items()}))
 
 
 def _append_bytes(path, data=b"\xff\xfe"):
     path.write_bytes(path.read_bytes() + data)
 
 
+# damage -> (how to do it to the first partition or the manifest, what the error says)
 STORE_DAMAGE = {
-    "non-numeric value": lambda part, manifest: _replace_field(part, 1, "abc"),
-    "bad timestamp": lambda part, manifest: _replace_field(part, 0, "not-a-time"),
-    "wall-clock timestamp": lambda part, manifest: _replace_field(part, 0, "todayZ"),
-    "non-UTF-8 partition": lambda part, manifest: _append_bytes(part),
-    "non-UTF-8 manifest": lambda part, manifest: _append_bytes(manifest),
-    "repeated timestamp": lambda part, manifest: _copy_row(part, 1, 2),
-    "timestamp of another day": lambda part, manifest: _replace_field(
-        part, 0, f"{_next_day(part.stem)}T12:00:00Z", line=-1),
+    "truncated partition": (
+        lambda part, manifest: part.write_bytes(part.read_bytes()[:-5]), "row count"),
+    "trailing bytes": (lambda part, manifest: _append_bytes(part), "row count"),
+    "row count off by one": (
+        lambda part, manifest: _edit_manifest(
+            manifest, lambda entry: dict(entry, rows=entry["rows"] + 1)), "row count"),
+    "flipped byte": (lambda part, manifest: _flip_byte(part), "crc32"),
+    "repeated timestamp": (
+        lambda part, manifest: _set_record(
+            part, manifest, 2, t=np.fromfile(part, RECORD)["t"][1]),
+        "row 3: timestamp not after"),
+    "timestamp of another day": (
+        lambda part, manifest: _set_record(part, manifest, -1,
+                                           t=_noon_of_next_day(part)),
+        "timestamp of another day"),
+    "bad timestamp": (
+        lambda part, manifest: _set_record(part, manifest, 1, t=np.iinfo(np.int64).min),
+        "row 2: timestamp of another day"),
+    "non-numeric value": (
+        lambda part, manifest: _set_record(part, manifest, 1, v=np.nan),
+        "row 2: non-finite value"),
+    "infinite value": (
+        lambda part, manifest: _set_record(part, manifest, -1, v=-np.inf),
+        "non-finite value"),
+    "non-UTF-8 manifest": (lambda part, manifest: _append_bytes(manifest), "corrupt manifest"),
+    "CSV-era manifest": (
+        lambda part, manifest: _edit_manifest(manifest, lambda entry: entry["rows"]),
+        "re-run ingest"),
 }
 
 
@@ -145,12 +178,14 @@ STORE_DAMAGE = {
 ])
 def test_damaged_store_exits_1_naming_the_file(work, capsys, command, store, damage):
     sensor_dir = work / store / "s1" / "s1-a-temp"
-    part = sorted(sensor_dir.glob("*.csv"))[0]
-    STORE_DAMAGE[damage](part, sensor_dir / "manifest.json")
+    part = sorted(sensor_dir.glob("*.bin"))[0]
+    do_damage, message = STORE_DAMAGE[damage]
+    do_damage(part, sensor_dir / "manifest.json")
     code, err = _run([*command, "--config", str(work / "config.json")], capsys)
     assert code == 1
     named = sensor_dir / "manifest.json" if "manifest" in damage else part
     assert f"error: {named}: " in err
+    assert message in err
     _assert_one_error_line(err)
 
 
@@ -249,3 +284,18 @@ def test_ingest_later_file_wins_repeated_timestamp(work, capsys):
     loaded = SeriesStore(store).load("s1", "s1-a-temp").series
     assert loaded.values.tolist() == [20.0, 25.0, 22.0]
     assert np.all(np.diff(loaded.times) == 600)
+
+
+def test_quality_survives_huge_power_readings(work, capsys):
+    # the running mean of 1e200 readings squares past the float range
+    lines = (work / "inputs" / "measurements" / "s1.csv").read_text().splitlines()
+    power = [i for i, line in enumerate(lines) if line.startswith("s1-power,")]
+    for i in power[:29]:
+        lines[i] = lines[i].rsplit(",", 1)[0] + ",1e200"
+    huge = work / "huge.csv"
+    huge.write_text("\n".join(lines) + "\n")
+    conf = _write_config(work, store=str(work / "huge_store"), measurements=[str(huge)])
+    assert cli.main(["ingest", *conf]) == 0
+    code, err = _run(["quality", *conf], capsys)
+    assert code == 0, err
+    assert "Traceback" not in err

@@ -1,17 +1,27 @@
-"""Golden digests: the whole pipeline on a small scenario, byte for byte.
+"""Golden digests and accuracy floors: the whole pipeline on a small scenario.
 
 Runs `synth → ingest → quality → comfort → perf` through `cli.main` in a
 temporary directory and pins the sha256 of every synth input and every
 report. A refactor that keeps behaviour keeps these digests; a change that
 means to alter an output updates the affected digest in the same commit.
+
+The reports are also scored against the scenario's ground truth with
+`bench/score.py`, and each precision and recall must stay at or above its
+floor. A change that improves a detector raises its floor with it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
+
+import pytest
 
 from schoolsense import cli
+
+SCORE = Path(__file__).resolve().parents[1] / "bench" / "score.py"
 
 ROOMS = (
     {"room_id": "a", "orientation": "S", "insulation": "poor", "blinds": True},
@@ -85,10 +95,24 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_pipeline_outputs_match_golden_digests(tmp_path):
-    spec = tmp_path / "spec.json"
+# Scores of the golden scenario's reports when the floors were set.
+ACCURACY_FLOORS = {
+    "event_precision": 0.8,
+    "event_recall": 1 / 3,
+    "room_anomaly_precision": 2 / 3,
+    "room_anomaly_recall": 0.5,
+    "outlier_precision": 0.6961,
+    "outlier_recall": 1.0,
+}
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """The scenario's inputs and reports, made once for the module."""
+    root = tmp_path_factory.mktemp("golden")
+    spec = root / "spec.json"
     spec.write_text(json.dumps(_spec()))
-    inputs = tmp_path / "inputs"
+    inputs = root / "inputs"
     assert cli.main(["synth", str(spec), "--out", str(inputs)]) == 0
 
     # a third file re-sends the last 3 days of s1, so ingest merges across files
@@ -96,12 +120,12 @@ def test_pipeline_outputs_match_golden_digests(tmp_path):
     resend = [lines[0]] + [ln for ln in lines[1:] if ln.split(",")[1] >= "2017-10-15"]
     (inputs / "measurements" / "zz_resend.csv").write_text("\n".join(resend) + "\n")
 
-    config = tmp_path / "config.json"
+    config = root / "config.json"
     config.write_text(json.dumps({
         "catalog": str(inputs / "catalog.json"),
         "weather": str(inputs / "weather.csv"),
-        "store": str(tmp_path / "store"),
-        "out": str(tmp_path / "out"),
+        "store": str(root / "store"),
+        "out": str(root / "out"),
         "measurements": [str(inputs / "measurements" / name)
                          for name in ("s1.csv", "s2.csv", "zz_resend.csv")],
     }))
@@ -110,8 +134,11 @@ def test_pipeline_outputs_match_golden_digests(tmp_path):
     assert cli.main(["quality", *conf]) == 0
     assert cli.main(["comfort", *conf, "--from", "2017-10-09", "--to", "2017-10-18"]) == 0
     assert cli.main(["perf", *conf]) == 0
+    return inputs, root / "out"
 
-    out = tmp_path / "out"
+
+def test_pipeline_outputs_match_golden_digests(pipeline):
+    inputs, out = pipeline
     # the scenario must exercise every detector, or the digests pin too little
     kinds = {row.split(",")[2] for row in
              (out / "perf_anomalies.csv").read_text().splitlines()[1:]}
@@ -121,3 +148,13 @@ def test_pipeline_outputs_match_golden_digests(tmp_path):
     got_reports = {name: _sha256(out / name) for name in REPORT_DIGESTS}
     assert got_inputs == INPUT_DIGESTS
     assert got_reports == REPORT_DIGESTS
+
+
+def test_pipeline_accuracy_stays_above_floors(pipeline):
+    spec = importlib.util.spec_from_file_location("bench_score", SCORE)
+    score = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(score)
+    scores = score.score(*pipeline)
+    below = {name: scores[name] for name, floor in ACCURACY_FLOORS.items()
+             if not scores[name] >= floor}
+    assert below == {}, scores

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schoolsense.ingest import (
     CatalogError,
@@ -18,7 +20,7 @@ from schoolsense.ingest import (
     write_measurements_csv,
     write_weather_csv,
 )
-from schoolsense.model import TimeSeries, format_iso8601
+from schoolsense.model import DAY_SECONDS, TimeSeries, format_iso8601
 
 from conftest import series_at, utc
 
@@ -268,7 +270,20 @@ def test_store_partitions_by_day(tmp_path):
     series = series_at("t1", utc(2017, 9, 4, 23), 1800, np.arange(10.0))
     SeriesStore(tmp_path).save("alpha", series)
     names = sorted(p.name for p in (tmp_path / "alpha" / "t1").iterdir())
-    assert names == ["2017-09-04.csv", "2017-09-05.csv", "manifest.json"]
+    assert names == ["2017-09-04.bin", "2017-09-05.bin", "manifest.json"]
+
+
+@pytest.mark.parametrize("start, samples, partitions", [
+    (utc(2017, 9, 4, 23), 10, 2),
+    (utc(2017, 9, 4), 3 * 48, 3),
+    (utc(2017, 9, 4), 0, 0),
+])
+def test_store_save_returns_partitions_written(tmp_path, start, samples, partitions):
+    series = series_at("t1", start, 1800, np.arange(float(samples)))
+    store = SeriesStore(tmp_path)
+    assert store.save("alpha", series) == partitions
+    assert len(list((tmp_path / "alpha" / "t1").glob("*.bin"))) == partitions
+    assert len(store.load("alpha", "t1").series) == samples
 
 
 def test_store_missing_sensor_absent(tmp_path):
@@ -282,9 +297,9 @@ def test_store_corrupt_manifest_detected(tmp_path):
     store = SeriesStore(tmp_path)
     store.save("alpha", series)
     manifest = tmp_path / "alpha" / "t1" / "manifest.json"
-    counts = json.loads(manifest.read_text())
-    counts["2017-09-04"] = 99
-    manifest.write_text(json.dumps(counts))
+    entries = json.loads(manifest.read_text())
+    entries["2017-09-04"]["rows"] = 99
+    manifest.write_text(json.dumps(entries))
     with pytest.raises(StoreIntegrityError, match="row count"):
         store.load("alpha", "t1")
 
@@ -307,3 +322,77 @@ def test_store_incremental_save_merges_manifest(tmp_path):
     store.save("alpha", series_at("t1", utc(2017, 9, 5), 3600, np.arange(24.0)))
     loaded = store.load("alpha", "t1")
     assert len(loaded.series) == 48
+
+
+@pytest.mark.parametrize("entry, message", [
+    (10, "re-run ingest"),  # a store written with CSV partitions
+    ([10, 0], "not an object"),
+    ({"rows": 10}, "integer rows and crc32"),
+    ({"rows": "10", "crc32": 0}, "integer rows and crc32"),
+])
+def test_store_manifest_entries_must_be_records(tmp_path, entry, message):
+    series = series_at("t1", utc(2017, 9, 4), 30, np.arange(10.0))
+    store = SeriesStore(tmp_path)
+    store.save("alpha", series)
+    manifest = tmp_path / "alpha" / "t1" / "manifest.json"
+    manifest.write_text(json.dumps({"2017-09-04": entry}))
+    for call in (lambda: store.load("alpha", "t1"), lambda: store.save("alpha", series)):
+        with pytest.raises(StoreIntegrityError, match=message) as info:
+            call()
+        assert str(info.value).startswith(f"{manifest}: ")
+
+
+# Signed zero, subnormals and the ends of the float64 range must survive as bytes.
+EDGE_VALUES = (-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308)
+store_values = st.one_of(st.sampled_from(EDGE_VALUES),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_store_saves_merge_and_replace_days_bit_exact(data):
+    """A later-day save merges into the manifest; a same-day save replaces that day."""
+    offsets = data.draw(st.lists(st.integers(0, 4 * DAY_SECONDS - 1),
+                                 min_size=1, max_size=60, unique=True))
+    times = utc(2017, 9, 4) + np.array(sorted(offsets), dtype=np.int64)
+    values = np.array(data.draw(st.lists(store_values, min_size=len(times),
+                                         max_size=len(times))))
+    days = times // DAY_SECONDS
+    day_set = sorted(set(days.tolist()))
+    later = days >= data.draw(st.sampled_from(day_set))
+    # re-save a non-empty subset of one day's stamps with new values
+    redo_day = data.draw(st.sampled_from(day_set))
+    on_day = np.flatnonzero(days == redo_day)
+    keep = data.draw(st.lists(st.sampled_from(on_day.tolist()), min_size=1, unique=True))
+    redo = np.isin(np.arange(len(times)), keep)
+    redo_values = np.array(data.draw(st.lists(store_values, min_size=int(redo.sum()),
+                                              max_size=int(redo.sum()))))
+    series = TimeSeries("t1", times, values)
+
+    expected_values = values.copy()
+    expected_values[redo] = redo_values
+    expected = (days != redo_day) | redo
+    with tempfile.TemporaryDirectory() as root:
+        store = SeriesStore(root)
+        for part in (series.take(~later), series.take(later)):
+            assert store.save("alpha", part) == len(set((part.times // DAY_SECONDS).tolist()))
+        assert store.save("alpha", TimeSeries("t1", times[redo], redo_values)) == 1
+        loaded = store.load("alpha", "t1")
+        partitions = len(list(store.root.glob("alpha/t1/*.bin")))
+    assert partitions == len(day_set)
+    assert np.array_equal(loaded.series.times, times[expected])
+    assert np.array_equal(loaded.series.values.view(np.int64),
+                          expected_values[expected].view(np.int64))
+
+
+def test_store_partition_name_must_be_a_date(tmp_path):
+    store = SeriesStore(tmp_path)
+    store.save("alpha", series_at("t1", utc(2017, 9, 4), 3600, np.arange(48.0)))
+    sensor_dir = tmp_path / "alpha" / "t1"
+    (sensor_dir / "2017-09-05.bin").rename(sensor_dir / "2017-09-5.bin")
+    manifest = json.loads((sensor_dir / "manifest.json").read_text())
+    manifest["2017-09-5"] = manifest.pop("2017-09-05")
+    (sensor_dir / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(StoreIntegrityError, match="2017-09-5.bin: partition name is not a date"):
+        store.load("alpha", "t1")
