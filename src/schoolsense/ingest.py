@@ -5,14 +5,14 @@ File formats:
   measurements  CSV, header ``sensor_id,timestamp,value``, ISO-8601 UTC.
   weather       CSV, header ``site_id,timestamp,outdoor_temp_c,wind_speed_ms,
                 cloud_cover``, hourly grid.
-  store         ``<root>/<site_id>/<sensor_id>/<YYYY-MM-DD>.bin`` partitions of
-                packed little-endian (int64 epoch seconds, float64 value)
-                records, plus a ``manifest.json`` sidecar with each day's row
-                count and crc32.
+  store         ``<root>/<site_id>/<sensor_id>/records.bin``, one file per
+                sensor of packed little-endian (int64 epoch seconds, float64
+                value) records in time order, plus a ``manifest.json`` sidecar
+                with each UTC day's row count and the crc32 of its slice.
 
 Both CSV formats share one table reader and one float-column parser, and
 their timestamps go through the `model` codec a whole column at a time.
-Written values are shortest round-trip decimals, and store partitions hold
+Written values are shortest round-trip decimals, and store record files hold
 the raw float64 bytes, so every round trip is bit-exact. Unknown sensors are
 quarantined into a rejects report rather than failing the whole file: real
 deployments drift from their catalogs.
@@ -326,48 +326,33 @@ def write_weather_csv(histories: Mapping[str, WeatherHistory]) -> str:
 @dataclass(frozen=True)
 class LoadResult:
     series: TimeSeries
-    found: bool
 
 
 # One stored sample: epoch seconds and value, little-endian, 16 bytes.
 RECORD = np.dtype([("t", "<i8"), ("v", "<f8")])
 
 
-def _raise_at_row(index: int, parts: list[Path], rows: list[int], message: str):
-    """Raise `message` for record `index` of the partitions concatenated in
-    order, naming its partition and its row there, counted from 1."""
-    ends = np.cumsum(rows)
-    k = int(np.searchsorted(ends, index, side="right"))
-    raise StoreIntegrityError(f"{parts[k]}: row {index - ends[k] + rows[k] + 1}: {message}")
-
-
-def _check_partition_times(times: np.ndarray, parts: list[Path], rows: list[int]) -> None:
-    """The stamps of a sensor's partitions, concatenated in day order, lie on
-    the day each partition's name states and strictly increase, also from
-    one partition to the next."""
-    try:
-        days = parse_iso8601([f"{part.stem}T00:00:00Z" for part in parts]) // DAY_SECONDS
-    except ModelError as exc:
-        raise StoreIntegrityError(f"{parts[exc.index]}: partition name is not a date") from None
-    other_day = times // DAY_SECONDS != np.repeat(days, rows)
-    not_after = np.concatenate(([False], np.diff(times) <= 0))
-    bad = other_day | not_after
-    if bad.any():
-        i = int(np.argmax(bad))
-        _raise_at_row(i, parts, rows, "timestamp of another day" if other_day[i]
-                      else "timestamp not after the one before")
+def _day_crc32s(data: bytes, rows: list[int]) -> list[int]:
+    """The crc32 of each day's slice of a record file, its days holding `rows`."""
+    ends = np.cumsum(rows, dtype=np.int64).tolist()
+    view = memoryview(data)
+    return [zlib.crc32(view[(end - n) * RECORD.itemsize:end * RECORD.itemsize])
+            for end, n in zip(ends, rows)]
 
 
 class SeriesStore:
-    """Partitioned on-disk series store, one record file per sensor per UTC day.
+    """On-disk series store: one packed record file per sensor.
 
-    A partition holds `RECORD`s, so it is written with one `tobytes` and read
-    with one `frombuffer`; save and load are bit-exact. The manifest maps each
-    day to its row count and the crc32 of its bytes. Writes are serialized
-    per partition (one writer per sensor directory); a load checks, in order:
-    the manifest's shape, that each partition exists, its size against the
-    row count, its crc32, its stamps (on the named day, strictly increasing
-    across partitions) and that every value is finite.
+    ``records.bin`` holds a sensor's `RECORD`s in time order, so it is written
+    with one `tobytes` and read with one `frombuffer`; save and load are
+    bit-exact. ``manifest.json`` beside it maps each UTC day, in day order, to
+    its row count and the crc32 of its slice of the file. One writer per
+    sensor directory. Reading a sensor checks, in order: the manifest's shape
+    (entries with integer rows and crc32, keys that are dates), that the
+    record file exists, its size against the row counts, each day's crc32,
+    that each stamp lies on its manifest day, that stamps strictly increase,
+    and that every value is finite. A failure names the file, and rows are
+    counted from 1 in the record file.
     """
 
     def __init__(self, root: Path | str):
@@ -377,80 +362,92 @@ class SeriesStore:
         return self.root / site_id / sensor_id
 
     @staticmethod
-    def _read_manifest(path: Path) -> dict:
-        try:
-            manifest = json.loads(path.read_text())
-        except ValueError as exc:  # not UTF-8 or not JSON
-            raise StoreIntegrityError(f"{path}: corrupt manifest: {exc}") from None
-        if not isinstance(manifest, dict):
-            raise StoreIntegrityError(f"{path}: manifest is not an object")
-        for day_name, entry in manifest.items():
-            if isinstance(entry, int):
-                raise StoreIntegrityError(
-                    f"{path}: manifest of a store with CSV partitions; "
-                    f"re-run ingest and the stages after it")
-            if not (isinstance(entry, dict)
-                    and all(isinstance(entry.get(key), int) for key in ("rows", "crc32"))):
-                raise StoreIntegrityError(
-                    f"{path}: manifest entry {day_name!r} is not an object "
-                    f"with integer rows and crc32")
-        return manifest
-
-    def save(self, site_id: str, series: TimeSeries) -> int:
-        """Write the series' day partitions, replacing any of the same day,
-        and merge them into the manifest; returns how many were written."""
-        sensor_dir = self._sensor_dir(site_id, series.sensor_id)
-        sensor_dir.mkdir(parents=True, exist_ok=True)
-        manifest_path = sensor_dir / "manifest.json"
-        manifest = {}
-        if manifest_path.exists():
-            manifest = self._read_manifest(manifest_path)
-
-        records = np.empty(len(series), RECORD)
-        records["t"] = series.times
-        records["v"] = series.values
-        days = series.times // DAY_SECONDS
-        starts = np.flatnonzero(np.diff(days, prepend=days[:1] - 1)).tolist()
-        ends = starts[1:] + [len(series)]
-        day_names = [stamp[:10] for stamp in format_iso8601(series.times[starts])]
-        for day_name, a, b in zip(day_names, starts, ends):
-            data = records[a:b].tobytes()
-            (sensor_dir / f"{day_name}.bin").write_bytes(data)
-            manifest[day_name] = {"rows": b - a, "crc32": zlib.crc32(data)}
-        manifest_path.write_text(json.dumps(manifest, sort_keys=True) + "\n")
-        return len(starts)
-
-    def load(self, site_id: str, sensor_id: str) -> LoadResult:
-        """Load all partitions of one sensor; absent sensors load empty."""
-        sensor_dir = self._sensor_dir(site_id, sensor_id)
-        if not sensor_dir.is_dir():
-            return LoadResult(TimeSeries.empty(sensor_id), found=False)
+    def _read_records(sensor_dir: Path) -> np.ndarray:
+        """The records of one sensor directory, after every check."""
         manifest_path = sensor_dir / "manifest.json"
         if not manifest_path.exists():
             raise StoreIntegrityError(f"{sensor_dir}: missing manifest")
-        manifest = self._read_manifest(manifest_path)
-
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise StoreIntegrityError(f"{manifest_path}: corrupt manifest: {exc}") from None
+        if not isinstance(manifest, dict):
+            raise StoreIntegrityError(f"{manifest_path}: manifest is not an object")
         day_names = sorted(manifest)
-        parts = [sensor_dir / f"{day_name}.bin" for day_name in day_names]
-        rows = [manifest[day_name]["rows"] for day_name in day_names]
-        chunks = []
-        for part, n, day_name in zip(parts, rows, day_names):
-            if not part.exists():
-                raise StoreIntegrityError(f"{part}: partition listed in manifest is missing")
-            data = part.read_bytes()
-            if len(data) != n * RECORD.itemsize:
+        for day_name in day_names:
+            entry = manifest[day_name]
+            if isinstance(entry, int):
                 raise StoreIntegrityError(
-                    f"{part}: {len(data)} bytes, but manifest row count {n} "
-                    f"needs {n * RECORD.itemsize}")
-            if zlib.crc32(data) != manifest[day_name]["crc32"]:
-                raise StoreIntegrityError(f"{part}: crc32 does not match the manifest")
-            chunks.append(data)
-        records = np.frombuffer(b"".join(chunks), RECORD)
-        _check_partition_times(records["t"], parts, rows)
-        non_finite = ~np.isfinite(records["v"])
-        if non_finite.any():
-            _raise_at_row(int(np.argmax(non_finite)), parts, rows, "non-finite value")
-        return LoadResult(TimeSeries(sensor_id, records["t"], records["v"]), found=True)
+                    f"{manifest_path}: manifest of a store with CSV partitions; "
+                    f"delete it and re-run ingest and the stages after it")
+            if not (isinstance(entry, dict)
+                    and all(isinstance(entry.get(key), int) for key in ("rows", "crc32"))
+                    and entry["rows"] >= 0):
+                raise StoreIntegrityError(
+                    f"{manifest_path}: manifest entry {day_name!r} is not an object "
+                    f"with integer rows and crc32, rows at least 0")
+        try:
+            days = parse_iso8601([f"{name}T00:00:00Z" for name in day_names]) // DAY_SECONDS
+        except ModelError as exc:
+            raise StoreIntegrityError(
+                f"{manifest_path}: manifest day {day_names[exc.index]!r} is not a date") from None
+
+        path = sensor_dir / "records.bin"
+        if not path.exists():
+            raise StoreIntegrityError(f"{path}: missing, as in a store with one file per day; "
+                                      f"delete it and re-run ingest and the stages after it")
+        data = path.read_bytes()
+        rows = [manifest[day_name]["rows"] for day_name in day_names]
+        size = sum(rows) * RECORD.itemsize
+        if len(data) != size:
+            raise StoreIntegrityError(
+                f"{path}: {len(data)} bytes, but the manifest's row count {sum(rows)} "
+                f"needs {size}")
+        for day_name, crc in zip(day_names, _day_crc32s(data, rows)):
+            if crc != manifest[day_name]["crc32"]:
+                raise StoreIntegrityError(f"{path}: crc32 of day {day_name} does not match "
+                                          f"the manifest")
+        records = np.frombuffer(data, RECORD)
+        times = records["t"]
+        for bad, message in (
+            (times // DAY_SECONDS != np.repeat(days, rows),
+             "timestamp of another day"),
+            (np.concatenate(([False], np.diff(times) <= 0)),
+             "timestamp not after the one before"),
+            (~np.isfinite(records["v"]), "non-finite value"),
+        ):
+            if bad.any():
+                raise StoreIntegrityError(f"{path}: row {int(np.argmax(bad)) + 1}: {message}")
+        return records
+
+    def save(self, site_id: str, series: TimeSeries) -> int:
+        """Write the series into the sensor's record file, replacing the days
+        it covers and keeping the others; returns how many days it wrote."""
+        sensor_dir = self._sensor_dir(site_id, series.sensor_id)
+        sensor_dir.mkdir(parents=True, exist_ok=True)
+        manifest_path = sensor_dir / "manifest.json"
+        records = np.empty(len(series), RECORD)
+        records["t"], records["v"] = series.times, series.values
+        days = series.times // DAY_SECONDS
+        if manifest_path.exists():
+            old = self._read_records(sensor_dir)
+            records = np.concatenate((old[~np.isin(old["t"] // DAY_SECONDS, days)], records))
+            records = records[np.argsort(records["t"])]
+        all_days, rows = np.unique(records["t"] // DAY_SECONDS, return_counts=True)
+        data, rows = records.tobytes(), rows.tolist()
+        manifest = {stamp[:10]: {"rows": n, "crc32": crc} for stamp, n, crc in zip(
+            format_iso8601(all_days * DAY_SECONDS), rows, _day_crc32s(data, rows))}
+        (sensor_dir / "records.bin").write_bytes(data)
+        manifest_path.write_text(json.dumps(manifest, sort_keys=True) + "\n")
+        return len(np.unique(days))
+
+    def load(self, site_id: str, sensor_id: str) -> LoadResult:
+        """Load one sensor's series; absent sensors load empty."""
+        sensor_dir = self._sensor_dir(site_id, sensor_id)
+        if not sensor_dir.is_dir():
+            return LoadResult(TimeSeries.empty(sensor_id))
+        records = self._read_records(sensor_dir)
+        return LoadResult(TimeSeries(sensor_id, records["t"], records["v"]))
 
     def sites(self) -> list[str]:
         if not self.root.is_dir():

@@ -293,6 +293,9 @@ def _flag_with_spikes(
                 clean_sumsq -= old * old
                 clean_count -= 1
             left += 1
+        if clean_sum != clean_sum or clean_sumsq != clean_sumsq:  # inf - inf: rebuild
+            kept = [values[j] for j in range(left, i) if not flagged[j]]
+            clean_sum, clean_sumsq = sum(kept, 0.0), sum(x * x for x in kept)
         flag: FlagKind | None = None
         if zero[i]:
             flag = FlagKind.ZERO_ERROR

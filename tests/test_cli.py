@@ -71,9 +71,9 @@ def _assert_one_error_line(err):
     assert sum("error:" in line for line in err.splitlines()) == 1, err
 
 
-def _truncate_partition(store_root):
-    part = sorted((store_root / "s1" / "s1-a-temp").glob("*.bin"))[0]
-    part.write_bytes(part.read_bytes()[:-RECORD.itemsize])
+def _truncate_records(store_root):
+    records_file = store_root / "s1" / "s1-a-temp" / "records.bin"
+    records_file.write_bytes(records_file.read_bytes()[:-RECORD.itemsize])
 
 
 def test_spike_sigma_not_a_number_is_config_error(work, capsys, monkeypatch):
@@ -86,7 +86,7 @@ def test_spike_sigma_not_a_number_is_config_error(work, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", [["comfort", *COMFORT], ["perf"]])
 def test_truncated_repaired_partition_exits_1(work, capsys, command):
-    _truncate_partition(work / "out" / "repaired")
+    _truncate_records(work / "out" / "repaired")
     code, err = _run([*command, "--config", str(work / "config.json")], capsys)
     assert code == 1
     assert "row count" in err
@@ -105,68 +105,90 @@ def test_corrupt_manifest_exits_1(work, capsys, command, store):
     _assert_one_error_line(err)
 
 
-def _set_record(part, manifest, row, **fields):
-    """Change one record and restamp the manifest's crc32, so that the checks
-    after the crc are the ones that see the change."""
-    records = np.fromfile(part, RECORD)
-    for name, value in fields.items():
-        records[name][row] = value
-    part.write_bytes(records.tobytes())
+def _first_day(manifest):
+    """The manifest's entries and its first day, whose slice opens the record file."""
     entries = json.loads(manifest.read_text())
-    entries[part.stem]["crc32"] = zlib.crc32(records.tobytes())
+    return entries, min(entries)
+
+
+def _set_record(records_file, manifest, row, **fields):
+    """Change record `row` of the first day and restamp that day's crc32, so
+    that the checks after the crc are the ones that see the change."""
+    records = np.fromfile(records_file, RECORD)
+    entries, day = _first_day(manifest)
+    first = records[:entries[day]["rows"]]
+    for name, value in fields.items():
+        first[name][row] = value
+    records_file.write_bytes(records.tobytes())
+    entries[day]["crc32"] = zlib.crc32(first.tobytes())
     manifest.write_text(json.dumps(entries))
 
 
-def _noon_of_next_day(part):
-    day = date.fromisoformat(part.stem) + timedelta(days=1)
+def _noon_of_next_day(manifest):
+    day = date.fromisoformat(_first_day(manifest)[1]) + timedelta(days=1)
     return (day - date(1970, 1, 1)).days * 86400 + 12 * 3600
 
 
-def _flip_byte(part, at=RECORD.itemsize + 8):
+def _splice_first_day(records_file, manifest, cut=0, insert=b""):
+    """Cut bytes from the end of the first day's slice, or insert bytes there."""
+    entries, day = _first_day(manifest)
+    end = entries[day]["rows"] * RECORD.itemsize
+    data = records_file.read_bytes()
+    records_file.write_bytes(data[:end - cut] + insert + data[end:])
+
+
+def _flip_byte(records_file, at=RECORD.itemsize + 8):
     """Flip the lowest mantissa bit of the second value: only the crc32 can tell."""
-    data = bytearray(part.read_bytes())
+    data = bytearray(records_file.read_bytes())
     data[at] ^= 0x01
-    part.write_bytes(bytes(data))
+    records_file.write_bytes(bytes(data))
 
 
 def _edit_manifest(manifest, edit):
-    entries = json.loads(manifest.read_text())
-    manifest.write_text(json.dumps({day: edit(entry) for day, entry in entries.items()}))
+    """Apply `edit` to the first day's entry."""
+    entries, day = _first_day(manifest)
+    entries[day] = edit(entries[day])
+    manifest.write_text(json.dumps(entries))
 
 
 def _append_bytes(path, data=b"\xff\xfe"):
     path.write_bytes(path.read_bytes() + data)
 
 
-# damage -> (how to do it to the first partition or the manifest, what the error says)
+# damage -> (how to do it to the first day's slice of the record file or to the
+# manifest, what the error says)
 STORE_DAMAGE = {
     "truncated partition": (
-        lambda part, manifest: part.write_bytes(part.read_bytes()[:-5]), "row count"),
-    "trailing bytes": (lambda part, manifest: _append_bytes(part), "row count"),
+        lambda records, manifest: _splice_first_day(records, manifest, cut=5), "row count"),
+    "trailing bytes": (
+        lambda records, manifest: _splice_first_day(records, manifest, insert=b"\xff\xfe"),
+        "row count"),
     "row count off by one": (
-        lambda part, manifest: _edit_manifest(
+        lambda records, manifest: _edit_manifest(
             manifest, lambda entry: dict(entry, rows=entry["rows"] + 1)), "row count"),
-    "flipped byte": (lambda part, manifest: _flip_byte(part), "crc32"),
+    "flipped byte": (lambda records, manifest: _flip_byte(records), "crc32"),
     "repeated timestamp": (
-        lambda part, manifest: _set_record(
-            part, manifest, 2, t=np.fromfile(part, RECORD)["t"][1]),
+        lambda records, manifest: _set_record(
+            records, manifest, 2, t=np.fromfile(records, RECORD)["t"][1]),
         "row 3: timestamp not after"),
     "timestamp of another day": (
-        lambda part, manifest: _set_record(part, manifest, -1,
-                                           t=_noon_of_next_day(part)),
+        lambda records, manifest: _set_record(records, manifest, -1,
+                                              t=_noon_of_next_day(manifest)),
         "timestamp of another day"),
     "bad timestamp": (
-        lambda part, manifest: _set_record(part, manifest, 1, t=np.iinfo(np.int64).min),
+        lambda records, manifest: _set_record(records, manifest, 1,
+                                              t=np.iinfo(np.int64).min),
         "row 2: timestamp of another day"),
     "non-numeric value": (
-        lambda part, manifest: _set_record(part, manifest, 1, v=np.nan),
+        lambda records, manifest: _set_record(records, manifest, 1, v=np.nan),
         "row 2: non-finite value"),
     "infinite value": (
-        lambda part, manifest: _set_record(part, manifest, -1, v=-np.inf),
+        lambda records, manifest: _set_record(records, manifest, -1, v=-np.inf),
         "non-finite value"),
-    "non-UTF-8 manifest": (lambda part, manifest: _append_bytes(manifest), "corrupt manifest"),
+    "non-UTF-8 manifest": (
+        lambda records, manifest: _append_bytes(manifest), "corrupt manifest"),
     "CSV-era manifest": (
-        lambda part, manifest: _edit_manifest(manifest, lambda entry: entry["rows"]),
+        lambda records, manifest: _edit_manifest(manifest, lambda entry: entry["rows"]),
         "re-run ingest"),
 }
 
@@ -178,14 +200,37 @@ STORE_DAMAGE = {
 ])
 def test_damaged_store_exits_1_naming_the_file(work, capsys, command, store, damage):
     sensor_dir = work / store / "s1" / "s1-a-temp"
-    part = sorted(sensor_dir.glob("*.bin"))[0]
+    records, manifest = sensor_dir / "records.bin", sensor_dir / "manifest.json"
     do_damage, message = STORE_DAMAGE[damage]
-    do_damage(part, sensor_dir / "manifest.json")
+    do_damage(records, manifest)
     code, err = _run([*command, "--config", str(work / "config.json")], capsys)
     assert code == 1
-    named = sensor_dir / "manifest.json" if "manifest" in damage else part
+    named = manifest if "manifest" in damage else records
     assert f"error: {named}: " in err
     assert message in err
+    _assert_one_error_line(err)
+
+
+@pytest.mark.parametrize("command, store", [
+    (["ingest"], "store"),
+    (["quality"], "store"),
+    (["perf"], "out/repaired"),
+])
+def test_store_with_per_day_files_exits_1(work, capsys, command, store):
+    # the layout before one record file per sensor: <day>.bin beside the manifest
+    sensor_dir = work / store / "s1" / "s1-a-temp"
+    entries = json.loads((sensor_dir / "manifest.json").read_text())
+    data = (sensor_dir / "records.bin").read_bytes()
+    start = 0
+    for day in sorted(entries):
+        end = start + entries[day]["rows"] * RECORD.itemsize
+        (sensor_dir / f"{day}.bin").write_bytes(data[start:end])
+        start = end
+    (sensor_dir / "records.bin").unlink()
+    code, err = _run([*command, "--config", str(work / "config.json")], capsys)
+    assert code == 1
+    assert f"error: {sensor_dir / 'records.bin'}: " in err
+    assert "re-run ingest" in err
     _assert_one_error_line(err)
 
 
@@ -286,8 +331,16 @@ def test_ingest_later_file_wins_repeated_timestamp(work, capsys):
     assert np.all(np.diff(loaded.times) == 600)
 
 
+def _power_spike_flags(out):
+    rows = [line.split(",") for line in (out / "quality_report.csv").read_text().splitlines()]
+    column = rows[0].index("spike_flags")
+    return {row[2]: int(row[column]) for row in rows[1:] if row[1] == "s1-power"}
+
+
 def test_quality_survives_huge_power_readings(work, capsys):
-    # the running mean of 1e200 readings squares past the float range
+    # the running mean of 1e200 readings squares past the float range, and once
+    # they leave the window the running sums must not stay poisoned
+    unmodified = _power_spike_flags(work / "out")
     lines = (work / "inputs" / "measurements" / "s1.csv").read_text().splitlines()
     power = [i for i, line in enumerate(lines) if line.startswith("s1-power,")]
     for i in power[:29]:
@@ -299,3 +352,6 @@ def test_quality_survives_huge_power_readings(work, capsys):
     code, err = _run(["quality", *conf], capsys)
     assert code == 0, err
     assert "Traceback" not in err
+    huge_day = lines[power[0]].split(",")[1][:10]
+    after = {day: n for day, n in _power_spike_flags(work / "out").items() if day > huge_day}
+    assert after == {day: n for day, n in unmodified.items() if day > huge_day}

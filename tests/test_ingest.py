@@ -261,7 +261,6 @@ def test_store_roundtrip_bit_exact(tmp_path):
     store = SeriesStore(tmp_path)
     store.save("alpha", series)
     loaded = store.load("alpha", "t1")
-    assert loaded.found
     assert np.array_equal(loaded.series.times, series.times)
     assert np.array_equal(loaded.series.values, series.values)  # bit-exact
 
@@ -269,8 +268,11 @@ def test_store_roundtrip_bit_exact(tmp_path):
 def test_store_partitions_by_day(tmp_path):
     series = series_at("t1", utc(2017, 9, 4, 23), 1800, np.arange(10.0))
     SeriesStore(tmp_path).save("alpha", series)
-    names = sorted(p.name for p in (tmp_path / "alpha" / "t1").iterdir())
-    assert names == ["2017-09-04.bin", "2017-09-05.bin", "manifest.json"]
+    sensor_dir = tmp_path / "alpha" / "t1"
+    assert sorted(p.name for p in sensor_dir.iterdir()) == ["manifest.json", "records.bin"]
+    manifest = json.loads((sensor_dir / "manifest.json").read_text())
+    assert list(manifest) == ["2017-09-04", "2017-09-05"]
+    assert [entry["rows"] for entry in manifest.values()] == [2, 8]
 
 
 @pytest.mark.parametrize("start, samples, partitions", [
@@ -282,13 +284,12 @@ def test_store_save_returns_partitions_written(tmp_path, start, samples, partiti
     series = series_at("t1", start, 1800, np.arange(float(samples)))
     store = SeriesStore(tmp_path)
     assert store.save("alpha", series) == partitions
-    assert len(list((tmp_path / "alpha" / "t1").glob("*.bin"))) == partitions
+    assert len(json.loads((tmp_path / "alpha" / "t1" / "manifest.json").read_text())) == partitions
     assert len(store.load("alpha", "t1").series) == samples
 
 
 def test_store_missing_sensor_absent(tmp_path):
     result = SeriesStore(tmp_path).load("alpha", "ghost")
-    assert not result.found
     assert len(result.series) == 0
 
 
@@ -329,6 +330,7 @@ def test_store_incremental_save_merges_manifest(tmp_path):
     ([10, 0], "not an object"),
     ({"rows": 10}, "integer rows and crc32"),
     ({"rows": "10", "crc32": 0}, "integer rows and crc32"),
+    ({"rows": -1, "crc32": 0}, "rows at least 0"),
 ])
 def test_store_manifest_entries_must_be_records(tmp_path, entry, message):
     series = series_at("t1", utc(2017, 9, 4), 30, np.arange(10.0))
@@ -379,7 +381,7 @@ def test_store_saves_merge_and_replace_days_bit_exact(data):
             assert store.save("alpha", part) == len(set((part.times // DAY_SECONDS).tolist()))
         assert store.save("alpha", TimeSeries("t1", times[redo], redo_values)) == 1
         loaded = store.load("alpha", "t1")
-        partitions = len(list(store.root.glob("alpha/t1/*.bin")))
+        partitions = len(json.loads((store.root / "alpha/t1/manifest.json").read_text()))
     assert partitions == len(day_set)
     assert np.array_equal(loaded.series.times, times[expected])
     assert np.array_equal(loaded.series.values.view(np.int64),
@@ -388,11 +390,14 @@ def test_store_saves_merge_and_replace_days_bit_exact(data):
 
 def test_store_partition_name_must_be_a_date(tmp_path):
     store = SeriesStore(tmp_path)
-    store.save("alpha", series_at("t1", utc(2017, 9, 4), 3600, np.arange(48.0)))
-    sensor_dir = tmp_path / "alpha" / "t1"
-    (sensor_dir / "2017-09-05.bin").rename(sensor_dir / "2017-09-5.bin")
-    manifest = json.loads((sensor_dir / "manifest.json").read_text())
+    series = series_at("t1", utc(2017, 9, 4), 3600, np.arange(48.0))
+    store.save("alpha", series)
+    path = tmp_path / "alpha" / "t1" / "manifest.json"
+    manifest = json.loads(path.read_text())
     manifest["2017-09-5"] = manifest.pop("2017-09-05")
-    (sensor_dir / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(StoreIntegrityError, match="2017-09-5.bin: partition name is not a date"):
-        store.load("alpha", "t1")
+    path.write_text(json.dumps(manifest))
+    for call in (lambda: store.load("alpha", "t1"), lambda: store.save("alpha", series)):
+        with pytest.raises(StoreIntegrityError,
+                           match="manifest day '2017-09-5' is not a date") as info:
+            call()
+        assert str(info.value).startswith(f"{path}: ")

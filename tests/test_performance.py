@@ -53,8 +53,9 @@ def test_cli_import_does_not_load_scipy():
     src = str(Path(schoolsense.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    # hashlib loads OpenSSL, about 3.6 MB of RSS per command; the store uses zlib.crc32
     code = ("import sys, schoolsense.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'hashlib')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"
