@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+from dataclasses import replace
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,24 @@ import numpy as np
 import pytest
 
 import schoolsense
-from schoolsense.model import Orientation
-from schoolsense.performance import ORIENTATION_TEMPLATE, orientation_gain
+from schoolsense.ingest import WeatherHistory
+from schoolsense.model import DAY_SECONDS, Orientation, TimeSeries
+from schoolsense.performance import (
+    ORIENTATION_TEMPLATE,
+    AnomalyKind,
+    CorrelationUndefined,
+    DailySwing,
+    SwingReport,
+    detect_occupant_events,
+    flag_poor_insulation,
+    flag_unshaded_rooms,
+    orientation_gain,
+    solar_gain_correlation,
+    weekend_daily_swings,
+)
 from schoolsense.synthgen import GAIN_TIME_CONSTANT_S, _thermal_lag
+
+from conftest import series_at, utc
 
 
 def _scalar_gain(hour: float, orientation: Orientation) -> float:
@@ -59,3 +75,102 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+# ---------------------------------------------------------------- detectors
+
+SATURDAY = utc(2017, 9, 9)  # 2017-09-04 is a Monday
+FIVE_MIN = 300
+
+
+@pytest.mark.parametrize("values, events", [
+    # a window opens: 2.5 degC down in ten minutes, back up within the next ten
+    ([22.0] * 10 + [20.5, 19.5, 19.7, 21.0, 21.8] + [22.0] * 10, [(11, 2.5)]),
+    # a weather front: 3 degC over three hours is never 2 degC within 30 minutes
+    (list(np.linspace(22.0, 19.0, 37)), []),
+    # cooling that persists never recovers half of the fall
+    ([22.0] * 10 + [20.5] + [19.5] * 30, []),
+    # one glitched sample: nothing else near the trough sits below half depth
+    ([22.0] * 10 + [19.0] + [22.0] * 10, []),
+])
+def test_detect_occupant_events(values, events):
+    series = series_at("t", utc(2017, 9, 4, 9), FIVE_MIN, values)
+    found = detect_occupant_events(series)
+    assert [(e.time, e.fall) for e in found] == [
+        (int(series.times[i]), pytest.approx(fall)) for i, fall in events]
+
+
+def test_weekend_daily_swings_skips_days_with_too_few_samples():
+    saturday = series_at("t", SATURDAY, 3600, 20.0 + np.arange(24) / 4)
+    sunday = series_at("t", SATURDAY + DAY_SECONDS, 3600, [20.0] * 11)
+    series = TimeSeries("t", np.concatenate((saturday.times, sunday.times)),
+                        np.concatenate((saturday.values, sunday.values)))
+    report = weekend_daily_swings(series, room_id="r1")
+    assert [(s.room_id, s.day, s.swing, s.rise_hours) for s in report.swings] == [
+        ("r1", SATURDAY // DAY_SECONDS, 23 / 4, 23.0)]
+    assert report.skipped_days == (SATURDAY // DAY_SECONDS + 1,)
+
+
+def test_weekend_daily_swings_uses_local_days():
+    # Friday 22:00 UTC is Saturday 00:00 at UTC+2, so the cold first sample
+    # belongs to the local Saturday
+    values = [10.0] + [20.0] * 22 + [25.0]
+    series = series_at("t", SATURDAY - 2 * 3600, 3600, values)
+    local = weekend_daily_swings(series, 120).swings
+    assert [(s.day, s.min_t, s.max_t) for s in local] == [
+        (SATURDAY // DAY_SECONDS, 10.0, 25.0)]
+    utc_days = weekend_daily_swings(series, 0).swings
+    assert [(s.day, s.min_t, s.max_t) for s in utc_days] == [
+        (SATURDAY // DAY_SECONDS, 20.0, 25.0)]
+
+
+def _swing(day: int, swing: float) -> DailySwing:
+    return DailySwing("r1", day, 18.0, 18.0 + swing, swing, 6.0)
+
+
+@pytest.mark.parametrize("min_days, flagged", [(2, True), (3, False)])
+def test_flag_poor_insulation_needs_min_days(min_days, flagged):
+    report = SwingReport((_swing(1, 9.0), _swing(2, 3.0), _swing(3, 8.0)), ())
+    flag = flag_poor_insulation(report, min_days=min_days)
+    if not flagged:
+        assert flag is None
+        return
+    assert flag.room_id == "r1"
+    assert flag.kind is AnomalyKind.POOR_INSULATION
+    assert [(e.day, e.value) for e in flag.evidence] == [(1, 9.0), (3, 8.0)]
+
+
+def _weekend_weather(days: int = 2, cloud=None) -> WeatherHistory:
+    times = SATURDAY + 3600 * np.arange(days * 24, dtype=np.int64)
+    rng = np.random.default_rng(7)
+    cloud = rng.uniform(0.0, 1.0, len(times)) if cloud is None else np.full(len(times), cloud)
+    return WeatherHistory("s", times, np.full(len(times), 15.0), np.zeros(len(times)), cloud)
+
+
+def _weekend_indoor(days: int = 2, start: int = SATURDAY, flat: bool = False) -> TimeSeries:
+    n = days * 24 * 6
+    values = np.full(n, 21.0) if flat else 21.0 + np.random.default_rng(3).normal(0, 0.5, n)
+    return series_at("t", start, 600, values)
+
+
+@pytest.mark.parametrize("indoor, weather, message", [
+    (_weekend_indoor(start=utc(2017, 9, 5)), _weekend_weather(), "no weekend samples"),
+    (_weekend_indoor(days=1), _weekend_weather(days=1), "only 12 overlapping hours"),
+    (_weekend_indoor(flat=True), _weekend_weather(), "zero-variance"),
+    (_weekend_indoor(), _weekend_weather(cloud=1.0), "zero-variance"),
+])
+def test_solar_gain_correlation_undefined(indoor, weather, message):
+    with pytest.raises(CorrelationUndefined, match=message):
+        solar_gain_correlation(indoor, weather, Orientation.S)
+
+
+def test_flag_unshaded_rooms_strongest_first_then_by_room():
+    base = solar_gain_correlation(_weekend_indoor(), _weekend_weather(), Orientation.S,
+                                  room_id="r0")
+    assert base.hours == 24
+    reports = [replace(base, room_id=room, r=r)
+               for room, r in (("c", 0.6), ("a", 0.9), ("d", 0.4), ("b", 0.6))]
+    flags = flag_unshaded_rooms(reports, r_threshold=0.5)
+    assert [(f.room_id, f.evidence[0].value) for f in flags] == [
+        ("a", 0.9), ("b", 0.6), ("c", 0.6)]
+    assert all(f.kind is AnomalyKind.UNSHADED_SOLAR_GAIN for f in flags)
