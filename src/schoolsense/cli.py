@@ -7,7 +7,14 @@ consume the repaired store and emit report CSVs. Every command is
 deterministic given its config and data: no wall-clock dependence, stable
 ordering, full-precision decimals.
 
-Config keys may be overridden with SCHOOLSENSE_<KEY> environment variables.
+The JSON config file is the only source of settings, and it names paths
+only: `catalog`, `store` and `out` are required, `weather` and
+`measurements` (a list) are optional, and relative paths resolve against
+the config file's directory. Every building runs through the same analysis,
+so window sizes and thresholds are constants of the analysis modules.
+Besides the period (`--from` before `--to`), the one choice per run is
+`comfort --acceptability`, which every comfort row records.
+
 Errors are mapped to exit codes in `main` only, and each failure prints one
 ``error:`` line to stderr:
 
@@ -15,8 +22,9 @@ Errors are mapped to exit codes in `main` only, and each failure prints one
   1  environment or I/O failure: a file cannot be read or written
      (OSError), or the store on disk is inconsistent (StoreIntegrityError)
   2  usage, config or input error: bad arguments, ConfigError (including a
-     stage run before its inputs exist), ScenarioError, a malformed input
-     file (IngestError), ModelError or QualityError
+     stage run before its inputs exist, or a period with no days in it),
+     ScenarioError, a malformed input file (IngestError), ModelError or
+     QualityError
 """
 
 from __future__ import annotations
@@ -24,11 +32,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -50,8 +58,8 @@ from .model import (
     DeploymentCatalog,
     ModelError,
     SensorKind,
+    SensorMeta,
     TimeSeries,
-    TimeWindow,
     day_to_date,
     filter_weekdays,
     format_iso8601,
@@ -64,8 +72,6 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_USAGE = 2
 
-ENV_PREFIX = "SCHOOLSENSE_"
-
 
 class ConfigError(ValueError):
     """Bad config, or a command that cannot run with what is configured."""
@@ -73,63 +79,21 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Paths, window sizes and thresholds for the analysis commands."""
+    """Where the analysis commands read and write."""
 
     catalog: Path
     store: Path
     out: Path
     weather: Path | None = None
     measurements: tuple[Path, ...] = ()
-    acceptability: int = 80
-    lookback_days: int = 7
-    env_window_hours: float = 24.0
-    power_window_hours: float = 1.0
-    repair_window_hours: float = 1.0
-    fill_window_hours: float = 2.0
-    smooth_minutes: float = 5.0
-    spike_sigma: float = 5.0
-    min_window_samples: int = 4
-    swing_threshold: float = 8.0
-    min_swing_days: int = 2
-    r_threshold: float = 0.5
-    min_correlation_hours: int = 24
-    event_drop: float = 2.0
-    event_within_minutes: float = 30.0
-
-    def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(f.default, (int, float)):
-                continue  # paths
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{f.name} must be a number, got {value!r}")
-            if value <= 0:
-                raise ConfigError(f"{f.name} must be positive")
-        if self.acceptability not in (80, 90):
-            raise ConfigError("acceptability must be 80 or 90")
 
     @property
     def repaired(self) -> Path:
         return self.out / "repaired"
 
-    def quality_config(self) -> quality_mod.QualityConfig:
-        return quality_mod.QualityConfig(
-            env_window=TimeWindow.hours(self.env_window_hours),
-            power_window=TimeWindow.hours(self.power_window_hours),
-            repair_window=TimeWindow.hours(self.repair_window_hours),
-            fill_window=TimeWindow.hours(self.fill_window_hours),
-            smooth_window=TimeWindow.minutes(self.smooth_minutes),
-            spike_sigma=self.spike_sigma,
-            min_window_samples=self.min_window_samples,
-        )
 
-
-_PATH_KEYS = {"catalog", "store", "out", "weather"}
-
-
-def load_config(path: Path | str, env: dict | None = None) -> RunConfig:
-    """Read a JSON config file and apply SCHOOLSENSE_* overrides."""
-    env = os.environ if env is None else env
+def load_config(path: Path | str) -> RunConfig:
+    """Read a JSON config file."""
     path = Path(path)
     try:
         data = json.loads(path.read_text())
@@ -140,18 +104,11 @@ def load_config(path: Path | str, env: dict | None = None) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
 
-    field_names = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(data) - field_names
+    keys = [f.name for f in dataclasses.fields(RunConfig)]
+    unknown = set(data) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for name in field_names:
-        override = env.get(ENV_PREFIX + name.upper())
-        if override is not None:
-            try:
-                data[name] = json.loads(override)
-            except json.JSONDecodeError:
-                data[name] = override
-
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}; a config names "
+                          f"only the paths {', '.join(keys)}")
     missing = {"catalog", "store", "out"} - set(data)
     if missing:
         raise ConfigError(f"config missing required keys: {sorted(missing)}")
@@ -164,14 +121,12 @@ def load_config(path: Path | str, env: dict | None = None) -> RunConfig:
 
     kwargs = {}
     for name, value in data.items():
-        if name in _PATH_KEYS and value is not None:
-            kwargs[name] = resolve(name, value)
-        elif name == "measurements":
+        if name == "measurements":
             if not isinstance(value, list):
                 raise ConfigError(f"measurements must be a list of paths, got {value!r}")
             kwargs[name] = tuple(resolve(name, v) for v in value)
-        else:
-            kwargs[name] = value
+        elif name != "weather" or value is not None:  # weather may be null
+            kwargs[name] = resolve(name, value)
     return RunConfig(**kwargs)
 
 
@@ -259,12 +214,14 @@ def cmd_quality(config: RunConfig, end: date | None = None) -> None:
         end_epoch = to_epoch(end)
 
     cells = quality_mod.availability_matrix(raw, catalog, end_epoch)
-    qconfig = config.quality_config()
+    if not cells:
+        raise ConfigError(f"the period ends {day_to_date(end_epoch // DAY_SECONDS)}, "
+                          "on or before the start of every site")
     repaired_store = SeriesStore(config.repaired)
     repairs: dict[str, quality_mod.RepairedSeries] = {}
     for meta in catalog.sensors:
         site = catalog.site(meta.site_id)
-        outcome = quality_mod.repair_series(raw[meta.sensor_id], meta, site, qconfig)
+        outcome = quality_mod.repair_series(raw[meta.sensor_id], meta, site)
         repairs[meta.sensor_id] = outcome
         if len(outcome.series):
             repaired_store.save(meta.site_id, outcome.series)
@@ -298,42 +255,49 @@ def cmd_quality(config: RunConfig, end: date | None = None) -> None:
         "zero_flags,spike_flags,bound_flags,fills",
         rows)
 
-    site_pct = quality_mod.site_outage_percentages(cells, catalog)
-    site_rows = []
-    for site in catalog.sites:
-        metas = catalog.sensors_for_site(site.site_id)
-        if not metas:
-            continue
-        pos = len({m.room_id for m in metas})
-        observed = sum(len(raw[m.sensor_id]) for m in metas)
-        flags = sum(len(repairs[m.sensor_id].flags) for m in metas)
-        outlier_pct = 100.0 * flags / observed if observed else 0.0
-        site_rows.append(
-            f"{site.site_id},{pos},{len(metas)},{format_iso8601(site.start_time)},"
-            f"{site_pct[site.site_id]!r},{outlier_pct!r}")
+    site_stats = _group_quality([site.site_id for site in catalog.sites],
+                                lambda m: m.site_id, catalog, cells, raw, repairs)
     _write_csv(
         config.out / "site_quality.csv",
-        "site_id,pos,sensors,start_time,outage_pct,outlier_pct", site_rows)
+        "site_id,pos,sensors,start_time,outage_pct,outlier_pct",
+        [f"{site_id},{pos},{n},{format_iso8601(catalog.site(site_id).start_time)},"
+         f"{outage!r},{outlier!r}" for site_id, pos, n, outage, outlier in site_stats])
+    kind_stats = _group_quality(CATEGORIES, lambda m: m.kind.category,
+                                catalog, cells, raw, repairs)
+    _write_csv(
+        config.out / "kind_quality.csv",
+        "category,pos,sensors,outage_pct,outlier_pct",
+        [f"{category},{pos},{n},{outage!r},{outlier!r}"
+         for category, pos, n, outage, outlier in kind_stats])
 
-    category_pct = quality_mod.category_outage_percentages(cells, catalog)
-    kind_rows = []
-    for category in CATEGORIES:
-        metas = [m for m in catalog.sensors if m.kind.category == category]
-        if not metas:
+    print(f"quality report for {len(catalog.sensors)} sensors written to {config.out}")
+    for site_id, _, _, outage, _ in sorted(site_stats):
+        print(f"  site {site_id}: outage {outage:.2f}%")
+
+
+def _group_quality(
+    order: Iterable[str],
+    group_of: Callable[[SensorMeta], str],
+    catalog: DeploymentCatalog,
+    cells: list[quality_mod.AvailabilityCell],
+    raw: dict[str, TimeSeries],
+    repairs: dict[str, quality_mod.RepairedSeries],
+) -> list[tuple[str, int, int, float, float]]:
+    """(group, positions, sensors, outage %, outlier %) for each group in
+    `order` that has cells; a group whose sensors all start after the
+    period, or that has none, gets no row."""
+    outage = quality_mod.outage_percentages(cells, catalog, group_of)
+    stats = []
+    for group in order:
+        if group not in outage:
             continue
+        metas = [m for m in catalog.sensors if group_of(m) == group]
         pos = len({(m.site_id, m.room_id) for m in metas})
         observed = sum(len(raw[m.sensor_id]) for m in metas)
         flags = sum(len(repairs[m.sensor_id].flags) for m in metas)
         outlier_pct = 100.0 * flags / observed if observed else 0.0
-        kind_rows.append(
-            f"{category},{pos},{len(metas)},{category_pct[category]!r},{outlier_pct!r}")
-    _write_csv(
-        config.out / "kind_quality.csv",
-        "category,pos,sensors,outage_pct,outlier_pct", kind_rows)
-
-    print(f"quality report for {len(catalog.sensors)} sensors written to {config.out}")
-    for site_id in sorted(site_pct):
-        print(f"  site {site_id}: outage {site_pct[site_id]:.2f}%")
+        stats.append((group, pos, len(metas), outage[group], outlier_pct))
+    return stats
 
 
 def _repaired_store(config: RunConfig) -> SeriesStore:
@@ -352,8 +316,7 @@ def _indoor_room_sensors(catalog: DeploymentCatalog, site_id: str) -> dict[str, 
     return out
 
 
-def cmd_comfort(config: RunConfig, start: date, end: date, acceptability: int | None = None) -> None:
-    acceptability = acceptability if acceptability is not None else config.acceptability
+def cmd_comfort(config: RunConfig, start: date, end: date, acceptability: int) -> None:
     catalog = _parse_file(parse_catalog, config.catalog)
     if config.weather is None:
         raise ConfigError("no weather file configured")
@@ -374,8 +337,7 @@ def cmd_comfort(config: RunConfig, start: date, end: date, acceptability: int | 
         }
         try:
             summary = comfort_mod.site_comfort_summary(
-                site, room_series, site_weather, start, end,
-                acceptability=acceptability, lookback_days=config.lookback_days)
+                site, room_series, site_weather, start, end, acceptability=acceptability)
         except comfort_mod.ComfortError:
             continue
         day_scores: dict[int, list[float]] = {}
@@ -432,8 +394,7 @@ def cmd_perf(config: RunConfig, start: date | None = None, end: date | None = No
                 swing_rows.append(
                     f"{site.site_id},{room_id},{day_to_date(s.day).isoformat()},"
                     f"{s.min_t!r},{s.max_t!r},{s.swing!r},{s.rise_hours!r}")
-            flag = perf_mod.flag_poor_insulation(
-                report, threshold=config.swing_threshold, min_days=config.min_swing_days)
+            flag = perf_mod.flag_poor_insulation(report)
             if flag is not None:
                 anomalies.append((site.site_id, flag))
 
@@ -442,8 +403,7 @@ def cmd_perf(config: RunConfig, start: date | None = None, end: date | None = No
             if site_weather is not None:
                 try:
                     corr = perf_mod.solar_gain_correlation(
-                        series, site_weather, orientation, tz, room_id=room_id,
-                        min_hours=config.min_correlation_hours)
+                        series, site_weather, orientation, tz, room_id=room_id)
                 except perf_mod.CorrelationUndefined as exc:
                     notes.append(f"correlation skipped: {exc}")
                 else:
@@ -453,9 +413,7 @@ def cmd_perf(config: RunConfig, start: date | None = None, end: date | None = No
                         f"{corr.r!r},{corr.hours}")
 
             weekday = filter_weekdays(series, tz)
-            events = perf_mod.detect_occupant_events(
-                weekday, drop=config.event_drop,
-                within_minutes=config.event_within_minutes)
+            events = perf_mod.detect_occupant_events(weekday)
             if events:
                 evidence = tuple(
                     perf_mod.EvidenceItem(day=e.time // DAY_SECONDS, value=e.fall)
@@ -463,7 +421,7 @@ def cmd_perf(config: RunConfig, start: date | None = None, end: date | None = No
                 anomalies.append((site.site_id, perf_mod.AnomalyReport(
                     room_id=room_id, kind=perf_mod.AnomalyKind.OCCUPANT_EVENT,
                     evidence=evidence)))
-        for flag in perf_mod.flag_unshaded_rooms(correlations, config.r_threshold):
+        for flag in perf_mod.flag_unshaded_rooms(correlations):
             anomalies.append((site.site_id, flag))
 
     anomaly_rows = []
@@ -518,9 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
                                ("comfort", True), ("perf", False)):
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, required=True, help="run config JSON")
-        p.add_argument("--out", type=Path, default=None, help="override output directory")
-        if name == "ingest":
-            p.add_argument("--measurements", type=Path, nargs="*", default=None)
         if name in ("comfort", "perf"):
             p.add_argument("--from", dest="start", type=_parse_date, default=None,
                            required=needs_period)
@@ -528,7 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--to", dest="end", type=_parse_date, default=None,
                            required=needs_period)
         if name == "comfort":
-            p.add_argument("--acceptability", type=int, choices=(80, 90), default=None)
+            p.add_argument("--acceptability", type=int, choices=sorted(comfort_mod.BAND_HALF_WIDTH),
+                           default=comfort_mod.DEFAULT_ACCEPTABILITY)
     return parser
 
 
@@ -541,19 +497,18 @@ def _run(args: argparse.Namespace) -> None:
     if args.command == "synth":
         cmd_synth(args.spec, args.out)
         return
+    start, end = getattr(args, "start", None), getattr(args, "end", None)
+    if start is not None and end is not None and start >= end:
+        raise ConfigError(f"--from {start} must be before --to {end}")
     config = load_config(args.config)
-    if args.out is not None:
-        config = dataclasses.replace(config, out=args.out)
     if args.command == "ingest":
-        if args.measurements is not None:
-            config = dataclasses.replace(config, measurements=tuple(args.measurements))
         cmd_ingest(config)
     elif args.command == "quality":
-        cmd_quality(config, end=args.end)
+        cmd_quality(config, end=end)
     elif args.command == "comfort":
-        cmd_comfort(config, args.start, args.end, args.acceptability)
+        cmd_comfort(config, start, end, args.acceptability)
     else:
-        cmd_perf(config, args.start, args.end)
+        cmd_perf(config, start, end)
 
 
 def main(argv: list[str] | None = None) -> int:

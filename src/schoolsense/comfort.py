@@ -30,8 +30,10 @@ from .model import (
 ADAPTIVE_SLOPE = 0.31
 ADAPTIVE_INTERCEPT = 17.8
 BAND_HALF_WIDTH = {80: 3.5, 90: 2.5}
+DEFAULT_ACCEPTABILITY = 80
 PMO_APPLICABLE_MIN = 10.0
 PMO_APPLICABLE_MAX = 33.5
+LOOKBACK_DAYS = 7  # days of outdoor means in the prevailing mean
 # cooling offsets applied to the band's upper limit, by wind-speed step
 AIRSPEED_STEPS = ((1.2, 2.2), (0.9, 1.8), (0.6, 1.2))
 
@@ -52,7 +54,6 @@ class ComfortBand:
     low: float
     high: float
     acceptability: int
-    day: int | None = None  # days since epoch, local calendar
 
     def contains(self, temp: float) -> bool:
         return self.low <= temp <= self.high
@@ -62,14 +63,12 @@ class ComfortBand:
 class PrevailingMean:
     value: float
     days_used: int
-    lookback_days: int
 
 
 def prevailing_mean_outdoor(
     weather: WeatherHistory,
     day: date | int,
     tz_offset_minutes: int = 0,
-    lookback_days: int = 7,
 ) -> PrevailingMean:
     """Mean of the daily mean outdoor temperatures over the preceding days.
 
@@ -79,24 +78,21 @@ def prevailing_mean_outdoor(
     day_index = day if isinstance(day, int) else date_to_day(day)
     local_days = (weather.times + tz_offset_minutes * 60) // DAY_SECONDS
     daily_means = []
-    for d in range(day_index - lookback_days, day_index):
+    for d in range(day_index - LOOKBACK_DAYS, day_index):
         mask = local_days == d
         if np.any(mask):
             daily_means.append(float(np.mean(weather.outdoor_temp[mask])))
     if not daily_means:
         raise ModelInapplicable(
-            f"no outdoor data in the {lookback_days} days before day {day_index}")
-    return PrevailingMean(
-        value=float(np.mean(daily_means)),
-        days_used=len(daily_means),
-        lookback_days=lookback_days,
-    )
+            f"no outdoor data in the {LOOKBACK_DAYS} days before day {day_index}")
+    return PrevailingMean(value=float(np.mean(daily_means)), days_used=len(daily_means))
 
 
-def adaptive_band(t_pmo: float, acceptability: int = 80, day: int | None = None) -> ComfortBand:
+def adaptive_band(t_pmo: float, acceptability: int = DEFAULT_ACCEPTABILITY) -> ComfortBand:
     """Comfort band around the adaptive comfort temperature for `t_pmo`."""
     if acceptability not in BAND_HALF_WIDTH:
-        raise ComfortError(f"acceptability must be 80 or 90, got {acceptability}")
+        raise ComfortError(
+            f"acceptability must be one of {sorted(BAND_HALF_WIDTH)}, got {acceptability}")
     if not PMO_APPLICABLE_MIN <= t_pmo <= PMO_APPLICABLE_MAX:
         raise ModelInapplicable(
             f"prevailing mean {t_pmo} degC outside applicability range "
@@ -105,7 +101,7 @@ def adaptive_band(t_pmo: float, acceptability: int = 80, day: int | None = None)
     half = BAND_HALF_WIDTH[acceptability]
     return ComfortBand(
         t_comfort=t_comfort, low=t_comfort - half, high=t_comfort + half,
-        acceptability=acceptability, day=day,
+        acceptability=acceptability,
     )
 
 
@@ -152,9 +148,8 @@ def daily_comfort(
     day: date | int,
     *,
     room_id: str | None = None,
-    acceptability: int = 80,
+    acceptability: int = DEFAULT_ACCEPTABILITY,
     tz_offset_minutes: int = 0,
-    lookback_days: int = 7,
 ) -> DailyComfortScore | None:
     """Comfort score for one local calendar day of one room.
 
@@ -164,8 +159,8 @@ def daily_comfort(
     evaluated slots has no score (None).
     """
     day_index = day if isinstance(day, int) else date_to_day(day)
-    pmo = prevailing_mean_outdoor(weather, day_index, tz_offset_minutes, lookback_days)
-    band = adaptive_band(pmo.value, acceptability, day=day_index)
+    pmo = prevailing_mean_outdoor(weather, day_index, tz_offset_minutes)
+    band = adaptive_band(pmo.value, acceptability)
 
     local_midnight_utc = day_index * DAY_SECONDS - tz_offset_minutes * 60
     evaluated = 0
@@ -210,8 +205,7 @@ def site_comfort_summary(
     weather: WeatherHistory,
     start: date | int,
     end: date | int,
-    acceptability: int = 80,
-    lookback_days: int = 7,
+    acceptability: int = DEFAULT_ACCEPTABILITY,
 ) -> SiteComfortSummary:
     """Daily scores per room plus the site's score distribution over [start, end)."""
     start_day = start if isinstance(start, int) else date_to_day(start)
@@ -230,7 +224,6 @@ def site_comfort_summary(
                     room_series[room_id], weather, d,
                     room_id=room_id, acceptability=acceptability,
                     tz_offset_minutes=site.tz_offset_minutes,
-                    lookback_days=lookback_days,
                 )
             except ModelInapplicable:
                 skipped += 1

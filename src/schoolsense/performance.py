@@ -136,14 +136,10 @@ class AnomalyReport:
 
 
 def flag_poor_insulation(
-    swings: SwingReport | tuple[DailySwing, ...] | list[DailySwing],
-    threshold: float = 8.0,
-    min_days: int = 2,
+    report: SwingReport, threshold: float = 8.0, min_days: int = 2
 ) -> AnomalyReport | None:
     """Report a room whose weekend swing repeatedly reaches the threshold."""
-    if threshold <= 0:
-        raise PerformanceError(f"threshold must be positive, got {threshold}")
-    items = swings.swings if isinstance(swings, SwingReport) else tuple(swings)
+    items = report.swings
     hits = [s for s in items if s.swing >= threshold]
     if len(hits) < min_days or not items:
         return None
@@ -160,7 +156,6 @@ class CorrelationReport:
     orientation: Orientation
     r: float
     hours: int
-    first_day: int
     last_day: int
 
 
@@ -223,11 +218,9 @@ def solar_gain_correlation(
     if float(np.std(x)) == 0.0 or float(np.std(y)) == 0.0:
         raise CorrelationUndefined(f"{rid}: zero-variance input, correlation undefined")
     r = float(np.corrcoef(x, y)[0, 1])
-    first = int(hours[0] // 24)
-    last = int(hours[-1] // 24)
     return CorrelationReport(
         room_id=rid, orientation=orientation, r=r, hours=len(proxies),
-        first_day=first, last_day=last,
+        last_day=int(hours[-1] // 24),
     )
 
 
@@ -254,7 +247,6 @@ def flag_unshaded_rooms(
 class OccupantEvent:
     time: int  # epoch seconds of the trough
     fall: float
-    recovered_by: int  # epoch seconds when recovery was established
 
 
 def detect_occupant_events(
@@ -299,8 +291,7 @@ def detect_occupant_events(
                 recovered = np.flatnonzero(values[j:k_end] >= target)
                 if sustained and len(recovered):
                     k = j + int(recovered[0])
-                    events.append(OccupantEvent(
-                        time=int(times[j]), fall=fall, recovered_by=int(times[k])))
+                    events.append(OccupantEvent(time=int(times[j]), fall=fall))
                     i = k + 1
                     continue
         i += 1

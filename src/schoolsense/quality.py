@@ -16,9 +16,9 @@ Repair order is fixed: flag, replace, fill, smooth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -37,6 +37,17 @@ from .model import (
 
 class QualityError(ValueError):
     """Invalid input to a quality operation."""
+
+
+# Outlier detection needs a day of distributional context, but repair and
+# imputation must source values locally: a midday sample replaced or filled
+# from a 24 h window lands near the overnight minimum and carves an
+# artificial dip into the series.
+ENV_WINDOW = TimeWindow.hours(24)
+POWER_WINDOW = TimeWindow.hours(1)
+REPAIR_WINDOW = TimeWindow.hours(1)
+FILL_WINDOW = TimeWindow.hours(2)
+SMOOTH_WINDOW = TimeWindow.minutes(5)
 
 
 @dataclass(frozen=True)
@@ -109,22 +120,16 @@ def outage_percentage(cells: Iterable[AvailabilityCell]) -> float:
     return 100.0 * (1.0 - total_observed / total_expected)
 
 
-def site_outage_percentages(
-    cells: Iterable[AvailabilityCell], catalog: DeploymentCatalog
+def outage_percentages(
+    cells: Iterable[AvailabilityCell],
+    catalog: DeploymentCatalog,
+    group_of: Callable[[SensorMeta], str],
 ) -> dict[str, float]:
+    """Outage percentage per group of sensors; a group without cells has no entry."""
     groups: dict[str, list[AvailabilityCell]] = {}
     for cell in cells:
-        groups.setdefault(catalog.sensor(cell.sensor_id).site_id, []).append(cell)
-    return {site_id: outage_percentage(group) for site_id, group in sorted(groups.items())}
-
-
-def category_outage_percentages(
-    cells: Iterable[AvailabilityCell], catalog: DeploymentCatalog
-) -> dict[str, float]:
-    groups: dict[str, list[AvailabilityCell]] = {}
-    for cell in cells:
-        groups.setdefault(catalog.sensor(cell.sensor_id).kind.category, []).append(cell)
-    return {cat: outage_percentage(group) for cat, group in sorted(groups.items())}
+        groups.setdefault(group_of(catalog.sensor(cell.sensor_id)), []).append(cell)
+    return {key: outage_percentage(group) for key, group in sorted(groups.items())}
 
 
 class FlagKind(Enum):
@@ -434,28 +439,6 @@ def fill_missing(series: TimeSeries, meta: SensorMeta, window: TimeWindow) -> Fi
 
 
 @dataclass(frozen=True)
-class QualityConfig:
-    """Window sizes and thresholds for the repair pipeline.
-
-    Outlier detection needs a day of distributional context, but repair and
-    imputation must source values locally: a midday sample replaced or
-    filled from a 24 h window lands near the overnight minimum and carves an
-    artificial dip into the series.
-    """
-
-    env_window: TimeWindow = field(default_factory=lambda: TimeWindow.hours(24))
-    power_window: TimeWindow = field(default_factory=lambda: TimeWindow.hours(1))
-    repair_window: TimeWindow = field(default_factory=lambda: TimeWindow.hours(1))
-    fill_window: TimeWindow = field(default_factory=lambda: TimeWindow.hours(2))
-    smooth_window: TimeWindow = field(default_factory=lambda: TimeWindow.minutes(5))
-    spike_sigma: float = 5.0
-    min_window_samples: int = 4
-
-    def outlier_window_for(self, kind: SensorKind) -> TimeWindow:
-        return self.power_window if kind is SensorKind.POWER_PHASE else self.env_window
-
-
-@dataclass(frozen=True)
 class RepairedSeries:
     """Outcome of the flag -> replace -> fill -> smooth pipeline."""
 
@@ -467,26 +450,18 @@ class RepairedSeries:
     unfilled: tuple[int, ...]
 
 
-def repair_series(
-    series: TimeSeries,
-    meta: SensorMeta,
-    site: Site,
-    config: QualityConfig | None = None,
-) -> RepairedSeries:
+def repair_series(series: TimeSeries, meta: SensorMeta, site: Site) -> RepairedSeries:
     """Run the full repair pipeline for one sensor series."""
-    config = config or QualityConfig()
-    window = config.outlier_window_for(meta.kind)
+    window = POWER_WINDOW if meta.kind is SensorKind.POWER_PHASE else ENV_WINDOW
     flags = flag_outliers(
         series,
         window,
         kind=meta.kind,
         zero_implausible=zero_implausible_for(meta, site),
-        spike_sigma=config.spike_sigma,
-        min_window_samples=config.min_window_samples,
     )
-    repair = replace_outliers(series, flags, config.repair_window)
-    fill = fill_missing(repair.series, meta, config.fill_window)
-    smoothed = moving_average(fill.series, config.smooth_window)
+    repair = replace_outliers(series, flags, REPAIR_WINDOW)
+    fill = fill_missing(repair.series, meta, FILL_WINDOW)
+    smoothed = moving_average(fill.series, SMOOTH_WINDOW)
     return RepairedSeries(
         series=smoothed,
         flags=tuple(flags),

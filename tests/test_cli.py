@@ -76,11 +76,28 @@ def _truncate_records(store_root):
     records_file.write_bytes(records_file.read_bytes()[:-RECORD.itemsize])
 
 
-def test_spike_sigma_not_a_number_is_config_error(work, capsys, monkeypatch):
-    monkeypatch.setenv("SCHOOLSENSE_SPIKE_SIGMA", "abc")
-    code, err = _run(["quality", "--config", str(work / "config.json")], capsys)
+@pytest.mark.parametrize("key, value", [
+    ("spike_sigma", "abc"),
+    ("spike_sigma", 5.0),
+    ("min_window_samples", 0),
+    ("lookback_days", 7),
+    ("acceptability", 90),
+    ("env_window_hours", 24.0),
+    ("event_drop", 2.0),
+])
+def test_removed_config_key_exits_2_naming_it(work, capsys, key, value):
+    # the analysis is the same for every building; the config names paths only
+    code, err = _run(["quality", *_write_config(work, **{key: value})], capsys)
     assert code == 2
-    assert "spike_sigma" in err
+    assert key in err
+    _assert_one_error_line(err)
+
+
+@pytest.mark.parametrize("command, flag", [("quality", "--out"), ("ingest", "--measurements")])
+def test_config_paths_have_no_flag_overrides(work, capsys, command, flag):
+    argv = [command, flag, str(work / "elsewhere"), "--config", str(work / "config.json")]
+    code, err = _run(argv, capsys)
+    assert code == 2
     _assert_one_error_line(err)
 
 
@@ -242,12 +259,19 @@ def test_store_with_per_day_files_exits_1(work, capsys, command, store):
     (["ingest"], {"measurements": []}, 2),
     (["ingest"], {"measurements": 5}, 2),
     (["ingest"], {"catalog": 5}, 2),
-    (["quality"], {"min_window_samples": 0}, 2),
 ])
 def test_config_problems_map_to_exit_codes(work, capsys, command, overrides, expected):
     conf = _write_config(work, **overrides)
     code, err = _run([*command, *conf], capsys)
     assert code == expected
+    _assert_one_error_line(err)
+
+
+@pytest.mark.parametrize("key", ["catalog", "store", "out"])
+def test_required_path_null_exits_2(work, capsys, key):
+    code, err = _run(["ingest", *_write_config(work, **{key: None})], capsys)
+    assert code == 2
+    assert f"{key} must be a path" in err
     _assert_one_error_line(err)
 
 
@@ -294,6 +318,48 @@ def test_quality_has_no_from_option(work, capsys):
     code, err = _run(["quality", "--config", str(work / "config.json"),
                       "--from", "2017-10-05"], capsys)
     assert code == 2
+    _assert_one_error_line(err)
+
+
+@pytest.mark.parametrize("end", ["2017-10-02", "2017-09-01"])
+def test_quality_period_ending_before_every_start_exits_2(work, capsys, end):
+    # the store starts 2017-10-02: an end on or before it leaves nothing to audit
+    code, err = _run(["quality", "--config", str(work / "config.json"), "--to", end], capsys)
+    assert code == 2
+    assert end in err
+    _assert_one_error_line(err)
+
+
+def test_quality_site_starting_after_the_period_gets_no_row(work, capsys):
+    catalog_path = work / "inputs" / "catalog.json"
+    catalog = json.loads(catalog_path.read_text())
+    catalog["sites"].append(dict(catalog["sites"][0], site_id="s2",
+                                 start_time="2017-10-06T00:00:00Z"))
+    catalog["sensors"].append(dict(catalog["sensors"][0], site_id="s2",
+                                   sensor_id="s2-a-temp"))
+    catalog_path.write_text(json.dumps(catalog))
+    code, err = _run(["quality", "--config", str(work / "config.json"),
+                      "--to", "2017-10-05"], capsys)
+    assert code == 0, err
+    out = work / "out"
+    for report in ("quality_report.csv", "site_quality.csv"):
+        site_ids = {row.split(",")[0] for row in (out / report).read_text().splitlines()[1:]}
+        assert site_ids == {"s1"}, report
+    categories = [row.split(",")[0]
+                  for row in (out / "kind_quality.csv").read_text().splitlines()[1:]]
+    assert categories == ["environmental", "atmospheric", "weather", "power"]
+
+
+@pytest.mark.parametrize("command", ["comfort", "perf"])
+@pytest.mark.parametrize("start, end", [
+    ("2017-10-10", "2017-10-05"),
+    ("2017-10-05", "2017-10-05"),
+])
+def test_period_not_forward_exits_2_naming_both_dates(work, capsys, command, start, end):
+    code, err = _run([command, "--config", str(work / "config.json"),
+                      "--from", start, "--to", end], capsys)
+    assert code == 2
+    assert f"--from {start}" in err and f"--to {end}" in err
     _assert_one_error_line(err)
 
 

@@ -15,19 +15,19 @@ from schoolsense.model import (
     TimeWindow,
 )
 from schoolsense.quality import (
+    ENV_WINDOW,
+    REPAIR_WINDOW,
     AvailabilityCell,
     FlagKind,
-    QualityConfig,
     QualityError,
     availability_matrix,
-    category_outage_percentages,
     fill_missing,
     flag_outliers,
     moving_average,
     outage_percentage,
+    outage_percentages,
     repair_series,
     replace_outliers,
-    site_outage_percentages,
     zero_implausible_for,
 )
 from schoolsense.quality import _interp_rank
@@ -140,7 +140,7 @@ def test_outage_matches_injected_fraction():
                         rooms=(RoomSpec("r1"),)),))
     out = generate(spec)
     cells = availability_matrix(out.series, out.catalog, utc(2017, 10, 4))
-    pct = site_outage_percentages(cells, out.catalog)["a"]
+    pct = outage_percentages(cells, out.catalog, lambda m: m.site_id)["a"]
     assert pct == pytest.approx(17.78, abs=0.01)
 
 
@@ -310,13 +310,11 @@ def test_repair_pipeline_stable_on_second_pass(tiny_site):
     out = generate(spec)
     meta = out.catalog.sensor("a-r1-temp")
     site = out.catalog.site("a")
-    config = QualityConfig()
-    window = config.outlier_window_for(meta.kind)
     series = out.series["a-r1-temp"]
-    flags = flag_outliers(series, window, kind=meta.kind,
+    flags = flag_outliers(series, ENV_WINDOW, kind=meta.kind,
                           zero_implausible=zero_implausible_for(meta, site))
-    repaired = replace_outliers(series, flags, config.repair_window).series
-    second = flag_outliers(repaired, window, kind=meta.kind,
+    repaired = replace_outliers(series, flags, REPAIR_WINDOW).series
+    second = flag_outliers(repaired, ENV_WINDOW, kind=meta.kind,
                            zero_implausible=zero_implausible_for(meta, site))
     assert [f for f in second if f.kind is FlagKind.BOUND_VIOLATION] == []
 
@@ -342,6 +340,6 @@ def test_category_outage_grouping(tiny_catalog):
         AvailabilityCell("h1", 0, 100, 100),
         AvailabilityCell("p1", 0, 100, 75),
     ]
-    pct = category_outage_percentages(cells, tiny_catalog)
+    pct = outage_percentages(cells, tiny_catalog, lambda m: m.kind.category)
     assert pct["environmental"] == pytest.approx(25.0)
     assert pct["power"] == pytest.approx(25.0)
