@@ -212,6 +212,9 @@ def cmd_quality(config: RunConfig, end: date | None = None) -> None:
         end_epoch = ((max(last_times) // DAY_SECONDS) + 1) * DAY_SECONDS
     else:
         end_epoch = to_epoch(end)
+        # the repaired store and every report cover the period only
+        raw = {sensor_id: s.take(slice(0, int(np.searchsorted(s.times, end_epoch))))
+               for sensor_id, s in raw.items()}
 
     cells = quality_mod.availability_matrix(raw, catalog, end_epoch)
     if not cells:

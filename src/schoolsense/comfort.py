@@ -186,6 +186,18 @@ def daily_comfort(
     )
 
 
+def _quartiles(values: np.ndarray) -> tuple[float, float]:
+    """First and third quartiles, bit for bit those of `np.percentile`'s
+    linear rule, which imports `numpy.ma` on its first call."""
+    ordered = np.sort(values)
+    pos = (len(ordered) - 1) * np.array([0.25, 0.75])
+    lo = pos.astype(np.int64)
+    t = pos - lo
+    a, b = ordered[lo], ordered[np.minimum(lo + 1, len(ordered) - 1)]
+    q1, q3 = np.where(t >= 0.5, b - (b - a) * (1.0 - t), a + (b - a) * t).tolist()
+    return q1, q3
+
+
 @dataclass(frozen=True)
 class SiteComfortSummary:
     site_id: str
@@ -238,7 +250,7 @@ def site_comfort_summary(
     if not all_scores:
         raise ComfortError(f"no rooms with scorable data in site {site.site_id}")
     arr = np.array(all_scores)
-    q1, q3 = np.percentile(arr, [25.0, 75.0])
+    q1, q3 = _quartiles(arr)
     return SiteComfortSummary(
         site_id=site.site_id,
         acceptability=acceptability,

@@ -439,7 +439,7 @@ class SeriesStore:
             format_iso8601(all_days * DAY_SECONDS), rows, _day_crc32s(data, rows))}
         (sensor_dir / "records.bin").write_bytes(data)
         manifest_path.write_text(json.dumps(manifest, sort_keys=True) + "\n")
-        return len(np.unique(days))
+        return int(np.count_nonzero(np.diff(days))) + 1 if len(days) else 0
 
     def load(self, site_id: str, sensor_id: str) -> LoadResult:
         """Load one sensor's series; absent sensors load empty."""

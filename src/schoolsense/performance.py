@@ -25,6 +25,7 @@ from .model import (
     TimeSeries,
     filter_weekends,
 )
+from .quality import _kth_smallest
 
 
 class PerformanceError(ValueError):
@@ -89,21 +90,22 @@ def weekend_daily_swings(
     if len(weekend) == 0:
         return SwingReport((), ())
     local_days = (weekend.times + tz_offset_minutes * 60) // DAY_SECONDS
+    bounds = [0, *(np.flatnonzero(np.diff(local_days)) + 1).tolist(), len(local_days)]
     swings = []
     skipped = []
-    for day in np.unique(local_days).tolist():
-        mask = local_days == day
-        if int(mask.sum()) < min_samples:
-            skipped.append(int(day))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        day = int(local_days[lo])
+        if hi - lo < min_samples:
+            skipped.append(day)
             continue
-        values = weekend.values[mask]
-        times = weekend.times[mask]
+        values = weekend.values[lo:hi]
+        times = weekend.times[lo:hi]
         i_min = int(np.argmin(values))
         i_max = int(np.argmax(values))
         rise = (int(times[i_max]) - int(times[i_min])) / 3600.0
         swings.append(DailySwing(
             room_id=rid,
-            day=int(day),
+            day=day,
             min_t=float(values[i_min]),
             max_t=float(values[i_max]),
             swing=float(values[i_max] - values[i_min]),
@@ -192,32 +194,22 @@ def solar_gain_correlation(
     means = sums / counts
     gains = orientation_gain((hours % 24) + 0.5, orientation)
 
-    proxies = []
-    rises = []
-    hour_set = {int(h): i for i, h in enumerate(hours.tolist())}
-    for i, h in enumerate(hours.tolist()):
-        j = hour_set.get(h - 1)
-        if j is None:
-            continue
-        hour_start_utc = h * 3600 - offset
-        at = weather.at_hour(hour_start_utc)
-        if at is None:
-            continue
-        cloud = at[2]
-        gain = float(gains[i])
-        if gain <= 0.0:
-            continue
-        proxies.append((1.0 - cloud) * gain)
-        rises.append(means[i] - means[j])
+    # each hour pairs with the hour before it; only daylight hours enter
+    later = np.flatnonzero((np.diff(hours) == 1) & (gains[1:] > 0.0)) + 1
+    hour_starts = (hours[later] * 3600 - offset) // 3600 * 3600
+    at = np.searchsorted(weather.times, hour_starts)
+    recorded = at < len(weather.times)
+    recorded[recorded] = weather.times[at[recorded]] == hour_starts[recorded]
+    later, at = later[recorded], at[recorded]
+    proxies = (1.0 - weather.cloud_cover[at]) * gains[later]
+    rises = means[later] - means[later - 1]
 
     if len(proxies) < min_hours:
         raise CorrelationUndefined(
             f"{rid}: only {len(proxies)} overlapping hours, need {min_hours}")
-    x = np.array(proxies)
-    y = np.array(rises)
-    if float(np.std(x)) == 0.0 or float(np.std(y)) == 0.0:
+    if float(np.std(proxies)) == 0.0 or float(np.std(rises)) == 0.0:
         raise CorrelationUndefined(f"{rid}: zero-variance input, correlation undefined")
-    r = float(np.corrcoef(x, y)[0, 1])
+    r = float(np.corrcoef(proxies, rises)[0, 1])
     return CorrelationReport(
         room_id=rid, orientation=orientation, r=r, hours=len(proxies),
         last_day=int(hours[-1] // 24),
@@ -267,32 +259,40 @@ def detect_occupant_events(
     sustained: at least two samples within `sustain_minutes` of the trough
     sit below half depth, so a single repaired or glitched sample cannot
     masquerade as an opened window.
+
+    Candidate troughs, the earliest minimum of every window [t, t +
+    `within_minutes`] with at least two samples, come from the rolling order
+    statistic shared with `quality`'s bound test (`_kth_smallest`, k = 0).
+    Only starts that fall by `drop` are checked further, in time order;
+    the search resumes after each event's recovery.
     """
     times = series.times
     values = series.values
     n = len(series)
+    if n < 2:
+        return []
     within_s = int(within_minutes * 60)
     recovery_s = int(recovery_minutes * 60)
     sustain_s = int(sustain_minutes * 60)
+    ends = np.searchsorted(times, times + within_s, side="right")
+    starts = np.flatnonzero(ends - np.arange(n) >= 2)
+    troughs = _kth_smallest(values, starts, ends[starts], np.zeros(len(starts), dtype=np.int64))
+    falls = values[starts] - values[troughs]
+    steep = falls >= drop
     events: list[OccupantEvent] = []
-    i = 0
-    while i < n:
-        j_end = int(np.searchsorted(times, times[i] + within_s, side="right"))
-        if j_end - i >= 2:
-            j = i + int(np.argmin(values[i:j_end]))
-            fall = float(values[i] - values[j])
-            if fall >= drop:
-                lo = int(np.searchsorted(times, times[j] - sustain_s, side="left"))
-                hi = int(np.searchsorted(times, times[j] + sustain_s, side="right"))
-                half_depth = values[i] - 0.5 * fall
-                sustained = int(np.sum(values[lo:hi] <= half_depth)) >= 2
-                k_end = int(np.searchsorted(times, times[j] + recovery_s, side="right"))
-                target = values[j] + recovery_fraction * fall
-                recovered = np.flatnonzero(values[j:k_end] >= target)
-                if sustained and len(recovered):
-                    k = j + int(recovered[0])
-                    events.append(OccupantEvent(time=int(times[j]), fall=fall))
-                    i = k + 1
-                    continue
-        i += 1
+    next_start = 0
+    for i, j, fall in zip(starts[steep].tolist(), troughs[steep].tolist(),
+                          falls[steep].tolist()):
+        if i < next_start:  # inside the last event, before its recovery
+            continue
+        lo = int(np.searchsorted(times, times[j] - sustain_s, side="left"))
+        hi = int(np.searchsorted(times, times[j] + sustain_s, side="right"))
+        half_depth = values[i] - 0.5 * fall
+        sustained = int(np.sum(values[lo:hi] <= half_depth)) >= 2
+        k_end = int(np.searchsorted(times, times[j] + recovery_s, side="right"))
+        target = values[j] + recovery_fraction * fall
+        recovered = np.flatnonzero(values[j:k_end] >= target)
+        if sustained and len(recovered):
+            events.append(OccupantEvent(time=int(times[j]), fall=fall))
+            next_start = j + int(recovered[0]) + 1
     return events

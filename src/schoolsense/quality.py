@@ -169,13 +169,15 @@ def _window_starts(times: np.ndarray, at: np.ndarray, w: int) -> np.ndarray:
 
 
 def _kth_smallest(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The k-th smallest (0-based) of values[lo:hi] for every query (lo, hi, k).
+    """Position of the k-th smallest (0-based) of values[lo:hi] for every
+    query (lo, hi, k).
 
     A wavelet matrix over the values' ranks answers all queries together,
     one vector step per bit of the rank, most significant first. At each
     level the samples are stably split by that bit, zeros first; a query
-    whose k lies past the zeros of its range takes the ones. The result is
-    a value of the slice, exactly.
+    whose k lies past the zeros of its range takes the ones. Ranks follow a
+    stable sort, so of equal values the earlier position ranks first: with
+    k = 0 a tie resolves to the earliest position, as `np.argmin` does.
     """
     n = len(values)
     order = np.argsort(values, kind="stable")
@@ -201,7 +203,7 @@ def _kth_smallest(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, k: np.ndar
         lo = 2 * land.take(lo + up)
         hi = 2 * land.take(hi + up)
         level = level.take(np.argsort(ones, kind="stable"))
-    return values[order[rank]]
+    return order[rank]
 
 
 def _interp(a: np.ndarray, b: np.ndarray, frac: np.ndarray) -> np.ndarray:
@@ -223,7 +225,8 @@ def _bound_violations(values: np.ndarray, starts: np.ndarray, min_window_samples
     pos1, pos3 = last * 0.25, last * 0.75
     r1, r3 = pos1.astype(np.int64), pos3.astype(np.int64)
     ranks = np.concatenate((r1, np.minimum(r1 + 1, last), r3, np.minimum(r3 + 1, last)))
-    a1, b1, a3, b3 = np.split(_kth_smallest(values, np.tile(lo, 4), np.tile(hi, 4), ranks), 4)
+    at = _kth_smallest(values, np.tile(lo, 4), np.tile(hi, 4), ranks)
+    a1, b1, a3, b3 = np.split(values[at], 4)
     q1 = _interp(a1, b1, pos1 - r1)
     q3 = _interp(a3, b3, pos3 - r3)
     v = values[tested]
@@ -341,15 +344,15 @@ def replace_outliers(
     become the window minimum, above-median the window maximum. A flagged
     sample whose window holds no surviving sample is dropped and recorded.
     """
-    flag_list = sorted(flags, key=lambda f: f.index)
+    flagged_at = sorted({f.index for f in flags})
     n = len(series)
-    for f in flag_list:
-        if not 0 <= f.index < n:
-            raise QualityError(f"flag index {f.index} outside series of length {n}")
-    if not flag_list:
+    for i in flagged_at:
+        if not 0 <= i < n:
+            raise QualityError(f"flag index {i} outside series of length {n}")
+    if not flagged_at:
         return RepairResult(series, (), ())
 
-    index = np.unique([f.index for f in flag_list])
+    index = np.array(flagged_at, dtype=np.int64)
     flagged = np.zeros(n, dtype=bool)
     flagged[index] = True
     times = series.times

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from schoolsense import cli
-from schoolsense.ingest import RECORD, SeriesStore
+from schoolsense.ingest import RECORD, SeriesStore, parse_catalog
 
 SPEC = {
     "seed": 5,
@@ -348,6 +348,40 @@ def test_quality_site_starting_after_the_period_gets_no_row(work, capsys):
     categories = [row.split(",")[0]
                   for row in (out / "kind_quality.csv").read_text().splitlines()[1:]]
     assert categories == ["environmental", "atmospheric", "weather", "power"]
+
+
+def test_quality_to_limits_repair_and_outlier_rates(tmp_path, capsys):
+    spec = dict(SPEC, days=6, sites=[dict(SPEC["sites"][0], zero_error_rate=0.02,
+                                          spike_rate=0.02)])
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert cli.main(["synth", str(tmp_path / "spec.json"), "--out", str(tmp_path / "inputs")]) == 0
+    conf = _write_config(tmp_path)
+    assert cli.main(["ingest", *conf]) == 0
+    code, err = _run(["quality", *conf, "--to", "2017-10-04"], capsys)
+    assert code == 0, err
+    out = tmp_path / "out"
+    catalog = parse_catalog((tmp_path / "inputs" / "catalog.json").read_text())
+    header, *rows = (line.split(",") for line in
+                     (out / "quality_report.csv").read_text().splitlines())
+    flag_columns = [header.index(c) for c in ("zero_flags", "spike_flags", "bound_flags")]
+    totals: dict[str, tuple[int, int]] = {}  # site or category -> (flags, observed)
+    for row in rows:
+        assert row[2] < "2017-10-04"
+        meta = catalog.sensor(row[1])
+        for group in (meta.site_id, meta.kind.category):
+            flags, observed = totals.get(group, (0, 0))
+            totals[group] = (flags + sum(int(row[c]) for c in flag_columns),
+                             observed + int(row[header.index("observed")]))
+    assert totals["s1"][0] > 0
+    for report in ("site_quality.csv", "kind_quality.csv"):
+        for line in (out / report).read_text().splitlines()[1:]:
+            group, *_, outlier_pct = line.split(",")
+            flags, observed = totals[group]
+            assert float(outlier_pct) == 100.0 * flags / observed, (report, group)
+    manifests = sorted((out / "repaired").glob("*/*/manifest.json"))
+    assert manifests
+    for manifest in manifests:
+        assert max(json.loads(manifest.read_text())) < "2017-10-04", manifest
 
 
 @pytest.mark.parametrize("command", ["comfort", "perf"])

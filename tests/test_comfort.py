@@ -4,12 +4,13 @@ from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from schoolsense.comfort import (
     ComfortBand,
     ComfortError,
     ModelInapplicable,
+    _quartiles,
     adaptive_band,
     airspeed_extension,
     daily_comfort,
@@ -276,3 +277,18 @@ def test_warm_site_scores_higher_than_cold_site():
         summary = site_comfort_summary(site, rooms, out.weather[site_id], start, end)
         means[site_id] = summary.mean
     assert means["south"] > means["north"]
+
+
+# scores are fractions of eight hours, so ties are common; wide floats test the rounding
+quartile_samples = st.lists(
+    st.one_of(st.sampled_from([k / 8 for k in range(9)]), st.floats(-1e300, 1e300)),
+    min_size=1, max_size=60)
+
+
+@given(quartile_samples)
+@example([0.1, 0.7, 0.7])  # Q1 halfway between 0.1 and 0.7, where numpy interpolates from 0.7
+def test_quartiles_equal_numpy_percentile(values):
+    arr = np.array(values)
+    q1, q3 = np.percentile(arr, [25.0, 75.0])
+    assert repr(_quartiles(arr)) == repr((float(q1), float(q3)))
+

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import replace
@@ -9,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import schoolsense
+from schoolsense import cli
 from schoolsense.ingest import WeatherHistory
 from schoolsense.model import DAY_SECONDS, Orientation, TimeSeries
 from schoolsense.performance import (
@@ -28,7 +31,9 @@ from schoolsense.performance import (
 )
 from schoolsense.synthgen import GAIN_TIME_CONSTANT_S, _thermal_lag
 
+import test_cli
 from conftest import series_at, utc
+from performance_oracles import oracle_detect_occupant_events
 
 
 def _scalar_gain(hour: float, orientation: Orientation) -> float:
@@ -65,16 +70,24 @@ def test_thermal_lag_empty_input():
     assert len(_thermal_lag(np.empty(0), 600)) == 0
 
 
-def test_cli_import_does_not_load_scipy():
+def test_cli_import_does_not_load_scipy(tmp_path):
     src = str(Path(schoolsense.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    # hashlib loads OpenSSL, about 3.6 MB of RSS per command; the store uses zlib.crc32
+    (tmp_path / "spec.json").write_text(json.dumps(test_cli.SPEC))
+    assert cli.main(["synth", str(tmp_path / "spec.json"), "--out", str(tmp_path / "inputs")]) == 0
+    config = test_cli._write_config(tmp_path)
+    # hashlib loads OpenSSL, about 3.6 MB of RSS per command; the store uses zlib.crc32.
+    # numpy.ma costs about 12 ms per command; a plain np.unique or np.percentile loads it.
     code = ("import sys, schoolsense.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'hashlib')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "[]"
+            "code = schoolsense.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+            "print(code, sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'hashlib') or m == 'numpy.ma'))")
+    for command in ([], ["ingest", *config], ["quality", *config],
+                    ["comfort", *test_cli.COMFORT, *config], ["perf", *config]):
+        out = subprocess.run([sys.executable, "-c", code, *command], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        assert out.splitlines()[-1] == "0 []", command
 
 
 # ---------------------------------------------------------------- detectors
@@ -92,12 +105,54 @@ FIVE_MIN = 300
     ([22.0] * 10 + [20.5] + [19.5] * 30, []),
     # one glitched sample: nothing else near the trough sits below half depth
     ([22.0] * 10 + [19.0] + [22.0] * 10, []),
+    # a second dip before the first one recovers belongs to the first event
+    ([22.0, 19.0, 19.0] + [20.0] * 4 + [17.0, 17.0, 20.0, 22.0], [(1, 3.0)]),
 ])
 def test_detect_occupant_events(values, events):
     series = series_at("t", utc(2017, 9, 4, 9), FIVE_MIN, values)
     found = detect_occupant_events(series)
     assert [(e.time, e.fall) for e in found] == [
         (int(series.times[i]), pytest.approx(fall)) for i, fall in events]
+
+
+# sampling steps, jittered steps and outage gaps
+event_steps = st.one_of(st.sampled_from((60, 120, 300, 300, 600, 3600, 7200)),
+                        st.integers(1, 1200))
+# plateaus, half-degree steps (so troughs tie), and dips that fall and recover
+level_changes = st.one_of(
+    st.sampled_from(((0.0,), (0.0, 0.0, 0.0), (0.5,), (-0.5,), (1.0,), (-1.0,), (-2.0,),
+                     (-2.5, 0.0, 2.5), (-3.0, -0.5, 0.0, 1.5, 2.0), (-2.0, 0.5, -0.5, 2.0))),
+    st.tuples(st.floats(-4.0, 4.0)))
+
+
+@st.composite
+def indoor_series(draw):
+    gaps = draw(st.lists(event_steps, max_size=120))
+    changes = [c for run in draw(st.lists(level_changes, min_size=len(gaps), max_size=len(gaps)))
+               for c in run][:len(gaps)]
+    times = utc(2017, 9, 4) + np.cumsum(np.array([0, *gaps], dtype=np.int64))[:len(gaps)]
+    return TimeSeries("t", times, 21.0 + np.cumsum(np.array(changes, dtype=np.float64)))
+
+
+EVENT_OPTIONS = dict(
+    drop=st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0)),
+    within_minutes=st.sampled_from((0.5, 5.0, 10.0, 30.0, 45.0, 90.0)),
+    recovery_fraction=st.sampled_from((0.0, 0.5, 1.0)),
+    recovery_minutes=st.sampled_from((10.0, 120.0)),
+    sustain_minutes=st.sampled_from((0.0, 10.0, 30.0)),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(indoor_series(), st.fixed_dictionaries(EVENT_OPTIONS))
+@example(TimeSeries.empty("t"), {})
+@example(series_at("t", SATURDAY, 60, [22.0]), {"drop": 0.0})
+@example(series_at("t", SATURDAY, 60, [22.0, 19.0]), {})
+@example(series_at("t", SATURDAY, 60, [22.0, 22.0]), {"drop": 0.0})
+def test_detect_occupant_events_matches_loop(series, options):
+    got = detect_occupant_events(series, **options)
+    want = oracle_detect_occupant_events(series, **options)
+    assert [(e.time, repr(e.fall)) for e in got] == [(e.time, repr(e.fall)) for e in want]
 
 
 def test_weekend_daily_swings_skips_days_with_too_few_samples():
@@ -109,6 +164,13 @@ def test_weekend_daily_swings_skips_days_with_too_few_samples():
     assert [(s.room_id, s.day, s.swing, s.rise_hours) for s in report.swings] == [
         ("r1", SATURDAY // DAY_SECONDS, 23 / 4, 23.0)]
     assert report.skipped_days == (SATURDAY // DAY_SECONDS + 1,)
+
+
+def test_weekend_daily_swings_keeps_a_day_of_min_samples():
+    series = series_at("t", SATURDAY, 3600, 20.0 + np.arange(12))
+    report = weekend_daily_swings(series, min_samples=12)
+    assert [(s.day, s.swing) for s in report.swings] == [(SATURDAY // DAY_SECONDS, 11.0)]
+    assert weekend_daily_swings(series, min_samples=13).skipped_days == (SATURDAY // DAY_SECONDS,)
 
 
 def test_weekend_daily_swings_uses_local_days():
@@ -162,6 +224,19 @@ def _weekend_indoor(days: int = 2, start: int = SATURDAY, flat: bool = False) ->
 def test_solar_gain_correlation_undefined(indoor, weather, message):
     with pytest.raises(CorrelationUndefined, match=message):
         solar_gain_correlation(indoor, weather, Orientation.S)
+
+
+def test_solar_gain_correlation_skips_hours_without_weather():
+    weather = _weekend_weather()
+    # Saturday 10:00 to 12:59 UTC is missing, and the record ends Sunday 15:00
+    keep = np.ones(len(weather), dtype=bool)
+    keep[10:13] = False
+    keep[39:] = False
+    gappy = WeatherHistory("s", weather.times[keep], weather.outdoor_temp[keep],
+                           weather.wind_speed[keep], weather.cloud_cover[keep])
+    full = solar_gain_correlation(_weekend_indoor(), weather, Orientation.S)
+    assert solar_gain_correlation(_weekend_indoor(), gappy, Orientation.S,
+                                  min_hours=1).hours == full.hours - 3 - 3
 
 
 def test_flag_unshaded_rooms_strongest_first_then_by_room():

@@ -13,6 +13,7 @@ from schoolsense.model import SensorKind, SensorMeta, TimeSeries, TimeWindow
 from schoolsense.quality import (
     FlagKind,
     OutlierFlag,
+    _kth_smallest,
     fill_missing,
     flag_outliers,
     replace_outliers,
@@ -152,3 +153,14 @@ def test_fill_missing_matches_loop(s, window, rate):
     assert got.series.values.tobytes() == want.series.values.tobytes()
     assert got.filled == want.filled
     assert got.unfilled == want.unfilled
+
+
+def test_kth_smallest_returns_earliest_position_of_tied_minima():
+    # 1.0 three times, and zeros of both signs, which compare equal
+    values = np.array([3.0, 1.0, 2.0, 1.0, 1.0, 0.0, -0.0, 0.0, 5.0])
+    lo = np.array([0, 2, 4, 5, 6, 0, 8])
+    hi = np.array([5, 5, 5, 8, 8, 9, 9])
+    got = _kth_smallest(values, lo, hi, np.zeros(len(lo), dtype=np.int64))
+    assert got.tolist() == [1, 3, 4, 5, 6, 5, 8]
+    assert got.tolist() == [a + int(np.argmin(values[a:b])) for a, b in zip(lo, hi)]
+
