@@ -1,7 +1,7 @@
 """Analytics toolkit for school-building sensor telemetry.
 
 Pipeline stages: synthetic deployment generation, measurement ingestion and
-partitioned storage, data-quality accounting and repair, adaptive thermal
+per-sensor storage, data-quality accounting and repair, adaptive thermal
 comfort scoring, and weekend thermal-performance anomaly detection.
 """
 

@@ -1,11 +1,13 @@
 """Command-line pipeline: synth, ingest, quality, comfort, perf.
 
 Commands hand off through files only: `synth` materializes a scenario,
-`ingest` loads measurement CSVs into the partitioned store, `quality`
-audits availability and writes repaired series, `comfort` and `perf`
-consume the repaired store and emit report CSVs. Every command is
+`ingest` loads measurement CSVs into the store, one series per sensor,
+`quality` audits availability and writes repaired series, `comfort` and
+`perf` consume the repaired store and emit report CSVs. Every command is
 deterministic given its config and data: no wall-clock dependence, stable
-ordering, full-precision decimals.
+ordering, full-precision decimals. `ingest` and `quality` write every
+catalog sensor, an empty series included, so each store holds exactly what
+its stage computed and no earlier run shows through.
 
 The JSON config file is the only source of settings, and it names paths
 only: `catalog`, `store` and `out` are required, `weather` and
@@ -164,23 +166,23 @@ def cmd_ingest(config: RunConfig) -> None:
     if not paths:
         raise ConfigError("no measurement files configured")
 
-    parts: dict[str, list[TimeSeries]] = {}
+    parts = {m.sensor_id: [TimeSeries.empty(m.sensor_id)] for m in catalog.sensors}
     rejects: dict[str, int] = {}
     for path in paths:
         parsed = _parse_file(parse_measurements, path, catalog)
         for sensor_id, series in parsed.series.items():
-            parts.setdefault(sensor_id, []).append(series)
+            parts[sensor_id].append(series)
         for sensor_id, count in parsed.rejected.items():
             rejects[sensor_id] = rejects.get(sensor_id, 0) + count
 
     store = SeriesStore(config.store)
     stored = 0
-    for sensor_id in sorted(parts):
+    for meta in catalog.sensors:
         # files are read in order, so a later file's sample wins a repeated timestamp
-        merged = last_wins(sensor_id,
-                           np.concatenate([s.times for s in parts[sensor_id]]),
-                           np.concatenate([s.values for s in parts[sensor_id]]))
-        store.save(catalog.sensor(sensor_id).site_id, merged)
+        merged = last_wins(meta.sensor_id,
+                           np.concatenate([s.times for s in parts[meta.sensor_id]]),
+                           np.concatenate([s.values for s in parts[meta.sensor_id]]))
+        store.save(meta.site_id, merged)
         stored += len(merged)
     _write_csv(
         config.out / "rejects.csv", "sensor_id,lines",
@@ -226,8 +228,7 @@ def cmd_quality(config: RunConfig, end: date | None = None) -> None:
         site = catalog.site(meta.site_id)
         outcome = quality_mod.repair_series(raw[meta.sensor_id], meta, site)
         repairs[meta.sensor_id] = outcome
-        if len(outcome.series):
-            repaired_store.save(meta.site_id, outcome.series)
+        repaired_store.save(meta.site_id, outcome.series)
 
     # per sensor per day: expected, observed, outage, flags by kind, fills
     flag_days: dict[tuple[str, int, quality_mod.FlagKind], int] = {}

@@ -59,17 +59,11 @@ class ComfortBand:
         return self.low <= temp <= self.high
 
 
-@dataclass(frozen=True)
-class PrevailingMean:
-    value: float
-    days_used: int
-
-
 def prevailing_mean_outdoor(
     weather: WeatherHistory,
     day: date | int,
     tz_offset_minutes: int = 0,
-) -> PrevailingMean:
+) -> float:
     """Mean of the daily mean outdoor temperatures over the preceding days.
 
     Days without any outdoor sample are skipped; if the whole lookback is
@@ -85,7 +79,7 @@ def prevailing_mean_outdoor(
     if not daily_means:
         raise ModelInapplicable(
             f"no outdoor data in the {LOOKBACK_DAYS} days before day {day_index}")
-    return PrevailingMean(value=float(np.mean(daily_means)), days_used=len(daily_means))
+    return float(np.mean(daily_means))
 
 
 def adaptive_band(t_pmo: float, acceptability: int = DEFAULT_ACCEPTABILITY) -> ComfortBand:
@@ -122,7 +116,6 @@ class DailyComfortScore:
     day: int  # days since epoch, local calendar
     score: float
     hours_evaluated: int
-    hours_in_band: int
     t_pmo: float
 
     def __post_init__(self):
@@ -159,8 +152,8 @@ def daily_comfort(
     evaluated slots has no score (None).
     """
     day_index = day if isinstance(day, int) else date_to_day(day)
-    pmo = prevailing_mean_outdoor(weather, day_index, tz_offset_minutes)
-    band = adaptive_band(pmo.value, acceptability)
+    t_pmo = prevailing_mean_outdoor(weather, day_index, tz_offset_minutes)
+    band = adaptive_band(t_pmo, acceptability)
 
     local_midnight_utc = day_index * DAY_SECONDS - tz_offset_minutes * 60
     evaluated = 0
@@ -181,8 +174,7 @@ def daily_comfort(
         day=day_index,
         score=in_band / evaluated,
         hours_evaluated=evaluated,
-        hours_in_band=in_band,
-        t_pmo=pmo.value,
+        t_pmo=t_pmo,
     )
 
 

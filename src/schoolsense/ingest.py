@@ -8,7 +8,7 @@ File formats:
   store         ``<root>/<site_id>/<sensor_id>/records.bin``, one file per
                 sensor of packed little-endian (int64 epoch seconds, float64
                 value) records in time order, plus a ``manifest.json`` sidecar
-                with each UTC day's row count and the crc32 of its slice.
+                with the file's row count and crc32. A save replaces the file.
 
 Both CSV formats share one table reader and one float-column parser, and
 their timestamps go through the `model` codec a whole column at a time.
@@ -75,7 +75,7 @@ def parse_catalog(document: str) -> DeploymentCatalog:
     except json.JSONDecodeError as exc:
         raise CatalogError(f"catalog syntax error at line {exc.lineno}, column {exc.colno}: "
                            f"{exc.msg}") from None
-    if not isinstance(data, dict):
+    if type(data) is not dict:
         raise CatalogError("catalog root must be an object")
 
     sites = []
@@ -260,14 +260,13 @@ def write_measurements_csv(series: Mapping[str, TimeSeries]) -> str:
 
 @dataclass(frozen=True)
 class WeatherHistory:
-    """Hourly outdoor conditions for one site, gaps permitted and recorded."""
+    """Hourly outdoor conditions for one site; hours may be missing."""
 
     site_id: str
     times: np.ndarray      # int64 epoch seconds, hourly grid
     outdoor_temp: np.ndarray
     wind_speed: np.ndarray
     cloud_cover: np.ndarray
-    gaps: tuple[tuple[int, int], ...] = ()  # [start, end) missing ranges
 
     def __len__(self) -> int:
         return len(self.times)
@@ -296,18 +295,14 @@ def load_weather(document: str) -> dict[str, WeatherHistory]:
 
     histories: dict[str, WeatherHistory] = {}
     for site_id, idx in _group_rows(site_ids).items():
-        site_times = times[idx]
-        deltas = np.diff(site_times)
-        if np.any(deltas <= 0):
+        if np.any(np.diff(times[idx]) <= 0):
             raise WeatherFormatError(f"site {site_id}: timestamps not strictly increasing")
         histories[site_id] = WeatherHistory(
             site_id=site_id,
-            times=site_times,
+            times=times[idx],
             outdoor_temp=temp[idx],
             wind_speed=wind[idx],
             cloud_cover=cloud[idx],
-            gaps=tuple((int(site_times[i]) + 3600, int(site_times[i + 1]))
-                       for i in np.flatnonzero(deltas > 3600)),
         )
     return histories
 
@@ -332,27 +327,18 @@ class LoadResult:
 RECORD = np.dtype([("t", "<i8"), ("v", "<f8")])
 
 
-def _day_crc32s(data: bytes, rows: list[int]) -> list[int]:
-    """The crc32 of each day's slice of a record file, its days holding `rows`."""
-    ends = np.cumsum(rows, dtype=np.int64).tolist()
-    view = memoryview(data)
-    return [zlib.crc32(view[(end - n) * RECORD.itemsize:end * RECORD.itemsize])
-            for end, n in zip(ends, rows)]
-
-
 class SeriesStore:
     """On-disk series store: one packed record file per sensor.
 
-    ``records.bin`` holds a sensor's `RECORD`s in time order, so it is written
-    with one `tobytes` and read with one `frombuffer`; save and load are
-    bit-exact. ``manifest.json`` beside it maps each UTC day, in day order, to
-    its row count and the crc32 of its slice of the file. One writer per
-    sensor directory. Reading a sensor checks, in order: the manifest's shape
-    (entries with integer rows and crc32, keys that are dates), that the
-    record file exists, its size against the row counts, each day's crc32,
-    that each stamp lies on its manifest day, that stamps strictly increase,
-    and that every value is finite. A failure names the file, and rows are
-    counted from 1 in the record file.
+    ``records.bin`` holds a sensor's whole series as `RECORD`s in time order,
+    so it is written with one `tobytes` and read with one `frombuffer`; save
+    and load are bit-exact. ``manifest.json`` beside it is
+    ``{"crc32": c, "rows": n}`` for the whole file. A save replaces the
+    sensor's series and never reads what was there, so a store holds exactly
+    what its last writer computed. One writer per sensor directory. Reading a
+    sensor checks, in order: the manifest's shape, the file size against the
+    row count, the crc32, that stamps strictly increase, and that every value
+    is finite. A failure names the file, and rows are counted from 1.
     """
 
     def __init__(self, root: Path | str):
@@ -371,48 +357,32 @@ class SeriesStore:
             manifest = json.loads(manifest_path.read_text())
         except ValueError as exc:  # not UTF-8 or not JSON
             raise StoreIntegrityError(f"{manifest_path}: corrupt manifest: {exc}") from None
-        if not isinstance(manifest, dict):
-            raise StoreIntegrityError(f"{manifest_path}: manifest is not an object")
-        day_names = sorted(manifest)
-        for day_name in day_names:
-            entry = manifest[day_name]
-            if isinstance(entry, int):
-                raise StoreIntegrityError(
-                    f"{manifest_path}: manifest of a store with CSV partitions; "
-                    f"delete it and re-run ingest and the stages after it")
-            if not (isinstance(entry, dict)
-                    and all(isinstance(entry.get(key), int) for key in ("rows", "crc32"))
-                    and entry["rows"] >= 0):
-                raise StoreIntegrityError(
-                    f"{manifest_path}: manifest entry {day_name!r} is not an object "
-                    f"with integer rows and crc32, rows at least 0")
-        try:
-            days = parse_iso8601([f"{name}T00:00:00Z" for name in day_names]) // DAY_SECONDS
-        except ModelError as exc:
+        # JSON decodes to exact types, and `type(...) is int` also refuses true and false
+        if type(manifest) is dict and not set(manifest) <= {"crc32", "rows"}:
             raise StoreIntegrityError(
-                f"{manifest_path}: manifest day {day_names[exc.index]!r} is not a date") from None
+                f"{manifest_path}: store of an older version; "
+                f"delete it and re-run ingest and the stages after it")
+        if not (type(manifest) is dict
+                and all(type(manifest.get(key)) is int for key in ("rows", "crc32"))
+                and manifest["rows"] >= 0):
+            raise StoreIntegrityError(
+                f"{manifest_path}: manifest is not an object with integer rows and crc32, "
+                f"rows at least 0")
 
         path = sensor_dir / "records.bin"
-        if not path.exists():
-            raise StoreIntegrityError(f"{path}: missing, as in a store with one file per day; "
-                                      f"delete it and re-run ingest and the stages after it")
         data = path.read_bytes()
-        rows = [manifest[day_name]["rows"] for day_name in day_names]
-        size = sum(rows) * RECORD.itemsize
+        size = manifest["rows"] * RECORD.itemsize
         if len(data) != size:
             raise StoreIntegrityError(
-                f"{path}: {len(data)} bytes, but the manifest's row count {sum(rows)} "
+                f"{path}: {len(data)} bytes, but the manifest's row count {manifest['rows']} "
                 f"needs {size}")
-        for day_name, crc in zip(day_names, _day_crc32s(data, rows)):
-            if crc != manifest[day_name]["crc32"]:
-                raise StoreIntegrityError(f"{path}: crc32 of day {day_name} does not match "
-                                          f"the manifest")
+        if zlib.crc32(data) != manifest["crc32"]:
+            raise StoreIntegrityError(f"{path}: crc32 does not match the manifest")
         records = np.frombuffer(data, RECORD)
         times = records["t"]
         for bad, message in (
-            (times // DAY_SECONDS != np.repeat(days, rows),
-             "timestamp of another day"),
-            (np.concatenate(([False], np.diff(times) <= 0)),
+            # compared, not differenced: a difference of int64 stamps can wrap
+            (np.concatenate(([False], times[1:] <= times[:-1])),
              "timestamp not after the one before"),
             (~np.isfinite(records["v"]), "non-finite value"),
         ):
@@ -421,24 +391,17 @@ class SeriesStore:
         return records
 
     def save(self, site_id: str, series: TimeSeries) -> int:
-        """Write the series into the sensor's record file, replacing the days
-        it covers and keeping the others; returns how many days it wrote."""
+        """Write the series as the sensor's whole record file, replacing what
+        was there; returns how many UTC days it covers."""
         sensor_dir = self._sensor_dir(site_id, series.sensor_id)
         sensor_dir.mkdir(parents=True, exist_ok=True)
-        manifest_path = sensor_dir / "manifest.json"
         records = np.empty(len(series), RECORD)
         records["t"], records["v"] = series.times, series.values
-        days = series.times // DAY_SECONDS
-        if manifest_path.exists():
-            old = self._read_records(sensor_dir)
-            records = np.concatenate((old[~np.isin(old["t"] // DAY_SECONDS, days)], records))
-            records = records[np.argsort(records["t"])]
-        all_days, rows = np.unique(records["t"] // DAY_SECONDS, return_counts=True)
-        data, rows = records.tobytes(), rows.tolist()
-        manifest = {stamp[:10]: {"rows": n, "crc32": crc} for stamp, n, crc in zip(
-            format_iso8601(all_days * DAY_SECONDS), rows, _day_crc32s(data, rows))}
+        data = records.tobytes()
         (sensor_dir / "records.bin").write_bytes(data)
-        manifest_path.write_text(json.dumps(manifest, sort_keys=True) + "\n")
+        (sensor_dir / "manifest.json").write_text(
+            json.dumps({"crc32": zlib.crc32(data), "rows": len(records)}) + "\n")
+        days = series.times // DAY_SECONDS
         return int(np.count_nonzero(np.diff(days))) + 1 if len(days) else 0
 
     def load(self, site_id: str, sensor_id: str) -> LoadResult:

@@ -16,7 +16,7 @@ files; sites draw from independent sub-streams of the master seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import date
 from pathlib import Path
 from typing import Iterable
@@ -63,6 +63,14 @@ INDOOR_NOISE_COUPLING = 0.7
 # gain term would leave hourly temperature rises uncorrelated with the input
 # level, hiding exactly the signature the shading detector looks for.
 GAIN_TIME_CONSTANT_S = 5400.0
+
+
+def _given(spec: type, data: dict) -> dict:
+    """The settings of `spec` that `data` holds, each coerced to the type of its
+    field's default; settings `data` lacks keep the dataclass default. Fields
+    without a default, and a site's rooms, are the caller's to build."""
+    return {f.name: type(f.default)(data[f.name]) for f in fields(spec)
+            if f.name in data and f.default is not MISSING and f.name != "rooms"}
 
 
 @dataclass(frozen=True)
@@ -144,44 +152,18 @@ class ScenarioSpec:
             sites = tuple(
                 SiteSpec(
                     site_id=str(s["site_id"]),
-                    latitude=float(s.get("latitude", 38.0)),
-                    longitude=float(s.get("longitude", 23.7)),
-                    tz_offset_minutes=int(s.get("tz_offset_minutes", 0)),
-                    outdoor_mean=float(s.get("outdoor_mean", 18.0)),
-                    outdoor_amplitude=float(s.get("outdoor_amplitude", 5.0)),
-                    mean_cloud=float(s.get("mean_cloud", 0.4)),
-                    outage_fraction=float(s.get("outage_fraction", 0.0)),
-                    zero_error_rate=float(s.get("zero_error_rate", 0.0)),
-                    spike_rate=float(s.get("spike_rate", 0.0)),
-                    cold_climate=bool(s.get("cold_climate", False)),
-                    rooms=tuple(
-                        RoomSpec(
-                            room_id=str(r["room_id"]),
-                            orientation=Orientation(r.get("orientation", "S")),
-                            insulation=str(r.get("insulation", "good")),
-                            blinds=bool(r.get("blinds", True)),
-                            occupant_events=int(r.get("occupant_events", 0)),
-                        )
-                        for r in s.get("rooms", [])
-                    ),
+                    rooms=tuple(RoomSpec(room_id=str(r["room_id"]), **_given(RoomSpec, r))
+                                for r in s.get("rooms", [])),
+                    **_given(SiteSpec, s),
                 )
                 for s in data["sites"]
             )
-            kwargs = {
-                k: data[k]
-                for k in (
-                    "sensing_rate", "station_rate", "noise_sigma", "indoor_offset",
-                    "base_swing", "poor_swing", "gain_amplitude",
-                    "blinds_attenuation", "event_drop", "indoor_noise_coupling",
-                )
-                if k in data
-            }
             return cls(
                 seed=int(data["seed"]),
                 start=date.fromisoformat(data["start"]),
                 days=int(data["days"]),
                 sites=sites,
-                **kwargs,
+                **_given(cls, data),
             )
         except KeyError as exc:
             raise ScenarioError(f"scenario missing field {exc}") from None

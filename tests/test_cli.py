@@ -12,6 +12,7 @@ import pytest
 
 from schoolsense import cli
 from schoolsense.ingest import RECORD, SeriesStore, parse_catalog
+from schoolsense.model import to_epoch
 
 SPEC = {
     "seed": 5,
@@ -122,36 +123,31 @@ def test_corrupt_manifest_exits_1(work, capsys, command, store):
     _assert_one_error_line(err)
 
 
-def _first_day(manifest):
-    """The manifest's entries and its first day, whose slice opens the record file."""
-    entries = json.loads(manifest.read_text())
-    return entries, min(entries)
+def _edit_manifest(manifest, edit):
+    """Replace the manifest by `edit` of it."""
+    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
 
 
 def _set_record(records_file, manifest, row, **fields):
-    """Change record `row` of the first day and restamp that day's crc32, so
-    that the checks after the crc are the ones that see the change."""
+    """Change record `row` and restamp the file's crc32, so that the checks
+    after the crc are the ones that see the change."""
     records = np.fromfile(records_file, RECORD)
-    entries, day = _first_day(manifest)
-    first = records[:entries[day]["rows"]]
     for name, value in fields.items():
-        first[name][row] = value
+        records[name][row] = value
     records_file.write_bytes(records.tobytes())
-    entries[day]["crc32"] = zlib.crc32(first.tobytes())
-    manifest.write_text(json.dumps(entries))
+    _edit_manifest(manifest, lambda entry: dict(entry, crc32=zlib.crc32(records.tobytes())))
 
 
-def _noon_of_next_day(manifest):
-    day = date.fromisoformat(_first_day(manifest)[1]) + timedelta(days=1)
-    return (day - date(1970, 1, 1)).days * 86400 + 12 * 3600
+def _noon_of_next_day(records_file):
+    """Noon of the day after the first record's, past the second record's stamp."""
+    first = int(np.fromfile(records_file, RECORD)["t"][0])
+    return (first // 86400 + 1) * 86400 + 12 * 3600
 
 
-def _splice_first_day(records_file, manifest, cut=0, insert=b""):
-    """Cut bytes from the end of the first day's slice, or insert bytes there."""
-    entries, day = _first_day(manifest)
-    end = entries[day]["rows"] * RECORD.itemsize
+def _cut_first_record(records_file, cut):
+    """Cut bytes from the end of the first record."""
     data = records_file.read_bytes()
-    records_file.write_bytes(data[:end - cut] + insert + data[end:])
+    records_file.write_bytes(data[:RECORD.itemsize - cut] + data[RECORD.itemsize:])
 
 
 def _flip_byte(records_file, at=RECORD.itemsize + 8):
@@ -161,25 +157,15 @@ def _flip_byte(records_file, at=RECORD.itemsize + 8):
     records_file.write_bytes(bytes(data))
 
 
-def _edit_manifest(manifest, edit):
-    """Apply `edit` to the first day's entry."""
-    entries, day = _first_day(manifest)
-    entries[day] = edit(entries[day])
-    manifest.write_text(json.dumps(entries))
-
-
 def _append_bytes(path, data=b"\xff\xfe"):
     path.write_bytes(path.read_bytes() + data)
 
 
-# damage -> (how to do it to the first day's slice of the record file or to the
-# manifest, what the error says)
+# damage -> (how to do it to the record file or to the manifest, what the error says)
 STORE_DAMAGE = {
     "truncated partition": (
-        lambda records, manifest: _splice_first_day(records, manifest, cut=5), "row count"),
-    "trailing bytes": (
-        lambda records, manifest: _splice_first_day(records, manifest, insert=b"\xff\xfe"),
-        "row count"),
+        lambda records, manifest: _cut_first_record(records, cut=5), "row count"),
+    "trailing bytes": (lambda records, manifest: _append_bytes(records), "row count"),
     "row count off by one": (
         lambda records, manifest: _edit_manifest(
             manifest, lambda entry: dict(entry, rows=entry["rows"] + 1)), "row count"),
@@ -189,13 +175,13 @@ STORE_DAMAGE = {
             records, manifest, 2, t=np.fromfile(records, RECORD)["t"][1]),
         "row 3: timestamp not after"),
     "timestamp of another day": (
-        lambda records, manifest: _set_record(records, manifest, -1,
-                                              t=_noon_of_next_day(manifest)),
-        "timestamp of another day"),
+        lambda records, manifest: _set_record(records, manifest, 0,
+                                              t=_noon_of_next_day(records)),
+        "row 2: timestamp not after"),
     "bad timestamp": (
         lambda records, manifest: _set_record(records, manifest, 1,
                                               t=np.iinfo(np.int64).min),
-        "row 2: timestamp of another day"),
+        "row 2: timestamp not after"),
     "non-numeric value": (
         lambda records, manifest: _set_record(records, manifest, 1, v=np.nan),
         "row 2: non-finite value"),
@@ -204,8 +190,10 @@ STORE_DAMAGE = {
         "non-finite value"),
     "non-UTF-8 manifest": (
         lambda records, manifest: _append_bytes(manifest), "corrupt manifest"),
+    # the manifest of the CSV partitions mapped each day to its row count
     "CSV-era manifest": (
-        lambda records, manifest: _edit_manifest(manifest, lambda entry: entry["rows"]),
+        lambda records, manifest: _edit_manifest(
+            manifest, lambda entry: {"2017-10-02": entry["rows"]}),
         "re-run ingest"),
 }
 
@@ -234,21 +222,29 @@ def test_damaged_store_exits_1_naming_the_file(work, capsys, command, store, dam
     (["perf"], "out/repaired"),
 ])
 def test_store_with_per_day_files_exits_1(work, capsys, command, store):
-    # the layout before one record file per sensor: <day>.bin beside the manifest
+    # the layout before one record file per sensor: <day>.bin files, and a
+    # manifest mapping each day to its rows and crc32
     sensor_dir = work / store / "s1" / "s1-a-temp"
-    entries = json.loads((sensor_dir / "manifest.json").read_text())
-    data = (sensor_dir / "records.bin").read_bytes()
-    start = 0
-    for day in sorted(entries):
-        end = start + entries[day]["rows"] * RECORD.itemsize
-        (sensor_dir / f"{day}.bin").write_bytes(data[start:end])
-        start = end
+    records = np.fromfile(sensor_dir / "records.bin", RECORD)
+    entries = {}
+    for day in np.unique(records["t"] // 86400).tolist():
+        data = records[records["t"] // 86400 == day].tobytes()
+        name = (date(1970, 1, 1) + timedelta(days=day)).isoformat()
+        (sensor_dir / f"{name}.bin").write_bytes(data)
+        entries[name] = {"rows": len(data) // RECORD.itemsize, "crc32": zlib.crc32(data)}
+    (sensor_dir / "manifest.json").write_text(json.dumps(entries))
     (sensor_dir / "records.bin").unlink()
-    code, err = _run([*command, "--config", str(work / "config.json")], capsys)
-    assert code == 1
-    assert f"error: {sensor_dir / 'records.bin'}: " in err
-    assert "re-run ingest" in err
-    _assert_one_error_line(err)
+    conf = ["--config", str(work / "config.json")]
+    code, err = _run([*command, *conf], capsys)
+    if command == ["ingest"]:
+        # a save never reads the old files, so ingest writes a store quality reads
+        assert code == 0, err
+        assert _run(["quality", *conf], capsys) == (0, "")
+    else:
+        assert code == 1
+        assert f"error: {sensor_dir / 'manifest.json'}: store of an older version" in err
+        assert "re-run ingest" in err
+        _assert_one_error_line(err)
 
 
 @pytest.mark.parametrize("command, overrides, expected", [
@@ -378,10 +374,28 @@ def test_quality_to_limits_repair_and_outlier_rates(tmp_path, capsys):
             group, *_, outlier_pct = line.split(",")
             flags, observed = totals[group]
             assert float(outlier_pct) == 100.0 * flags / observed, (report, group)
-    manifests = sorted((out / "repaired").glob("*/*/manifest.json"))
-    assert manifests
-    for manifest in manifests:
-        assert max(json.loads(manifest.read_text())) < "2017-10-04", manifest
+    _assert_repaired_before(tmp_path, date(2017, 10, 4))
+
+
+def _assert_repaired_before(root, end):
+    """Every catalog sensor's repaired series is non-empty and ends before `end`."""
+    catalog = parse_catalog((root / "inputs" / "catalog.json").read_text())
+    repaired = SeriesStore(root / "out" / "repaired")
+    for meta in catalog.sensors:
+        times = repaired.load(meta.site_id, meta.sensor_id).series.times
+        assert len(times) and times[-1] < to_epoch(end), meta.sensor_id
+
+
+def test_quality_to_replaces_a_longer_repair(work, capsys):
+    # the workspace was repaired over all 9 days; a run with --to must not leave
+    # those later days in the repaired store for perf to report
+    conf = ["--config", str(work / "config.json")]
+    code, err = _run(["quality", *conf, "--to", "2017-10-05"], capsys)
+    assert code == 0, err
+    assert cli.main(["perf", *conf]) == 0
+    _assert_repaired_before(work, date(2017, 10, 5))
+    swing_rows = (work / "out" / "perf_swings.csv").read_text().splitlines()[1:]
+    assert [row for row in swing_rows if row.split(",")[2] >= "2017-10-05"] == []
 
 
 @pytest.mark.parametrize("command", ["comfort", "perf"])
@@ -429,6 +443,21 @@ def test_ingest_later_file_wins_repeated_timestamp(work, capsys):
     loaded = SeriesStore(store).load("s1", "s1-a-temp").series
     assert loaded.values.tolist() == [20.0, 25.0, 22.0]
     assert np.all(np.diff(loaded.times) == 600)
+
+
+def test_ingest_replaces_every_catalog_sensor(work, capsys):
+    # the workspace store holds all 9 days; a new ingest leaves only what it read
+    only = work / "only.csv"
+    only.write_text("sensor_id,timestamp,value\n"
+                    "s1-a-temp,2017-10-20T00:00:00Z,20.0\n")
+    assert cli.main(["ingest", *_write_config(work, measurements=[str(only)])]) == 0
+    store = SeriesStore(work / "store")
+    catalog = parse_catalog((work / "inputs" / "catalog.json").read_text())
+    lengths = {meta.sensor_id: len(store.load(meta.site_id, meta.sensor_id).series)
+               for meta in catalog.sensors}
+    assert lengths == {sensor_id: int(sensor_id == "s1-a-temp") for sensor_id in lengths}
+    empty = json.loads((work / "store" / "s1" / "s1-power" / "manifest.json").read_text())
+    assert empty == {"crc32": 0, "rows": 0}
 
 
 def _power_spike_flags(out):

@@ -39,8 +39,7 @@ def flat_weather(site_id="a", start=None, days=10, temp=20.0, wind=0.0, cloud=0.
 def test_prevailing_mean_constant_week():
     weather = flat_weather(temp=20.0)
     pmo = prevailing_mean_outdoor(weather, date(2017, 9, 11))
-    assert pmo.value == pytest.approx(20.0)
-    assert pmo.days_used == 7
+    assert pmo == pytest.approx(20.0)
 
 
 def test_prevailing_mean_alternating_days():
@@ -51,14 +50,13 @@ def test_prevailing_mean_alternating_days():
     weather = WeatherHistory("a", times, temps, np.zeros(len(times)), np.zeros(len(times)))
     pmo = prevailing_mean_outdoor(weather, date(2017, 9, 11))
     # 4 days at 18, 3 at 22: mean of daily means
-    assert pmo.value == pytest.approx((4 * 18 + 3 * 22) / 7)
+    assert pmo == pytest.approx((4 * 18 + 3 * 22) / 7)
 
 
 def test_prevailing_mean_skips_missing_days():
     weather = flat_weather(temp=15.0, days=3)  # only Sep 4-6 present
     pmo = prevailing_mean_outdoor(weather, date(2017, 9, 11))
-    assert pmo.value == pytest.approx(15.0)
-    assert pmo.days_used == 3
+    assert pmo == pytest.approx(15.0)
 
 
 def test_prevailing_mean_no_data_inapplicable():
@@ -160,7 +158,6 @@ def test_daily_comfort_perfect_day():
     assert score is not None
     assert score.score == 1.0
     assert score.hours_evaluated == 8
-    assert score.hours_in_band == 8
 
 
 def test_daily_comfort_zero_day():

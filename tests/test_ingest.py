@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import json
 import tempfile
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from schoolsense.ingest import (
+    RECORD,
     CatalogError,
     MeasurementFormatError,
     SeriesStore,
@@ -205,7 +207,6 @@ def test_load_weather_48_hours():
     ]
     history = load_weather(_weather_doc(rows))["a"]
     assert len(history) == 48
-    assert history.gaps == ()
 
 
 def test_load_weather_cloud_range_error():
@@ -221,7 +222,9 @@ def test_load_weather_gap_recorded():
         f"a,{format_iso8601(t0 + 3 * 3600)},16.0,1.0,0.5",
     ]
     history = load_weather(_weather_doc(rows))["a"]
-    assert history.gaps == ((t0 + 3600, t0 + 3 * 3600),)
+    assert len(history) == 2
+    assert history.at_hour(t0 + 3600) is None
+    assert history.at_hour(t0 + 3 * 3600) == (16.0, 1.0, 0.5)
 
 
 def test_load_weather_rejects_off_grid_timestamp():
@@ -270,9 +273,11 @@ def test_store_partitions_by_day(tmp_path):
     SeriesStore(tmp_path).save("alpha", series)
     sensor_dir = tmp_path / "alpha" / "t1"
     assert sorted(p.name for p in sensor_dir.iterdir()) == ["manifest.json", "records.bin"]
-    manifest = json.loads((sensor_dir / "manifest.json").read_text())
-    assert list(manifest) == ["2017-09-04", "2017-09-05"]
-    assert [entry["rows"] for entry in manifest.values()] == [2, 8]
+    data = (sensor_dir / "records.bin").read_bytes()
+    assert len(data) == 10 * RECORD.itemsize
+    # one row count and one crc32 for the whole file, whichever days it covers
+    assert json.loads((sensor_dir / "manifest.json").read_text()) == {
+        "crc32": zlib.crc32(data), "rows": 10}
 
 
 @pytest.mark.parametrize("start, samples, partitions", [
@@ -284,7 +289,7 @@ def test_store_save_returns_partitions_written(tmp_path, start, samples, partiti
     series = series_at("t1", start, 1800, np.arange(float(samples)))
     store = SeriesStore(tmp_path)
     assert store.save("alpha", series) == partitions
-    assert len(json.loads((tmp_path / "alpha" / "t1" / "manifest.json").read_text())) == partitions
+    assert json.loads((tmp_path / "alpha" / "t1" / "manifest.json").read_text())["rows"] == samples
     assert len(store.load("alpha", "t1").series) == samples
 
 
@@ -299,7 +304,7 @@ def test_store_corrupt_manifest_detected(tmp_path):
     store.save("alpha", series)
     manifest = tmp_path / "alpha" / "t1" / "manifest.json"
     entries = json.loads(manifest.read_text())
-    entries["2017-09-04"]["rows"] = 99
+    entries["rows"] = 99
     manifest.write_text(json.dumps(entries))
     with pytest.raises(StoreIntegrityError, match="row count"):
         store.load("alpha", "t1")
@@ -313,35 +318,28 @@ def test_store_unreadable_manifest_detected(tmp_path, text):
     (tmp_path / "alpha" / "t1" / "manifest.json").write_text(text)
     with pytest.raises(StoreIntegrityError, match="manifest"):
         store.load("alpha", "t1")
-    with pytest.raises(StoreIntegrityError, match="manifest"):
-        store.save("alpha", series)
-
-
-def test_store_incremental_save_merges_manifest(tmp_path):
-    store = SeriesStore(tmp_path)
-    store.save("alpha", series_at("t1", utc(2017, 9, 4), 3600, np.arange(24.0)))
-    store.save("alpha", series_at("t1", utc(2017, 9, 5), 3600, np.arange(24.0)))
-    loaded = store.load("alpha", "t1")
-    assert len(loaded.series) == 48
+    store.save("alpha", series)  # a save never reads the damaged files
+    assert np.array_equal(store.load("alpha", "t1").series.values, series.values)
 
 
 @pytest.mark.parametrize("entry, message", [
-    (10, "re-run ingest"),  # a store written with CSV partitions
+    ({"2017-09-04": 10}, "re-run ingest"),  # a store written with CSV partitions
     ([10, 0], "not an object"),
     ({"rows": 10}, "integer rows and crc32"),
     ({"rows": "10", "crc32": 0}, "integer rows and crc32"),
     ({"rows": -1, "crc32": 0}, "rows at least 0"),
+    ({"2017-09-04": {"rows": 10, "crc32": 0}}, "re-run ingest"),  # one file per day
+    ({"rows": True, "crc32": 0}, "integer rows and crc32"),
 ])
 def test_store_manifest_entries_must_be_records(tmp_path, entry, message):
     series = series_at("t1", utc(2017, 9, 4), 30, np.arange(10.0))
     store = SeriesStore(tmp_path)
     store.save("alpha", series)
     manifest = tmp_path / "alpha" / "t1" / "manifest.json"
-    manifest.write_text(json.dumps({"2017-09-04": entry}))
-    for call in (lambda: store.load("alpha", "t1"), lambda: store.save("alpha", series)):
-        with pytest.raises(StoreIntegrityError, match=message) as info:
-            call()
-        assert str(info.value).startswith(f"{manifest}: ")
+    manifest.write_text(json.dumps(entry))
+    with pytest.raises(StoreIntegrityError, match=message) as info:
+        store.load("alpha", "t1")
+    assert str(info.value).startswith(f"{manifest}: ")
 
 
 # Signed zero, subnormals and the ends of the float64 range must survive as bytes.
@@ -351,53 +349,22 @@ store_values = st.one_of(st.sampled_from(EDGE_VALUES),
                          st.floats(allow_nan=False, allow_infinity=False))
 
 
+def _draw_series(data):
+    offsets = data.draw(st.lists(st.integers(0, 4 * DAY_SECONDS - 1), max_size=60, unique=True))
+    times = utc(2017, 9, 4) + np.array(sorted(offsets), dtype=np.int64)
+    values = data.draw(st.lists(store_values, min_size=len(times), max_size=len(times)))
+    return TimeSeries("t1", times, np.array(values, dtype=np.float64))
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.data())
-def test_store_saves_merge_and_replace_days_bit_exact(data):
-    """A later-day save merges into the manifest; a same-day save replaces that day."""
-    offsets = data.draw(st.lists(st.integers(0, 4 * DAY_SECONDS - 1),
-                                 min_size=1, max_size=60, unique=True))
-    times = utc(2017, 9, 4) + np.array(sorted(offsets), dtype=np.int64)
-    values = np.array(data.draw(st.lists(store_values, min_size=len(times),
-                                         max_size=len(times))))
-    days = times // DAY_SECONDS
-    day_set = sorted(set(days.tolist()))
-    later = days >= data.draw(st.sampled_from(day_set))
-    # re-save a non-empty subset of one day's stamps with new values
-    redo_day = data.draw(st.sampled_from(day_set))
-    on_day = np.flatnonzero(days == redo_day)
-    keep = data.draw(st.lists(st.sampled_from(on_day.tolist()), min_size=1, unique=True))
-    redo = np.isin(np.arange(len(times)), keep)
-    redo_values = np.array(data.draw(st.lists(store_values, min_size=int(redo.sum()),
-                                              max_size=int(redo.sum()))))
-    series = TimeSeries("t1", times, values)
-
-    expected_values = values.copy()
-    expected_values[redo] = redo_values
-    expected = (days != redo_day) | redo
+def test_store_second_save_replaces_first_bit_exact(data):
+    """A save replaces the sensor's series, whichever days either save covers."""
+    first, second = _draw_series(data), _draw_series(data)
     with tempfile.TemporaryDirectory() as root:
         store = SeriesStore(root)
-        for part in (series.take(~later), series.take(later)):
-            assert store.save("alpha", part) == len(set((part.times // DAY_SECONDS).tolist()))
-        assert store.save("alpha", TimeSeries("t1", times[redo], redo_values)) == 1
-        loaded = store.load("alpha", "t1")
-        partitions = len(json.loads((store.root / "alpha/t1/manifest.json").read_text()))
-    assert partitions == len(day_set)
-    assert np.array_equal(loaded.series.times, times[expected])
-    assert np.array_equal(loaded.series.values.view(np.int64),
-                          expected_values[expected].view(np.int64))
-
-
-def test_store_partition_name_must_be_a_date(tmp_path):
-    store = SeriesStore(tmp_path)
-    series = series_at("t1", utc(2017, 9, 4), 3600, np.arange(48.0))
-    store.save("alpha", series)
-    path = tmp_path / "alpha" / "t1" / "manifest.json"
-    manifest = json.loads(path.read_text())
-    manifest["2017-09-5"] = manifest.pop("2017-09-05")
-    path.write_text(json.dumps(manifest))
-    for call in (lambda: store.load("alpha", "t1"), lambda: store.save("alpha", series)):
-        with pytest.raises(StoreIntegrityError,
-                           match="manifest day '2017-09-5' is not a date") as info:
-            call()
-        assert str(info.value).startswith(f"{path}: ")
+        store.save("alpha", first)
+        assert store.save("alpha", second) == len(set((second.times // DAY_SECONDS).tolist()))
+        loaded = store.load("alpha", "t1").series
+    assert np.array_equal(loaded.times, second.times)
+    assert np.array_equal(loaded.values.view(np.int64), second.values.view(np.int64))
