@@ -1,0 +1,121 @@
+"""Metamorphic relations of the whole pipeline on the golden scenario.
+
+A batch re-analysis relies on two relations that no single example pins:
+
+  * the order of the rows inside a measurement file does not matter, so
+    shuffling them leaves every report byte-identical;
+  * the analysis has no absolute calendar, so shifting every stamp by a
+    whole week (measurements, weather and the catalog's start times) and the
+    comfort period with it shifts every report date by that week and changes
+    nothing else. A week keeps each day's weekday, so weekend and school-day
+    selection is unchanged.
+
+Each run goes through `cli.main`, stage by stage, as in `test_golden`.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import re
+import shutil
+from datetime import date, timedelta
+from pathlib import Path
+
+import pytest
+
+from schoolsense import cli
+from schoolsense.model import format_iso8601, parse_iso8601
+
+from test_golden import REPORT_DIGESTS, _spec
+
+SHIFT = timedelta(days=7)
+COMFORT_PERIOD = (date(2017, 10, 9), date(2017, 10, 18))
+MEASUREMENT_FILES = ("s1.csv", "s2.csv", "zz_resend.csv")
+
+
+def _run(inputs: Path, root: Path, period: tuple[date, date]) -> dict[str, str]:
+    """Every report of ingest, quality, comfort and perf on `inputs`, by name."""
+    root.mkdir(exist_ok=True)
+    config = root / "config.json"
+    config.write_text(json.dumps({
+        "catalog": str(inputs / "catalog.json"),
+        "weather": str(inputs / "weather.csv"),
+        "store": str(root / "store"),
+        "out": str(root / "out"),
+        "measurements": [str(inputs / "measurements" / name) for name in MEASUREMENT_FILES],
+    }))
+    conf = ["--config", str(config)]
+    assert cli.main(["ingest", *conf]) == 0
+    assert cli.main(["quality", *conf]) == 0
+    assert cli.main(["comfort", *conf, "--from", period[0].isoformat(),
+                     "--to", period[1].isoformat()]) == 0
+    assert cli.main(["perf", *conf]) == 0
+    return {name: (root / "out" / name).read_text() for name in REPORT_DIGESTS}
+
+
+def _rewrite_rows(path: Path, rewrite) -> None:
+    """Apply `rewrite` to the data rows of a CSV file, header kept."""
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, *rewrite(rows)]) + "\n")
+
+
+def _shift_stamps(rows: list[str]) -> list[str]:
+    """Rows whose second field, a timestamp, is moved by SHIFT."""
+    fields = [row.split(",") for row in rows]
+    stamps = parse_iso8601([f[1] for f in fields]) + int(SHIFT.total_seconds())
+    for f, stamp in zip(fields, format_iso8601(stamps)):
+        f[1] = stamp
+    return [",".join(f) for f in fields]
+
+
+def _dates_back(text: str) -> str:
+    """`text` with every calendar date in it moved back by SHIFT."""
+    return re.sub(r"\d{4}-\d{2}-\d{2}",
+                  lambda m: (date.fromisoformat(m.group()) - SHIFT).isoformat(), text)
+
+
+@pytest.fixture(scope="module")
+def scenario(tmp_path_factory):
+    """The golden scenario's inputs and the reports of a plain run on them."""
+    root = tmp_path_factory.mktemp("metamorphic")
+    spec = root / "spec.json"
+    spec.write_text(json.dumps(_spec()))
+    inputs = root / "inputs"
+    assert cli.main(["synth", str(spec), "--out", str(inputs)]) == 0
+    # a third file re-sends the last 3 days of s1, so ingest merges across files
+    lines = (inputs / "measurements" / "s1.csv").read_text().splitlines()
+    resend = [lines[0]] + [ln for ln in lines[1:] if ln.split(",")[1] >= "2017-10-15"]
+    (inputs / "measurements" / "zz_resend.csv").write_text("\n".join(resend) + "\n")
+    return inputs, _run(inputs, root / "base", COMFORT_PERIOD)
+
+
+def test_shuffled_measurement_rows_change_no_report(scenario, tmp_path):
+    inputs, base = scenario
+    shuffled = tmp_path / "inputs"
+    shutil.copytree(inputs, shuffled)
+    rng = random.Random(0)
+    for name in MEASUREMENT_FILES:
+        _rewrite_rows(shuffled / "measurements" / name, lambda rows: rng.sample(rows, len(rows)))
+    assert _run(shuffled, tmp_path, COMFORT_PERIOD) == base
+
+
+def test_week_shift_moves_every_report_date_and_nothing_else(scenario, tmp_path):
+    inputs, base = scenario
+    shifted = tmp_path / "inputs"
+    shutil.copytree(inputs, shifted)
+    for name in MEASUREMENT_FILES:
+        _rewrite_rows(shifted / "measurements" / name, _shift_stamps)
+    _rewrite_rows(shifted / "weather.csv", _shift_stamps)
+    catalog = json.loads((shifted / "catalog.json").read_text())
+    for site in catalog["sites"]:
+        site["start_time"] = format_iso8601(
+            parse_iso8601(site["start_time"]) + int(SHIFT.total_seconds()))
+    (shifted / "catalog.json").write_text(json.dumps(catalog))
+
+    reports = _run(shifted, tmp_path, tuple(d + SHIFT for d in COMFORT_PERIOD))
+    assert {name: _dates_back(text) for name, text in reports.items()} == base
+    # the dated reports did move, so the comparison above is not vacuous
+    for name in ("quality_report.csv", "site_quality.csv", "comfort_daily.csv",
+                 "comfort_plot.csv", "perf_swings.csv", "perf_anomalies.csv"):
+        assert reports[name] != base[name], name
