@@ -17,6 +17,15 @@ so window sizes and thresholds are constants of the analysis modules.
 Besides the period (`--from` before `--to`), the one choice per run is
 `comfort --acceptability`, which every comfort row records.
 
+Report dates are calendar days of one of two kinds. Local days, by the site's
+fixed UTC offset: `comfort_daily.csv`, `comfort_plot.csv`, `perf_swings.csv`,
+and the `poor_insulation` and `unshaded_solar_gain` rows of
+`perf_anomalies.csv` (and `.txt`). UTC days: `quality_report.csv`, and the
+`occupant_event` rows of `perf_anomalies.csv`. The period follows the same
+split: `comfort` and `perf` read `--from`/`--to` as local days, `quality --to`
+as a UTC day. `site_quality.csv` gives each site's start as a UTC timestamp;
+the other reports hold no dates.
+
 Errors are mapped to exit codes in `main` only, and each failure prints one
 ``error:`` line to stderr:
 

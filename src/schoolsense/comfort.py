@@ -11,7 +11,7 @@ temperature falls inside the band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date
 from typing import Mapping
 
@@ -42,74 +42,6 @@ class ComfortError(ValueError):
     pass
 
 
-class ModelInapplicable(ComfortError):
-    """Adaptive model undefined: prevailing mean out of range or no data."""
-
-
-@dataclass(frozen=True)
-class ComfortBand:
-    """Acceptable indoor-temperature interval for one day."""
-
-    t_comfort: float
-    low: float
-    high: float
-    acceptability: int
-
-    def contains(self, temp: float) -> bool:
-        return self.low <= temp <= self.high
-
-
-def prevailing_mean_outdoor(
-    weather: WeatherHistory,
-    day: date | int,
-    tz_offset_minutes: int = 0,
-) -> float:
-    """Mean of the daily mean outdoor temperatures over the preceding days.
-
-    Days without any outdoor sample are skipped; if the whole lookback is
-    empty the adaptive model is inapplicable.
-    """
-    day_index = day if isinstance(day, int) else date_to_day(day)
-    local_days = (weather.times + tz_offset_minutes * 60) // DAY_SECONDS
-    daily_means = []
-    for d in range(day_index - LOOKBACK_DAYS, day_index):
-        mask = local_days == d
-        if np.any(mask):
-            daily_means.append(float(np.mean(weather.outdoor_temp[mask])))
-    if not daily_means:
-        raise ModelInapplicable(
-            f"no outdoor data in the {LOOKBACK_DAYS} days before day {day_index}")
-    return float(np.mean(daily_means))
-
-
-def adaptive_band(t_pmo: float, acceptability: int = DEFAULT_ACCEPTABILITY) -> ComfortBand:
-    """Comfort band around the adaptive comfort temperature for `t_pmo`."""
-    if acceptability not in BAND_HALF_WIDTH:
-        raise ComfortError(
-            f"acceptability must be one of {sorted(BAND_HALF_WIDTH)}, got {acceptability}")
-    if not PMO_APPLICABLE_MIN <= t_pmo <= PMO_APPLICABLE_MAX:
-        raise ModelInapplicable(
-            f"prevailing mean {t_pmo} degC outside applicability range "
-            f"[{PMO_APPLICABLE_MIN}, {PMO_APPLICABLE_MAX}]")
-    t_comfort = ADAPTIVE_SLOPE * t_pmo + ADAPTIVE_INTERCEPT
-    half = BAND_HALF_WIDTH[acceptability]
-    return ComfortBand(
-        t_comfort=t_comfort, low=t_comfort - half, high=t_comfort + half,
-        acceptability=acceptability,
-    )
-
-
-def airspeed_extension(band: ComfortBand, wind_speed: float) -> ComfortBand:
-    """Raise the band's upper limit for elevated air speed; the low limit,
-    comfort temperature and acceptability are unchanged."""
-    if wind_speed < 0:
-        raise ComfortError(f"negative wind speed {wind_speed}")
-    if wind_speed <= AIRSPEED_STEPS[-1][0]:  # no effect at or below 0.6 m/s
-        return band
-    offset = next(off for thr, off in AIRSPEED_STEPS if wind_speed >= thr)
-    return replace(band, high=band.high + offset)
-
-
 @dataclass(frozen=True)
 class DailyComfortScore:
     room_id: str
@@ -123,59 +55,44 @@ class DailyComfortScore:
             raise ComfortError(f"score {self.score} outside [0, 1]")
 
 
-def hourly_comfort(indoor: TimeSeries, band: ComfortBand, hour_start: int) -> bool | None:
-    """Whether the hour's mean indoor temperature lies in the band.
+def _segment_means(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """`np.mean(values[a:b])` for each segment [a, b), bit for bit; NaN where empty.
 
-    Returns None when the hour has no samples.
+    Segments of one length are gathered as the rows of one matrix, and numpy
+    sums each row in the order it sums a 1-D slice of that length.
     """
-    lo = int(np.searchsorted(indoor.times, hour_start, side="left"))
-    hi = int(np.searchsorted(indoor.times, hour_start + 3600, side="left"))
-    if hi == lo:
-        return None
-    return band.contains(float(np.mean(indoor.values[lo:hi])))
+    counts = hi - lo
+    means = np.full(counts.shape, np.nan)
+    for n in set(counts.ravel().tolist()) - {0}:
+        at = counts == n
+        means[at] = values[lo[at][:, None] + np.arange(n)].sum(axis=1) / n
+    return means
 
 
-def daily_comfort(
-    indoor: TimeSeries,
-    weather: WeatherHistory,
-    day: date | int,
-    *,
-    room_id: str | None = None,
-    acceptability: int = DEFAULT_ACCEPTABILITY,
-    tz_offset_minutes: int = 0,
-) -> DailyComfortScore | None:
-    """Comfort score for one local calendar day of one room.
+def prevailing_means(weather: WeatherHistory, days, tz_offset_minutes: int = 0) -> np.ndarray:
+    """Prevailing mean outdoor temperature of each local day in `days`.
 
-    The eight hourly slots tiling 08:30-16:30 are scored against the day's
-    adaptive band, each extended by that hour's outdoor wind speed. Slots
-    without indoor samples are excluded from both counts; a day with no
-    evaluated slots has no score (None).
+    It is the mean of the daily mean outdoor temperatures over the
+    LOOKBACK_DAYS days before the day. Days without any outdoor sample are
+    skipped; NaN marks a day whose whole lookback is empty.
     """
-    day_index = day if isinstance(day, int) else date_to_day(day)
-    t_pmo = prevailing_mean_outdoor(weather, day_index, tz_offset_minutes)
-    band = adaptive_band(t_pmo, acceptability)
+    local_days = (weather.times + tz_offset_minutes * 60) // DAY_SECONDS
+    first = np.flatnonzero(np.diff(local_days, prepend=local_days[:1] - 1))  # times increase
+    present, bounds = local_days[first], np.append(first, len(local_days))
+    daily = _segment_means(weather.outdoor_temp, bounds[:-1], bounds[1:])
+    days = np.asarray(days, dtype=np.int64)
+    return _segment_means(daily, np.searchsorted(present, days - LOOKBACK_DAYS),
+                          np.searchsorted(present, days))
 
-    local_midnight_utc = day_index * DAY_SECONDS - tz_offset_minutes * 60
-    evaluated = 0
-    in_band = 0
-    for slot in range(SCHOOL_DAY_SLOTS):
-        hour_start = local_midnight_utc + SCHOOL_DAY_START + slot * 3600
-        at = weather.at_hour(hour_start)
-        slot_band = airspeed_extension(band, at[1]) if at is not None else band
-        verdict = hourly_comfort(indoor, slot_band, hour_start)
-        if verdict is None:
-            continue
-        evaluated += 1
-        in_band += int(verdict)
-    if evaluated == 0:
-        return None
-    return DailyComfortScore(
-        room_id=room_id if room_id is not None else indoor.sensor_id,
-        day=day_index,
-        score=in_band / evaluated,
-        hours_evaluated=evaluated,
-        t_pmo=t_pmo,
-    )
+
+def wind_offsets(wind_speed) -> np.ndarray:
+    """How far each outdoor wind speed raises the band's upper limit, degC."""
+    wind = np.asarray(wind_speed, dtype=np.float64)
+    if np.any(wind < 0):
+        raise ComfortError(f"negative wind speed {wind[wind < 0][0]}")
+    steps = [wind >= threshold for threshold, _ in AIRSPEED_STEPS]
+    steps[-1] = wind > AIRSPEED_STEPS[-1][0]  # no effect at or below 0.6 m/s
+    return np.select(steps, [offset for _, offset in AIRSPEED_STEPS], 0.0)
 
 
 def _quartiles(values: np.ndarray) -> tuple[float, float]:
@@ -211,34 +128,56 @@ def site_comfort_summary(
     end: date | int,
     acceptability: int = DEFAULT_ACCEPTABILITY,
 ) -> SiteComfortSummary:
-    """Daily scores per room plus the site's score distribution over [start, end)."""
+    """Daily scores per room plus the site's score distribution over [start, end).
+
+    Each local calendar day has one band, from its prevailing mean; each of
+    its eight hourly slots raises the band's upper limit by that hour's
+    outdoor wind. A slot is in band when the mean of its indoor samples lies
+    inside. A room-day's score is the fraction of its slots with samples
+    that are in band; a room-day is skipped when its prevailing mean is
+    missing or outside the model's range, or when none of its slots has a
+    sample.
+    """
     start_day = start if isinstance(start, int) else date_to_day(start)
     end_day = end if isinstance(end, int) else date_to_day(end)
     if end_day <= start_day:
         raise ComfortError(f"empty period: [{start_day}, {end_day})")
+    if acceptability not in BAND_HALF_WIDTH:
+        raise ComfortError(
+            f"acceptability must be one of {sorted(BAND_HALF_WIDTH)}, got {acceptability}")
+    half = BAND_HALF_WIDTH[acceptability]
+
+    days = np.arange(start_day, end_day)
+    t_pmo = prevailing_means(weather, days, site.tz_offset_minutes)
+    applicable = (t_pmo >= PMO_APPLICABLE_MIN) & (t_pmo <= PMO_APPLICABLE_MAX)
+    t_comfort = ADAPTIVE_SLOPE * t_pmo + ADAPTIVE_INTERCEPT
+    # (day, slot) grids: each slot's first second, and its band
+    slot_starts = ((days * DAY_SECONDS - site.tz_offset_minutes * 60 + SCHOOL_DAY_START)[:, None]
+                   + 3600 * np.arange(SCHOOL_DAY_SLOTS))
+    rows, recorded = weather.rows_at(slot_starts)
+    wind_raise = np.zeros(slot_starts.shape)
+    wind_raise[recorded] = wind_offsets(weather.wind_speed[rows[recorded]])
+    low = (t_comfort - half)[:, None]
+    high = (t_comfort + half)[:, None] + wind_raise
 
     room_scores: dict[str, tuple[DailyComfortScore, ...]] = {}
-    all_scores: list[float] = []
     skipped = 0
     for room_id in sorted(room_series):
-        scores = []
-        for d in range(start_day, end_day):
-            try:
-                score = daily_comfort(
-                    room_series[room_id], weather, d,
-                    room_id=room_id, acceptability=acceptability,
-                    tz_offset_minutes=site.tz_offset_minutes,
-                )
-            except ModelInapplicable:
-                skipped += 1
-                continue
-            if score is None:
-                skipped += 1
-                continue
-            scores.append(score)
-            all_scores.append(score.score)
-        room_scores[room_id] = tuple(scores)
+        series = room_series[room_id]
+        lo = np.searchsorted(series.times, slot_starts)
+        hi = np.searchsorted(series.times, slot_starts + 3600)
+        means = _segment_means(series.values, lo, hi)
+        evaluated = np.count_nonzero(hi > lo, axis=1)
+        in_band = np.count_nonzero((low <= means) & (means <= high), axis=1)
+        scored = applicable & (evaluated > 0)
+        room_scores[room_id] = tuple(
+            DailyComfortScore(room_id=room_id, day=day, score=hits / n, hours_evaluated=n,
+                              t_pmo=pmo)
+            for day, hits, n, pmo in zip(days[scored].tolist(), in_band[scored].tolist(),
+                                         evaluated[scored].tolist(), t_pmo[scored].tolist()))
+        skipped += len(days) - len(room_scores[room_id])
 
+    all_scores = [s.score for scores in room_scores.values() for s in scores]
     if not all_scores:
         raise ComfortError(f"no rooms with scorable data in site {site.site_id}")
     arr = np.array(all_scores)

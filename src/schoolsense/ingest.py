@@ -41,6 +41,7 @@ from .model import (
     Site,
     TimeSeries,
     format_iso8601,
+    json_value,
     parse_iso8601,
 )
 
@@ -92,11 +93,12 @@ def parse_catalog(document: str) -> DeploymentCatalog:
             )
             sites.append(Site(
                 site_id=str(raw["site_id"]),
-                latitude=float(raw.get("latitude", 0.0)),
-                longitude=float(raw.get("longitude", 0.0)),
+                latitude=json_value(raw.get("latitude", 0.0), float, "latitude"),
+                longitude=json_value(raw.get("longitude", 0.0), float, "longitude"),
                 start_time=parse_iso8601(raw["start_time"]),
-                tz_offset_minutes=int(raw.get("tz_offset_minutes", 0)),
-                cold_climate=bool(raw.get("cold_climate", False)),
+                tz_offset_minutes=json_value(raw.get("tz_offset_minutes", 0), int,
+                                             "tz_offset_minutes"),
+                cold_climate=json_value(raw.get("cold_climate", False), bool, "cold_climate"),
                 rooms=rooms,
             ))
         except KeyError as exc:
@@ -118,7 +120,7 @@ def parse_catalog(document: str) -> DeploymentCatalog:
                 site_id=str(raw["site_id"]),
                 room_id=None if raw.get("room_id") is None else str(raw["room_id"]),
                 kind=kind,
-                sensing_rate=int(raw.get("sensing_rate", 30)),
+                sensing_rate=json_value(raw.get("sensing_rate", 30), int, "sensing_rate"),
             ))
         except KeyError as exc:
             raise CatalogError(f"sensor entry missing field {exc}") from None
@@ -271,14 +273,15 @@ class WeatherHistory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def at_hour(self, epoch: int) -> tuple[float, float, float] | None:
-        """(temp, wind, cloud) for the hour containing `epoch`, if recorded."""
-        hour = (int(epoch) // 3600) * 3600
-        i = int(np.searchsorted(self.times, hour))
-        if i < len(self.times) and self.times[i] == hour:
-            return (float(self.outdoor_temp[i]), float(self.wind_speed[i]),
-                    float(self.cloud_cover[i]))
-        return None
+    def rows_at(self, epochs) -> tuple[np.ndarray, np.ndarray]:
+        """For each epoch, the row of the hour containing it and whether that
+        hour is recorded; a row means nothing where its hour is not recorded."""
+        hours = np.asarray(epochs, dtype=np.int64) // 3600 * 3600
+        rows = np.searchsorted(self.times, hours)
+        recorded = np.zeros(hours.shape, dtype=bool)
+        inside = rows < len(self.times)
+        recorded[inside] = self.times[rows[inside]] == hours[inside]
+        return rows, recorded
 
 
 def load_weather(document: str) -> dict[str, WeatherHistory]:

@@ -107,6 +107,25 @@ def date_to_day(d: date) -> int:
     return (d - date(1970, 1, 1)).days
 
 
+# The JSON types a document value may have, per Python type, and their names.
+_JSON_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+               float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
+def json_value(value, kind: type, name: str):
+    """`value` as `kind`, if it already has the JSON type `kind` is written as.
+
+    Nothing is coerced: a bool only from true or false, an int from an integer
+    that is not a bool, a float from any number that is not a bool, a string
+    or a string-valued Enum from a string. Anything else raises ModelError
+    naming the field.
+    """
+    allowed, written = _JSON_TYPES[str if issubclass(kind, Enum) else kind]
+    if type(value) not in allowed:
+        raise ModelError(f"{name} must be {written}, got {value!r}")
+    return kind(value)
+
+
 class SensorKind(Enum):
     """Sensor categories deployed across the buildings, with fixed units."""
 

@@ -196,10 +196,7 @@ def solar_gain_correlation(
 
     # each hour pairs with the hour before it; only daylight hours enter
     later = np.flatnonzero((np.diff(hours) == 1) & (gains[1:] > 0.0)) + 1
-    hour_starts = (hours[later] * 3600 - offset) // 3600 * 3600
-    at = np.searchsorted(weather.times, hour_starts)
-    recorded = at < len(weather.times)
-    recorded[recorded] = weather.times[at[recorded]] == hour_starts[recorded]
+    at, recorded = weather.rows_at(hours[later] * 3600 - offset)
     later, at = later[recorded], at[recorded]
     proxies = (1.0 - weather.cloud_cover[at]) * gains[later]
     rises = means[later] - means[later - 1]

@@ -40,6 +40,7 @@ from .model import (
     TimeSeries,
     date_to_day,
     format_iso8601,
+    json_value,
 )
 from .performance import orientation_gain
 
@@ -66,10 +67,11 @@ GAIN_TIME_CONSTANT_S = 5400.0
 
 
 def _given(spec: type, data: dict) -> dict:
-    """The settings of `spec` that `data` holds, each coerced to the type of its
-    field's default; settings `data` lacks keep the dataclass default. Fields
-    without a default, and a site's rooms, are the caller's to build."""
-    return {f.name: type(f.default)(data[f.name]) for f in fields(spec)
+    """The settings of `spec` that `data` holds, each of the JSON type of its
+    field's default (`json_value`); settings `data` lacks keep the dataclass
+    default. Fields without a default, and a site's rooms, are the caller's to
+    build."""
+    return {f.name: json_value(data[f.name], type(f.default), f.name) for f in fields(spec)
             if f.name in data and f.default is not MISSING and f.name != "rooms"}
 
 
@@ -159,9 +161,9 @@ class ScenarioSpec:
                 for s in data["sites"]
             )
             return cls(
-                seed=int(data["seed"]),
+                seed=json_value(data["seed"], int, "seed"),
                 start=date.fromisoformat(data["start"]),
-                days=int(data["days"]),
+                days=json_value(data["days"], int, "days"),
                 sites=sites,
                 **_given(cls, data),
             )

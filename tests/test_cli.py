@@ -277,6 +277,26 @@ def test_missing_scenario_spec_exits_1(tmp_path, capsys):
     _assert_one_error_line(err)
 
 
+def test_catalog_value_of_the_wrong_json_type_exits_2(work, capsys):
+    catalog = json.loads((work / "inputs" / "catalog.json").read_text())
+    catalog["sites"][0]["cold_climate"] = "false"
+    (work / "bad_catalog.json").write_text(json.dumps(catalog))
+    code, err = _run(["quality", *_write_config(work, catalog=str(work / "bad_catalog.json"))],
+                     capsys)
+    assert code == 2
+    assert "cold_climate must be true or false, got 'false'" in err
+    _assert_one_error_line(err)
+
+
+def test_spec_value_of_the_wrong_json_type_exits_2(tmp_path, capsys):
+    (tmp_path / "spec.json").write_text(json.dumps(dict(SPEC, days=2.9)))
+    code, err = _run(["synth", str(tmp_path / "spec.json"), "--out", str(tmp_path / "out")],
+                     capsys)
+    assert code == 2
+    assert "days must be an integer, got 2.9" in err
+    _assert_one_error_line(err)
+
+
 def test_malformed_measurements_name_the_file(work, capsys):
     bad = work / "bad.csv"
     bad.write_text("sensor_id,timestamp,value\ns1-a-temp,2017-10-02T00:00:00Z\n")

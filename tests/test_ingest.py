@@ -91,6 +91,31 @@ def test_catalog_roundtrip():
     assert again == catalog
 
 
+@pytest.mark.parametrize("entry, field, value", [
+    ("sites", "cold_climate", "false"),  # a non-empty string is truthy
+    ("sites", "cold_climate", 1),
+    ("sites", "tz_offset_minutes", 90.9),
+    ("sites", "tz_offset_minutes", "120"),
+    ("sites", "tz_offset_minutes", True),
+    ("sites", "latitude", "38.0"),
+    ("sensors", "sensing_rate", 2.9),
+    ("sensors", "sensing_rate", 30.0),
+])
+def test_catalog_values_must_have_their_json_type(entry, field, value):
+    doc = json.loads(_catalog_doc(1))
+    doc[entry][0][field] = value
+    with pytest.raises(CatalogError, match=f"{field} must be"):
+        parse_catalog(json.dumps(doc))
+
+
+def test_catalog_numbers_and_flags_keep_their_json_type():
+    doc = json.loads(_catalog_doc(1))
+    doc["sites"][0].update(latitude=38, cold_climate=True, tz_offset_minutes=-300)
+    site = parse_catalog(json.dumps(doc)).sites[0]
+    assert (site.latitude, site.cold_climate, site.tz_offset_minutes) == (38.0, True, -300)
+    assert type(site.latitude) is float
+
+
 @pytest.fixture
 def catalog():
     return parse_catalog(_catalog_doc(2))
@@ -223,8 +248,10 @@ def test_load_weather_gap_recorded():
     ]
     history = load_weather(_weather_doc(rows))["a"]
     assert len(history) == 2
-    assert history.at_hour(t0 + 3600) is None
-    assert history.at_hour(t0 + 3 * 3600) == (16.0, 1.0, 0.5)
+    # each epoch finds the hour containing it, if that hour is recorded
+    rows, recorded = history.rows_at([t0 - 1, t0 + 3600, t0 + 3 * 3600 + 3599, t0 + 4 * 3600])
+    assert recorded.tolist() == [False, False, True, False]
+    assert history.outdoor_temp[rows[2]] == 16.0
 
 
 def test_load_weather_rejects_off_grid_timestamp():
