@@ -251,7 +251,9 @@ def test_load_weather_gap_recorded():
     # each epoch finds the hour containing it, if that hour is recorded
     rows, recorded = history.rows_at([t0 - 1, t0 + 3600, t0 + 3 * 3600 + 3599, t0 + 4 * 3600])
     assert recorded.tolist() == [False, False, True, False]
-    assert history.outdoor_temp[rows[2]] == 16.0
+    row = rows[2]
+    assert (history.outdoor_temp[row], history.wind_speed[row], history.cloud_cover[row]) \
+        == (16.0, 1.0, 0.5)
 
 
 def test_load_weather_rejects_off_grid_timestamp():
