@@ -227,8 +227,8 @@ def cmd_quality(config: RunConfig, end: date | None = None) -> None:
         raw = {sensor_id: s.take(slice(0, int(np.searchsorted(s.times, end_epoch))))
                for sensor_id, s in raw.items()}
 
-    cells = quality_mod.availability_matrix(raw, catalog, end_epoch)
-    if not cells:
+    matrix = quality_mod.availability_matrix(raw, catalog, end_epoch)
+    if not matrix:
         raise ConfigError(f"the period ends {day_to_date(end_epoch // DAY_SECONDS)}, "
                           "on or before the start of every site")
     repaired_store = SeriesStore(config.repaired)
@@ -239,29 +239,19 @@ def cmd_quality(config: RunConfig, end: date | None = None) -> None:
         repairs[meta.sensor_id] = outcome
         repaired_store.save(meta.site_id, outcome.series)
 
-    # per sensor per day: expected, observed, outage, flags by kind, fills
-    flag_days: dict[tuple[str, int, quality_mod.FlagKind], int] = {}
-    fill_days: dict[tuple[str, int], int] = {}
-    for sensor_id, outcome in repairs.items():
-        series = raw[sensor_id]
-        for flag in outcome.flags:
-            day = int(series.times[flag.index]) // DAY_SECONDS
-            key = (sensor_id, day, flag.kind)
-            flag_days[key] = flag_days.get(key, 0) + 1
-        for t in outcome.filled:
-            key = (sensor_id, t // DAY_SECONDS)
-            fill_days[key] = fill_days.get(key, 0) + 1
     rows = []
-    for cell in cells:
-        meta = catalog.sensor(cell.sensor_id)
-        outage = 100.0 * (1.0 - cell.fraction)
-        zero = flag_days.get((cell.sensor_id, cell.day, quality_mod.FlagKind.ZERO_ERROR), 0)
-        spike = flag_days.get((cell.sensor_id, cell.day, quality_mod.FlagKind.SPIKE), 0)
-        bound = flag_days.get((cell.sensor_id, cell.day, quality_mod.FlagKind.BOUND_VIOLATION), 0)
-        fills = fill_days.get((cell.sensor_id, cell.day), 0)
-        rows.append(
-            f"{meta.site_id},{cell.sensor_id},{day_to_date(cell.day).isoformat()},"
-            f"{cell.expected},{cell.observed},{outage!r},{zero},{spike},{bound},{fills}")
+    for sensor_id, (days, expected, observed) in matrix.items():
+        fraction = np.divide(observed, expected, out=np.ones(len(days)), where=expected > 0)
+        outage = 100.0 * (1.0 - np.minimum(1.0, fraction))
+        outcome = repairs[sensor_id]
+        flagged = [raw[sensor_id].times[[f.index for f in outcome.flags if f.kind is kind]]
+                   for kind in quality_mod.FlagKind]  # zero, spike, bound: the column order
+        columns = [expected, observed, outage,
+                   *(quality_mod.day_counts(at, days) for at in [*flagged, outcome.filled])]
+        site_id = catalog.sensor(sensor_id).site_id
+        for day, *values in zip(days.tolist(), *(c.tolist() for c in columns)):
+            rows.append(f"{site_id},{sensor_id},{day_to_date(day).isoformat()},"
+                        + ",".join(map(repr, values)))
     _write_csv(
         config.out / "quality_report.csv",
         "site_id,sensor_id,date,expected,observed,outage_pct,"
@@ -269,14 +259,14 @@ def cmd_quality(config: RunConfig, end: date | None = None) -> None:
         rows)
 
     site_stats = _group_quality([site.site_id for site in catalog.sites],
-                                lambda m: m.site_id, catalog, cells, raw, repairs)
+                                lambda m: m.site_id, catalog, matrix, raw, repairs)
     _write_csv(
         config.out / "site_quality.csv",
         "site_id,pos,sensors,start_time,outage_pct,outlier_pct",
         [f"{site_id},{pos},{n},{format_iso8601(catalog.site(site_id).start_time)},"
          f"{outage!r},{outlier!r}" for site_id, pos, n, outage, outlier in site_stats])
     kind_stats = _group_quality(CATEGORIES, lambda m: m.kind.category,
-                                catalog, cells, raw, repairs)
+                                catalog, matrix, raw, repairs)
     _write_csv(
         config.out / "kind_quality.csv",
         "category,pos,sensors,outage_pct,outlier_pct",
@@ -292,24 +282,27 @@ def _group_quality(
     order: Iterable[str],
     group_of: Callable[[SensorMeta], str],
     catalog: DeploymentCatalog,
-    cells: list[quality_mod.AvailabilityCell],
+    matrix: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
     raw: dict[str, TimeSeries],
     repairs: dict[str, quality_mod.RepairedSeries],
 ) -> list[tuple[str, int, int, float, float]]:
     """(group, positions, sensors, outage %, outlier %) for each group in
-    `order` that has cells; a group whose sensors all start after the
-    period, or that has none, gets no row."""
-    outage = quality_mod.outage_percentages(cells, catalog, group_of)
+    `order` that expects a sample in the period; a group whose sensors all
+    start after the period, expect no grid point in it, or that has no
+    sensor, gets no row."""
     stats = []
     for group in order:
-        if group not in outage:
-            continue
         metas = [m for m in catalog.sensors if group_of(m) == group]
+        counted = [matrix[m.sensor_id] for m in metas if m.sensor_id in matrix]
+        if not any(expected.any() for _, expected, _ in counted):
+            continue
+        _, expected, observed = (np.concatenate(c) for c in zip(*counted))
+        outage = quality_mod.outage_percentage(expected, observed)
         pos = len({(m.site_id, m.room_id) for m in metas})
-        observed = sum(len(raw[m.sensor_id]) for m in metas)
+        samples = sum(len(raw[m.sensor_id]) for m in metas)
         flags = sum(len(repairs[m.sensor_id].flags) for m in metas)
-        outlier_pct = 100.0 * flags / observed if observed else 0.0
-        stats.append((group, pos, len(metas), outage[group], outlier_pct))
+        outlier_pct = 100.0 * flags / samples if samples else 0.0
+        stats.append((group, pos, len(metas), outage, outlier_pct))
     return stats
 
 

@@ -270,6 +270,11 @@ class Site:
     rooms: tuple[Classroom, ...] = ()
 
     def __post_init__(self):
+        for name, lo, hi in (("tz_offset_minutes", -720, 840), ("latitude", -90.0, 90.0),
+                             ("longitude", -180.0, 180.0)):
+            if not lo <= getattr(self, name) <= hi:
+                raise ModelError(f"site {self.site_id!r}: {name} must lie in [{lo}, {hi}], "
+                                 f"got {getattr(self, name)!r}")
         seen = set()
         for room in self.rooms:
             if room.room_id in seen:

@@ -1,6 +1,14 @@
 """Data-quality pipeline: availability accounting, windowed IQR outlier
 detection and repair, moving-window smoothing and gap filling.
 
+Availability is counted per sensor and UTC day, from its site's start to
+the end of the period. A day expects the grid points k*rate of the sensor's
+sensing rate that lie in it, so the first and last day are pro-rated to the
+part inside the period; it observes the samples stamped in that part. A
+group's outage sums both over its sensors' days, with each day's observed
+count capped at its expected count. A group that expects no sample in the
+period gets no row in the group reports.
+
 Outlier bounds follow the interquartile-range rule: values outside
 [Q1 - 3*IQR, Q3 + 3*IQR] of their trailing time window are flagged. The
 quartiles come from all samples in the window, flagged or not, so flags
@@ -18,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -31,7 +39,6 @@ from .model import (
     TimeSeries,
     TimeWindow,
     slice_series,
-    to_epoch,
 )
 
 
@@ -50,86 +57,44 @@ FILL_WINDOW = TimeWindow.hours(2)
 SMOOTH_WINDOW = TimeWindow.minutes(5)
 
 
-@dataclass(frozen=True)
-class AvailabilityCell:
-    """Expected vs observed sample counts for one sensor on one UTC day."""
-
-    sensor_id: str
-    day: int  # days since epoch, UTC
-    expected: int
-    observed: int
-
-    @property
-    def fraction(self) -> float:
-        if self.expected <= 0:
-            return 1.0
-        return min(1.0, self.observed / self.expected)
-
-
-def _grid_count(start: int, end: int, rate: int) -> int:
-    """Number of grid points k*rate in [start, end)."""
-    if end <= start:
-        return 0
-    first = -(-start // rate)
-    last = -(-end // rate) - 1
-    return max(0, last - first + 1)
+def day_counts(times, days: np.ndarray) -> np.ndarray:
+    """How many of `times` fall on each of the consecutive UTC `days`; times
+    on other days are not counted."""
+    offsets = np.asarray(times, dtype=np.int64) // DAY_SECONDS - days[0]
+    return np.bincount(offsets[(offsets >= 0) & (offsets < len(days))], minlength=len(days))
 
 
 def availability_matrix(
     series: Mapping[str, TimeSeries],
     catalog: DeploymentCatalog,
-    end,
-) -> list[AvailabilityCell]:
-    """One cell per sensor per UTC day from its site's start to `end`.
-
-    Expected counts come from the sensor's sensing rate on a grid anchored at
-    epoch-multiples of the rate, pro-rated on the first and last day.
-    """
-    end_epoch = to_epoch(end)
-    cells: list[AvailabilityCell] = []
+    end: int,
+) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per sensor, in id order, the UTC days from its site's start to `end`
+    with the samples expected and observed on each; a sensor whose site
+    starts at or after `end` has no entry."""
+    matrix = {}
     for sensor_id in sorted(series):
         meta = catalog.sensor(sensor_id)
-        site = catalog.site(meta.site_id)
-        if end_epoch <= site.start_time:
+        start = catalog.site(meta.site_id).start_time
+        if end <= start:
             continue
-        clipped = slice_series(series[sensor_id], site.start_time, end_epoch)
-        first_day = site.start_time // DAY_SECONDS
-        last_day = (end_epoch - 1) // DAY_SECONDS
-        n_days = last_day - first_day + 1
-        observed = np.zeros(n_days, dtype=np.int64)
-        if len(clipped):
-            np.add.at(observed, (clipped.times // DAY_SECONDS) - first_day, 1)
-        for i in range(n_days):
-            day = first_day + i
-            window_start = max(site.start_time, day * DAY_SECONDS)
-            window_end = min(end_epoch, (day + 1) * DAY_SECONDS)
-            expected = _grid_count(window_start, window_end, meta.sensing_rate)
-            cells.append(AvailabilityCell(sensor_id, int(day), expected, int(observed[i])))
-    return cells
+        days = np.arange(start // DAY_SECONDS, (end - 1) // DAY_SECONDS + 1)
+        lo = np.maximum(days * DAY_SECONDS, start)
+        hi = np.minimum((days + 1) * DAY_SECONDS, end)
+        rate = meta.sensing_rate
+        expected = (lo // -rate) - (hi // -rate)  # ceil(hi/rate) - ceil(lo/rate)
+        observed = day_counts(slice_series(series[sensor_id], start, end).times, days)
+        matrix[sensor_id] = (days, expected, observed)
+    return matrix
 
 
-def outage_percentage(cells: Iterable[AvailabilityCell]) -> float:
-    """100 * (1 - observed/expected) over the cells' full history."""
-    total_expected = 0
-    total_observed = 0
-    for cell in cells:
-        total_expected += cell.expected
-        total_observed += min(cell.observed, cell.expected)
-    if total_expected == 0:
+def outage_percentage(expected: np.ndarray, observed: np.ndarray) -> float:
+    """100 * (1 - observed/expected) over all the given days, with each
+    day's observed count capped at its expected count."""
+    total = int(expected.sum())
+    if total == 0:
         raise QualityError("no expected samples in group")
-    return 100.0 * (1.0 - total_observed / total_expected)
-
-
-def outage_percentages(
-    cells: Iterable[AvailabilityCell],
-    catalog: DeploymentCatalog,
-    group_of: Callable[[SensorMeta], str],
-) -> dict[str, float]:
-    """Outage percentage per group of sensors; a group without cells has no entry."""
-    groups: dict[str, list[AvailabilityCell]] = {}
-    for cell in cells:
-        groups.setdefault(group_of(catalog.sensor(cell.sensor_id)), []).append(cell)
-    return {key: outage_percentage(group) for key, group in sorted(groups.items())}
+    return 100.0 * (1.0 - int(np.minimum(observed, expected).sum()) / total)
 
 
 class FlagKind(Enum):

@@ -4,17 +4,32 @@ These are the loops that `flag_outliers`, `replace_outliers` and
 `fill_missing` ran before they became array code. The array kernels must
 return exactly what these return: the same flags, byte-equal arrays and the
 same time tuples. Only the function names differ from the loops' originals.
+
+`oracle_availability_matrix` is the per-sensor-day loop that
+`availability_matrix` ran before it returned per-day arrays: one
+`AvailabilityCell` per sensor and UTC day, whose counts the arrays must
+equal day by day.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from schoolsense.model import SensorKind, SensorMeta, TimeSeries, TimeWindow
+from schoolsense.model import (
+    DAY_SECONDS,
+    DeploymentCatalog,
+    SensorKind,
+    SensorMeta,
+    TimeSeries,
+    TimeWindow,
+    slice_series,
+    to_epoch,
+)
 from schoolsense.quality import (
     FillResult,
     FlagKind,
@@ -198,3 +213,61 @@ def oracle_fill_missing(series: TimeSeries, meta: SensorMeta, window: TimeWindow
     present = ~np.isnan(grid_values)
     out = TimeSeries(series.sensor_id, grid[present], grid_values[present])
     return FillResult(out, tuple(filled), tuple(unfilled))
+
+
+@dataclass(frozen=True)
+class AvailabilityCell:
+    """Expected vs observed sample counts for one sensor on one UTC day."""
+
+    sensor_id: str
+    day: int  # days since epoch, UTC
+    expected: int
+    observed: int
+
+    @property
+    def fraction(self) -> float:
+        if self.expected <= 0:
+            return 1.0
+        return min(1.0, self.observed / self.expected)
+
+
+def _grid_count(start: int, end: int, rate: int) -> int:
+    """Number of grid points k*rate in [start, end)."""
+    if end <= start:
+        return 0
+    first = -(-start // rate)
+    last = -(-end // rate) - 1
+    return max(0, last - first + 1)
+
+
+def oracle_availability_matrix(
+    series: Mapping[str, TimeSeries],
+    catalog: DeploymentCatalog,
+    end,
+) -> list[AvailabilityCell]:
+    """One cell per sensor per UTC day from its site's start to `end`.
+
+    Expected counts come from the sensor's sensing rate on a grid anchored at
+    epoch-multiples of the rate, pro-rated on the first and last day.
+    """
+    end_epoch = to_epoch(end)
+    cells: list[AvailabilityCell] = []
+    for sensor_id in sorted(series):
+        meta = catalog.sensor(sensor_id)
+        site = catalog.site(meta.site_id)
+        if end_epoch <= site.start_time:
+            continue
+        clipped = slice_series(series[sensor_id], site.start_time, end_epoch)
+        first_day = site.start_time // DAY_SECONDS
+        last_day = (end_epoch - 1) // DAY_SECONDS
+        n_days = last_day - first_day + 1
+        observed = np.zeros(n_days, dtype=np.int64)
+        if len(clipped):
+            np.add.at(observed, (clipped.times // DAY_SECONDS) - first_day, 1)
+        for i in range(n_days):
+            day = first_day + i
+            window_start = max(site.start_time, day * DAY_SECONDS)
+            window_end = min(end_epoch, (day + 1) * DAY_SECONDS)
+            expected = _grid_count(window_start, window_end, meta.sensing_rate)
+            cells.append(AvailabilityCell(sensor_id, int(day), expected, int(observed[i])))
+    return cells

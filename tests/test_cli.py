@@ -297,6 +297,31 @@ def test_spec_value_of_the_wrong_json_type_exits_2(tmp_path, capsys):
     _assert_one_error_line(err)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tz_offset_minutes", 100000), ("latitude", 500.0), ("longitude", -900.0)])
+def test_catalog_site_value_out_of_range_exits_2(work, capsys, field, value):
+    catalog = json.loads((work / "inputs" / "catalog.json").read_text())
+    catalog["sites"][0][field] = value
+    (work / "bad_catalog.json").write_text(json.dumps(catalog))
+    code, err = _run(["quality", *_write_config(work, catalog=str(work / "bad_catalog.json"))],
+                     capsys)
+    assert code == 2
+    assert f"{field} must lie in" in err
+    _assert_one_error_line(err)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tz_offset_minutes", 100000), ("latitude", 500.0), ("longitude", -900.0)])
+def test_spec_site_value_out_of_range_exits_2(tmp_path, capsys, field, value):
+    spec = dict(SPEC, sites=[dict(SPEC["sites"][0], **{field: value})])
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    code, err = _run(["synth", str(tmp_path / "spec.json"), "--out", str(tmp_path / "out")],
+                     capsys)
+    assert code == 2
+    assert f"{field} must lie in" in err
+    _assert_one_error_line(err)
+
+
 def test_malformed_measurements_name_the_file(work, capsys):
     bad = work / "bad.csv"
     bad.write_text("sensor_id,timestamp,value\ns1-a-temp,2017-10-02T00:00:00Z\n")
@@ -364,6 +389,33 @@ def test_quality_site_starting_after_the_period_gets_no_row(work, capsys):
     categories = [row.split(",")[0]
                   for row in (out / "kind_quality.csv").read_text().splitlines()[1:]]
     assert categories == ["environmental", "atmospheric", "weather", "power"]
+
+
+def test_quality_group_expecting_no_sample_gets_no_row(work, capsys):
+    # the site starts 30 min before the period ends, so the 3600 s weather and
+    # atmospheric sensors have no grid point in the period
+    catalog_path = work / "inputs" / "catalog.json"
+    catalog = json.loads(catalog_path.read_text())
+    catalog["sites"][0]["start_time"] = "2017-10-04T23:30:00Z"
+    catalog_path.write_text(json.dumps(catalog))
+    code, err = _run(["quality", "--config", str(work / "config.json"),
+                      "--to", "2017-10-05"], capsys)
+    assert code == 0, err
+    out = work / "out"
+    categories = [row.split(",")[0]
+                  for row in (out / "kind_quality.csv").read_text().splitlines()[1:]]
+    assert categories == ["environmental", "power"]
+    rates = {m.sensor_id: m.sensing_rate for m in parse_catalog(catalog_path.read_text()).sensors}
+    rows = [row.split(",") for row in (out / "quality_report.csv").read_text().splitlines()[1:]]
+    assert sorted(row[1] for row in rows) == sorted(rates)
+    for _, sensor_id, day, expected, _, outage, *_ in rows:
+        assert day == "2017-10-04"
+        if rates[sensor_id] == 3600:
+            assert (expected, outage) == ("0", "0.0"), sensor_id
+        else:
+            assert int(expected) == 1800 // rates[sensor_id], sensor_id
+    assert [row.split(",")[0] for row in
+            (out / "site_quality.csv").read_text().splitlines()[1:]] == ["s1"]
 
 
 def test_quality_to_limits_repair_and_outlier_rates(tmp_path, capsys):

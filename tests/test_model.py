@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from datetime import date, datetime, timezone
 
 import numpy as np
@@ -138,6 +139,28 @@ def test_site_rejects_duplicate_rooms():
     room = Classroom("r", "a", Orientation.S)
     with pytest.raises(ModelError):
         Site("a", 0.0, 0.0, 0, rooms=(room, room))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tz_offset_minutes", -720), ("tz_offset_minutes", 840),
+    ("latitude", -90.0), ("latitude", 90.0),
+    ("longitude", -180.0), ("longitude", 180.0),
+])
+def test_site_accepts_the_edges_of_its_ranges(field, value):
+    site = Site(**{"site_id": "a", "latitude": 0.0, "longitude": 0.0, "start_time": 0,
+                   field: value})
+    assert getattr(site, field) == value
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tz_offset_minutes", -721), ("tz_offset_minutes", 841), ("tz_offset_minutes", 100000),
+    ("latitude", -90.5), ("latitude", 500.0), ("latitude", math.nan),
+    ("longitude", 180.5), ("longitude", -900.0), ("longitude", math.inf),
+])
+def test_site_rejects_values_outside_their_ranges(field, value):
+    with pytest.raises(ModelError, match=field):
+        Site(**{"site_id": "a", "latitude": 0.0, "longitude": 0.0, "start_time": 0,
+                field: value})
 
 
 def test_time_window_positive():

@@ -5,9 +5,12 @@ from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from schoolsense.cli import _group_quality
 from schoolsense.model import (
+    CATEGORIES,
+    DeploymentCatalog,
     SensorKind,
     SensorMeta,
     Site,
@@ -17,15 +20,15 @@ from schoolsense.model import (
 from schoolsense.quality import (
     ENV_WINDOW,
     REPAIR_WINDOW,
-    AvailabilityCell,
     FlagKind,
     QualityError,
+    RepairedSeries,
     availability_matrix,
+    day_counts,
     fill_missing,
     flag_outliers,
     moving_average,
     outage_percentage,
-    outage_percentages,
     repair_series,
     replace_outliers,
     zero_implausible_for,
@@ -33,6 +36,7 @@ from schoolsense.quality import (
 from schoolsense.quality import _interp_rank
 
 from conftest import series_at, utc
+from quality_oracles import oracle_availability_matrix
 
 
 def rank_percentile(sorted_vals: list[float], q: float) -> float:
@@ -87,49 +91,62 @@ def test_quartiles_match_rank_oracle(values):
 def _avail_catalog(rate=30):
     site = Site("a", 0.0, 0.0, utc(2017, 9, 4))
     meta = SensorMeta("s1", "a", SensorKind.INDOOR_TEMPERATURE, rate, None)
-    from schoolsense.model import DeploymentCatalog
     return DeploymentCatalog((site,), (meta,))
 
 
 def test_availability_full_day():
     catalog = _avail_catalog()
     series = series_at("s1", utc(2017, 9, 4), 30, np.full(2880, 20.0))
-    cells = availability_matrix({"s1": series}, catalog, utc(2017, 9, 5))
-    assert len(cells) == 1
-    assert cells[0].expected == 2880
-    assert cells[0].observed == 2880
-    assert cells[0].fraction == 1.0
+    matrix = availability_matrix({"s1": series}, catalog, utc(2017, 9, 5))
+    assert list(matrix) == ["s1"]
+    days, expected, observed = matrix["s1"]
+    assert days.tolist() == [utc(2017, 9, 4) // 86400]
+    assert expected.tolist() == [2880]
+    assert observed.tolist() == [2880]
+    assert outage_percentage(expected, observed) == 0.0
 
 
 def test_availability_partial_day():
     catalog = _avail_catalog()
     series = series_at("s1", utc(2017, 9, 4), 30, np.full(2160, 20.0))
-    cells = availability_matrix({"s1": series}, catalog, utc(2017, 9, 5))
-    assert cells[0].fraction == pytest.approx(0.75)
+    _, expected, observed = availability_matrix({"s1": series}, catalog, utc(2017, 9, 5))["s1"]
+    assert outage_percentage(expected, observed) == pytest.approx(25.0)
 
 
 def test_availability_no_cell_before_site_start():
     catalog = _avail_catalog()
     # samples the day before the site start are clipped out
     series = series_at("s1", utc(2017, 9, 3), 30, np.full(2880 * 2, 20.0))
-    cells = availability_matrix({"s1": series}, catalog, utc(2017, 9, 5))
-    days = {c.day for c in cells}
-    assert days == {utc(2017, 9, 4) // 86400}
+    days, _, observed = availability_matrix({"s1": series}, catalog, utc(2017, 9, 5))["s1"]
+    assert days.tolist() == [utc(2017, 9, 4) // 86400]
+    assert observed.tolist() == [2880]
 
 
 def test_outage_zero_when_complete():
-    cells = [AvailabilityCell("s1", 0, 100, 100), AvailabilityCell("s1", 1, 100, 100)]
-    assert outage_percentage(cells) == 0.0
+    assert outage_percentage(np.array([100, 100]), np.array([100, 100])) == 0.0
 
 
 def test_outage_half_deleted():
-    cells = [AvailabilityCell("s1", d, 2880, 1440) for d in range(5)]
-    assert outage_percentage(cells) == pytest.approx(50.0)
+    assert outage_percentage(np.full(5, 2880), np.full(5, 1440)) == pytest.approx(50.0)
 
 
 def test_outage_empty_group():
     with pytest.raises(QualityError):
-        outage_percentage([])
+        outage_percentage(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+
+def test_outage_caps_each_day_at_its_expected_count():
+    # a surplus on one day does not make up for a shortfall on another
+    assert outage_percentage(np.array([100, 100]), np.array([150, 50])) == pytest.approx(25.0)
+
+
+def test_day_counts_ignore_times_outside_the_days():
+    days = np.array([10, 11, 12])
+    times = [9 * 86400 + 5, 10 * 86400, 11 * 86400 - 1, 12 * 86400 + 7, 12 * 86400 + 9, 13 * 86400]
+    counts = day_counts(times, days)
+    assert counts.tolist() == [2, 0, 2]
+    assert counts.dtype == np.int64
+    assert day_counts((), days).tolist() == [0, 0, 0]
 
 
 def test_outage_matches_injected_fraction():
@@ -139,9 +156,40 @@ def test_outage_matches_injected_fraction():
         sites=(SiteSpec(site_id="a", outage_fraction=0.1778,
                         rooms=(RoomSpec("r1"),)),))
     out = generate(spec)
-    cells = availability_matrix(out.series, out.catalog, utc(2017, 10, 4))
-    pct = outage_percentages(cells, out.catalog, lambda m: m.site_id)["a"]
-    assert pct == pytest.approx(17.78, abs=0.01)
+    matrix = availability_matrix(out.series, out.catalog, utc(2017, 10, 4))
+    assert {out.catalog.sensor(sensor_id).site_id for sensor_id in matrix} == {"a"}
+    _, expected, observed = (np.concatenate(c) for c in zip(*matrix.values()))
+    assert outage_percentage(expected, observed) == pytest.approx(17.78, abs=0.01)
+
+
+@settings(max_examples=200, deadline=None)
+@example(rate=86401, start=0, length=86400, stamps=[])
+@example(rate=600, start=43210, length=2 * 86400 + 17, stamps=[-5, 0, 43209, 43210, 3 * 86400])
+@example(rate=30, start=86400, length=0, stamps=[0, 86400])
+@given(
+    rate=st.sampled_from((1, 7, 30, 600, 3600, 3601, 86400, 86401)),
+    start=st.integers(0, 3 * 86400),
+    length=st.integers(-86400, 4 * 86400),
+    stamps=st.lists(st.integers(-86400, 8 * 86400), max_size=60, unique=True),
+)
+def test_availability_arrays_equal_the_per_day_cells(rate, start, length, stamps):
+    # the site starts and the period ends anywhere, on or off a day or grid
+    # boundary, or the period ends before the site starts; stamps fall before
+    # the start, inside and after the end
+    base = utc(2017, 9, 4)
+    site = Site("a", 0.0, 0.0, base + start)
+    meta = SensorMeta("s1", "a", SensorKind.INDOOR_TEMPERATURE, rate, None)
+    catalog = DeploymentCatalog((site,), (meta,))
+    series = TimeSeries("s1", base + np.array(sorted(stamps), dtype=np.int64),
+                        np.full(len(stamps), 20.0))
+    end = base + start + length
+    matrix = availability_matrix({"s1": series}, catalog, end)
+    got = [cell for days, expected, observed in matrix.values()
+           for cell in zip(days.tolist(), expected.tolist(), observed.tolist())]
+    cells = oracle_availability_matrix({"s1": series}, catalog, end)
+    assert got == [(c.day, c.expected, c.observed) for c in cells]
+    assert list(matrix) == (["s1"] if cells else [])
+    assert all(a.dtype == np.int64 for triple in matrix.values() for a in triple)
 
 
 def test_flag_zero_error_example():
@@ -335,11 +383,15 @@ def test_repair_series_reports_all_stages(tiny_catalog, tiny_site):
 
 
 def test_category_outage_grouping(tiny_catalog):
-    cells = [
-        AvailabilityCell("t1", 0, 100, 50),
-        AvailabilityCell("h1", 0, 100, 100),
-        AvailabilityCell("p1", 0, 100, 75),
-    ]
-    pct = outage_percentages(cells, tiny_catalog, lambda m: m.kind.category)
-    assert pct["environmental"] == pytest.approx(25.0)
-    assert pct["power"] == pytest.approx(25.0)
+    day = np.array([0])
+    matrix = {
+        "t1": (day, np.array([100]), np.array([50])),
+        "h1": (day, np.array([100]), np.array([100])),
+        "p1": (day, np.array([100]), np.array([75])),
+    }
+    raw = {m.sensor_id: TimeSeries.empty(m.sensor_id) for m in tiny_catalog.sensors}
+    repairs = {sensor_id: RepairedSeries(s, (), (), (), (), ()) for sensor_id, s in raw.items()}
+    stats = _group_quality(CATEGORIES, lambda m: m.kind.category, tiny_catalog, matrix, raw,
+                           repairs)
+    pct = {group: outage for group, _, _, outage, _ in stats}
+    assert pct == {"environmental": pytest.approx(25.0), "power": pytest.approx(25.0)}
