@@ -26,6 +26,14 @@ split: `comfort` and `perf` read `--from`/`--to` as local days, `quality --to`
 as a UTC day. `site_quality.csv` gives each site's start as a UTC timestamp;
 the other reports hold no dates.
 
+Each command imports only the modules it runs. A command is a fresh process,
+and without cached bytecode it compiles every module it imports, so a module
+that a command never calls still costs it start-up time. `synthgen` loads in
+`synth` alone, `quality` in `quality`, and `performance` (with the `quality`
+kernel it uses) in `perf`. `comfort` loads with this module, because the
+parser lists its acceptability classes. The exceptions that `main` maps live
+in `model`, `ingest` and here, so mapping them loads nothing more.
+
 Errors are mapped to exit codes in `main` only, and each failure prints one
 ``error:`` line to stderr:
 
@@ -47,13 +55,11 @@ import sys
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
 from . import comfort as comfort_mod
-from . import performance as perf_mod
-from . import quality as quality_mod
 from .ingest import (
     IngestError,
     SeriesStore,
@@ -68,6 +74,8 @@ from .model import (
     DAY_SECONDS,
     DeploymentCatalog,
     ModelError,
+    QualityError,
+    ScenarioError,
     SensorKind,
     SensorMeta,
     TimeSeries,
@@ -77,7 +85,9 @@ from .model import (
     slice_series,
     to_epoch,
 )
-from .synthgen import ScenarioError, ScenarioSpec, generate
+
+if TYPE_CHECKING:
+    from . import quality as quality_mod
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -154,7 +164,14 @@ def _parse_file(parse, path: Path, *args):
         raise IngestError(f"{path}: {exc}") from None
 
 
+def generate(spec, out_dir: Path):
+    """`synthgen.generate`, imported when called: only `synth` needs the generator."""
+    from . import synthgen
+    return synthgen.generate(spec, out_dir)
+
+
 def cmd_synth(spec_path: Path, out_dir: Path) -> None:
+    from .synthgen import ScenarioSpec
     spec = ScenarioSpec.from_json(Path(spec_path).read_text())
     scenario = generate(spec, out_dir)
     truth = scenario.ground_truth
@@ -211,6 +228,7 @@ def _load_all_series(
 
 
 def cmd_quality(config: RunConfig, end: date | None = None) -> None:
+    from . import quality as quality_mod
     catalog = _parse_file(parse_catalog, config.catalog)
     store = SeriesStore(config.store)
     if not store.sites():
@@ -223,9 +241,12 @@ def cmd_quality(config: RunConfig, end: date | None = None) -> None:
         end_epoch = ((max(last_times) // DAY_SECONDS) + 1) * DAY_SECONDS
     else:
         end_epoch = to_epoch(end)
-        # the repaired store and every report cover the period only
-        raw = {sensor_id: s.take(slice(0, int(np.searchsorted(s.times, end_epoch))))
-               for sensor_id, s in raw.items()}
+    # the repaired store and every report cover [site start, end) only; a site
+    # that starts after the end keeps no sample
+    raw = {m.sensor_id: slice_series(raw[m.sensor_id],
+                                     min(catalog.site(m.site_id).start_time, end_epoch),
+                                     end_epoch)
+           for m in catalog.sensors}
 
     matrix = quality_mod.availability_matrix(raw, catalog, end_epoch)
     if not matrix:
@@ -290,6 +311,7 @@ def _group_quality(
     `order` that expects a sample in the period; a group whose sensors all
     start after the period, expect no grid point in it, or that has no
     sensor, gets no row."""
+    from .quality import outage_percentage
     stats = []
     for group in order:
         metas = [m for m in catalog.sensors if group_of(m) == group]
@@ -297,7 +319,7 @@ def _group_quality(
         if not any(expected.any() for _, expected, _ in counted):
             continue
         _, expected, observed = (np.concatenate(c) for c in zip(*counted))
-        outage = quality_mod.outage_percentage(expected, observed)
+        outage = outage_percentage(expected, observed)
         pos = len({(m.site_id, m.room_id) for m in metas})
         samples = sum(len(raw[m.sensor_id]) for m in metas)
         flags = sum(len(repairs[m.sensor_id].flags) for m in metas)
@@ -375,6 +397,7 @@ def cmd_comfort(config: RunConfig, start: date, end: date, acceptability: int) -
 
 
 def cmd_perf(config: RunConfig, start: date | None = None, end: date | None = None) -> None:
+    from . import performance as perf_mod
     catalog = _parse_file(parse_catalog, config.catalog)
     weather = {}
     if config.weather is not None:
@@ -523,8 +546,7 @@ def main(argv: list[str] | None = None) -> int:
         _run(args)
     except (OSError, StoreIntegrityError) as exc:
         return _fail(exc, EXIT_IO)
-    except (ConfigError, ScenarioError, IngestError, ModelError,
-            quality_mod.QualityError) as exc:
+    except (ConfigError, ScenarioError, IngestError, ModelError, QualityError) as exc:
         return _fail(exc, EXIT_USAGE)
     return EXIT_OK
 

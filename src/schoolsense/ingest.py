@@ -16,15 +16,19 @@ Written values are shortest round-trip decimals, and store record files hold
 the raw float64 bytes, so every round trip is bit-exact. Unknown sensors are
 quarantined into a rejects report rather than failing the whole file: real
 deployments drift from their catalogs.
+
+The CSV grammar is plain comma-separated text. Lines end in ``\n`` or
+``\r\n``, and every comma separates two fields. There is no quoting: a ``"``
+anywhere is an error naming its line. Blank lines are skipped, and error
+messages count lines as they stand in the file, blank ones included.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import zlib
 from dataclasses import dataclass
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Mapping
 
@@ -166,25 +170,38 @@ def catalog_to_json(catalog: DeploymentCatalog) -> str:
 
 
 def _read_table(document: str, header: list[str], error: type[IngestError]):
-    """The columns (tuples of str) of a CSV document below its header, and their line numbers.
+    """The columns (lists of str) of a CSV document below its header, and their line numbers.
 
-    Blank lines are skipped; a wrong header or field count raises `error` with its line.
+    The grammar is the module docstring's: a quote raises `error` with its
+    line, a trailing ``\r`` is dropped, and blank lines are skipped but keep
+    their numbers. A wrong header or field count raises `error` with its line.
     """
-    rows = list(csv.reader(io.StringIO(document)))
-    if not rows or rows[0] != header:
-        raise error(f"line 1: expected header {','.join(header)!r}, got {rows[:1]!r}")
-    lines = [n for n, row in enumerate(rows[1:], start=2) if row]
-    rows = [row for row in rows[1:] if row]
-    if set(map(len, rows)) - {len(header)}:
-        line, row = next((n, r) for n, r in zip(lines, rows) if len(r) != len(header))
-        raise error(f"line {line}: expected {len(header)} fields, got {len(row)}")
-    return list(zip(*rows)) or [()] * len(header), lines
+    if '"' in document:
+        line = document.count("\n", 0, document.index('"')) + 1
+        raise error(f"line {line}: quoted fields are not supported")
+    lines = document.split("\n")
+    if "\r" in document:
+        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    if lines[0] != ",".join(header):
+        raise error(f"line 1: expected header {','.join(header)!r}, got {lines[0]!r}")
+    numbers = list(compress(range(2, len(lines) + 1), lines[1:]))
+    body = list(filter(None, lines[1:]))
+    width = len(header)
+    commas = list(map(str.count, body, repeat(",")))
+    if commas.count(width - 1) != len(commas):
+        i = next(i for i, n in enumerate(commas) if n != width - 1)
+        raise error(f"line {numbers[i]}: expected {width} fields, got {commas[i] + 1}")
+    cells = ",".join(body).split(",") if body else []
+    return [cells[k::width] for k in range(width)], numbers
 
 
 def _group_rows(keys) -> dict[str, np.ndarray]:
     """Row indices of each distinct key in file order, keys sorted."""
-    unique, inverse = np.unique(np.array(keys, dtype=str), return_inverse=True)
-    return {key: np.flatnonzero(inverse == k) for k, key in enumerate(unique.tolist())}
+    code_of = {key: code for code, key in enumerate(dict.fromkeys(keys))}
+    codes = np.fromiter(map(code_of.__getitem__, keys), np.intp, len(keys))
+    groups = np.split(np.argsort(codes, kind="stable"),
+                      np.cumsum(np.bincount(codes, minlength=len(code_of)))[:-1])
+    return {key: groups[code_of[key]] for key in sorted(code_of)}
 
 
 def _time_column(texts, lines, error: type[IngestError]) -> np.ndarray:

@@ -32,6 +32,14 @@ class ModelError(ValueError):
     index: int | None = None
 
 
+class QualityError(ValueError):
+    """Invalid input to a quality operation."""
+
+
+class ScenarioError(ValueError):
+    """Invalid scenario spec."""
+
+
 def to_epoch(ts: datetime | date | int) -> int:
     """Convert a timestamp-like value to UTC epoch seconds.
 

@@ -33,6 +33,7 @@ import numpy as np
 from .model import (
     DAY_SECONDS,
     DeploymentCatalog,
+    QualityError,
     SensorKind,
     SensorMeta,
     Site,
@@ -40,10 +41,6 @@ from .model import (
     TimeWindow,
     slice_series,
 )
-
-
-class QualityError(ValueError):
-    """Invalid input to a quality operation."""
 
 
 # Outlier detection needs a day of distributional context, but repair and

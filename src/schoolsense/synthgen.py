@@ -34,6 +34,7 @@ from .model import (
     Classroom,
     DeploymentCatalog,
     Orientation,
+    ScenarioError,
     SensorKind,
     SensorMeta,
     Site,
@@ -43,10 +44,6 @@ from .model import (
     json_value,
 )
 from .performance import orientation_gain
-
-
-class ScenarioError(ValueError):
-    pass
 
 
 # Stochastic texture of the generated climate. Day-to-day drift and hourly

@@ -12,7 +12,7 @@ import pytest
 
 from schoolsense import cli
 from schoolsense.ingest import RECORD, SeriesStore, parse_catalog
-from schoolsense.model import to_epoch
+from schoolsense.model import parse_iso8601, to_epoch
 
 SPEC = {
     "seed": 5,
@@ -468,6 +468,47 @@ def test_quality_to_replaces_a_longer_repair(work, capsys):
     _assert_repaired_before(work, date(2017, 10, 5))
     swing_rows = (work / "out" / "perf_swings.csv").read_text().splitlines()[1:]
     assert [row for row in swing_rows if row.split(",")[2] >= "2017-10-05"] == []
+
+
+def test_quality_ignores_samples_before_the_site_start(tmp_path, capsys):
+    # the measurements begin on 2017-10-02, and the catalog starts the site at
+    # noon on 2017-10-06: the earlier samples reach no report and no repaired series
+    spec = dict(SPEC, sites=[dict(SPEC["sites"][0], zero_error_rate=0.05)])
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert cli.main(["synth", str(tmp_path / "spec.json"), "--out", str(tmp_path / "inputs")]) == 0
+    start = "2017-10-06T12:00:00Z"
+    catalog_path = tmp_path / "inputs" / "catalog.json"
+    catalog = json.loads(catalog_path.read_text())
+    catalog["sites"][0]["start_time"] = start
+    catalog_path.write_text(json.dumps(catalog))
+    every = tmp_path / "inputs" / "measurements" / "s1.csv"
+    header, *lines = every.read_text().splitlines()
+    after = [line for line in lines if line.split(",")[1] >= start]
+    assert 0 < len(after) < len(lines)
+    (tmp_path / "after.csv").write_text("\n".join([header, *after]) + "\n")
+
+    outputs = {}
+    for name, measurements in (("every", every), ("after", tmp_path / "after.csv")):
+        conf = _write_config(tmp_path, store=str(tmp_path / name / "store"),
+                             out=str(tmp_path / name / "out"), measurements=[str(measurements)])
+        for command in ("ingest", "quality"):
+            code, err = _run([command, *conf], capsys)
+            assert code == 0, err
+        out = tmp_path / name / "out"
+        outputs[name] = {str(p.relative_to(out)): p.read_bytes()
+                         for p in sorted(out.rglob("*")) if p.is_file()}
+    # reports and repaired series alike
+    assert outputs["every"] == outputs["after"]
+
+    columns, *rows = (line.split(",") for line in
+                      (tmp_path / "every" / "out" / "quality_report.csv").read_text().splitlines())
+    assert min(row[2] for row in rows) == "2017-10-06"
+    assert sum(int(row[columns.index("zero_flags")]) for row in rows
+               if row[2] == "2017-10-06") > 0
+    repaired = SeriesStore(tmp_path / "every" / "out" / "repaired")
+    for meta in parse_catalog(catalog_path.read_text()).sensors:
+        times = repaired.load(meta.site_id, meta.sensor_id).series.times
+        assert times[0] == parse_iso8601(start), meta.sensor_id
 
 
 @pytest.mark.parametrize("command", ["comfort", "perf"])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import tempfile
 import zlib
 
@@ -9,12 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schoolsense.ingest import (
+    MEASUREMENT_HEADER,
     RECORD,
+    WEATHER_HEADER,
     CatalogError,
     MeasurementFormatError,
     SeriesStore,
     StoreIntegrityError,
     WeatherFormatError,
+    _read_table,
     catalog_to_json,
     load_weather,
     parse_catalog,
@@ -25,6 +29,7 @@ from schoolsense.ingest import (
 from schoolsense.model import DAY_SECONDS, TimeSeries, format_iso8601
 
 from conftest import series_at, utc
+from ingest_oracles import oracle_read_table
 
 
 def _catalog_doc(n_sites=1):
@@ -219,6 +224,90 @@ def test_parse_measurements_reparse_fixpoint(catalog):
     for sid in series:
         assert np.array_equal(once[sid].times, twice[sid].times)
         assert np.array_equal(once[sid].values, twice[sid].values)
+
+
+# ---------------------------------------------------------------- the CSV grammar
+
+@pytest.mark.parametrize("doc, line", [
+    ('"sensor_id",timestamp,value\n', 1),
+    ('sensor_id,timestamp,value\nsite0-t,2017-09-30T10:00:00Z,"21.5"\n', 2),
+    ('sensor_id,timestamp,value\r\n\r\nsite0-t,2017-09-30T10:00:00Z,21.5\r\n'
+     '"site0-t,2017-09-30T10:01:00Z",21.5\r\n', 4),
+    ('sensor_id,timestamp,value\nsite0-t,2017-09-30T10:00:00Z,21.5\n\nsite0-t,x"y,1', 4),
+])
+def test_a_quote_anywhere_names_its_line(catalog, doc, line):
+    with pytest.raises(MeasurementFormatError, match=f"^line {line}: quoted fields"):
+        parse_measurements(doc, catalog)
+
+
+def test_crlf_parses_as_lf(catalog):
+    rng = np.random.default_rng(7)
+    series = {"site0-t": series_at("site0-t", utc(2017, 9, 4), 30, rng.normal(21, 1, 50)),
+              "site1-t": series_at("site1-t", utc(2017, 9, 4), 60, rng.normal(19, 1, 20))}
+    lf = write_measurements_csv(series)
+    expected = parse_measurements(lf, catalog).series
+    for doc in (lf.replace("\n", "\r\n"), lf.replace("\n", "\r\n").rstrip("\r\n")):
+        parsed = parse_measurements(doc, catalog).series
+        assert list(parsed) == list(expected)
+        for sid, s in expected.items():
+            assert np.array_equal(parsed[sid].times, s.times)
+            assert np.array_equal(parsed[sid].values, s.values)
+    weather = _weather_doc([f"a,2017-09-04T0{h}:00:00Z,15.0,1.0,0.5" for h in range(3)])
+    crlf = load_weather(weather.replace("\n", "\r\n"))["a"]
+    assert np.array_equal(crlf.times, load_weather(weather)["a"].times)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("site0-t,2017-09-30T10:01:00Z", "expected 3 fields, got 2"),
+    ("site0-t,2017-09-30T10:01:00Z,21.5,x", "expected 3 fields, got 4"),
+    ("site0-t,todayZ,21.5", "bad timestamp 'todayZ'"),
+    ("site0-t,2017-09-30T10:01:00Z,warm", "bad value 'warm'"),
+])
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+def test_error_after_blank_lines_names_its_line(catalog, bad, message, ending):
+    lines = ["sensor_id,timestamp,value", "", "site0-t,2017-09-30T10:00:00Z,21.5", "", "",
+             bad, "site0-t,2017-09-30T10:02:00Z,21.5"]
+    with pytest.raises(MeasurementFormatError, match=f"^line 6: {message}"):
+        parse_measurements(ending.join(lines) + ending, catalog)
+
+
+# A field holds no quote (where the two grammars differ), no line break (the
+# endings are drawn on their own) and no NUL (csv.reader refuses it before 3.11).
+_field = st.text(st.characters(blacklist_characters='",\r\n\x00'), max_size=3)
+
+
+@st.composite
+def _quote_free_tables(draw):
+    header = draw(st.sampled_from([MEASUREMENT_HEADER, WEATHER_HEADER]))
+    width = len(header)
+    first = header if draw(st.integers(0, 9)) else draw(st.lists(_field, max_size=width))
+    rows = draw(st.lists(st.one_of(
+        st.just([]),  # a blank line
+        st.lists(_field, min_size=width, max_size=width),
+        st.lists(_field, min_size=1, max_size=width + 2),
+    ), max_size=10))
+    lines = [",".join(first), *(",".join(row) for row in rows)]
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                            min_size=len(lines), max_size=len(lines)))
+    endings[-1] = draw(st.sampled_from(["\n", "\r\n", ""]))  # "": no final newline
+    return header, "".join(map(str.__add__, lines, endings))
+
+
+def _columns_or_error_line(read, document, header):
+    """The columns and line numbers `read` gives, or the line its error names."""
+    try:
+        columns, lines = read(document, header, MeasurementFormatError)
+    except MeasurementFormatError as exc:
+        return int(re.match(r"line (\d+): ", str(exc)).group(1))
+    return [list(column) for column in columns], lines
+
+
+@settings(deadline=None, max_examples=300)
+@given(_quote_free_tables())
+def test_reader_matches_the_csv_reader_without_quotes(table):
+    header, document = table
+    assert (_columns_or_error_line(_read_table, document, header)
+            == _columns_or_error_line(oracle_read_table, document, header))
 
 
 def _weather_doc(rows):

@@ -79,15 +79,24 @@ def test_cli_import_does_not_load_scipy(tmp_path):
     config = test_cli._write_config(tmp_path)
     # hashlib loads OpenSSL, about 3.6 MB of RSS per command; the store uses zlib.crc32.
     # numpy.ma costs about 12 ms per command; a plain np.unique or np.percentile loads it.
+    # Only synth runs the generator, and each analysis module loads in the commands
+    # that run it (performance uses a quality kernel).
+    watched = ("numpy.ma", "schoolsense.synthgen", "schoolsense.quality",
+               "schoolsense.performance")
     code = ("import sys, schoolsense.cli; "
             "code = schoolsense.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
             "print(code, sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'hashlib') or m == 'numpy.ma'))")
-    for command in ([], ["ingest", *config], ["quality", *config],
-                    ["comfort", *test_cli.COMFORT, *config], ["perf", *config]):
+            f"if m.split('.')[0] in ('scipy', 'hashlib') or m in {watched!r}))")
+    for command, loaded in (
+        ([], []),
+        (["ingest", *config], []),
+        (["quality", *config], ["schoolsense.quality"]),
+        (["comfort", *test_cli.COMFORT, *config], []),
+        (["perf", *config], ["schoolsense.performance", "schoolsense.quality"]),
+    ):
         out = subprocess.run([sys.executable, "-c", code, *command], env=env, check=True,
                              capture_output=True, text=True, timeout=60).stdout
-        assert out.splitlines()[-1] == "0 []", command
+        assert out.splitlines()[-1] == f"0 {loaded}", command
 
 
 # ---------------------------------------------------------------- detectors
