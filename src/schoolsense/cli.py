@@ -93,6 +93,13 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_USAGE = 2
 
+# each perf finding kind and the metric its report value is, in report order
+ANOMALY_METRICS = {
+    "poor_insulation": "swing_c",
+    "unshaded_solar_gain": "pearson_r",
+    "occupant_event": "drop_c",
+}
+
 
 class ConfigError(ValueError):
     """Bad config, or a command that cannot run with what is configured."""
@@ -406,70 +413,57 @@ def cmd_perf(config: RunConfig, start: date | None = None, end: date | None = No
 
     swing_rows = []
     corr_rows = []
-    anomalies: list[tuple[str, perf_mod.AnomalyReport]] = []
+    findings: list[tuple[str, str, str, tuple[int, ...], tuple[float, ...]]] = []
     notes = []
     for site in catalog.sites:
         tz = site.tz_offset_minutes
-        correlations = []
+        lo = -(2 ** 63) if start is None else to_epoch(start) - tz * 60
+        hi = 2 ** 63 - 1 if end is None else to_epoch(end) - tz * 60
+        site_weather = weather.get(site.site_id)
         for room_id, sensor_id in sorted(_indoor_room_sensors(catalog, site.site_id).items()):
-            series = store.load(site.site_id, sensor_id).series
-            lo = -(2 ** 63) if start is None else to_epoch(start) - tz * 60
-            hi = 2 ** 63 - 1 if end is None else to_epoch(end) - tz * 60
-            series = slice_series(series, lo, hi)
+            series = slice_series(store.load(site.site_id, sensor_id).series, lo, hi)
             if not len(series):
                 continue
-            report = perf_mod.weekend_daily_swings(series, tz, room_id=room_id)
+            report = perf_mod.weekend_daily_swings(series, tz)
             for s in report.swings:
                 swing_rows.append(
                     f"{site.site_id},{room_id},{day_to_date(s.day).isoformat()},"
                     f"{s.min_t!r},{s.max_t!r},{s.swing!r},{s.rise_hours!r}")
-            flag = perf_mod.flag_poor_insulation(report)
-            if flag is not None:
-                anomalies.append((site.site_id, flag))
+            hits = perf_mod.poor_insulation_days(report)
+            if hits:
+                findings.append((site.site_id, "poor_insulation", room_id,
+                                 tuple(s.day for s in hits), tuple(s.swing for s in hits)))
 
-            orientation = site.room(room_id).orientation
-            site_weather = weather.get(site.site_id)
             if site_weather is not None:
+                orientation = site.room(room_id).orientation
                 try:
-                    corr = perf_mod.solar_gain_correlation(
-                        series, site_weather, orientation, tz, room_id=room_id)
+                    corr = perf_mod.solar_gain_correlation(series, site_weather, orientation, tz)
                 except perf_mod.CorrelationUndefined as exc:
-                    notes.append(f"correlation skipped: {exc}")
+                    notes.append(f"correlation skipped: {room_id}: {exc}")
                 else:
-                    correlations.append(corr)
                     corr_rows.append(
-                        f"{site.site_id},{room_id},{orientation.value},"
-                        f"{corr.r!r},{corr.hours}")
+                        f"{site.site_id},{room_id},{orientation.value},{corr.r!r},{corr.hours}")
+                    if corr.unshaded:
+                        findings.append((site.site_id, "unshaded_solar_gain", room_id,
+                                         (corr.last_day,), (corr.r,)))
 
-            weekday = filter_weekdays(series, tz)
-            events = perf_mod.detect_occupant_events(weekday)
+            events = perf_mod.detect_occupant_events(filter_weekdays(series, tz))
             if events:
-                evidence = tuple(
-                    perf_mod.EvidenceItem(day=e.time // DAY_SECONDS, value=e.fall)
-                    for e in events)
-                anomalies.append((site.site_id, perf_mod.AnomalyReport(
-                    room_id=room_id, kind=perf_mod.AnomalyKind.OCCUPANT_EVENT,
-                    evidence=evidence)))
-        for flag in perf_mod.flag_unshaded_rooms(correlations):
-            anomalies.append((site.site_id, flag))
+                findings.append((site.site_id, "occupant_event", room_id,
+                                 tuple(e.time // DAY_SECONDS for e in events),
+                                 tuple(e.fall for e in events)))
 
     anomaly_rows = []
     text_lines = []
-    order = {perf_mod.AnomalyKind.POOR_INSULATION: 0,
-             perf_mod.AnomalyKind.UNSHADED_SOLAR_GAIN: 1,
-             perf_mod.AnomalyKind.OCCUPANT_EVENT: 2}
-    anomalies.sort(key=lambda item: (item[0], order[item[1].kind], item[1].room_id))
-    for site_id, report in anomalies:
-        dates = ";".join(day_to_date(e.day).isoformat() for e in report.evidence)
-        metric = {perf_mod.AnomalyKind.POOR_INSULATION: "swing_c",
-                  perf_mod.AnomalyKind.UNSHADED_SOLAR_GAIN: "pearson_r",
-                  perf_mod.AnomalyKind.OCCUPANT_EVENT: "drop_c"}[report.kind]
-        value = max(e.value for e in report.evidence)
-        anomaly_rows.append(
-            f"{site_id},{report.room_id},{report.kind.value},{metric},{value!r},{dates}")
+    kinds = list(ANOMALY_METRICS)
+    findings.sort(key=lambda f: (f[0], kinds.index(f[1]), f[2]))
+    for site_id, kind, room_id, days, values in findings:
+        dates = ";".join(day_to_date(day).isoformat() for day in days)
+        metric = ANOMALY_METRICS[kind]
+        value = max(values)
+        anomaly_rows.append(f"{site_id},{room_id},{kind},{metric},{value!r},{dates}")
         text_lines.append(
-            f"anomaly site={site_id} room={report.room_id} kind={report.kind.value} "
-            f"{metric}={value!r} dates={dates}")
+            f"anomaly site={site_id} room={room_id} kind={kind} {metric}={value!r} dates={dates}")
     _write_csv(config.out / "perf_swings.csv",
                "site_id,room_id,date,min_t,max_t,swing,rise_hours", swing_rows)
     _write_csv(config.out / "perf_correlation.csv",

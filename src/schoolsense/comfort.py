@@ -44,7 +44,6 @@ class ComfortError(ValueError):
 
 @dataclass(frozen=True)
 class DailyComfortScore:
-    room_id: str
     day: int  # days since epoch, local calendar
     score: float
     hours_evaluated: int
@@ -109,8 +108,6 @@ def _quartiles(values: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SiteComfortSummary:
-    site_id: str
-    acceptability: int
     room_scores: dict[str, tuple[DailyComfortScore, ...]]
     mean: float
     minimum: float
@@ -171,8 +168,7 @@ def site_comfort_summary(
         in_band = np.count_nonzero((low <= means) & (means <= high), axis=1)
         scored = applicable & (evaluated > 0)
         room_scores[room_id] = tuple(
-            DailyComfortScore(room_id=room_id, day=day, score=hits / n, hours_evaluated=n,
-                              t_pmo=pmo)
+            DailyComfortScore(day=day, score=hits / n, hours_evaluated=n, t_pmo=pmo)
             for day, hits, n, pmo in zip(days[scored].tolist(), in_band[scored].tolist(),
                                          evaluated[scored].tolist(), t_pmo[scored].tolist()))
         skipped += len(days) - len(room_scores[room_id])
@@ -183,8 +179,6 @@ def site_comfort_summary(
     arr = np.array(all_scores)
     q1, q3 = _quartiles(arr)
     return SiteComfortSummary(
-        site_id=site.site_id,
-        acceptability=acceptability,
         room_scores=room_scores,
         mean=float(np.mean(arr)),
         minimum=float(np.min(arr)),

@@ -73,6 +73,13 @@ class StoreIntegrityError(IngestError):
     pass
 
 
+def _objects(value, name: str) -> list[dict]:
+    """`value` if it is a list of JSON objects; CatalogError naming the field otherwise."""
+    if type(value) is not list or any(type(item) is not dict for item in value):
+        raise CatalogError(f"{name} must be a list of objects")
+    return value
+
+
 def parse_catalog(document: str) -> DeploymentCatalog:
     """Parse and validate a catalog document."""
     try:
@@ -84,22 +91,23 @@ def parse_catalog(document: str) -> DeploymentCatalog:
         raise CatalogError("catalog root must be an object")
 
     sites = []
-    for raw in data.get("sites", []):
+    for raw in _objects(data.get("sites", []), "sites"):
         try:
+            site_id = json_value(raw["site_id"], str, "site_id")
             rooms = tuple(
                 Classroom(
-                    room_id=str(r["room_id"]),
-                    site_id=str(raw["site_id"]),
+                    room_id=json_value(r["room_id"], str, "room_id"),
+                    site_id=site_id,
                     orientation=Orientation(r.get("orientation", "S")),
-                    label=str(r.get("label", "")),
+                    label=json_value(r.get("label", ""), str, "label"),
                 )
-                for r in raw.get("rooms", [])
+                for r in _objects(raw.get("rooms", []), "rooms")
             )
             sites.append(Site(
-                site_id=str(raw["site_id"]),
+                site_id=site_id,
                 latitude=json_value(raw.get("latitude", 0.0), float, "latitude"),
                 longitude=json_value(raw.get("longitude", 0.0), float, "longitude"),
-                start_time=parse_iso8601(raw["start_time"]),
+                start_time=parse_iso8601(json_value(raw["start_time"], str, "start_time")),
                 tz_offset_minutes=json_value(raw.get("tz_offset_minutes", 0), int,
                                              "tz_offset_minutes"),
                 cold_climate=json_value(raw.get("cold_climate", False), bool, "cold_climate"),
@@ -111,7 +119,7 @@ def parse_catalog(document: str) -> DeploymentCatalog:
             raise CatalogError(f"bad site entry: {exc}") from None
 
     sensors = []
-    for raw in data.get("sensors", []):
+    for raw in _objects(data.get("sensors", []), "sensors"):
         try:
             kind = SensorKind(raw["kind"])
             unit = raw.get("unit")
@@ -120,9 +128,10 @@ def parse_catalog(document: str) -> DeploymentCatalog:
                     f"sensor {raw.get('sensor_id')!r}: unit {unit!r} does not match "
                     f"{kind.value} ({kind.unit}); units are fixed per kind")
             sensors.append(SensorMeta(
-                sensor_id=str(raw["sensor_id"]),
-                site_id=str(raw["site_id"]),
-                room_id=None if raw.get("room_id") is None else str(raw["room_id"]),
+                sensor_id=json_value(raw["sensor_id"], str, "sensor_id"),
+                site_id=json_value(raw["site_id"], str, "site_id"),
+                room_id=None if raw.get("room_id") is None else json_value(
+                    raw["room_id"], str, "room_id"),
                 kind=kind,
                 sensing_rate=json_value(raw.get("sensing_rate", 30), int, "sensing_rate"),
             ))

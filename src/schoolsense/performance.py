@@ -1,20 +1,27 @@
 """Weekend thermal-performance analysis.
 
 Rooms are examined on weekends, when no school activity disturbs the
-envelope signal. Three detectors:
+envelope signal. Three detectors, each given one room's series:
 
-  * poor insulation: repeated large daily temperature swings;
+  * poor insulation: repeated large daily temperature swings.
+    `weekend_daily_swings` gives every weekend day's swing, and
+    `poor_insulation_days` the days that reach the threshold, or none when
+    too few do;
   * unshaded solar gain: hourly temperature rise correlating with a
     clear-sky solar proxy, (1 - cloud cover) * an orientation-dependent
-    daylight template;
+    daylight template. `solar_gain_correlation` gives the Pearson r, and
+    `CorrelationReport.unshaded` whether it reaches `UNSHADED_MIN_R`;
   * occupant events: sharp indoor drops (window openings) that recover,
     examined on school days where occupants cause them.
+    `detect_occupant_events` gives each event's trough time and fall.
+
+The results carry no room or site: `cli.cmd_perf` alone names, orders and
+writes the findings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -28,11 +35,11 @@ from .model import (
 from .quality import _kth_smallest
 
 
-class PerformanceError(ValueError):
-    pass
+# a room is unshaded when its solar-gain correlation reaches this r
+UNSHADED_MIN_R = 0.5
 
 
-class CorrelationUndefined(PerformanceError):
+class CorrelationUndefined(ValueError):
     """Zero-variance regressor or too few overlapping hours."""
 
 
@@ -63,7 +70,6 @@ def orientation_gain(hour_of_day: np.ndarray, orientation: Orientation) -> np.nd
 class DailySwing:
     """Temperature range of one room on one local day."""
 
-    room_id: str
     day: int  # days since epoch, local calendar
     min_t: float
     max_t: float
@@ -81,11 +87,9 @@ def weekend_daily_swings(
     series: TimeSeries,
     tz_offset_minutes: int = 0,
     *,
-    room_id: str | None = None,
     min_samples: int = 12,
 ) -> SwingReport:
     """One DailySwing per weekend day with enough samples."""
-    rid = room_id if room_id is not None else series.sensor_id
     weekend = filter_weekends(series, tz_offset_minutes)
     if len(weekend) == 0:
         return SwingReport((), ())
@@ -104,7 +108,6 @@ def weekend_daily_swings(
         i_max = int(np.argmax(values))
         rise = (int(times[i_max]) - int(times[i_min])) / 3600.0
         swings.append(DailySwing(
-            room_id=rid,
             day=day,
             min_t=float(values[i_min]),
             max_t=float(values[i_max]),
@@ -114,51 +117,23 @@ def weekend_daily_swings(
     return SwingReport(tuple(swings), tuple(skipped))
 
 
-class AnomalyKind(Enum):
-    POOR_INSULATION = "poor_insulation"
-    UNSHADED_SOLAR_GAIN = "unshaded_solar_gain"
-    OCCUPANT_EVENT = "occupant_event"
-
-
-@dataclass(frozen=True)
-class EvidenceItem:
-    day: int  # days since epoch
-    value: float
-
-
-@dataclass(frozen=True)
-class AnomalyReport:
-    room_id: str
-    kind: AnomalyKind
-    evidence: tuple[EvidenceItem, ...]
-
-    def __post_init__(self):
-        if not self.evidence:
-            raise PerformanceError("anomaly report requires dated evidence")
-
-
-def flag_poor_insulation(
+def poor_insulation_days(
     report: SwingReport, threshold: float = 8.0, min_days: int = 2
-) -> AnomalyReport | None:
-    """Report a room whose weekend swing repeatedly reaches the threshold."""
-    items = report.swings
-    hits = [s for s in items if s.swing >= threshold]
-    if len(hits) < min_days or not items:
-        return None
-    return AnomalyReport(
-        room_id=items[0].room_id,
-        kind=AnomalyKind.POOR_INSULATION,
-        evidence=tuple(EvidenceItem(s.day, s.swing) for s in hits),
-    )
+) -> tuple[DailySwing, ...]:
+    """The days whose swing reaches the threshold, or none when fewer than `min_days` do."""
+    hits = tuple(s for s in report.swings if s.swing >= threshold)
+    return hits if len(hits) >= min_days else ()
 
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    room_id: str
-    orientation: Orientation
     r: float
     hours: int
     last_day: int
+
+    @property
+    def unshaded(self) -> bool:
+        return self.r >= UNSHADED_MIN_R
 
 
 def solar_gain_correlation(
@@ -167,7 +142,6 @@ def solar_gain_correlation(
     orientation: Orientation,
     tz_offset_minutes: int = 0,
     *,
-    room_id: str | None = None,
     min_hours: int = 24,
 ) -> CorrelationReport:
     """Pearson correlation of hourly indoor rise against the solar proxy.
@@ -179,10 +153,9 @@ def solar_gain_correlation(
     while the facade can see the sun, and night hours would otherwise pair
     a constant-zero proxy with nightly cooling.
     """
-    rid = room_id if room_id is not None else series.sensor_id
     weekend = filter_weekends(series, tz_offset_minutes)
     if len(weekend) == 0:
-        raise CorrelationUndefined(f"{rid}: no weekend samples")
+        raise CorrelationUndefined("no weekend samples")
 
     offset = tz_offset_minutes * 60
     local_hours = (weekend.times + offset) // 3600
@@ -203,33 +176,11 @@ def solar_gain_correlation(
 
     if len(proxies) < min_hours:
         raise CorrelationUndefined(
-            f"{rid}: only {len(proxies)} overlapping hours, need {min_hours}")
+            f"only {len(proxies)} overlapping hours, need {min_hours}")
     if float(np.std(proxies)) == 0.0 or float(np.std(rises)) == 0.0:
-        raise CorrelationUndefined(f"{rid}: zero-variance input, correlation undefined")
+        raise CorrelationUndefined("zero-variance input, correlation undefined")
     r = float(np.corrcoef(proxies, rises)[0, 1])
-    return CorrelationReport(
-        room_id=rid, orientation=orientation, r=r, hours=len(proxies),
-        last_day=int(hours[-1] // 24),
-    )
-
-
-def flag_unshaded_rooms(
-    reports: list[CorrelationReport] | tuple[CorrelationReport, ...],
-    r_threshold: float = 0.5,
-) -> list[AnomalyReport]:
-    """Rooms whose solar-gain correlation reaches the threshold, strongest first."""
-    flagged = sorted(
-        (rep for rep in reports if rep.r >= r_threshold),
-        key=lambda rep: (-rep.r, rep.room_id),
-    )
-    return [
-        AnomalyReport(
-            room_id=rep.room_id,
-            kind=AnomalyKind.UNSHADED_SOLAR_GAIN,
-            evidence=(EvidenceItem(rep.last_day, rep.r),),
-        )
-        for rep in flagged
-    ]
+    return CorrelationReport(r=r, hours=len(proxies), last_day=int(hours[-1] // 24))
 
 
 @dataclass(frozen=True)

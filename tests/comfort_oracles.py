@@ -137,7 +137,6 @@ def daily_comfort(
     weather: WeatherHistory,
     day: date | int,
     *,
-    room_id: str | None = None,
     acceptability: int = DEFAULT_ACCEPTABILITY,
     tz_offset_minutes: int = 0,
 ) -> DailyComfortScore | None:
@@ -167,7 +166,6 @@ def daily_comfort(
     if evaluated == 0:
         return None
     return DailyComfortScore(
-        room_id=room_id if room_id is not None else indoor.sensor_id,
         day=day_index,
         score=in_band / evaluated,
         hours_evaluated=evaluated,
@@ -198,7 +196,7 @@ def oracle_site_comfort_summary(
             try:
                 score = daily_comfort(
                     room_series[room_id], weather, d,
-                    room_id=room_id, acceptability=acceptability,
+                    acceptability=acceptability,
                     tz_offset_minutes=site.tz_offset_minutes,
                 )
             except ModelInapplicable:
@@ -216,8 +214,6 @@ def oracle_site_comfort_summary(
     arr = np.array(all_scores)
     q1, q3 = _quartiles(arr)
     return SiteComfortSummary(
-        site_id=site.site_id,
-        acceptability=acceptability,
         room_scores=room_scores,
         mean=float(np.mean(arr)),
         minimum=float(np.min(arr)),

@@ -288,6 +288,25 @@ def test_catalog_value_of_the_wrong_json_type_exits_2(work, capsys):
     _assert_one_error_line(err)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda catalog: catalog["sites"][0].update(start_time=5), "start_time must be a string"),
+    (lambda catalog: catalog["sites"][0].update(start_time=["2017-10-02T00:00:00Z"]),
+     "start_time must be a string"),
+    (lambda catalog: catalog.update(sensors=None), "sensors must be a list of objects"),
+    (lambda catalog: catalog["sites"][0]["rooms"][0].update(room_id=None),
+     "room_id must be a string"),
+], ids=["start_time-int", "start_time-list", "sensors-null", "room_id-null"])
+def test_malformed_catalog_shape_exits_2(work, capsys, edit, message):
+    catalog = json.loads((work / "inputs" / "catalog.json").read_text())
+    edit(catalog)
+    (work / "bad_catalog.json").write_text(json.dumps(catalog))
+    code, err = _run(["quality", *_write_config(work, catalog=str(work / "bad_catalog.json"))],
+                     capsys)
+    assert code == 2
+    assert message in err
+    _assert_one_error_line(err)
+
+
 def test_spec_value_of_the_wrong_json_type_exits_2(tmp_path, capsys):
     (tmp_path / "spec.json").write_text(json.dumps(dict(SPEC, days=2.9)))
     code, err = _run(["synth", str(tmp_path / "spec.json"), "--out", str(tmp_path / "out")],
@@ -538,6 +557,17 @@ def test_perf_applies_each_bound_alone(work, bound, equivalent):
     alone = _perf_reports(work, *bound)
     assert alone == _perf_reports(work, *equivalent)
     assert alone != _perf_reports(work)
+
+
+def test_perf_notes_each_room_without_weekend_samples(work):
+    # 2017-10-02 is a Monday, so the period holds school days only
+    _perf_reports(work, "--from", "2017-10-02", "--to", "2017-10-07")
+    rooms = sorted(r.room_id for r in
+                   parse_catalog((work / "inputs" / "catalog.json").read_text()).sites[0].rooms)
+    notes = [line for line in (work / "out" / "perf_anomalies.txt").read_text().splitlines()
+             if line.startswith("#")]
+    assert rooms and notes == [f"# correlation skipped: {room}: no weekend samples"
+                               for room in rooms]
 
 
 def test_ingest_later_file_wins_repeated_timestamp(work, capsys):

@@ -105,11 +105,45 @@ def test_catalog_roundtrip():
     ("sites", "latitude", "38.0"),
     ("sensors", "sensing_rate", 2.9),
     ("sensors", "sensing_rate", 30.0),
+    ("sites", "start_time", 5),
+    ("sites", "start_time", None),
+    ("sites", "start_time", ["2017-10-02T00:00:00Z"]),  # a stamp, not a list of them
+    ("sites", "site_id", 7),
+    ("sensors", "sensor_id", 7),
+    ("sensors", "room_id", 1),
 ])
 def test_catalog_values_must_have_their_json_type(entry, field, value):
     doc = json.loads(_catalog_doc(1))
     doc[entry][0][field] = value
     with pytest.raises(CatalogError, match=f"{field} must be"):
+        parse_catalog(json.dumps(doc))
+
+
+@pytest.mark.parametrize("label", ["room_id", "label"])
+def test_catalog_room_strings_are_not_null(label):
+    doc = json.loads(_catalog_doc(1))
+    doc["sites"][0]["rooms"][0][label] = None  # str() would make it the room "None"
+    with pytest.raises(CatalogError, match=f"{label} must be a string, got None"):
+        parse_catalog(json.dumps(doc))
+
+
+@pytest.mark.parametrize("path, value", [
+    (("sites",), None),
+    (("sites",), {"site_id": "site0"}),
+    (("sites",), ["site0"]),
+    (("sensors",), None),
+    (("sensors",), [None]),
+    (("sites", 0, "rooms"), "r1"),
+    (("sites", 0, "rooms"), [["r1"]]),
+])
+def test_catalog_lists_must_hold_objects(path, value):
+    doc = json.loads(_catalog_doc(1))
+    *parents, field = path
+    owner = doc
+    for key in parents:
+        owner = owner[key]
+    owner[field] = value
+    with pytest.raises(CatalogError, match=f"{field} must be a list of objects"):
         parse_catalog(json.dumps(doc))
 
 

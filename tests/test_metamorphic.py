@@ -1,9 +1,14 @@
 """Metamorphic relations of the whole pipeline on the golden scenario.
 
-A batch re-analysis relies on two relations that no single example pins:
+A batch re-analysis relies on relations that no single example pins:
 
   * the order of the rows inside a measurement file does not matter, so
     shuffling them leaves every report byte-identical;
+  * neither does the cut between files: splitting each measurement file into
+    two consecutive files leaves every report byte-identical;
+  * rows of a sensor the catalog does not know are rejected and counted, so
+    a file of them adds that sensor's row to `rejects.csv` and changes
+    nothing else;
   * the analysis has no absolute calendar, so shifting every stamp by a
     whole week (measurements, weather and the catalog's start times) and the
     comfort period with it shifts every report date by that week and changes
@@ -41,7 +46,11 @@ from test_golden import REPORT_DIGESTS, _spec
 SHIFT = timedelta(days=7)
 QUALITY_END = date(2017, 10, 12)
 COMFORT_PERIOD = (date(2017, 10, 9), date(2017, 10, 18))
-MEASUREMENT_FILES = ("s1.csv", "s2.csv", "zz_resend.csv")
+
+
+def _measurement_files(inputs: Path) -> list[Path]:
+    """The measurement files of `inputs` in name order, the order ingest reads them in."""
+    return sorted((inputs / "measurements").glob("*.csv"))
 
 
 def _ingest(inputs: Path, root: Path) -> list[str]:
@@ -53,7 +62,7 @@ def _ingest(inputs: Path, root: Path) -> list[str]:
         "weather": str(inputs / "weather.csv"),
         "store": str(root / "store"),
         "out": str(root / "out"),
-        "measurements": [str(inputs / "measurements" / name) for name in MEASUREMENT_FILES],
+        "measurements": [str(path) for path in _measurement_files(inputs)],
     }))
     conf = ["--config", str(config)]
     assert cli.main(["ingest", *conf]) == 0
@@ -140,17 +149,46 @@ def test_shuffled_measurement_rows_change_no_report(scenario, tmp_path):
     shuffled = tmp_path / "inputs"
     shutil.copytree(inputs, shuffled)
     rng = random.Random(0)
-    for name in MEASUREMENT_FILES:
-        _rewrite_rows(shuffled / "measurements" / name, lambda rows: rng.sample(rows, len(rows)))
+    for path in _measurement_files(shuffled):
+        _rewrite_rows(path, lambda rows: rng.sample(rows, len(rows)))
     assert _run(shuffled, tmp_path, COMFORT_PERIOD) == base
+
+
+def test_measurement_files_split_in_two_change_no_report(scenario, tmp_path):
+    inputs, base = scenario
+    split = tmp_path / "inputs"
+    shutil.copytree(inputs, split)
+    files = _measurement_files(split)
+    for path in files:
+        header, *rows = path.read_text().splitlines()
+        half = len(rows) // 2
+        for part, chunk in enumerate((rows[:half], rows[half:])):
+            text = "\n".join([header, *chunk]) + "\n"
+            path.with_name(f"{path.stem}_{part}.csv").write_text(text)
+        path.unlink()
+    assert len(_measurement_files(split)) == 2 * len(files)
+    assert _run(split, tmp_path, COMFORT_PERIOD) == base
+
+
+def test_unknown_sensor_rows_change_only_the_rejects(scenario, tmp_path):
+    inputs, base = scenario
+    extra = tmp_path / "inputs"
+    shutil.copytree(inputs, extra)
+    header, *rows = (extra / "measurements" / "s1.csv").read_text().splitlines()
+    ghost = [",".join(["s1-ghost", *row.split(",")[1:]]) for row in rows[:5]]
+    (extra / "measurements" / "s1_ghost.csv").write_text("\n".join([header, *ghost]) + "\n")
+    reports = _run(extra, tmp_path, COMFORT_PERIOD)
+    head, *rejected = base["rejects.csv"].splitlines()
+    assert reports.pop("rejects.csv").splitlines() == [head, *sorted([*rejected, "s1-ghost,5"])]
+    assert reports == {name: text for name, text in base.items() if name != "rejects.csv"}
 
 
 def test_week_shift_moves_every_report_date_and_nothing_else(scenario, tmp_path):
     inputs, base = scenario
     shifted = tmp_path / "inputs"
     shutil.copytree(inputs, shifted)
-    for name in MEASUREMENT_FILES:
-        _rewrite_rows(shifted / "measurements" / name, _shift_stamps)
+    for path in _measurement_files(shifted):
+        _rewrite_rows(path, _shift_stamps)
     _rewrite_rows(shifted / "weather.csv", _shift_stamps)
     catalog = json.loads((shifted / "catalog.json").read_text())
     for site in catalog["sites"]:

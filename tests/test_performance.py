@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import replace
 import subprocess
 import sys
 from pathlib import Path
@@ -18,14 +17,14 @@ from schoolsense.ingest import WeatherHistory
 from schoolsense.model import DAY_SECONDS, Orientation, TimeSeries
 from schoolsense.performance import (
     ORIENTATION_TEMPLATE,
-    AnomalyKind,
+    UNSHADED_MIN_R,
+    CorrelationReport,
     CorrelationUndefined,
     DailySwing,
     SwingReport,
     detect_occupant_events,
-    flag_poor_insulation,
-    flag_unshaded_rooms,
     orientation_gain,
+    poor_insulation_days,
     solar_gain_correlation,
     weekend_daily_swings,
 )
@@ -169,9 +168,9 @@ def test_weekend_daily_swings_skips_days_with_too_few_samples():
     sunday = series_at("t", SATURDAY + DAY_SECONDS, 3600, [20.0] * 11)
     series = TimeSeries("t", np.concatenate((saturday.times, sunday.times)),
                         np.concatenate((saturday.values, sunday.values)))
-    report = weekend_daily_swings(series, room_id="r1")
-    assert [(s.room_id, s.day, s.swing, s.rise_hours) for s in report.swings] == [
-        ("r1", SATURDAY // DAY_SECONDS, 23 / 4, 23.0)]
+    report = weekend_daily_swings(series)
+    assert [(s.day, s.swing, s.rise_hours) for s in report.swings] == [
+        (SATURDAY // DAY_SECONDS, 23 / 4, 23.0)]
     assert report.skipped_days == (SATURDAY // DAY_SECONDS + 1,)
 
 
@@ -196,19 +195,14 @@ def test_weekend_daily_swings_uses_local_days():
 
 
 def _swing(day: int, swing: float) -> DailySwing:
-    return DailySwing("r1", day, 18.0, 18.0 + swing, swing, 6.0)
+    return DailySwing(day, 18.0, 18.0 + swing, swing, 6.0)
 
 
 @pytest.mark.parametrize("min_days, flagged", [(2, True), (3, False)])
-def test_flag_poor_insulation_needs_min_days(min_days, flagged):
+def test_poor_insulation_days_needs_min_days(min_days, flagged):
     report = SwingReport((_swing(1, 9.0), _swing(2, 3.0), _swing(3, 8.0)), ())
-    flag = flag_poor_insulation(report, min_days=min_days)
-    if not flagged:
-        assert flag is None
-        return
-    assert flag.room_id == "r1"
-    assert flag.kind is AnomalyKind.POOR_INSULATION
-    assert [(e.day, e.value) for e in flag.evidence] == [(1, 9.0), (3, 8.0)]
+    hits = poor_insulation_days(report, min_days=min_days)
+    assert [(s.day, s.swing) for s in hits] == ([(1, 9.0), (3, 8.0)] if flagged else [])
 
 
 def _weekend_weather(days: int = 2, cloud=None) -> WeatherHistory:
@@ -248,13 +242,7 @@ def test_solar_gain_correlation_skips_hours_without_weather():
                                   min_hours=1).hours == full.hours - 3 - 3
 
 
-def test_flag_unshaded_rooms_strongest_first_then_by_room():
-    base = solar_gain_correlation(_weekend_indoor(), _weekend_weather(), Orientation.S,
-                                  room_id="r0")
-    assert base.hours == 24
-    reports = [replace(base, room_id=room, r=r)
-               for room, r in (("c", 0.6), ("a", 0.9), ("d", 0.4), ("b", 0.6))]
-    flags = flag_unshaded_rooms(reports, r_threshold=0.5)
-    assert [(f.room_id, f.evidence[0].value) for f in flags] == [
-        ("a", 0.9), ("b", 0.6), ("c", 0.6)]
-    assert all(f.kind is AnomalyKind.UNSHADED_SOLAR_GAIN for f in flags)
+def test_unshaded_from_the_threshold_r_on():
+    assert UNSHADED_MIN_R == 0.5
+    assert CorrelationReport(r=0.5, hours=24, last_day=0).unshaded
+    assert not CorrelationReport(r=float(np.nextafter(0.5, 0)), hours=24, last_day=0).unshaded
