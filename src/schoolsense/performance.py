@@ -32,7 +32,7 @@ from .model import (
     TimeSeries,
     filter_weekends,
 )
-from .quality import _kth_smallest
+from .quality import WaveletMatrix
 
 
 # a room is unshaded when its solar-gain correlation reaches this r
@@ -210,7 +210,7 @@ def detect_occupant_events(
 
     Candidate troughs, the earliest minimum of every window [t, t +
     `within_minutes`] with at least two samples, come from the rolling order
-    statistic shared with `quality`'s bound test (`_kth_smallest`, k = 0).
+    statistic shared with `quality`'s bound test (`quality.WaveletMatrix`, k = 0).
     Only starts that fall by `drop` are checked further, in time order;
     the search resumes after each event's recovery.
     """
@@ -224,7 +224,8 @@ def detect_occupant_events(
     sustain_s = int(sustain_minutes * 60)
     ends = np.searchsorted(times, times + within_s, side="right")
     starts = np.flatnonzero(ends - np.arange(n) >= 2)
-    troughs = _kth_smallest(values, starts, ends[starts], np.zeros(len(starts), dtype=np.int64))
+    troughs = WaveletMatrix(values).kth_smallest(starts, ends[starts],
+                                                np.zeros(len(starts), dtype=np.int64))
     falls = values[starts] - values[troughs]
     steep = falls >= drop
     events: list[OccupantEvent] = []

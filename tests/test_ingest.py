@@ -246,6 +246,56 @@ def test_parse_measurements_quarantines_unknown_sensors(catalog):
     assert set(parsed.series) == {"site0-t"}
 
 
+known_rows = st.tuples(
+    st.sampled_from(("site0-t", "site1-t")),
+    st.integers(0, 40).map(lambda m: format_iso8601(utc(2017, 9, 30, 10) + 60 * m)),
+    st.sampled_from(("21.5", "22.0", "-0.0", "1e3")),
+)
+# unknown sensors' rows are never parsed, so a bad stamp or value in one is no error
+unknown_rows = st.tuples(
+    st.sampled_from(("ghost", "site9-t", "")),
+    st.sampled_from(("2017-09-30T10:00:00Z", "not-a-time", "")),
+    st.sampled_from(("1.0", "nope", "inf", "")),
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(known_rows, max_size=30), st.lists(unknown_rows, min_size=1, max_size=12),
+       st.randoms(use_true_random=False))
+def test_parse_measurements_unknown_rows_change_only_the_rejects(known, unknown, rnd):
+    slots = sorted(rnd.choices(range(len(known) + 1), k=len(unknown)))
+    mixed = list(known)
+    for offset, (slot, row) in enumerate(zip(slots, unknown)):
+        mixed.insert(slot + offset, row)
+
+    catalog = parse_catalog(_catalog_doc(2))
+
+    def parse(rows):
+        return parse_measurements(
+            "sensor_id,timestamp,value\n" + "".join(f"{','.join(r)}\n" for r in rows), catalog)
+
+    got, want = parse(mixed), parse(known)
+    assert list(got.series) == list(want.series)
+    for sid, series in want.series.items():
+        assert got.series[sid].times.tobytes() == series.times.tobytes()
+        assert got.series[sid].values.tobytes() == series.values.tobytes()
+    ids = [sid for sid, _, _ in unknown]
+    assert got.rejected == {sid: ids.count(sid) for sid in sorted(set(ids))}
+    assert want.rejected == {}
+
+
+def test_parse_measurements_names_a_bad_line_after_unknown_rows(catalog):
+    doc = (
+        "sensor_id,timestamp,value\n"
+        "ghost,not-a-time,1.0\n"
+        "site0-t,2017-09-30T10:00:00Z,21.5\n"
+        "ghost,2017-09-30T10:00:00Z,nope\n"
+        "site0-t,2017-09-30T10:01:00Z,bad\n"
+    )
+    with pytest.raises(MeasurementFormatError, match="line 5: bad value 'bad'"):
+        parse_measurements(doc, catalog)
+
+
 def test_parse_measurements_reparse_fixpoint(catalog):
     rng = np.random.default_rng(4)
     series = {

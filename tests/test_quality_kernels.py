@@ -7,13 +7,16 @@ sign of a zero counts) and the same time tuples.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from schoolsense.model import SensorKind, SensorMeta, TimeSeries, TimeWindow
 from schoolsense.quality import (
     FlagKind,
     OutlierFlag,
-    _kth_smallest,
+    WaveletMatrix,
+    _screen,
+    _window_starts,
     fill_missing,
     flag_outliers,
     replace_outliers,
@@ -75,8 +78,17 @@ def _assert_same_repair(got, want):
     assert got.dropped == want.dropped
 
 
+def _minute_series(values):
+    return TimeSeries("s", T0 + 60 * np.arange(len(values)), np.array(values))
+
+
 @settings(deadline=None, max_examples=150)
 @given(series(), windows, st.fixed_dictionaries(FLAG_OPTIONS))
+# 12-sample windows that differ enough within a screen block that bounds
+# taken from the wrong one of its two ranges would clear the flagged sample 12
+@example(_minute_series([-50.0, -10.0, -10.0, 50.0, -10.0, 1.0, 1.0, 50.0, -10.0, -50.0, -10.0,
+                         1.0, -50.0, 50.0]), TimeWindow(720),
+         dict(kind=None, zero_implausible=False, spike_sigma=5.0, min_window_samples=4))
 def test_flag_outliers_matches_loop(s, window, options):
     assert flag_outliers(s, window, **options) == oracle_flag_outliers(s, window, **options)
 
@@ -114,10 +126,6 @@ def flagged_series(draw):
     flags = draw(st.lists(st.builds(OutlierFlag, index, st.sampled_from(FlagKind)),
                           max_size=len(s) + 3))
     return s, flags
-
-
-def _minute_series(values):
-    return TimeSeries("s", T0 + 60 * np.arange(len(values)), np.array(values))
 
 
 @settings(deadline=None, max_examples=100)
@@ -160,7 +168,100 @@ def test_kth_smallest_returns_earliest_position_of_tied_minima():
     values = np.array([3.0, 1.0, 2.0, 1.0, 1.0, 0.0, -0.0, 0.0, 5.0])
     lo = np.array([0, 2, 4, 5, 6, 0, 8])
     hi = np.array([5, 5, 5, 8, 8, 9, 9])
-    got = _kth_smallest(values, lo, hi, np.zeros(len(lo), dtype=np.int64))
+    got = WaveletMatrix(values).kth_smallest(lo, hi, np.zeros(len(lo), dtype=np.int64))
     assert got.tolist() == [1, 3, 4, 5, 6, 5, 8]
     assert got.tolist() == [a + int(np.argmin(values[a:b])) for a, b in zip(lo, hi)]
 
+
+@st.composite
+def ranges(draw, n):
+    lo = draw(st.integers(0, n - 1))
+    return lo, draw(st.integers(lo + 1, n))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data(), st.lists(st.one_of(st.sampled_from(TIED_VALUES), st.floats(allow_nan=False)),
+                           min_size=1, max_size=70))
+def test_kth_smallest_matches_stable_argsort_for_every_rank(data, vals):
+    values = np.array(vals, dtype=np.float64)
+    pairs = data.draw(st.lists(ranges(len(values)), min_size=1, max_size=8))
+    lo = np.array([a for a, b in pairs for _ in range(b - a)])
+    hi = np.array([b for a, b in pairs for _ in range(b - a)])
+    k = np.concatenate([np.arange(b - a) for a, b in pairs])
+    want = [a + int(np.argsort(values[a:b], kind="stable")[r]) for a, b, r in zip(lo, hi, k)]
+    assert WaveletMatrix(values).kth_smallest(lo, hi, k).tolist() == want
+
+
+def _cleared_share(s, window, min_window_samples=4):
+    """Share of the tested samples that the bound test's screen clears."""
+    starts = _window_starts(s.times, s.times, window.duration)
+    ends = np.arange(1, len(s) + 1)
+    tested = np.flatnonzero(ends - starts >= min_window_samples)
+    cleared = _screen(s.values, WaveletMatrix(s.values), starts[tested], ends[tested])
+    return cleared.mean()
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((0.0, 0.2, 0.5)), st.sampled_from((1, 2)),
+       st.integers(0, 30))
+def test_flag_outliers_matches_loop_where_the_screen_clears(seed, outage, digits, outliers):
+    # 60 s readings under 24 h windows: most windows hold over a thousand samples
+    rng = np.random.default_rng(seed)
+    times = T0 + 60 * np.flatnonzero(rng.random(2 * 1440) >= outage)
+    vals = np.round(20.0 + 3.0 * np.sin(times / 9000.0) + rng.normal(0, 0.3, len(times)), digits)
+    vals[rng.integers(0, len(vals), outliers)] = rng.choice((0.0, -40.0, 90.0, 1e6), outliers)
+    s = TimeSeries("s", times, vals)
+    window = TimeWindow.hours(24)
+    assert _cleared_share(s, window) > 0.5
+    for kind in (SensorKind.INDOOR_TEMPERATURE, SensorKind.POWER_PHASE):
+        assert flag_outliers(s, window, kind=kind) == oracle_flag_outliers(s, window, kind=kind)
+
+
+MAX = 1.7976931348623157e308
+# magnitudes at the ends of float64 range, among ordinary readings
+EDGE_VALUES = (1e200, MAX, -MAX, 5e-324, 0.0, -0.0)
+
+
+def _edge_example(head, tail):
+    # every window starts at the first sample, so the windows' ranks grow together
+    return _minute_series([*head, *tail]), TimeWindow.hours(24)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.tuples(series(max_size=120, value=st.one_of(st.sampled_from(EDGE_VALUES),
+                                                      st.floats(15.0, 25.0))), windows),
+       st.integers(1, 8))
+# a quartile between -MAX and 1e307 overflows to inf and flags the sample,
+# while the screen's bounds for that block stay finite
+@example(_edge_example([-MAX] * 26 + [1e307] * 20, [2e307] * 61), 4)
+# 4 * H1 overflows
+@example(_edge_example([1e308] * 30, [1.2e308] * 40 + [-1e308]), 4)
+# subnormal readings only: the margin underflows to 0
+@example(_edge_example([5e-324, 0.0, -0.0] * 10, [1e-323] * 20 + [-5e-324] * 5), 4)
+def test_flag_outliers_matches_loop_at_edge_magnitudes(case, min_window_samples):
+    s, window = case
+    options = dict(min_window_samples=min_window_samples)
+    assert flag_outliers(s, window, **options) == oracle_flag_outliers(s, window, **options)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 8), st.sampled_from((1, 60, 600)), st.integers(0, 80), palettes, st.data())
+def test_flag_outliers_matches_loop_on_windows_of_min_samples(m, step, n, value, data):
+    # a regular series whose every window (t - m*step, t] holds exactly m samples
+    vals = data.draw(st.lists(value, min_size=n, max_size=n))
+    s = TimeSeries("s", T0 + step * np.arange(n, dtype=np.int64), np.array(vals, dtype=np.float64))
+    window = TimeWindow(m * step)
+    assert flag_outliers(s, window, min_window_samples=m) == oracle_flag_outliers(
+        s, window, min_window_samples=m)
+
+
+@pytest.mark.parametrize("probe", [-53.6, 75.2])
+def test_bound_flags_a_sample_one_rounding_past_the_screen(probe):
+    # quartiles 1.6 and 20.0: the screen's 4*1.6 - 3*20.0 rounds to -53.6 and
+    # 4*20.0 - 3*1.6 to 75.2, but q1 - 3*IQR and q3 + 3*IQR round to values
+    # just inside those, so the probe is flagged; only the screen's margin
+    # keeps it from being cleared
+    s = _minute_series([1.6, 20.0] * 20 + [probe])
+    window = TimeWindow.hours(24)
+    want = [OutlierFlag(40, FlagKind.BOUND_VIOLATION)]
+    assert flag_outliers(s, window) == oracle_flag_outliers(s, window) == want
