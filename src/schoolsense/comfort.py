@@ -95,13 +95,17 @@ def wind_offsets(wind_speed) -> np.ndarray:
 
 
 def _quartiles(values: np.ndarray) -> tuple[float, float]:
-    """First and third quartiles, bit for bit those of `np.percentile`'s
-    linear rule, which imports `numpy.ma` on its first call."""
-    ordered = np.sort(values)
-    pos = (len(ordered) - 1) * np.array([0.25, 0.75])
-    lo = pos.astype(np.int64)
+    """First and third quartiles, bit for bit those of `np.percentile`'s linear
+    rule (which imports `numpy.ma`), by its steps: a rank of n - 1 or more takes
+    the last sample twice with weight rank + 1; `np.partition` on the sorted distinct
+    neighbour indices, 0 and -1 (it may order -0.0 and 0.0 unlike `np.sort`); its lerp."""
+    last = len(values) - 1
+    pos = last * np.array([0.25, 0.75])
+    lo = np.where(pos >= last, -1, np.floor(pos)).astype(np.int64)
+    hi = np.where(pos >= last, -1, lo + 1)
     t = pos - lo
-    a, b = ordered[lo], ordered[np.minimum(lo + 1, len(ordered) - 1)]
+    ordered = np.partition(values, sorted({0, -1, *lo.tolist(), *hi.tolist()}))
+    a, b = ordered[lo], ordered[hi]
     q1, q3 = np.where(t >= 0.5, b - (b - a) * (1.0 - t), a + (b - a) * t).tolist()
     return q1, q3
 

@@ -8,6 +8,8 @@ All types are immutable values and all operations are pure functions.
 This is the only timestamp codec. It writes ``YYYY-MM-DDTHH:MM:SSZ`` and reads
 what ``datetime.fromisoformat`` reads once surrounding blanks are stripped and
 a final ``Z``/``z`` means ``+00:00``; naive stamps are UTC, fractions truncate.
+Written-form stamps from year 1000 on are decoded together, as integers from
+their digits; any other stamp, or one with a field out of range, goes alone.
 """
 
 from __future__ import annotations
@@ -65,11 +67,29 @@ _WRITTEN_LOW, _WRITTEN_HIGH = (np.array([bound]).view(np.uint32)
                                for bound in ("1000-00-00T00:00:00Z", "9999-19-39T29:59:59Z"))
 
 
+# Days of each month in a common year, by the value 00 to 19 of the month field.
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31] + [0] * 7, np.int32)
+
+
+def _written_epochs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds of rows of written-form codes ('0' is 48), and whether each row's
+    month, day of month and hour are in range. Days follow the days-from-civil formula,
+    whose years start in March so that the leap day comes last. Fields stay int32."""
+    year = (codes[:, :4] @ np.array([1000, 100, 10, 1], np.uint32) - 48 * 1111).view(np.int32)
+    two_digit = codes[:, 5:19:3] * 10 + codes[:, 6:19:3] - 48 * 11
+    month, day, hour, minute, second = two_digit.T.view(np.int32)
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS.take(month, mode="clip") + (leap & (month == 2))
+    y = year - (month <= 2)
+    days = y * 365 + y // 4 - y // 100 + y // 400 + (153 * ((month + 9) % 12) + 2) // 5 + day
+    return ((days - 719469).astype(np.int64) * DAY_SECONDS + (hour * 3600 + minute * 60 + second),
+            (day >= 1) & (day <= month_days) & (hour < 24))
+
+
 def parse_iso8601(text):
     """Epoch seconds of an ISO-8601 instant: an int for a str, an int64 array for a sequence.
 
-    Entries in the written form are parsed in one numpy call, any other entry
-    alone. A bad entry raises ModelError with its position as `index`.
+    A bad entry of a sequence raises ModelError with its position as `index`.
     """
     if isinstance(text, str):
         raw = text.strip()
@@ -84,13 +104,8 @@ def parse_iso8601(text):
     codes = np.array(texts, dtype="U20").view(np.uint32).reshape(len(texts), 20)
     written = (codes >= _WRITTEN_LOW) & (codes <= _WRITTEN_HIGH)
     fast = (np.fromiter(map(len, texts), np.int64, len(texts)) == 20) & written.all(axis=1)
-    out = np.empty(len(texts), dtype=np.int64)
-    try:  # those codes are ASCII: as bytes, the first 19 are the stamp without its 'Z'
-        stamps = codes[fast, :19].astype(np.uint8).view("S19").astype("datetime64[s]")
-        out[fast] = stamps.view(np.int64).ravel()
-    except ValueError:  # a field out of range: the entry-by-entry path names it
-        fast[:] = False
-    for i in np.flatnonzero(~fast).tolist():
+    out, in_range = _written_epochs(codes)
+    for i in np.flatnonzero(~(fast & in_range)).tolist():
         try:
             out[i] = parse_iso8601(texts[i])
         except ModelError as exc:
@@ -217,7 +232,7 @@ class TimeSeries:
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         if times.shape != values.shape or times.ndim != 1:
             raise ModelError("times and values must be 1-d arrays of equal length")
-        if len(times) > 1 and not np.all(np.diff(times) > 0):
+        if not np.all(times[1:] > times[:-1]):  # np.diff can wrap
             raise ModelError(f"timestamps not strictly increasing for {self.sensor_id}")
         if len(values) and not np.all(np.isfinite(values)):
             raise ModelError(f"non-finite values in series {self.sensor_id}")

@@ -21,10 +21,11 @@ samples it cannot clear get their four exact order statistics, so the
 screen changes how much is computed, never a flag (`_bound_violations`
 gives the argument).
 Zero readings are flagged for sensor kinds where zero is physically
-implausible, and power sensors are additionally screened for transient
-spikes; that screen measures each jump against the samples that survived
-before it, so it alone runs sample by sample. Flagged samples are replaced
-by the window minimum or maximum of the surviving (non-flagged) samples.
+implausible, and power sensors are additionally checked for transient
+spikes, sample by sample: each jump is measured against the samples that
+survived before it. Each test yields a mask, and the flags of every sensor
+kind are composed once from them. Flagged samples are replaced by the
+window minimum or maximum of the surviving (non-flagged) samples.
 Repair order is fixed: flag, replace, fill, smooth.
 """
 
@@ -289,45 +290,41 @@ def flag_outliers(
 ) -> list[OutlierFlag]:
     """Flag outliers per sample against its trailing time window.
 
-    A sample is evaluated against the quartile bounds of the window
-    (t - W, t] containing it. The quartiles come from all samples in the
-    window, flagged or not, so flags never change them and the bound test
-    runs over the whole series at once; windows holding fewer than
-    `min_window_samples` samples leave the sample unflagged. Zero readings
-    are always flagged where zero is implausible for the sensor kind; they
-    need no window. Power sensors get a spike check: a jump away from the
-    last surviving value larger than `spike_sigma` standard deviations of
-    the window's surviving (non-flagged) samples. That check depends on
-    earlier flags and is the only sequential one. At most one flag is
-    emitted per sample (zero > spike > bound violation).
+    Three masks cover the whole series: zero readings where zero is
+    implausible for the sensor kind; bound violations, samples outside the
+    quartile bounds of their window (t - W, t], whose quartiles come from all
+    its samples, flagged or not (a sample whose window holds fewer than
+    `min_window_samples` is not tested); and, for power sensors, the spikes of
+    `_spikes`. The flags are composed once, at most one per sample (zero >
+    spike > bound violation).
     """
     values = series.values
     n = len(series)
-    if n == 0:
-        return []
     starts = _window_starts(series.times, series.times, window.duration)
     zero = values == 0.0 if zero_implausible else np.zeros(n, dtype=bool)
     bound = _bound_violations(values, starts, min_window_samples)
-    if kind is not SensorKind.POWER_PHASE:
-        flagged = np.flatnonzero(zero | bound).tolist()
-        return [OutlierFlag(i, FlagKind.ZERO_ERROR if zero[i] else FlagKind.BOUND_VIOLATION)
-                for i in flagged]
-    return _flag_with_spikes(values.tolist(), starts.tolist(), zero.tolist(), bound.tolist(),
-                             spike_sigma, min_window_samples)
+    spike = (_spikes(values.tolist(), starts.tolist(), (zero | bound).tolist(), spike_sigma,
+                     min_window_samples)
+             if kind is SensorKind.POWER_PHASE else np.zeros(n, dtype=bool))
+    kinds = (FlagKind.ZERO_ERROR, FlagKind.SPIKE, FlagKind.BOUND_VIOLATION)
+    first = np.select([zero, spike, bound], [0, 1, 2], -1)  # the first mask, in that order
+    flagged = np.flatnonzero(first >= 0)
+    return [OutlierFlag(i, kinds[k]) for i, k in zip(flagged.tolist(), first[flagged].tolist())]
 
 
-def _flag_with_spikes(
+def _spikes(
     values: list[float],
     starts: list[int],
-    zero: list[bool],
-    bound: list[bool],
+    flagged: list[bool],
     spike_sigma: float,
     min_window_samples: int,
-) -> list[OutlierFlag]:
-    """Sample by sample: zero and bound flags as given, spikes against the
-    running mean and variance of the window's surviving samples."""
-    flags: list[OutlierFlag] = []
-    flagged = [False] * len(values)
+) -> np.ndarray:
+    """Mask of jumps away from the last surviving value larger than
+    `spike_sigma` standard deviations of the window's surviving samples:
+    those neither `flagged` (zero or bound) nor spikes. The loop keeps the
+    window's running sums and yields only spikes, neither flags nor their
+    priority."""
+    spike = [False] * len(values)
     left = 0
     clean_sum = 0.0
     clean_sumsq = 0.0
@@ -344,27 +341,19 @@ def _flag_with_spikes(
         if clean_sum != clean_sum or clean_sumsq != clean_sumsq:  # inf - inf: rebuild
             kept = [values[j] for j in range(left, i) if not flagged[j]]
             clean_sum, clean_sumsq = sum(kept, 0.0), sum(x * x for x in kept)
-        flag: FlagKind | None = None
-        if zero[i]:
-            flag = FlagKind.ZERO_ERROR
-        elif clean_count >= min_window_samples and last_clean is not None:
+        if clean_count >= min_window_samples and last_clean is not None:
             try:
                 variance = max(0.0, clean_sumsq / clean_count - (clean_sum / clean_count) ** 2)
             except OverflowError:  # a mean beyond 1e154: no finite scale, so no spike
                 variance = math.inf
             if abs(v - last_clean) > spike_sigma * math.sqrt(variance):
-                flag = FlagKind.SPIKE
-        if flag is None and bound[i]:
-            flag = FlagKind.BOUND_VIOLATION
-        if flag is not None:
-            flagged[i] = True
-            flags.append(OutlierFlag(i, flag))
-        else:
+                spike[i] = flagged[i] = True
+        if not flagged[i]:
             clean_sum += v
             clean_sumsq += v * v
             clean_count += 1
             last_clean = v
-    return flags
+    return np.array(spike, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -487,10 +476,7 @@ class RepairedSeries:
 
     series: TimeSeries  # final (smoothed) series
     flags: tuple[OutlierFlag, ...]
-    replaced: tuple[tuple[int, float, float], ...]
-    dropped: tuple[int, ...]
-    filled: tuple[int, ...]
-    unfilled: tuple[int, ...]
+    filled: tuple[int, ...]  # grid times that were imputed
 
 
 def repair_series(series: TimeSeries, meta: SensorMeta, site: Site) -> RepairedSeries:
@@ -505,11 +491,4 @@ def repair_series(series: TimeSeries, meta: SensorMeta, site: Site) -> RepairedS
     repair = replace_outliers(series, flags, REPAIR_WINDOW)
     fill = fill_missing(repair.series, meta, FILL_WINDOW)
     smoothed = moving_average(fill.series, SMOOTH_WINDOW)
-    return RepairedSeries(
-        series=smoothed,
-        flags=tuple(flags),
-        replaced=repair.replaced,
-        dropped=repair.dropped,
-        filled=fill.filled,
-        unfilled=fill.unfilled,
-    )
+    return RepairedSeries(smoothed, tuple(flags), fill.filled)

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import zlib
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import schoolsense
 from schoolsense import cli
 from schoolsense.ingest import RECORD, SeriesStore, parse_catalog
 from schoolsense.model import parse_iso8601, to_epoch
@@ -348,6 +353,37 @@ def test_malformed_measurements_name_the_file(work, capsys):
     assert code == 2
     assert f"{bad}: line 2" in err
     _assert_one_error_line(err)
+
+
+def test_bad_stamp_in_a_large_file_exits_2_naming_its_line(work):
+    """A month 13 in a 1,000-row file, in a fresh process, so that a crash
+    fails this test alone."""
+    lines = (work / "inputs" / "measurements" / "s1.csv").read_text().splitlines()[:1001]
+    bad_row = 700
+    lines[bad_row] = lines[bad_row].replace("-10-", "-13-", 1)
+    bad = work / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    config = _write_config(work, measurements=[str(bad)])
+    src = str(Path(schoolsense.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "\n".join((
+        "import sys",
+        "from schoolsense import cli",
+        "from schoolsense.model import ModelError, parse_iso8601",
+        "rows = open(sys.argv[1]).read().splitlines()[1:]",
+        "try:",
+        "    parse_iso8601([row.split(',')[1] for row in rows])",
+        "except ModelError as exc:",
+        "    print('index', exc.index)",
+        "sys.exit(cli.main(sys.argv[2:]))",
+    ))
+    run = subprocess.run([sys.executable, "-c", code, str(bad), "ingest", *config], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2, run.stderr
+    assert run.stdout.splitlines()[0] == f"index {bad_row - 1}"
+    assert f"{bad}: line {bad_row + 1}" in run.stderr
+    _assert_one_error_line(run.stderr)
 
 
 def test_non_utf8_measurements_exit_2(work, capsys):

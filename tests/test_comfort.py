@@ -309,6 +309,9 @@ quartile_samples = st.lists(
 
 @given(quartile_samples)
 @example([0.1, 0.7, 0.7])  # Q1 halfway between 0.1 and 0.7, where numpy interpolates from 0.7
+@example([-0.0])  # a rank of n - 1: numpy takes the last sample twice with weight 1
+# np.partition on numpy's own kth list orders -0.0 and 0.0 unlike np.sort
+@example([0.0, 0.0, 0.0, 1.0, -0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 def test_quartiles_equal_numpy_percentile(values):
     arr = np.array(values)
     q1, q3 = np.percentile(arr, [25.0, 75.0])

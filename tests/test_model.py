@@ -5,7 +5,7 @@ from datetime import date, datetime, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from schoolsense.model import (
     Classroom,
@@ -84,11 +84,44 @@ def test_bad_stamp_is_rejected_with_its_index(bad):
     assert info.value.index == 2
 
 
+def _fromisoformat_oracle(stamp: str):
+    """Epoch seconds of a written-form stamp by `datetime.fromisoformat`, or None."""
+    try:
+        return to_epoch(datetime.fromisoformat(stamp[:-1] + "+00:00"))
+    except ValueError:
+        return None
+
+
+# every field the written form admits, out-of-range months, days and hours included
+written_fields = st.tuples(st.integers(1000, 9999), st.integers(0, 19), st.integers(0, 39),
+                           st.integers(0, 29), st.integers(0, 59), st.integers(0, 59))
+
+
+@given(st.lists(written_fields, min_size=1, max_size=30))
+@example([(2017, 2, 29, 0, 0, 0)])  # not a leap year
+@example([(1900, 2, 29, 0, 0, 0), (2000, 2, 29, 0, 0, 0), (2016, 2, 29, 23, 59, 59)])
+@example([(2017, 4, 31, 0, 0, 0), (2017, 3, 31, 0, 0, 0), (2017, 12, 31, 23, 59, 59)])
+@example([(2017, 13, 1, 0, 0, 0), (2017, 0, 1, 0, 0, 0), (2017, 1, 0, 0, 0, 0)])
+@example([(9999, 12, 31, 23, 59, 59), (1000, 1, 1, 0, 0, 0), (2017, 1, 1, 24, 0, 0)])
+def test_written_form_decode_matches_fromisoformat(fields):
+    stamps = ["%04d-%02d-%02dT%02d:%02d:%02dZ" % f for f in fields]
+    want = [_fromisoformat_oracle(stamp) for stamp in stamps]
+    if None in want:
+        with pytest.raises(ModelError) as info:
+            parse_iso8601(stamps)
+        assert info.value.index == want.index(None)
+    else:
+        assert parse_iso8601(stamps).tolist() == want
+
+
 def test_series_requires_strictly_increasing_times():
     with pytest.raises(ModelError):
         TimeSeries("s", np.array([10, 10]), np.array([1.0, 2.0]))
     with pytest.raises(ModelError):
         TimeSeries("s", np.array([10, 5]), np.array([1.0, 2.0]))
+    # np.diff would wrap to a positive step here
+    with pytest.raises(ModelError):
+        TimeSeries("s", np.array([9 * 10**18, -9 * 10**18]), np.array([0.0, 1.0]))
 
 
 def test_series_rejects_non_finite_values():

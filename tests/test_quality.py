@@ -390,7 +390,7 @@ def test_category_outage_grouping(tiny_catalog):
         "p1": (day, np.array([100]), np.array([75])),
     }
     raw = {m.sensor_id: TimeSeries.empty(m.sensor_id) for m in tiny_catalog.sensors}
-    repairs = {sensor_id: RepairedSeries(s, (), (), (), (), ()) for sensor_id, s in raw.items()}
+    repairs = {sensor_id: RepairedSeries(s, (), ()) for sensor_id, s in raw.items()}
     stats = _group_quality(CATEGORIES, lambda m: m.kind.category, tiny_catalog, matrix, raw,
                            repairs)
     pct = {group: outage for group, _, _, outage, _ in stats}
