@@ -1,7 +1,10 @@
 """Measurement and catalog parsing, weather history, and the on-disk store.
 
 File formats:
-  catalog       JSON document with sites[] (rooms nested) and sensors[].
+  catalog       JSON document with sites[] (rooms nested) and sensors[]. Site
+                and sensor ids name store directories and match CSV fields,
+                so none is empty, ``.`` or ``..``, or holds ``/``, ``\\``,
+                NUL, a comma, a quote or a line break.
   measurements  CSV, header ``sensor_id,timestamp,value``, ISO-8601 UTC.
   weather       CSV, header ``site_id,timestamp,outdoor_temp_c,wind_speed_ms,
                 cloud_cover``, hourly grid.
@@ -21,6 +24,21 @@ The CSV grammar is plain comma-separated text. Lines end in ``\n`` or
 ``\r\n``, and every comma separates two fields. There is no quoting: a ``"``
 anywhere is an error naming its line. Blank lines are skipped, and error
 messages count lines as they stand in the file, blank ones included.
+
+A document is read as its UTF-8 bytes, and no Python object is made per line
+or field: numpy finds every ``\n`` and ``,``, and a field is a pair of byte
+offsets. A row joins the run of the row before if its id has the same bytes,
+and each run's id is decoded once. Written-form stamps are decoded in arrays
+by `model.parse_iso8601_bytes`. A value written ``-?digits[.digits]``, with at
+most 8 digits before the point and 18 in all, is decoded in arrays too: its
+digits give an integer mantissa M below 2**63, eight at a time (SWAR), and
+M / 10**f is divided in long double, where both are exact, so the quotient is
+correctly rounded to 64 bits. Every midpoint between two adjacent doubles
+fits in 64 bits, so rounding that quotient to a double gives float()'s
+result unless it lands exactly on a midpoint; such values, every other
+spelling, and every value where long double has fewer than 64 bits, are
+decoded to str one at a time and given to float(). Only an error computes a
+line number, from its row's byte offset.
 """
 
 from __future__ import annotations
@@ -28,7 +46,6 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass
-from itertools import compress, repeat
 from pathlib import Path
 from typing import Mapping
 
@@ -44,9 +61,11 @@ from .model import (
     SensorMeta,
     Site,
     TimeSeries,
+    byte_rows,
     format_iso8601,
     json_value,
     parse_iso8601,
+    parse_iso8601_bytes,
 )
 
 MEASUREMENT_HEADER = ["sensor_id", "timestamp", "value"]
@@ -80,6 +99,22 @@ def _objects(value, name: str) -> list[dict]:
     return value
 
 
+# Site and sensor ids name store directories, and are matched against CSV
+# fields; none of these can be either.
+_ID_FORBIDDEN = ("/", "\\", "\x00", ",", '"', "\r", "\n")
+
+
+def _store_id(value, name: str) -> str:
+    """`value` if it is a string that can name a store directory and be a CSV field;
+    CatalogError naming the field otherwise."""
+    value = json_value(value, str, name)
+    if value in ("", ".", "..") or any(c in value for c in _ID_FORBIDDEN):
+        raise CatalogError(f"{name} {value!r} cannot name a store directory: an id is not "
+                           f"empty, '.' or '..', and holds no /, \\, NUL, comma, quote or "
+                           f"line break")
+    return value
+
+
 def parse_catalog(document: str) -> DeploymentCatalog:
     """Parse and validate a catalog document."""
     try:
@@ -93,7 +128,7 @@ def parse_catalog(document: str) -> DeploymentCatalog:
     sites = []
     for raw in _objects(data.get("sites", []), "sites"):
         try:
-            site_id = json_value(raw["site_id"], str, "site_id")
+            site_id = _store_id(raw["site_id"], "site_id")
             rooms = tuple(
                 Classroom(
                     room_id=json_value(r["room_id"], str, "room_id"),
@@ -128,7 +163,7 @@ def parse_catalog(document: str) -> DeploymentCatalog:
                     f"sensor {raw.get('sensor_id')!r}: unit {unit!r} does not match "
                     f"{kind.value} ({kind.unit}); units are fixed per kind")
             sensors.append(SensorMeta(
-                sensor_id=json_value(raw["sensor_id"], str, "sensor_id"),
+                sensor_id=_store_id(raw["sensor_id"], "sensor_id"),
                 site_id=json_value(raw["site_id"], str, "site_id"),
                 room_id=None if raw.get("room_id") is None else json_value(
                     raw["room_id"], str, "room_id"),
@@ -178,63 +213,229 @@ def catalog_to_json(catalog: DeploymentCatalog) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _read_table(document: str, header: list[str], error: type[IngestError]):
-    """The columns (lists of str) of a CSV document below its header, and their line numbers.
+# Zero bytes after a document's copy, so that fixed-width reads from any of its
+# fields stay inside the buffer; the farthest ends 56 bytes past a field's
+# start, at the last word of a long id.
+_PAD = 64
 
-    The grammar is the module docstring's: a quote raises `error` with its
-    line, a trailing ``\r`` is dropped, and blank lines are skipped but keep
-    their numbers. A wrong header or field count raises `error` with its line.
+# Ids up to this many bytes are compared word by word to find runs of one id;
+# a longer id starts a run of its own.
+_RUN_ID_BYTES = 56
+
+
+class _Table:
+    """A CSV document's UTF-8 bytes and the byte offsets of the fields of its rows.
+
+    A row is a non-blank line below the header. Field k of a row runs from its
+    line's start or its comma k − 1, to its comma k or its line's stop, which
+    is before the line's ``\r\n``, ``\n`` or the document's end. The byte at
+    a field's stop is therefore never a digit.
     """
-    if '"' in document:
-        line = document.count("\n", 0, document.index('"')) + 1
+
+    # Not a dataclass: every command builds its classes afresh, and a frozen
+    # dataclass takes about 1 ms to build.
+    __slots__ = ("data", "starts", "stops", "commas")
+
+    def __init__(self, data: np.ndarray, starts: np.ndarray, stops: np.ndarray,
+                 commas: np.ndarray):
+        self.data = data      # the document's bytes, then _PAD zero bytes
+        self.starts = starts  # (rows,) offset of each row's line
+        self.stops = stops    # (rows,) offset past each row's last field
+        self.commas = commas  # (rows, width - 1) offsets of each row's commas
+
+    def take(self, rows) -> _Table:
+        """The table of the rows that `rows`, an index or mask, selects."""
+        return _Table(self.data, self.starts[rows], self.stops[rows], self.commas[rows])
+
+    def field(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Start and stop offsets of field `k` of every row."""
+        starts = self.starts if k == 0 else self.commas[:, k - 1] + 1
+        stops = self.stops if k == self.commas.shape[1] else self.commas[:, k]
+        return starts, stops
+
+    def text(self, start: int, stop: int) -> str:
+        return self.data[start:stop].tobytes().decode("utf-8", "surrogatepass")
+
+    def line(self, row: int) -> int:
+        """The number of a row's line in the file, counting from 1, blank lines included."""
+        return int(np.count_nonzero(self.data[:self.starts[row]] == ord("\n"))) + 1
+
+
+def _read_table(document: str, header: list[str], error: type[IngestError]) -> _Table:
+    """The rows of a CSV document below its header, as byte offsets into its UTF-8 bytes.
+
+    The grammar is the module docstring's, checked in this order: a quote
+    raises `error` with its line; the first line, less a trailing ``\r``, must
+    be the header; blank lines are skipped; every other line must hold one
+    comma fewer than the header has fields, or `error` names the first that
+    does not. No Python object is made per line or field.
+    """
+    raw = document.encode("utf-8", "surrogatepass")
+    quote = raw.find(b'"')
+    if quote >= 0:
+        line = raw.count(b"\n", 0, quote) + 1
         raise error(f"line {line}: quoted fields are not supported")
-    lines = document.split("\n")
-    if "\r" in document:
-        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
-    if lines[0] != ",".join(header):
-        raise error(f"line 1: expected header {','.join(header)!r}, got {lines[0]!r}")
-    numbers = list(compress(range(2, len(lines) + 1), lines[1:]))
-    body = list(filter(None, lines[1:]))
-    width = len(header)
-    commas = list(map(str.count, body, repeat(",")))
-    if commas.count(width - 1) != len(commas):
-        i = next(i for i, n in enumerate(commas) if n != width - 1)
-        raise error(f"line {numbers[i]}: expected {width} fields, got {commas[i] + 1}")
-    cells = ",".join(body).split(",") if body else []
-    return [cells[k::width] for k in range(width)], numbers
+    data = np.zeros(len(raw) + _PAD, np.uint8)
+    text = data[:len(raw)]
+    text[:] = np.frombuffer(raw, np.uint8)
+    breaks = np.flatnonzero(text == ord("\n"))
+    starts = np.concatenate(([0], breaks + 1))
+    stops = np.append(breaks, len(raw))
+    stops -= (stops > starts) & (data[stops - 1] == ord("\r"))
+    expected = ",".join(header)
+    if raw[:stops[0]] != expected.encode():
+        got = raw[:stops[0]].decode("utf-8", "surrogatepass")
+        raise error(f"line 1: expected header {expected!r}, got {got!r}")
+    commas = np.flatnonzero(text == ord(","))
+    commas = commas[np.searchsorted(commas, stops[0]):]
+    starts, stops = starts[1:], stops[1:]
+    filled = stops > starts
+    if not filled.all():
+        starts, stops = starts[filled], stops[filled]
+
+    share = len(header) - 1
+    if len(commas) == len(starts) * share:
+        # With sorted commas and the right total, each row holds exactly its
+        # share if the share lies inside the row's line.
+        shares = commas.reshape(len(starts), share)
+        if len(starts) == 0 or ((shares[:, 0] >= starts) & (shares[:, -1] < stops)).all():
+            return _Table(data, starts, stops, shares)
+    counts = np.searchsorted(commas, stops) - np.searchsorted(commas, starts)
+    row = int(np.argmax(counts != share))
+    line = _Table(data, starts, stops, commas).line(row)
+    raise error(f"line {line}: expected {share + 1} fields, got {counts[row] + 1}")
 
 
-def _group_rows(keys) -> dict[str, np.ndarray]:
-    """Row indices of each distinct key in file order, keys sorted."""
-    code_of = {key: code for code, key in enumerate(dict.fromkeys(keys))}
-    codes = np.fromiter(map(code_of.__getitem__, keys), np.intp, len(keys))
-    groups = np.split(np.argsort(codes, kind="stable"),
-                      np.cumsum(np.bincount(codes, minlength=len(code_of)))[:-1])
-    return {key: groups[code_of[key]] for key in sorted(code_of)}
+_WORD_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
 
 
-def _time_column(texts, lines, error: type[IngestError]) -> np.ndarray:
+def _key_codes(table: _Table) -> tuple[list[str], np.ndarray]:
+    """The distinct first fields of a table's rows, sorted, and each row's index into them.
+
+    A row whose first field has the length and bytes of the row before's joins
+    that row's run, and each run's field is decoded once.
+    """
+    starts, stops = table.field(0)
+    if len(starts) == 0:
+        return [], np.empty(0, np.intp)
+    length = stops - starts
+    same = (length[1:] == length[:-1]) & (length[1:] <= _RUN_ID_BYTES)
+    for k in range(0, min(int(length.max()), _RUN_ID_BYTES), 8):
+        words = byte_rows(table.data, starts + k, 8).view("<u8")[:, 0]
+        words &= _WORD_MASKS[np.clip(length - k, 0, 8)]
+        same &= words[1:] == words[:-1]
+    first = np.flatnonzero(np.concatenate(([True], ~same)))
+    run_keys = [table.text(starts[i], stops[i]) for i in first.tolist()]
+    keys = sorted(set(run_keys))
+    code_of = {key: code for code, key in enumerate(keys)}
+    return keys, np.repeat(np.array([code_of[key] for key in run_keys], np.intp),
+                           np.diff(np.append(first, len(starts))))
+
+
+def _group_rows(codes: np.ndarray, keys: list[str]) -> dict[str, np.ndarray]:
+    """Indices of each code's rows in file order, by key in key order; keys without a
+    row are left out."""
+    counts = np.bincount(codes, minlength=len(keys))
+    groups = np.split(np.argsort(codes, kind="stable"), np.cumsum(counts)[:-1])
+    return {key: group for key, group, count in zip(keys, groups, counts) if count}
+
+
+def _time_column(table: _Table, error: type[IngestError]) -> np.ndarray:
+    """Epoch seconds of field 1 of the table's rows; a bad stamp raises `error`."""
     try:
-        return parse_iso8601(texts)
+        return parse_iso8601_bytes(table.data, *table.field(1))
     except ModelError as exc:
-        raise error(f"line {lines[exc.index]}: {exc}") from None
+        raise error(f"line {table.line(exc.index)}: {exc}") from None
 
 
-def _float_column(texts, lines, error: type[IngestError]) -> np.ndarray:
-    """Float64 values of a text column; a bad or non-finite value raises `error`."""
-    try:
-        values = np.array(texts, dtype=np.float64)
-    except ValueError:
-        values = np.empty(len(texts))
-        for i, text in enumerate(texts):
-            try:
-                values[i] = float(text)
-            except ValueError:
-                raise error(f"line {lines[i]}: bad value {text!r}") from None
+# The fast path's quotient M / 10**f is correctly rounded only where long
+# double has at least 64 significant bits; elsewhere every value takes float().
+_EXACT_QUOTIENTS = np.finfo(np.longdouble).nmant >= 63
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_POW10_LONG = _POW10.astype(np.longdouble)
+# By a count of 0 to 8 leading bytes of a word: the shift that moves them to
+# its top lanes, and '0' bytes for the lanes below them.
+_TOP_SHIFT = np.array([64 - 8 * n for n in range(9)], np.uint64)
+_ZERO_FILL = np.array([0x3030303030303030 >> 8 * n for n in range(9)], np.uint64)
+
+
+def _digit_words(words: np.ndarray, count: np.ndarray):
+    """Whether the first `count` (0 to 8) bytes of each little-endian word are digits, and
+    the number they write.
+
+    SWAR: the word is eight one-byte lanes. The digits move to the top lanes
+    with '0's below them, so that lane i holds the digit of weight 10**(7 - i),
+    and three multiply-shift-mask rounds join the lanes in pairs.
+    """
+    lanes = ((words << _TOP_SHIFT[count]) | _ZERO_FILL[count]) - np.uint64(0x3030303030303030)
+    # a lane above 9, or one that borrowed, sets its top bit here; a lane of a
+    # digit carries nothing into the next
+    digits = ((lanes + np.uint64(0x7676767676767676)) | lanes) & np.uint64(0x8080808080808080) == 0
+    pairs = ((lanes * np.uint64(10 << 8 | 1)) >> np.uint64(8)) & np.uint64(0x00FF00FF00FF00FF)
+    quads = ((pairs * np.uint64(100 << 16 | 1)) >> np.uint64(16)) & np.uint64(0x0000FFFF0000FFFF)
+    return digits, (quads * np.uint64(10000 << 32 | 1)) >> np.uint64(32)
+
+
+def _decimals(data: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """Float64 values of the fields written ``-?digits[.digits]``, with at most 8 digits
+    before the point and 18 in all, and a mask of the fields decoded here.
+
+    The other fields, and those whose long-double quotient lands on a midpoint
+    between two doubles, are left for float(); their values here mean nothing.
+    """
+    if not _EXACT_QUOTIENTS:
+        return np.empty(len(starts)), np.zeros(len(starts), bool)
+    negative = data[starts] == ord("-")
+    at = starts + negative
+    size = stops - at
+    head = byte_rows(data, at, 16)
+    # the int part ends at the first non-digit of the first 9 bytes
+    whole = np.argmax((head[:, :9] - np.uint8(ord("0"))) > 9, axis=1)
+    point = data[at + whole] == ord(".")
+    fraction = size - whole - 1
+    fast = (whole >= 1) & ((whole == size) | (point & (fraction >= 1) & (whole + fraction <= 18)))
+    fraction[~(fast & point)] = 0
+    mantissa = _digit_words(head.view("<u8")[:, 0], whole)[1].view(np.int64)
+    tail = byte_rows(data, at + whole + 1, 24).view("<u8")
+    for k in range(-(-int(fraction.max(initial=0)) // 8)):
+        count = np.clip(fraction - 8 * k, 0, 8)
+        digits, part = _digit_words(tail[:, k], count)
+        fast &= digits
+        mantissa = mantissa * _POW10[count] + part.view(np.int64)
+    quotient = mantissa.astype(np.longdouble) / _POW10_LONG[fraction]
+    values = quotient.astype(np.float64)
+    # Doubles and the midpoints between them all fit in 64 bits. So rounding
+    # the correctly rounded 64-bit quotient to a double gives what rounding the
+    # exact quotient would, unless the quotient is a midpoint: then `beyond`,
+    # the quotient mirrored past the nearest double, is a double too.
+    nearest = values.astype(np.longdouble)
+    beyond = 2 * quotient - nearest
+    fast &= (quotient == nearest) | (beyond.astype(np.float64) != beyond)
+    np.negative(values, out=values, where=negative)
+    return values, fast
+
+
+def _float_column(table: _Table, k: int, error: type[IngestError]) -> np.ndarray:
+    """Float64 values of field `k` of the table's rows; a bad or non-finite value raises
+    `error`.
+
+    Plain decimals are decoded in arrays (`_decimals`); each other field is
+    decoded to str and given to float(). A bad value anywhere comes before a
+    non-finite one.
+    """
+    starts, stops = table.field(k)
+    values, fast = _decimals(table.data, starts, stops)
+    for i in np.flatnonzero(~fast).tolist():
+        text = table.text(starts[i], stops[i])
+        try:
+            values[i] = float(text)
+        except ValueError:
+            raise error(f"line {table.line(i)}: bad value {text!r}") from None
     bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
         i = int(bad[0])
-        raise error(f"line {lines[i]}: non-finite value {texts[i]!r}")
+        raise error(f"line {table.line(i)}: non-finite value "
+                    f"{table.text(starts[i], stops[i])!r}")
     return values
 
 
@@ -261,17 +462,17 @@ def parse_measurements(document: str, catalog: DeploymentCatalog) -> ParsedMeasu
     (sensor, timestamp) pairs collapse to the last occurrence in file order.
     Unknown sensor ids are quarantined, malformed lines are an error.
     """
-    (ids, stamps, raw_values), lines = _read_table(
-        document, MEASUREMENT_HEADER, MeasurementFormatError)
-    groups = _group_rows(ids)
-    rejected = {sid: len(idx) for sid, idx in groups.items() if not catalog.has_sensor(sid)}
+    table = _read_table(document, MEASUREMENT_HEADER, MeasurementFormatError)
+    keys, codes = _key_codes(table)
+    known = np.array([catalog.has_sensor(key) for key in keys], bool)
+    rejected = {key: int(count) for key, count, ok in
+                zip(keys, np.bincount(codes, minlength=len(keys)), known) if not ok}
     if rejected:
-        keep = [i for i, sid in enumerate(ids) if sid not in rejected]
-        ids, stamps, raw_values, lines = (
-            [column[i] for i in keep] for column in (ids, stamps, raw_values, lines))
-        groups = _group_rows(ids)
-    times = _time_column(stamps, lines, MeasurementFormatError)
-    values = _float_column(raw_values, lines, MeasurementFormatError)
+        kept = known[codes]
+        table, codes = table.take(kept), codes[kept]
+    times = _time_column(table, MeasurementFormatError)
+    values = _float_column(table, 2, MeasurementFormatError)
+    groups = _group_rows(codes, keys)
     series = {sid: last_wins(sid, times[idx], values[idx]) for sid, idx in groups.items()}
     return ParsedMeasurements(series, rejected)
 
@@ -312,18 +513,18 @@ class WeatherHistory:
 
 def load_weather(document: str) -> dict[str, WeatherHistory]:
     """Parse an hourly weather CSV into per-site histories."""
-    (site_ids, stamps, *measured), lines = _read_table(
-        document, WEATHER_HEADER, WeatherFormatError)
-    times = _time_column(stamps, lines, WeatherFormatError)
-    temp, wind, cloud = (_float_column(c, lines, WeatherFormatError) for c in measured)
+    table = _read_table(document, WEATHER_HEADER, WeatherFormatError)
+    keys, codes = _key_codes(table)
+    times = _time_column(table, WeatherFormatError)
+    temp, wind, cloud = (_float_column(table, k, WeatherFormatError) for k in (2, 3, 4))
     for bad, message in ((times % 3600 != 0, "timestamp not on the hourly grid"),
                          ((cloud < 0.0) | (cloud > 1.0), "cloud cover outside [0, 1]"),
                          (wind < 0.0, "negative wind speed")):
         if bad.any():
-            raise WeatherFormatError(f"line {lines[int(np.argmax(bad))]}: {message}")
+            raise WeatherFormatError(f"line {table.line(int(np.argmax(bad)))}: {message}")
 
     histories: dict[str, WeatherHistory] = {}
-    for site_id, idx in _group_rows(site_ids).items():
+    for site_id, idx in _group_rows(codes, keys).items():
         if np.any(np.diff(times[idx]) <= 0):
             raise WeatherFormatError(f"site {site_id}: timestamps not strictly increasing")
         histories[site_id] = WeatherHistory(

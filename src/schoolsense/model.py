@@ -8,8 +8,11 @@ All types are immutable values and all operations are pure functions.
 This is the only timestamp codec. It writes ``YYYY-MM-DDTHH:MM:SSZ`` and reads
 what ``datetime.fromisoformat`` reads once surrounding blanks are stripped and
 a final ``Z``/``z`` means ``+00:00``; naive stamps are UTC, fractions truncate.
-Written-form stamps from year 1000 on are decoded together, as integers from
-their digits; any other stamp, or one with a field out of range, goes alone.
+Many stamps are read from UTF-8 bytes (`parse_iso8601_bytes`; the sequence form
+of `parse_iso8601` encodes its entries and calls it). The 20 bytes of every
+written-form stamp from year 1000 on are gathered into one ``(n, 20)`` matrix
+and decoded together, as integers from their digits; any other stamp, or one
+with a field out of range, is decoded to str and parsed alone.
 """
 
 from __future__ import annotations
@@ -61,29 +64,65 @@ def to_epoch(ts: datetime | date | int) -> int:
     raise ModelError(f"not a timestamp: {ts!r}")
 
 
-# Per character, the codes of the written form from year 1000 on (numpy reads
-# year 0, fromisoformat does not).
-_WRITTEN_LOW, _WRITTEN_HIGH = (np.array([bound]).view(np.uint32)
+# Per byte, the codes of the written form from year 1000 on (numpy reads year
+# 0, fromisoformat does not). A byte is in range if its code less the low one,
+# wrapping around in uint8, is at most the span.
+_WRITTEN_LOW, _WRITTEN_HIGH = (np.frombuffer(bound.encode(), np.uint8)
                                for bound in ("1000-00-00T00:00:00Z", "9999-19-39T29:59:59Z"))
+_WRITTEN_SPAN = _WRITTEN_HIGH - _WRITTEN_LOW
 
 
 # Days of each month in a common year, by the value 00 to 19 of the month field.
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31] + [0] * 7, np.int32)
 
 
+def byte_rows(data: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """The `width` bytes of `data` from each start, as the rows of a new ``(n, width)`` matrix.
+
+    `data` is a 1-d uint8 array, and each start at most ``len(data) - width``.
+    The rows are gathered as items of an overlapping view of `data` that has
+    one `width`-byte item at every offset.
+    """
+    items = np.ndarray((len(data) - width + 1,), f"V{width}", data, 0, (1,))
+    return items[starts].view(np.uint8).reshape(len(starts), width)
+
+
 def _written_epochs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Epoch seconds of rows of written-form codes ('0' is 48), and whether each row's
+    """Epoch seconds of rows of written-form bytes ('0' is 48), and whether each row's
     month, day of month and hour are in range. Days follow the days-from-civil formula,
     whose years start in March so that the leap day comes last. Fields stay int32."""
     year = (codes[:, :4] @ np.array([1000, 100, 10, 1], np.uint32) - 48 * 1111).view(np.int32)
-    two_digit = codes[:, 5:19:3] * 10 + codes[:, 6:19:3] - 48 * 11
-    month, day, hour, minute, second = two_digit.T.view(np.int32)
+    month, day, hour, minute, second = (
+        codes[:, 5:19:3].astype(np.int32) * 10 + codes[:, 6:19:3] - 48 * 11).T
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     month_days = _MONTH_DAYS.take(month, mode="clip") + (leap & (month == 2))
     y = year - (month <= 2)
     days = y * 365 + y // 4 - y // 100 + y // 400 + (153 * ((month + 9) % 12) + 2) // 5 + day
     return ((days - 719469).astype(np.int64) * DAY_SECONDS + (hour * 3600 + minute * 60 + second),
             (day >= 1) & (day <= month_days) & (hour < 24))
+
+
+def parse_iso8601_bytes(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Epoch seconds, as an int64 array, of the UTF-8 stamps ``data[starts[i]:stops[i]]``.
+
+    `data` is a 1-d uint8 array. A bad stamp raises ModelError with its position
+    as `index`; its message quotes the stamp as the str form does.
+    """
+    if len(data) < 20:
+        data = np.concatenate((data, np.zeros(20, np.uint8)))
+    codes = byte_rows(data, np.minimum(starts, len(data) - 20), 20)
+    flags = ((codes - _WRITTEN_LOW) <= _WRITTEN_SPAN).view(np.uint32)  # 4 bytes' flags a lane
+    written = ((flags[:, 0] & flags[:, 1] & flags[:, 2] & flags[:, 3] & flags[:, 4] == 0x01010101)
+               & (stops - starts == 20))
+    out, in_range = _written_epochs(codes)
+    for i in np.flatnonzero(~(written & in_range)).tolist():
+        try:
+            out[i] = parse_iso8601(
+                data[starts[i]:stops[i]].tobytes().decode("utf-8", "surrogatepass"))
+        except ModelError as exc:
+            exc.index = i
+            raise
+    return out
 
 
 def parse_iso8601(text):
@@ -101,17 +140,13 @@ def parse_iso8601(text):
             raise ModelError(f"bad timestamp {text!r}: {exc}") from None
         return to_epoch(dt)
     texts = list(text)
-    codes = np.array(texts, dtype="U20").view(np.uint32).reshape(len(texts), 20)
-    written = (codes >= _WRITTEN_LOW) & (codes <= _WRITTEN_HIGH)
-    fast = (np.fromiter(map(len, texts), np.int64, len(texts)) == 20) & written.all(axis=1)
-    out, in_range = _written_epochs(codes)
-    for i in np.flatnonzero(~(fast & in_range)).tolist():
-        try:
-            out[i] = parse_iso8601(texts[i])
-        except ModelError as exc:
-            exc.index = i
-            raise
-    return out
+    joined = "".join(texts)
+    data = joined.encode("utf-8", "surrogatepass")
+    sizes = np.fromiter(map(len, texts) if len(data) == len(joined)  # all ASCII
+                        else (len(t.encode("utf-8", "surrogatepass")) for t in texts),
+                        np.int64, len(texts))
+    stops = np.cumsum(sizes)
+    return parse_iso8601_bytes(np.frombuffer(data, np.uint8), stops - sizes, stops)
 
 
 def format_iso8601(epoch):

@@ -386,6 +386,49 @@ def test_bad_stamp_in_a_large_file_exits_2_naming_its_line(work):
     _assert_one_error_line(run.stderr)
 
 
+@pytest.mark.parametrize("value, message", [
+    ("21.5x", "bad value '21.5x'"),
+    ("inf", "non-finite value 'inf'"),
+])
+def test_bad_value_in_a_large_file_exits_2_naming_its_line(work, value, message):
+    """A bad value at line 701 of a 1,000-row file, in a fresh process."""
+    lines = (work / "inputs" / "measurements" / "s1.csv").read_text().splitlines()[:1001]
+    bad_row = 700
+    sensor_id, stamp, _ = lines[bad_row].split(",")
+    lines[bad_row] = f"{sensor_id},{stamp},{value}"
+    bad = work / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    config = _write_config(work, measurements=[str(bad)])
+    src = str(Path(schoolsense.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys\nfrom schoolsense import cli\nsys.exit(cli.main(sys.argv[1:]))"
+    run = subprocess.run([sys.executable, "-c", code, "ingest", *config], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2, run.stderr
+    assert f"{bad}: line {bad_row + 1}: {message}" in run.stderr
+    _assert_one_error_line(run.stderr)
+
+
+@pytest.mark.parametrize("site_id, sensor_id, named", [
+    ("s1", "..", "sensor_id '..'"),
+    ("s1", "x/../..", "sensor_id 'x/../..'"),
+    ("..", "", "site_id '..'"),
+])
+def test_catalog_id_outside_the_store_exits_2(work, capsys, site_id, sensor_id, named):
+    catalog = json.loads((work / "inputs" / "catalog.json").read_text())
+    catalog["sites"][0]["site_id"] = catalog["sensors"][0]["site_id"] = site_id
+    catalog["sensors"][0]["sensor_id"] = sensor_id
+    (work / "bad_catalog.json").write_text(json.dumps(catalog))
+    store = work / "fresh" / "store"
+    config = _write_config(work, catalog=str(work / "bad_catalog.json"), store=str(store))
+    code, err = _run(["ingest", *config], capsys)
+    assert code == 2
+    assert f"{named} cannot name a store directory" in err
+    _assert_one_error_line(err)
+    assert not (work / "fresh").exists()
+
+
 def test_non_utf8_measurements_exit_2(work, capsys):
     bad = work / "bad.csv"
     bad.write_bytes(b"sensor_id,timestamp,value\n\xff\xfe,1,2\n")

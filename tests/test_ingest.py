@@ -4,16 +4,19 @@ import json
 import re
 import tempfile
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from schoolsense import ingest
 from schoolsense.ingest import (
     MEASUREMENT_HEADER,
     RECORD,
     WEATHER_HEADER,
     CatalogError,
+    IngestError,
     MeasurementFormatError,
     SeriesStore,
     StoreIntegrityError,
@@ -29,7 +32,7 @@ from schoolsense.ingest import (
 from schoolsense.model import DAY_SECONDS, TimeSeries, format_iso8601
 
 from conftest import series_at, utc
-from ingest_oracles import oracle_read_table
+from ingest_oracles import oracle_load_weather, oracle_parse_measurements, oracle_read_table
 
 
 def _catalog_doc(n_sites=1):
@@ -117,6 +120,39 @@ def test_catalog_values_must_have_their_json_type(entry, field, value):
     doc[entry][0][field] = value
     with pytest.raises(CatalogError, match=f"{field} must be"):
         parse_catalog(json.dumps(doc))
+
+
+@pytest.mark.parametrize("entry, field, value", [
+    ("sensors", "sensor_id", ".."),  # the site's directory
+    ("sensors", "sensor_id", "x/../.."),  # the store root
+    ("sites", "site_id", ".."),  # outside the store
+    ("sites", "site_id", "."),
+    ("sites", "site_id", ""),
+    ("sensors", "sensor_id", ""),
+    ("sensors", "sensor_id", "a/b"),
+    ("sensors", "sensor_id", "a\\b"),
+    ("sensors", "sensor_id", "a\x00b"),
+    # a CSV field cannot hold these, so no row could name the sensor
+    ("sensors", "sensor_id", "a,b"),
+    ("sensors", "sensor_id", 'a"b'),
+    ("sites", "site_id", "a\rb"),
+    ("sensors", "sensor_id", "a\nb"),
+])
+def test_catalog_ids_must_name_a_store_directory(entry, field, value):
+    doc = json.loads(_catalog_doc(1))
+    doc[entry][0][field] = value
+    if field == "site_id":
+        doc["sensors"][0]["site_id"] = value
+    with pytest.raises(CatalogError, match=f"{field} {re.escape(repr(value))} cannot name"):
+        parse_catalog(json.dumps(doc))
+
+
+def test_catalog_ids_may_hold_dots_blanks_and_non_ascii():
+    doc = json.loads(_catalog_doc(1))
+    doc["sites"][0]["site_id"] = doc["sensors"][0]["site_id"] = ".site é"
+    doc["sensors"][0]["sensor_id"] = "a..b t"
+    catalog = parse_catalog(json.dumps(doc))
+    assert [m.sensor_id for m in catalog.sensors] == ["a..b t"]
 
 
 @pytest.mark.parametrize("label", ["room_id", "label"])
@@ -386,12 +422,220 @@ def _columns_or_error_line(read, document, header):
     return [list(column) for column in columns], lines
 
 
+def _decoded_table(document, header, error):
+    """The rows `_read_table` finds, decoded to columns of str, and their line numbers."""
+    table = _read_table(document, header, error)
+    columns = [[table.text(start, stop) for start, stop in zip(*table.field(k))]
+               for k in range(len(header))]
+    return columns, [table.line(row) for row in range(len(table.starts))]
+
+
 @settings(deadline=None, max_examples=300)
 @given(_quote_free_tables())
 def test_reader_matches_the_csv_reader_without_quotes(table):
     header, document = table
-    assert (_columns_or_error_line(_read_table, document, header)
+    assert (_columns_or_error_line(_decoded_table, document, header)
             == _columns_or_error_line(oracle_read_table, document, header))
+
+
+# ------------------------------------------------ the byte reader against the retired one
+
+# Catalog ids, their prefixes, ids that differ from them only by a NUL, and
+# non-ASCII ones: a row joins the run before it only if its id has the same
+# length and bytes.
+_ids = st.one_of(st.sampled_from(("site0-t", "site1-t")), st.sampled_from(
+    ("site0-t", "site1-t", "site0-t\x00", "site0", "", "\x00", "ghost", "gé")))
+_written_stamps = st.integers(0, 40).map(
+    lambda m: format_iso8601(utc(2017, 9, 30, 10) + 60 * m))
+_good_stamps = st.one_of(_written_stamps, _written_stamps, st.sampled_from((
+    "2017-09-30 10:00:02z", "2017-09-30T12:00:01+02:00", " 2017-09-30T10:00:03Z",
+    "2017-09-30T10:00:04", "2017-09-30T10:00:05.9Z")))
+_stamps = st.one_of(_good_stamps, _good_stamps, _good_stamps, st.sampled_from((
+    "not-a-time", "", "2017-13-30T10:00:00Z", "2017-02-29T10:00:00Z", "2017-09-30T24:00:00Z",
+    "2017-09-30T10:00:00Zx", "２017-09-30T10:00:00Z")))
+
+# texts written -?digits[.digits]; the array path takes them up to 8 and 18 digits
+_canonical_values = st.builds(
+    lambda sign, whole, fraction: f"{sign}{whole}" + (f".{fraction}" if fraction else ""),
+    st.sampled_from(("", "-")),
+    st.text("0123456789", min_size=1, max_size=8),
+    st.text("0123456789", max_size=12),  # past 18 digits in all at times
+)
+# every spelling that goes to float(): exponents, '_', blanks, '+', Unicode
+# digits, a bare point, longer mantissas; then nan, inf and values that fail
+_odd_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),  # exponents too
+    st.builds("{}e{}".format, st.integers(-10**6, 10**6), st.integers(-330, 300)),
+    st.text("0123456789", min_size=19, max_size=24).map(lambda t: f"{t[:8]}.{t[8:]}"),
+    st.text("0123456789", min_size=9, max_size=12),
+    st.sampled_from(("1_0", " 1.5", "1.5 ", "+1", "١٢", "1.", ".5", "-.5", "-0", "-0.0")),
+)
+_bad_values = st.sampled_from(("nan", "-nan", "inf", "-Infinity", "1e400", "nope", "", "-",
+                               "1.2.3", "--1", "1e", "0x10", "٫5"))
+_good_values = st.one_of(_canonical_values, _canonical_values, _odd_values)
+_values = st.one_of(_good_values, _good_values, _bad_values)
+
+
+@st.composite
+def _documents(draw, header, clean_row, dirty_row):
+    """A CSV document of drawn rows. Some documents have bad fields; some also a
+    wrong header, wrong comma counts or quotes. All mix CRLF and blank lines."""
+    dirt = draw(st.sampled_from((0, 0, 1, 2)))
+    first = ",".join(header)
+    if dirt == 2 and not draw(st.integers(0, 9)):
+        first = draw(st.sampled_from(("", first + ",", first.upper())))
+    lines = [first]
+    for fields in draw(st.lists(dirty_row if dirt else clean_row, max_size=25)):
+        kind = draw(st.integers(0, 39)) if dirt == 2 else 9
+        if kind == 0:
+            lines.append("")
+        elif kind == 1:
+            lines.append(",".join(fields[:-1]))
+        elif kind == 2:
+            lines.append(",".join(fields) + ",x")
+        elif kind == 3:
+            lines.append(",".join(fields) + '"')
+        else:
+            lines.append(",".join(fields))
+        if not draw(st.integers(0, 9)):
+            lines.append("")
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                            max_size=len(lines)))
+    endings[-1] = draw(st.sampled_from(["\n", "\r\n", ""]))
+    return "".join(map(str.__add__, lines, endings))
+
+
+def _measurement_outcome(parse, document, catalog):
+    """The series bits and rejects `parse` gives, or its error's class and text."""
+    try:
+        parsed = parse(document, catalog)
+    except IngestError as exc:
+        return type(exc).__name__, str(exc)
+    return ([(sid, s.times.tobytes(), s.values.tobytes()) for sid, s in parsed.series.items()],
+            list(parsed.rejected.items()))
+
+
+_measurement_documents = _documents(MEASUREMENT_HEADER, st.tuples(_ids, _good_stamps, _good_values),
+                                    st.tuples(_ids, _stamps, _values))
+
+
+@settings(deadline=None, max_examples=400)
+@given(_measurement_documents)
+@example("sensor_id,timestamp,value\nsite0-t,2017-09-30T10:00:00Z,1\n"
+         "site0-t\x00,2017-09-30T10:01:00Z,2\n")
+@example("sensor_id,timestamp,value\n\x00,2017-09-30T10:00:00Z,1\n,2017-09-30T10:01:00Z,2\n")
+def test_parse_measurements_matches_the_retired_parser(document):
+    catalog = parse_catalog(_catalog_doc(2))
+    assert (_measurement_outcome(parse_measurements, document, catalog)
+            == _measurement_outcome(oracle_parse_measurements, document, catalog))
+
+
+@settings(deadline=None, max_examples=100)
+@given(_measurement_documents)
+def test_parse_measurements_matches_the_retired_parser_without_long_double(document):
+    """Where long double is a plain double, every value goes to float()."""
+    catalog = parse_catalog(_catalog_doc(2))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_EXACT_QUOTIENTS", False)
+        got = _measurement_outcome(parse_measurements, document, catalog)
+    assert got == _measurement_outcome(oracle_parse_measurements, document, catalog)
+
+
+_hours = st.integers(0, 40).map(lambda h: format_iso8601(utc(2017, 9, 30) + 3600 * h))
+_fractions = st.one_of(st.floats(0.0, 1.0).map(repr), st.sampled_from(("0", "1", "-0.0", "1.0")))
+_weather_sites = st.sampled_from(("a", "b", "ab", "", "\x00"))
+
+
+def _weather_outcome(load, document):
+    try:
+        histories = load(document)
+    except IngestError as exc:
+        return type(exc).__name__, str(exc)
+    return [(site, *(getattr(h, name).tobytes() for name in
+                     ("times", "outdoor_temp", "wind_speed", "cloud_cover")))
+            for site, h in histories.items()]
+
+
+# A clean row's hour is drawn, so clean documents still fail the grid order at
+# times; the test below writes a valid one out.
+@settings(deadline=None, max_examples=300)
+@given(_documents(WEATHER_HEADER,
+                  st.tuples(_weather_sites, _hours, _good_values, _fractions, _fractions),
+                  st.tuples(_weather_sites, st.one_of(_hours, _stamps), _values, _values,
+                            _values)))
+def test_load_weather_matches_the_retired_loader(document):
+    assert _weather_outcome(load_weather, document) == _weather_outcome(oracle_load_weather,
+                                                                        document)
+
+
+def test_load_weather_matches_the_retired_loader_on_valid_hours():
+    """Valid documents are rare among drawn ones, so one is written out too."""
+    rows = [f"{site},{format_iso8601(utc(2017, 9, 4) + h * 3600)},{15.25 + h / 7!r},"
+            f"{h / 3},{h / 50}" for h in range(40) for site in ("b", "a")]
+    document = _weather_doc(rows)
+    assert len(load_weather(document)["a"]) == 40
+    assert _weather_outcome(load_weather, document) == _weather_outcome(oracle_load_weather,
+                                                                        document)
+
+
+# ------------------------------------------------------------ the decimal kernel
+
+def _kernel(texts):
+    """`ingest._decimals` on the texts laid out as the fields of one line."""
+    raw = ",".join(texts).encode("utf-8", "surrogatepass")
+    data = np.zeros(len(raw) + ingest._PAD, np.uint8)
+    data[:len(raw)] = np.frombuffer(raw, np.uint8)
+    sizes = np.array([len(t.encode("utf-8", "surrogatepass")) for t in texts], np.int64)
+    stops = np.cumsum(sizes + 1) - 1
+    return ingest._decimals(data, stops - sizes, stops)
+
+
+def _float_bits(text):
+    try:
+        return int(np.float64(float(text)).view(np.int64))
+    except ValueError:
+        return None
+
+
+def _plain(text):
+    """Whether a text is written -?digits[.digits], with at most 8 digits before the point
+    and 18 in all: the spelling the array path may take."""
+    return (re.fullmatch(r"-?[0-9]{1,8}(\.[0-9]+)?", text) is not None
+            and sum(c.isdigit() for c in text) <= 18)
+
+
+def _on_a_midpoint(text):
+    """Whether the text's value, rounded to a 64-bit significand (half to even), lies
+    halfway between two adjacent doubles: then its low 11 bits are 100 0000 0000."""
+    value = abs(Fraction(text))
+    if not value:
+        return False
+    exponent = value.numerator.bit_length() - value.denominator.bit_length()
+    if value < Fraction(2) ** exponent:
+        exponent -= 1
+    return round(value / Fraction(2) ** (exponent - 63)) % 2**11 == 2**10
+
+
+# Without the midpoint test, the long-double quotient of each of these rounds
+# to the wrong double.
+MIDPOINT_DECIMALS = ["27818826.961012410", "72077766.53710749", "96921533.30273626"]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_values, min_size=1, max_size=40))
+@example(MIDPOINT_DECIMALS)
+# 19 digits, some with a mantissa of 2**63 or more, and signed zeros
+@example(["99999999.99999999999", "9223372.036854775808", "9223372.03685477580", "-0.0", "-0"])
+@example(["21.201889984857356", "12345678.1234567891", "00000000.000000001", "-7.5", "0",
+          "123456789.5", "1e3", "+1", " 1", "1.", ".5", "-", "nan", "١٢", "1_0", "", "1.2.3"])
+def test_decimal_kernel_matches_float_bit_for_bit(texts):
+    """The kernel takes exactly the plain decimals that do not land on a midpoint, and
+    gives float()'s bits for each of them, -0.0 included."""
+    values, taken = _kernel(texts)
+    for text, value, took in zip(texts, values.view(np.int64).tolist(), taken.tolist()):
+        assert took == (_plain(text) and not _on_a_midpoint(text)), text
+        if took:
+            assert value == _float_bits(text), text
 
 
 def _weather_doc(rows):
