@@ -15,10 +15,10 @@ File formats:
 
 Both CSV formats share one table reader and one float-column parser, and
 their timestamps go through the `model` codec a whole column at a time.
-Written values are shortest round-trip decimals, and store record files hold
-the raw float64 bytes, so every round trip is bit-exact. Unknown sensors are
-quarantined into a rejects report rather than failing the whole file: real
-deployments drift from their catalogs.
+`synthgen` writes values as shortest round-trip decimals, and store record
+files hold the raw float64 bytes, so every round trip is bit-exact. Unknown
+sensors are quarantined into a rejects report rather than failing the whole
+file: real deployments drift from their catalogs.
 
 The CSV grammar is plain comma-separated text. Lines end in ``\n`` or
 ``\r\n``, and every comma separates two fields. There is no quoting: a ``"``
@@ -47,7 +47,6 @@ import json
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -477,16 +476,6 @@ def parse_measurements(document: str, catalog: DeploymentCatalog) -> ParsedMeasu
     return ParsedMeasurements(series, rejected)
 
 
-def write_measurements_csv(series: Mapping[str, TimeSeries]) -> str:
-    """Serialize series to the measurements CSV format (reference producer)."""
-    out = [",".join(MEASUREMENT_HEADER)]
-    for s in series.values():
-        sid = s.sensor_id
-        out.extend(f"{sid},{t},{v!r}"
-                   for t, v in zip(format_iso8601(s.times), s.values.tolist()))
-    return "\n".join(out) + "\n"
-
-
 @dataclass(frozen=True)
 class WeatherHistory:
     """Hourly outdoor conditions for one site; hours may be missing."""
@@ -535,17 +524,6 @@ def load_weather(document: str) -> dict[str, WeatherHistory]:
             cloud_cover=cloud[idx],
         )
     return histories
-
-
-def write_weather_csv(histories: Mapping[str, WeatherHistory]) -> str:
-    out = [",".join(WEATHER_HEADER)]
-    for site_id, h in histories.items():
-        out.extend(
-            f"{site_id},{t},{temp!r},{wind!r},{cloud!r}"
-            for t, temp, wind, cloud in zip(
-                format_iso8601(h.times), h.outdoor_temp.tolist(), h.wind_speed.tolist(),
-                h.cloud_cover.tolist()))
-    return "\n".join(out) + "\n"
 
 
 @dataclass(frozen=True)

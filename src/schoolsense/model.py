@@ -12,7 +12,9 @@ Many stamps are read from UTF-8 bytes (`parse_iso8601_bytes`; the sequence form
 of `parse_iso8601` encodes its entries and calls it). The 20 bytes of every
 written-form stamp from year 1000 on are gathered into one ``(n, 20)`` matrix
 and decoded together, as integers from their digits; any other stamp, or one
-with a field out of range, is decoded to str and parsed alone.
+with a field out of range, is decoded to str and parsed alone. Many stamps are
+written together too (`written_codes`, the decoder's inverse), as the rows of
+an ``(n, 20)`` matrix, for the years 0000 to 9999.
 """
 
 from __future__ import annotations
@@ -76,15 +78,18 @@ _WRITTEN_SPAN = _WRITTEN_HIGH - _WRITTEN_LOW
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31] + [0] * 7, np.int32)
 
 
+def byte_slots(data: np.ndarray, width: int) -> np.ndarray:
+    """An overlapping view of the 1-d uint8 array `data` with one `width`-byte item at
+    every offset, through which whole runs of bytes are read or written as items."""
+    return np.ndarray((len(data) - width + 1,), f"V{width}", data, 0, (1,))
+
+
 def byte_rows(data: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     """The `width` bytes of `data` from each start, as the rows of a new ``(n, width)`` matrix.
 
     `data` is a 1-d uint8 array, and each start at most ``len(data) - width``.
-    The rows are gathered as items of an overlapping view of `data` that has
-    one `width`-byte item at every offset.
     """
-    items = np.ndarray((len(data) - width + 1,), f"V{width}", data, 0, (1,))
-    return items[starts].view(np.uint8).reshape(len(starts), width)
+    return byte_slots(data, width)[starts].view(np.uint8).reshape(len(starts), width)
 
 
 def _written_epochs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,6 +105,45 @@ def _written_epochs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     days = y * 365 + y // 4 - y // 100 + y // 400 + (153 * ((month + 9) % 12) + 2) // 5 + day
     return ((days - 719469).astype(np.int64) * DAY_SECONDS + (hour * 3600 + minute * 60 + second),
             (day >= 1) & (day <= month_days) & (hour < 24))
+
+
+# Epoch seconds of 0000-01-01 and of 10000-01-01: the stamps of the years between
+# are the 20 bytes of the written form.
+_WRITTEN_FIRST, _WRITTEN_STOP = -62167219200, 253402300800
+_WRITTEN_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00Z", np.uint8)
+# The written form as seven two-digit fields: century, year of century, month,
+# day, hour, minute and second, each a little-endian u2 of its two digits.
+_WRITTEN_PAIRS = np.dtype({"names": [f"f{k}" for k in range(7)], "formats": ["<u2"] * 7,
+                           "offsets": [0, 2, 5, 8, 11, 14, 17], "itemsize": 20})
+
+
+def written_codes(epochs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Written-form bytes of int64 epoch seconds as an ``(n, 20)`` uint8 matrix, and
+    whether each stamp's year lies in 0000-9999; other rows of the matrix mean nothing.
+
+    The inverse of `_written_epochs`: days become a date by the civil-from-days
+    formula, whose years start in March, counted here from one 400-year era
+    before year 0 so that no quotient is negative. Each two-digit field is
+    written as one u2 into the columns `_written_epochs` reads.
+    """
+    inside = (epochs >= _WRITTEN_FIRST) & (epochs < _WRITTEN_STOP)
+    epochs = np.where(inside, epochs, 0)
+    days = epochs // DAY_SECONDS
+    seconds = (epochs - days * DAY_SECONDS).astype(np.int32)
+    era, doe = np.divmod(days.astype(np.int32) + (719468 + 146097), 146097)
+    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
+    mp = (5 * doy + 2) // 153
+    month = np.where(mp < 10, mp + 3, mp - 9)
+    year = yoe + 400 * era - 400 + (month <= 2)
+    codes = np.repeat(_WRITTEN_TEMPLATE[None], len(epochs), axis=0)
+    pairs = codes.view(_WRITTEN_PAIRS)[:, 0]
+    for name, field in zip(_WRITTEN_PAIRS.names, (
+            year // 100, year % 100, month, doy - (153 * mp + 2) // 5 + 1,
+            seconds // 3600, seconds // 60 % 60, seconds % 60)):
+        tens = field // 10
+        pairs[name] = (field - 10 * tens) << 8 | tens | 0x3030
+    return codes, inside
 
 
 def parse_iso8601_bytes(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -150,11 +194,21 @@ def parse_iso8601(text):
 
 
 def format_iso8601(epoch):
-    """Written-form text: a str for an int, a list of str for an int64 array."""
+    """Written-form text: a str for an int, a list of str for an int64 array.
+
+    An array's stamps are encoded together by `written_codes`, the inverse of
+    `_written_epochs`; a stamp whose year lies outside 0000-9999 is written by
+    ``np.datetime_as_string``, as the int form is.
+    """
     if isinstance(epoch, (int, np.integer)):
         return f"{np.datetime64(int(epoch), 's')}Z"
-    text = np.datetime_as_string(np.asarray(epoch, dtype="datetime64[s]"), unit="s")
-    return [f"{stamp}Z" for stamp in text.tolist()]
+    epochs = np.asarray(epoch, dtype=np.int64)
+    codes, inside = written_codes(epochs)
+    text = codes.tobytes().decode("ascii")
+    stamps = [text[i:i + 20] for i in range(0, len(text), 20)]
+    for i in np.flatnonzero(~inside).tolist():
+        stamps[i] = f"{np.datetime64(int(epochs[i]), 's')}Z"
+    return stamps
 
 
 def day_to_date(day_index: int) -> date:
@@ -252,6 +306,30 @@ class Orientation(Enum):
     SW = "SW"
     W = "W"
     NW = "NW"
+
+
+# Half-sine daylight template: 12 h of nonzero gain centred on the peak hour.
+# Peaks shift with facade orientation (solar noon for S, +2 h for SW, -2 h
+# for SE); north-ish facades see little direct sun. `synthgen` drives each
+# room's solar gain with it, and `performance` correlates against it.
+ORIENTATION_TEMPLATE: dict[Orientation, tuple[float, float]] = {
+    Orientation.E: (8.0, 1.0),
+    Orientation.SE: (10.0, 1.0),
+    Orientation.S: (12.0, 1.0),
+    Orientation.SW: (14.0, 1.0),
+    Orientation.W: (16.0, 1.0),
+    Orientation.NE: (7.0, 0.3),
+    Orientation.NW: (17.0, 0.3),
+    Orientation.N: (12.0, 0.0),
+}
+
+
+def orientation_gain(hour_of_day: np.ndarray, orientation: Orientation) -> np.ndarray:
+    """Relative daylight gain for a facade at local hours of day (fractional)."""
+    peak, amplitude = ORIENTATION_TEMPLATE[orientation]
+    phase = (hour_of_day - (peak - 6.0)) / 12.0
+    inside = (phase >= 0.0) & (phase <= 1.0)
+    return np.where(inside, amplitude * np.sin(np.pi * np.clip(phase, 0.0, 1.0)), 0.0)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .model import (
     Orientation,
     TimeSeries,
     filter_weekends,
+    orientation_gain,
 )
 from .quality import WaveletMatrix
 
@@ -41,29 +42,6 @@ UNSHADED_MIN_R = 0.5
 
 class CorrelationUndefined(ValueError):
     """Zero-variance regressor or too few overlapping hours."""
-
-
-# Half-sine daylight template: 12 h of nonzero gain centred on the peak hour.
-# Peaks shift with facade orientation (solar noon for S, +2 h for SW, -2 h
-# for SE); north-ish facades see little direct sun.
-ORIENTATION_TEMPLATE: dict[Orientation, tuple[float, float]] = {
-    Orientation.E: (8.0, 1.0),
-    Orientation.SE: (10.0, 1.0),
-    Orientation.S: (12.0, 1.0),
-    Orientation.SW: (14.0, 1.0),
-    Orientation.W: (16.0, 1.0),
-    Orientation.NE: (7.0, 0.3),
-    Orientation.NW: (17.0, 0.3),
-    Orientation.N: (12.0, 0.0),
-}
-
-
-def orientation_gain(hour_of_day: np.ndarray, orientation: Orientation) -> np.ndarray:
-    """Relative daylight gain for a facade at local hours of day (fractional)."""
-    peak, amplitude = ORIENTATION_TEMPLATE[orientation]
-    phase = (hour_of_day - (peak - 6.0)) / 12.0
-    inside = (phase >= 0.0) & (phase <= 1.0)
-    return np.where(inside, amplitude * np.sin(np.pi * np.clip(phase, 0.0, 1.0)), 0.0)
 
 
 @dataclass(frozen=True)

@@ -11,24 +11,31 @@ and hourly weather noise), an insulation-scaled swing term, a solar-gain
 term (1 - cloud) * orientation template attenuated 4x by blinds, plus
 white sensor noise. Identical (seed, spec) runs produce byte-identical
 files; sites draw from independent sub-streams of the master seed.
+
+`generate` writes ``catalog.json``, ``ground_truth.json``, ``weather.csv`` and
+``measurements/<site_id>.csv`` in the formats `ingest` reads. In both CSVs a
+stamp is the 20-byte written form ``YYYY-MM-DDTHH:MM:SSZ`` (years 0000 to
+9999), and a value is Python's shortest round-trip ``repr`` of its float64.
+Each CSV is built in one byte buffer, from one call of `model.written_codes`
+and one of the value kernel (`_shortest`) per column. The kernel finds repr's
+digits in arrays for finite values with 1e-4 <= |x| < 1e16, and ±0.0 is
+written as ``0.0`` and ``-0.0``. It leaves to repr() the values repr writes
+with an exponent or in words, powers of two, a tie between two candidates,
+and the rare scaled value it cannot place.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import date
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .ingest import (
-    WeatherHistory,
-    catalog_to_json,
-    write_measurements_csv,
-    write_weather_csv,
-)
+from .ingest import MEASUREMENT_HEADER, WEATHER_HEADER, WeatherHistory, catalog_to_json
 from .model import (
     DAY_SECONDS,
     Classroom,
@@ -39,11 +46,13 @@ from .model import (
     SensorMeta,
     Site,
     TimeSeries,
+    byte_slots,
     date_to_day,
     format_iso8601,
     json_value,
+    orientation_gain,
+    written_codes,
 )
-from .performance import orientation_gain
 
 
 # Stochastic texture of the generated climate. Day-to-day drift and hourly
@@ -192,23 +201,24 @@ class GroundTruth:
         return sum(self.deleted.get(s, 0) for s in ids) / expected
 
     def to_json(self) -> str:
+        """The document, with every stamp formatted in one `format_iso8601` call."""
+        epochs = [t for iv in self.outage_intervals.values() for pair in iv for t in pair]
+        epochs += [t for items in self.outliers.values() for t, _ in items]
+        epochs += [t for times in self.occupant_events.values() for t in times]
+        stamps = iter(format_iso8601(np.array(epochs, dtype=np.int64)))
+        outages = {s: [[next(stamps), next(stamps)] for _ in iv]
+                   for s, iv in self.outage_intervals.items()}
+        outliers = {s: [[next(stamps), kind] for _, kind in items]
+                    for s, items in self.outliers.items()}
+        events = {room: [next(stamps) for _ in times]
+                  for room, times in self.occupant_events.items()}
         doc = {
             "expected": self.expected,
             "deleted": self.deleted,
-            "outage_intervals": {
-                s: np.reshape(format_iso8601(np.ravel(iv)), (-1, 2)).tolist()
-                for s, iv in self.outage_intervals.items()
-            },
-            "outliers": {
-                s: [[stamp, kind] for stamp, (_, kind)
-                    in zip(format_iso8601([t for t, _ in items]), items)]
-                for s, items in self.outliers.items()
-            },
+            "outage_intervals": outages,
+            "outliers": outliers,
             "room_traits": self.room_traits,
-            "occupant_events": {
-                room: format_iso8601(times)
-                for room, times in self.occupant_events.items()
-            },
+            "occupant_events": events,
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -316,14 +326,15 @@ def _pick_separated(
 ) -> np.ndarray:
     """Choose `count` candidate indices pairwise at least `min_gap` apart."""
     order = rng.permutation(len(candidates))
-    chosen: list[int] = []
-    for pos in order.tolist():
-        value = int(candidates[pos])
-        if all(abs(value - c) >= min_gap for c in chosen):
-            chosen.append(value)
+    chosen: list[int] = []  # kept sorted, so only a pick's two neighbours can be near
+    for value in candidates[order].tolist():
+        at = bisect_left(chosen, value)
+        if ((at == 0 or value - chosen[at - 1] >= min_gap)
+                and (at == len(chosen) or chosen[at] - value >= min_gap)):
+            chosen.insert(at, value)
             if len(chosen) == count:
                 break
-    return np.array(sorted(chosen), dtype=np.int64)
+    return np.array(chosen, dtype=np.int64)
 
 
 class _SiteGenerator:
@@ -481,6 +492,213 @@ class _SiteGenerator:
         else:
             raise ScenarioError(f"no station signal for {kind}")
         return times, values
+
+
+# ---------------------------------------------------------------- writers
+
+# Exact doubles 10**0 to 10**22, and 10**0 to 10**17 as integers.
+_POW10 = 10.0 ** np.arange(23)
+_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
+# Veltkamp's splitter, 2**27 + 1: it cuts a double into two halves of 26 bits.
+_SPLITTER = 134217729.0
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rounded product hi = a * b and the lo with hi + lo == a * b exactly (Dekker);
+    no FMA is needed."""
+    hi = a * b
+    c = _SPLITTER * a
+    a_hi = c - (c - a)
+    c = _SPLITTER * b
+    b_hi = c - (c - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _shortest(values: np.ndarray):
+    """repr's digits of each float64 value: a significand of 17 digits, of which repr
+    writes the first `digits`, and `point`, with the value 0.d1d2... * 10**point;
+    and a mask of the rows decided here (the others mean nothing).
+
+    |x| is scaled to hi + lo = |x| * 10**p in [10**16, 10**17), with p = 16 - E
+    at most 20, so that 10**p is an exact double. The two-product makes the sum
+    exact, and hi >= 2**53 is an integer. Half the gap between x = f * 2**e
+    (f in [0.5, 1)) and its neighbours, scaled, is 2**(e - 54) * 10**p, also
+    exact. For j = 0, 1, ... a multiple of 10**j lies within that half-gap of
+    hi + lo (for j = 0 always) up to some largest j: its multiples give repr's
+    fewest digits, and the one nearest hi + lo is repr's choice. The bounds
+    count only for an even significand, to which round-half-even reads a
+    midpoint back. Once lo's integer part is moved into hi, each comparison is
+    of an integer below 512 less the half-gap, which is exact, against lo;
+    a larger integer is far from every bound.
+
+    Left to repr(): non-finite values and |x| outside [1e-4, 1e16), which repr
+    writes with an exponent or in words, zero among them; powers of two, whose
+    gap below is half the gap above; a scaled value that misses [10**16, 10**17)
+    after one correction of p; a tie between the two nearest multiples; and a
+    result of 10**17.
+    """
+    magnitude = np.abs(values)
+    decided = (magnitude >= 1e-4) & (magnitude < 1e16)
+    x = np.where(decided, magnitude, 1.5)
+    fraction, exponent = np.frexp(x)
+    decided &= fraction != 0.5
+    p = 16 - np.floor(np.log10(x)).astype(np.intp)
+    guess = x * _POW10[p]
+    p += (guess < 1e16).astype(np.intp) - (guess >= 1e17)
+    hi, lo = _two_product(x, _POW10[p])
+    decided &= (hi < 1e17) & ((hi > 1e16) | ((hi == 1e16) & (lo >= 0)))
+    whole = np.rint(lo)
+    scaled = hi.astype(np.int64) + whole.astype(np.int64)
+    lo -= whole  # scaled + lo is the exact product, and |lo| <= 0.5
+    half_gap = np.ldexp(_POW10[p], exponent - 54)
+    even = (np.ldexp(fraction, 53).astype(np.int64) & 1) == 0
+
+    trim = np.zeros(len(x), np.intp)  # the largest j, the trailing digits dropped
+    rows = np.flatnonzero(decided)
+    live = [scaled[rows], lo[rows], half_gap[rows], even[rows]]
+    for j in range(1, 17):
+        near, low, half, even_row = live
+        r = near % 10 ** j
+        below = r.astype(np.float64) - half  # distances to the multiples, less the half-gap
+        above = (10 ** j - r).astype(np.float64) - half
+        kept = np.where(even_row, (below <= -low) | (above <= low),
+                        (below < -low) | (above < low))
+        rows = rows[kept]
+        if not len(rows):
+            break
+        trim[rows] = j
+        live = [column[kept] for column in live]
+
+    step = _POW10_INT[trim]
+    r = scaled % step
+    centre = r - step / 2  # exact wherever it is near lo
+    significand = scaled - r + np.where(centre < -lo, 0, step)
+    decided &= ((centre != -lo) & ((trim > 0) | (lo != -0.5))
+                & (significand < 10 ** 17))
+    return significand, 17 - trim, np.where(decided, 17 - p, 1), decided
+
+
+# A digit buffer row: four '0's, a significand's 17 digits, then '0's. The
+# digits are written as the first one and two little-endian words of eight.
+_DIGIT_ROW = np.dtype({"names": ["first", "high", "low"], "formats": ["u1", "<u8", "<u8"],
+                       "offsets": [4, 5, 13], "itemsize": 48})
+# A text row holds a sign, up to 16 integer digits, the point and the 20 bytes of
+# the fraction pass; the widest repr is 24 bytes.
+_TEXT_WIDTH = 40
+
+
+def _ascii8(words: np.ndarray) -> np.ndarray:
+    """Little-endian words whose eight bytes are the digits of each word, below 10**8.
+
+    The number is split into halves, quarters and digits, each step in every
+    lane of the word at once; the quotients are multiply-shifts."""
+    high = words // 10000
+    w = high | (words - high * 10000) << np.uint64(32)
+    high = (w * np.uint64(5243)) >> np.uint64(19) & np.uint64(0x0000007F0000007F)
+    w = high | (w - high * np.uint64(100)) << np.uint64(16)
+    high = (w * np.uint64(103)) >> np.uint64(10) & np.uint64(0x000F000F000F000F)
+    return (high | (w - high * np.uint64(10)) << np.uint64(8)) + np.uint64(0x3030303030303030)
+
+
+def _value_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """repr of each float64 value, as the rows of an ``(n, 40)`` byte matrix, and the
+    length of each; the bytes of a row past its length mean nothing.
+
+    The kernel's rows are placed in four passes of whole runs of bytes: a
+    '-', the integer part (a '0' for |x| < 1), the point, and the fraction. Each
+    is read from the digit buffer and may run on past its end, into bytes that
+    the next pass or the row's end covers. The other rows are given repr().
+    """
+    n = len(values)
+    significand, digits, point, decided = _shortest(values)
+    zero = values == 0  # 0.0 and -0.0: digits '0', one before the point
+    significand[zero], digits[zero], point[zero] = 0, 1, 1
+    decided |= zero
+    first = significand // 10 ** 16
+    rest = (significand - first * 10 ** 16).astype(np.uint64)
+    high = rest // np.uint64(10 ** 8)
+    buffer = np.full((n, _DIGIT_ROW.itemsize), ord("0"), np.uint8)
+    fields = buffer.view(_DIGIT_ROW)[:, 0]
+    fields["first"] = first + ord("0")
+    fields["high"] = _ascii8(high)
+    fields["low"] = _ascii8(rest - high * np.uint64(10 ** 8))
+
+    sign = np.signbit(values).astype(np.intp)
+    whole = np.maximum(point, 1)                  # integer-part bytes
+    lengths = sign + whole + 1 + np.maximum(digits - point, 1)
+    text = np.empty((n, _TEXT_WIDTH), np.uint8)
+    flat = text.reshape(-1)
+    at = np.arange(0, n * _TEXT_WIDTH, _TEXT_WIDTH) + sign
+    start = np.arange(0, n * _DIGIT_ROW.itemsize, _DIGIT_ROW.itemsize) + 4 + point
+    text[:, 0] = ord("-")
+    byte_slots(flat, 17)[at] = byte_slots(buffer.reshape(-1), 17)[start - whole]
+    flat[at + whole] = ord(".")
+    byte_slots(flat, 20)[at + whole + 1] = byte_slots(buffer.reshape(-1), 20)[start]
+    for i in np.flatnonzero(~decided).tolist():
+        spelled = repr(float(values[i])).encode()
+        text[i, :len(spelled)] = np.frombuffer(spelled, np.uint8)
+        lengths[i] = len(spelled)
+    return text, lengths
+
+
+def _csv(header: list[str], keys: list[str], counts: list[int], times: np.ndarray,
+         columns: list[np.ndarray]) -> str:
+    """A CSV document: the header, then a row ``key,stamp,value...`` for each time, the
+    first `counts[0]` rows under `keys[0]` and so on.
+
+    The document is one byte buffer. Values are written first, column by
+    column, each as the first W bytes of its text row, W the column's widest
+    text. A text runs on at most 21 bytes past its length (repr is 3 to 24
+    bytes long), into later columns or the at least 23 bytes of newline, key,
+    commas and stamp before the next row's first value; those are written last.
+    """
+    if len(times) == 0:
+        return ",".join(header) + "\n"
+    codes, inside = written_codes(times)
+    if not inside.all():
+        raise ScenarioError("a stamp must lie in the years 0000 to 9999 to be written")
+    texts = [_value_text(column) for column in columns]
+    names = [key.encode() for key in keys]
+    key_lengths = np.repeat(np.array([len(name) for name in names], np.int64), counts)
+    sizes = key_lengths + 22 + sum(lengths + 1 for _, lengths in texts)
+    head = (",".join(header) + "\n").encode()
+    stops = len(head) + np.cumsum(sizes)
+    starts = stops - sizes
+    end = int(stops[-1])
+    document = np.empty(end + _TEXT_WIDTH, np.uint8)
+    document[:len(head)] = np.frombuffer(head, np.uint8)
+    commas = [starts + key_lengths, starts + key_lengths + 21]
+    for text, lengths in texts:
+        width = int(lengths.max())
+        rows = np.ndarray((len(text),), f"V{width}", text, 0, (_TEXT_WIDTH,))
+        byte_slots(document, width)[commas[-1] + 1] = rows
+        commas.append(commas[-1] + 1 + lengths)
+    commas.pop()
+    byte_slots(document, 20)[commas[0] + 1] = codes.view("V20")[:, 0]
+    for name, run in zip(names, np.split(starts, np.cumsum(counts)[:-1])):
+        if len(name):
+            byte_slots(document, len(name))[run] = np.frombuffer(name, f"V{len(name)}")[0]
+    document[np.concatenate(commas)] = ord(",")
+    document[stops - 1] = ord("\n")
+    return document[:end].tobytes().decode()
+
+
+def write_measurements_csv(series: Mapping[str, TimeSeries]) -> str:
+    """Serialize series to the measurements CSV format (reference producer)."""
+    runs = list(series.values())
+    return _csv(MEASUREMENT_HEADER, [s.sensor_id for s in runs], [len(s) for s in runs],
+                np.concatenate([s.times for s in runs] or [np.empty(0, np.int64)]),
+                [np.concatenate([s.values for s in runs] or [np.empty(0)])])
+
+
+def write_weather_csv(histories: Mapping[str, WeatherHistory]) -> str:
+    """Serialize weather histories to the weather CSV format."""
+    runs = list(histories.values())
+    return _csv(WEATHER_HEADER, list(histories), [len(h) for h in runs],
+                np.concatenate([h.times for h in runs] or [np.empty(0, np.int64)]),
+                [np.concatenate([getattr(h, name) for h in runs] or [np.empty(0)])
+                 for name in ("outdoor_temp", "wind_speed", "cloud_cover")])
 
 
 def generate(spec: ScenarioSpec, out_dir: Path | str | None = None) -> GeneratedScenario:

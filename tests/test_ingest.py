@@ -26,10 +26,9 @@ from schoolsense.ingest import (
     load_weather,
     parse_catalog,
     parse_measurements,
-    write_measurements_csv,
-    write_weather_csv,
 )
 from schoolsense.model import DAY_SECONDS, TimeSeries, format_iso8601
+from schoolsense.synthgen import write_measurements_csv, write_weather_csv
 
 from conftest import series_at, utc
 from ingest_oracles import oracle_load_weather, oracle_parse_measurements, oracle_read_table

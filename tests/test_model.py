@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from schoolsense.model import (
+    DAY_SECONDS,
     Classroom,
     DeploymentCatalog,
     ModelError,
@@ -17,12 +18,14 @@ from schoolsense.model import (
     Site,
     TimeSeries,
     TimeWindow,
+    _written_epochs,
     filter_weekends,
     filter_weekdays,
     format_iso8601,
     parse_iso8601,
     slice_series,
     to_epoch,
+    written_codes,
 )
 
 from conftest import series_at, utc
@@ -50,6 +53,40 @@ def test_codec_matches_strftime_and_round_trips(epochs):
     assert parsed.dtype == np.int64
     assert parsed.tolist() == epochs
     assert [parse_iso8601(t) for t in texts] == epochs
+
+
+_FIRST, _STOP = -62167219200, 253402300800  # 0000-01-01 and 10000-01-01
+_ERA_DAYS = 146097  # the Gregorian calendar repeats every 400 years
+
+
+def _numpy_stamps(epochs: np.ndarray) -> list[str]:
+    text = np.datetime_as_string(epochs.astype("datetime64[s]"), unit="s")
+    return [f"{stamp}Z" for stamp in text.tolist()]
+
+
+@pytest.mark.parametrize("first_year", [0, 1600, 9600])
+def test_stamp_encoder_writes_every_day_of_an_era_as_numpy_does(first_year):
+    first_day = (date(first_year, 1, 1) - date(1970, 1, 1)).days if first_year else -719528
+    days = np.arange(first_day, first_day + _ERA_DAYS, dtype=np.int64)
+    epochs = days * DAY_SECONDS + days * 7919 % DAY_SECONDS  # a different second each day
+    codes, inside = written_codes(epochs)
+    assert inside.all()
+    expected = np.datetime_as_string(epochs.astype("datetime64[s]"), unit="s").astype("S19")
+    assert np.array_equal(codes[:, :19], expected.view(np.uint8).reshape(-1, 19))
+    assert (codes[:, 19] == ord("Z")).all()
+    decoded, in_range = _written_epochs(codes)
+    assert in_range.all() and np.array_equal(decoded, epochs)
+
+
+@given(st.lists(st.integers(_FIRST - 2 * _ERA_DAYS * DAY_SECONDS,
+                            _STOP + 2 * _ERA_DAYS * DAY_SECONDS), max_size=40))
+@example([_FIRST - 1, _FIRST, _STOP - 1, _STOP, -1, 0, utc(2000, 2, 29, 23, 59, 59)])
+def test_stamp_encoder_matches_numpy_inside_and_outside_years_0000_to_9999(epochs):
+    times = np.array(epochs, dtype=np.int64)
+    assert format_iso8601(times) == _numpy_stamps(times)
+    codes, inside = written_codes(times)
+    assert inside.tolist() == [_FIRST <= t < _STOP for t in epochs]
+    assert _written_epochs(codes[inside])[0].tolist() == times[inside].tolist()
 
 
 MIXED_STAMPS = [

@@ -14,16 +14,20 @@ from hypothesis import example, given, settings, strategies as st
 import schoolsense
 from schoolsense import cli
 from schoolsense.ingest import WeatherHistory
-from schoolsense.model import DAY_SECONDS, Orientation, TimeSeries
-from schoolsense.performance import (
+from schoolsense.model import (
+    DAY_SECONDS,
     ORIENTATION_TEMPLATE,
+    Orientation,
+    TimeSeries,
+    orientation_gain,
+)
+from schoolsense.performance import (
     UNSHADED_MIN_R,
     CorrelationReport,
     CorrelationUndefined,
     DailySwing,
     SwingReport,
     detect_occupant_events,
-    orientation_gain,
     poor_insulation_days,
     solar_gain_correlation,
     weekend_daily_swings,
@@ -79,7 +83,8 @@ def test_cli_import_does_not_load_scipy(tmp_path):
     # hashlib loads OpenSSL, about 3.6 MB of RSS per command; the store uses zlib.crc32.
     # numpy.ma costs about 12 ms per command; a plain np.unique or np.percentile loads it.
     # Only synth runs the generator, and each analysis module loads in the commands
-    # that run it (performance uses a quality kernel).
+    # that run it (performance uses a quality kernel); synth loads none of them, and
+    # its hashlib comes with numpy.random (through secrets).
     watched = ("numpy.ma", "schoolsense.synthgen", "schoolsense.quality",
                "schoolsense.performance")
     code = ("import sys, schoolsense.cli; "
@@ -88,6 +93,8 @@ def test_cli_import_does_not_load_scipy(tmp_path):
             f"if m.split('.')[0] in ('scipy', 'hashlib') or m in {watched!r}))")
     for command, loaded in (
         ([], []),
+        (["synth", str(tmp_path / "spec.json"), "--out", str(tmp_path / "again")],
+         ["hashlib", "schoolsense.synthgen"]),
         (["ingest", *config], []),
         (["quality", *config], ["schoolsense.quality"]),
         (["comfort", *test_cli.COMFORT, *config], []),
