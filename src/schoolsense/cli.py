@@ -272,7 +272,8 @@ def cmd_quality(config: RunConfig, end: date | None = None) -> None:
         fraction = np.divide(observed, expected, out=np.ones(len(days)), where=expected > 0)
         outage = 100.0 * (1.0 - np.minimum(1.0, fraction))
         outcome = repairs[sensor_id]
-        flagged = [raw[sensor_id].times[[f.index for f in outcome.flags if f.kind is kind]]
+        flags = outcome.flags
+        flagged = [raw[sensor_id].times[flags["index"][flags["kind"] == kind]]
                    for kind in quality_mod.FlagKind]  # zero, spike, bound: the column order
         columns = [expected, observed, outage,
                    *(quality_mod.day_counts(at, days) for at in [*flagged, outcome.filled])]

@@ -103,14 +103,13 @@ def _objects(value, name: str) -> list[dict]:
 _ID_FORBIDDEN = ("/", "\\", "\x00", ",", '"', "\r", "\n")
 
 
-def _store_id(value, name: str) -> str:
+def _store_id(value, name: str, error: type[ValueError] = CatalogError) -> str:
     """`value` if it is a string that can name a store directory and be a CSV field;
-    CatalogError naming the field otherwise."""
+    `error` naming the field otherwise."""
     value = json_value(value, str, name)
     if value in ("", ".", "..") or any(c in value for c in _ID_FORBIDDEN):
-        raise CatalogError(f"{name} {value!r} cannot name a store directory: an id is not "
-                           f"empty, '.' or '..', and holds no /, \\, NUL, comma, quote or "
-                           f"line break")
+        raise error(f"{name} {value!r} cannot name a store directory: an id is not "
+                    f"empty, '.' or '..', and holds no /, \\, NUL, comma, quote or line break")
     return value
 
 

@@ -472,25 +472,6 @@ class DeploymentCatalog:
         return [m for m in self.sensors if m.site_id == site_id]
 
 
-@dataclass(frozen=True)
-class TimeWindow:
-    """A duration used for windowed evaluation, in seconds."""
-
-    duration: int
-
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise ModelError("window duration must be positive")
-
-    @classmethod
-    def hours(cls, h: float) -> TimeWindow:
-        return cls(int(h * 3600))
-
-    @classmethod
-    def minutes(cls, m: float) -> TimeWindow:
-        return cls(int(m * 60))
-
-
 def slice_series(series: TimeSeries, start, end) -> TimeSeries:
     """Samples with start <= t < end, order preserved; input unmodified."""
     lo, hi = to_epoch(start), to_epoch(end)

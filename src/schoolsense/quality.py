@@ -24,17 +24,20 @@ Zero readings are flagged for sensor kinds where zero is physically
 implausible, and power sensors are additionally checked for transient
 spikes, sample by sample: each jump is measured against the samples that
 survived before it. Each test yields a mask, and the flags of every sensor
-kind are composed once from them. Flagged samples are replaced by the
-window minimum or maximum of the surviving (non-flagged) samples.
-Repair order is fixed: flag, replace, fill, smooth.
+kind are composed once from them, into one array of (index, kind) records.
+Flagged samples are replaced by the window minimum or maximum of the
+surviving (non-flagged) samples, with every window sorted in one pass.
+Repair order is fixed: flag, replace, fill, smooth. Every window is a
+duration in seconds, and each stage hands the next arrays: the flag
+records, and the times replaced, dropped, filled or left unfilled.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Mapping
+from enum import IntEnum
+from typing import Mapping
 
 import numpy as np
 
@@ -46,7 +49,6 @@ from .model import (
     SensorMeta,
     Site,
     TimeSeries,
-    TimeWindow,
     slice_series,
 )
 
@@ -54,12 +56,12 @@ from .model import (
 # Outlier detection needs a day of distributional context, but repair and
 # imputation must source values locally: a midday sample replaced or filled
 # from a 24 h window lands near the overnight minimum and carves an
-# artificial dip into the series.
-ENV_WINDOW = TimeWindow.hours(24)
-POWER_WINDOW = TimeWindow.hours(1)
-REPAIR_WINDOW = TimeWindow.hours(1)
-FILL_WINDOW = TimeWindow.hours(2)
-SMOOTH_WINDOW = TimeWindow.minutes(5)
+# artificial dip into the series. Windows are in seconds.
+ENV_WINDOW = 24 * 3600
+POWER_WINDOW = 3600
+REPAIR_WINDOW = 3600
+FILL_WINDOW = 2 * 3600
+SMOOTH_WINDOW = 5 * 60
 
 
 def day_counts(times, days: np.ndarray) -> np.ndarray:
@@ -102,16 +104,16 @@ def outage_percentage(expected: np.ndarray, observed: np.ndarray) -> float:
     return 100.0 * (1.0 - int(np.minimum(observed, expected).sum()) / total)
 
 
-class FlagKind(Enum):
-    ZERO_ERROR = "zero_error"
-    SPIKE = "spike"
-    BOUND_VIOLATION = "bound_violation"
+class FlagKind(IntEnum):
+    """A flag's kind code, in priority order: the first that holds is given."""
+
+    ZERO_ERROR = 0
+    SPIKE = 1
+    BOUND_VIOLATION = 2
 
 
-@dataclass(frozen=True)
-class OutlierFlag:
-    index: int
-    kind: FlagKind
+# One flag: the flagged sample's index and its FlagKind code.
+FLAG_RECORD = np.dtype([("index", np.int64), ("kind", np.int8)])
 
 
 def zero_implausible_for(meta: SensorMeta, site: Site) -> bool:
@@ -121,16 +123,6 @@ def zero_implausible_for(meta: SensorMeta, site: Site) -> bool:
     if meta.kind is SensorKind.INDOOR_TEMPERATURE:
         return not site.cold_climate
     return False
-
-
-def _interp_rank(sorted_vals: list[float], q: float) -> float:
-    """Quantile q of a sorted list, linear interpolation between ranks."""
-    pos = (len(sorted_vals) - 1) * q
-    lo = int(pos)
-    frac = pos - lo
-    if frac == 0.0:
-        return sorted_vals[lo]
-    return sorted_vals[lo] + frac * (sorted_vals[lo + 1] - sorted_vals[lo])
 
 
 def _window_starts(times: np.ndarray, at: np.ndarray, w: int) -> np.ndarray:
@@ -193,7 +185,9 @@ class WaveletMatrix:
 
 
 def _interp(a: np.ndarray, b: np.ndarray, frac: np.ndarray) -> np.ndarray:
-    """`_interp_rank`'s arithmetic between order statistics a <= b."""
+    """The quantile at rank r + frac of m sorted values, from their r-th and
+    (r + 1)-th smallest a <= b: quantile q has rank (m - 1) * q, and between
+    ranks it interpolates linearly."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.where(frac == 0.0, a, a + frac * (b - a))
 
@@ -236,7 +230,7 @@ def _screen(values: np.ndarray, matrix: WaveletMatrix, lo: np.ndarray, hi: np.nd
 def _bound_violations(values: np.ndarray, starts: np.ndarray, min_window_samples: int) -> np.ndarray:
     """Mask of samples outside [Q1 - 3*IQR, Q3 + 3*IQR] of values[starts[i]:i + 1].
 
-    The quartiles are those `_interp_rank` gives for every sample of the
+    The quartiles are those `_interp` gives for every sample of the
     window; windows of fewer than `min_window_samples` samples are not tested.
 
     A screen clears most tested samples first; only the rest get the four
@@ -281,14 +275,14 @@ def _bound_violations(values: np.ndarray, starts: np.ndarray, min_window_samples
 
 def flag_outliers(
     series: TimeSeries,
-    window: TimeWindow,
+    window: int,
     *,
     kind: SensorKind | None = None,
     zero_implausible: bool = False,
     spike_sigma: float = 5.0,
     min_window_samples: int = 4,
-) -> list[OutlierFlag]:
-    """Flag outliers per sample against its trailing time window.
+) -> np.ndarray:
+    """Flag outliers per sample against its trailing window of `window` seconds.
 
     Three masks cover the whole series: zero readings where zero is
     implausible for the sensor kind; bound violations, samples outside the
@@ -296,20 +290,22 @@ def flag_outliers(
     its samples, flagged or not (a sample whose window holds fewer than
     `min_window_samples` is not tested); and, for power sensors, the spikes of
     `_spikes`. The flags are composed once, at most one per sample (zero >
-    spike > bound violation).
+    spike > bound violation), and returned as `FLAG_RECORD` records in sample
+    order: one (index, kind) record per flagged sample.
     """
     values = series.values
     n = len(series)
-    starts = _window_starts(series.times, series.times, window.duration)
+    starts = _window_starts(series.times, series.times, window)
     zero = values == 0.0 if zero_implausible else np.zeros(n, dtype=bool)
     bound = _bound_violations(values, starts, min_window_samples)
     spike = (_spikes(values.tolist(), starts.tolist(), (zero | bound).tolist(), spike_sigma,
                      min_window_samples)
              if kind is SensorKind.POWER_PHASE else np.zeros(n, dtype=bool))
-    kinds = (FlagKind.ZERO_ERROR, FlagKind.SPIKE, FlagKind.BOUND_VIOLATION)
-    first = np.select([zero, spike, bound], [0, 1, 2], -1)  # the first mask, in that order
+    first = np.select([zero, spike, bound], list(FlagKind), -1)  # the first mask, in that order
     flagged = np.flatnonzero(first >= 0)
-    return [OutlierFlag(i, kinds[k]) for i, k in zip(flagged.tolist(), first[flagged].tolist())]
+    flags = np.empty(len(flagged), dtype=FLAG_RECORD)
+    flags["index"], flags["kind"] = flagged, first[flagged]
+    return flags
 
 
 def _spikes(
@@ -359,63 +355,62 @@ def _spikes(
 @dataclass(frozen=True)
 class RepairResult:
     series: TimeSeries
-    replaced: tuple[tuple[int, float, float], ...]  # (time, old value, new value)
-    dropped: tuple[int, ...]  # times whose window held no surviving sample
+    replaced: np.ndarray  # times whose value was replaced
+    dropped: np.ndarray  # times whose window held no surviving sample
 
 
-def replace_outliers(
-    series: TimeSeries, flags: Iterable[OutlierFlag], window: TimeWindow
-) -> RepairResult:
-    """Replace each flagged sample with its window min or max.
+def replace_outliers(series: TimeSeries, flagged, window: int) -> RepairResult:
+    """Replace each flagged sample with the min or max of its trailing window.
 
-    Replacement values come from the non-flagged samples of the trailing
-    window so an outlier cannot pollute its own repair: below-median values
-    become the window minimum, above-median the window maximum. A flagged
-    sample whose window holds no surviving sample is dropped and recorded.
+    `flagged` holds sample indices, in any order and possibly repeated.
+    Replacement values come from the non-flagged samples of the window
+    (t - W, t) of `window` seconds, so an outlier cannot pollute its own
+    repair: below-median values become the window minimum, above-median the
+    window maximum. A flagged sample whose window holds no surviving sample
+    is dropped. All windows are sorted at once, laid out one after another.
     """
-    flagged_at = sorted({f.index for f in flags})
     n = len(series)
-    for i in flagged_at:
-        if not 0 <= i < n:
-            raise QualityError(f"flag index {i} outside series of length {n}")
-    if not flagged_at:
-        return RepairResult(series, (), ())
+    flagged = np.asarray(flagged, dtype=np.int64)
+    outside = flagged[(flagged < 0) | (flagged >= n)]
+    if len(outside):
+        raise QualityError(f"flag index {outside.min()} outside series of length {n}")
+    if not len(flagged):
+        return RepairResult(series, flagged, flagged)
 
-    index = np.array(flagged_at, dtype=np.int64)
-    flagged = np.zeros(n, dtype=bool)
-    flagged[index] = True
+    mask = np.zeros(n, dtype=bool)
+    mask[flagged] = True
+    index = np.flatnonzero(mask)
     times = series.times
-    starts = _window_starts(times, times[index], window.duration)
+    starts = _window_starts(times, times[index], window)
+    # each window's surviving samples, window after window, each window sorted;
+    # stably, so of equal values (0.0 and -0.0) the earliest comes first
+    before = np.concatenate(([0], np.cumsum(~mask)))  # survivors before each sample
+    lo = before[starts]
+    count = before[index] - lo
+    end = np.cumsum(count)
+    pool = series.values[~mask][np.arange(end[-1]) + np.repeat(lo - (end - count), count)]
+    pool = pool[np.lexsort((pool, np.repeat(np.arange(len(index)), count)))]
+    kept = count > 0
+    first, last = (end - count)[kept], count[kept] - 1
+    pos = last * 0.5
+    mid = pos.astype(np.int64)
+    median = _interp(pool[first + mid], pool[first + np.minimum(mid + 1, last)], pos - mid)
+    at = index[kept]
     values = series.values.copy()
+    values[at] = np.where(values[at] < median, pool[first], pool[first + last])
     keep = np.ones(n, dtype=bool)
-    replaced = []
-    dropped = []
-    for i, start in zip(index.tolist(), starts.tolist()):
-        t = int(times[i])
-        v = float(series.values[i])
-        # stable: of equal values (0.0 and -0.0) the earliest is the minimum
-        # and the latest the maximum
-        clean_vals = np.sort(series.values[start:i][~flagged[start:i]], kind="stable").tolist()
-        if not clean_vals:
-            keep[i] = False
-            dropped.append(t)
-            continue
-        median = _interp_rank(clean_vals, 0.5)
-        new = clean_vals[0] if v < median else clean_vals[-1]
-        values[i] = new
-        replaced.append((t, v, new))
-
+    keep[index[~kept]] = False
     repaired = TimeSeries(series.sensor_id, times[keep], values[keep])
-    return RepairResult(repaired, tuple(replaced), tuple(dropped))
+    return RepairResult(repaired, times[at], times[index[~kept]])
 
 
-def moving_average(series: TimeSeries, window: TimeWindow) -> TimeSeries:
-    """Each value becomes the mean of the trailing window (t - W, t]."""
+def moving_average(series: TimeSeries, window: int) -> TimeSeries:
+    """Each value becomes the mean of the trailing window (t - W, t] of
+    `window` seconds."""
     if len(series) == 0:
         return series
-    w = window.duration
     times = series.times
-    starts = _window_starts(times, times, w)
+    starts = _window_starts(times, times, window)
     prefix = np.concatenate(([0.0], np.cumsum(series.values)))
     idx = np.arange(1, len(series) + 1)
     means = (prefix[idx] - prefix[starts]) / (idx - starts)
@@ -425,29 +420,29 @@ def moving_average(series: TimeSeries, window: TimeWindow) -> TimeSeries:
 @dataclass(frozen=True)
 class FillResult:
     series: TimeSeries
-    filled: tuple[int, ...]    # grid times that were imputed
-    unfilled: tuple[int, ...]  # grid times left absent (empty window)
+    filled: np.ndarray    # grid times that were imputed
+    unfilled: np.ndarray  # grid times left absent (empty window)
 
 
-def fill_missing(series: TimeSeries, meta: SensorMeta, window: TimeWindow) -> FillResult:
+def fill_missing(series: TimeSeries, meta: SensorMeta, window: int) -> FillResult:
     """Align a series to its expected sampling grid and impute gaps.
 
     The grid runs at the sensor's sensing rate, anchored at epoch multiples
     of the rate, spanning the observed extent of the series. Each missing
     grid point is filled with the mean of the observed samples in its
-    trailing window (g - W, g); grid points with an empty window stay
-    absent and are reported.
+    trailing window (g - W, g) of `window` seconds; grid points with an
+    empty window stay absent and are reported.
     """
     rate = meta.sensing_rate
+    none = np.empty(0, dtype=np.int64)
     if len(series) == 0:
-        return FillResult(series, (), ())
-    w = window.duration
+        return FillResult(series, none, none)
     times = series.times
     values = series.values
     grid_first = -(-int(times[0]) // rate)
     grid_last = int(times[-1]) // rate
     if grid_last < grid_first:
-        return FillResult(series, (), ())
+        return FillResult(series, none, none)
     grid = np.arange(grid_first, grid_last + 1, dtype=np.int64) * rate
 
     # bucket observed samples onto the grid; the last sample in a bucket wins
@@ -460,23 +455,25 @@ def fill_missing(series: TimeSeries, meta: SensorMeta, window: TimeWindow) -> Fi
     missing = np.flatnonzero(np.isnan(grid_values))
     gaps = grid[missing]
     prefix = np.concatenate(([0.0], np.cumsum(values)))
-    lo = _window_starts(times, gaps, w)
+    lo = _window_starts(times, gaps, window)
     hi = np.searchsorted(times, gaps, side="left")
     found = hi > lo
     lo, hi = lo[found], hi[found]
     grid_values[missing[found]] = (prefix[hi] - prefix[lo]) / (hi - lo)
     present = ~np.isnan(grid_values)
     out = TimeSeries(series.sensor_id, grid[present], grid_values[present])
-    return FillResult(out, tuple(gaps[found].tolist()), tuple(gaps[~found].tolist()))
+    return FillResult(out, gaps[found], gaps[~found])
 
 
 @dataclass(frozen=True)
 class RepairedSeries:
-    """Outcome of the flag -> replace -> fill -> smooth pipeline."""
+    """Outcome of the flag -> replace -> fill -> smooth pipeline: the final
+    (smoothed) series, the `FLAG_RECORD` records of `flag_outliers` on the
+    input series, and the grid times that were imputed."""
 
-    series: TimeSeries  # final (smoothed) series
-    flags: tuple[OutlierFlag, ...]
-    filled: tuple[int, ...]  # grid times that were imputed
+    series: TimeSeries
+    flags: np.ndarray
+    filled: np.ndarray
 
 
 def repair_series(series: TimeSeries, meta: SensorMeta, site: Site) -> RepairedSeries:
@@ -488,7 +485,7 @@ def repair_series(series: TimeSeries, meta: SensorMeta, site: Site) -> RepairedS
         kind=meta.kind,
         zero_implausible=zero_implausible_for(meta, site),
     )
-    repair = replace_outliers(series, flags, REPAIR_WINDOW)
+    repair = replace_outliers(series, flags["index"], REPAIR_WINDOW)
     fill = fill_missing(repair.series, meta, FILL_WINDOW)
     smoothed = moving_average(fill.series, SMOOTH_WINDOW)
-    return RepairedSeries(smoothed, tuple(flags), fill.filled)
+    return RepairedSeries(smoothed, flags, fill.filled)

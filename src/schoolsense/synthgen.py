@@ -35,7 +35,14 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .ingest import MEASUREMENT_HEADER, WEATHER_HEADER, WeatherHistory, catalog_to_json
+from .ingest import (
+    _ID_FORBIDDEN,
+    MEASUREMENT_HEADER,
+    WEATHER_HEADER,
+    WeatherHistory,
+    _store_id,
+    catalog_to_json,
+)
 from .model import (
     DAY_SECONDS,
     Classroom,
@@ -50,6 +57,7 @@ from .model import (
     date_to_day,
     format_iso8601,
     json_value,
+    local_weekday,
     orientation_gain,
     written_codes,
 )
@@ -90,6 +98,10 @@ class RoomSpec:
     occupant_events: int = 0
 
     def __post_init__(self):
+        # a room id is part of its sensors' ids
+        if any(c in json_value(self.room_id, str, "room_id") for c in _ID_FORBIDDEN):
+            raise ScenarioError(f"room_id {self.room_id!r} cannot be part of a sensor id: a "
+                                f"room id holds no /, \\, NUL, comma, quote or line break")
         if self.insulation not in ("good", "poor"):
             raise ScenarioError(f"insulation must be good or poor, got {self.insulation!r}")
         if self.occupant_events < 0:
@@ -112,6 +124,7 @@ class SiteSpec:
     rooms: tuple[RoomSpec, ...] = ()
 
     def __post_init__(self):
+        _store_id(self.site_id, "site_id", ScenarioError)  # it names files and store directories
         for name in ("outage_fraction", "zero_error_rate", "spike_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
@@ -159,8 +172,8 @@ class ScenarioSpec:
         try:
             sites = tuple(
                 SiteSpec(
-                    site_id=str(s["site_id"]),
-                    rooms=tuple(RoomSpec(room_id=str(r["room_id"]), **_given(RoomSpec, r))
+                    site_id=s["site_id"],
+                    rooms=tuple(RoomSpec(room_id=r["room_id"], **_given(RoomSpec, r))
                                 for r in s.get("rooms", [])),
                     **_given(SiteSpec, s),
                 )
@@ -388,10 +401,6 @@ class _SiteGenerator:
         off = self.site.tz_offset_minutes * 60
         return ((times + off) % DAY_SECONDS) / 3600.0
 
-    def local_weekday(self, times: np.ndarray) -> np.ndarray:
-        off = self.site.tz_offset_minutes * 60
-        return ((times + off) // DAY_SECONDS + 3) % 7
-
     def weather_history(self) -> WeatherHistory:
         return WeatherHistory(
             site_id=self.site.site_id,
@@ -435,10 +444,8 @@ class _SiteGenerator:
             return []
         spec = self.spec
         off = self.site.tz_offset_minutes * 60
-        weekdays = [
-            d for d in range(spec.days)
-            if ((self.start_epoch // DAY_SECONDS + d) + 3) % 7 < 5
-        ]
+        days = self.start_epoch + DAY_SECONDS * np.arange(spec.days)
+        weekdays = np.flatnonzero(local_weekday(days, 0) < 5).tolist()  # of the spec's dates
         slots = [(d, h) for d in weekdays for h in (9, 13)]
         if room.occupant_events > len(slots):
             raise ScenarioError(
@@ -474,7 +481,8 @@ class _SiteGenerator:
 
     def power(self) -> tuple[np.ndarray, np.ndarray]:
         times = self.grid(self.spec.sensing_rate)
-        profile = _school_power_profile(self.local_hours(times), self.local_weekday(times))
+        weekday = local_weekday(times, self.site.tz_offset_minutes)
+        profile = _school_power_profile(self.local_hours(times), weekday)
         values = 500.0 + 700.0 * profile + self.rng.normal(0.0, 20.0, len(times))
         return times, values
 

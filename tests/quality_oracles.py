@@ -1,9 +1,13 @@
 """Per-sample loop versions of `quality`'s repair kernels, kept as test oracles.
 
 These are the loops that `flag_outliers`, `replace_outliers` and
-`fill_missing` ran before they became array code. The array kernels must
-return exactly what these return: the same flags, byte-equal arrays and the
-same time tuples. Only the function names differ from the loops' originals.
+`fill_missing` ran before they became array code, and `_interp_rank`, the
+scalar quantile rule that `quality._interp` computes in arrays. The array
+kernels must return exactly what these return: byte-equal flag records,
+series and time arrays. The loops are the originals; only the function
+names differ, and their inputs and outputs have the kernels' types: windows
+in seconds, flags as `FLAG_RECORD` records, flagged samples as indices and
+times as int64 arrays.
 
 `oracle_availability_matrix` is the per-sensor-day loop that
 `availability_matrix` ran before it returned per-day arrays: one
@@ -26,29 +30,37 @@ from schoolsense.model import (
     SensorKind,
     SensorMeta,
     TimeSeries,
-    TimeWindow,
     slice_series,
     to_epoch,
 )
 from schoolsense.quality import (
+    FLAG_RECORD,
     FillResult,
     FlagKind,
-    OutlierFlag,
     QualityError,
     RepairResult,
-    _interp_rank,
 )
+
+
+def _interp_rank(sorted_vals: list[float], q: float) -> float:
+    """Quantile q of a sorted list, linear interpolation between ranks."""
+    pos = (len(sorted_vals) - 1) * q
+    lo = int(pos)
+    frac = pos - lo
+    if frac == 0.0:
+        return sorted_vals[lo]
+    return sorted_vals[lo] + frac * (sorted_vals[lo + 1] - sorted_vals[lo])
 
 
 def oracle_flag_outliers(
     series: TimeSeries,
-    window: TimeWindow,
+    window: int,
     *,
     kind: SensorKind | None = None,
     zero_implausible: bool = False,
     spike_sigma: float = 5.0,
     min_window_samples: int = 4,
-) -> list[OutlierFlag]:
+) -> np.ndarray:
     """Flag outliers per sample against its trailing time window.
 
     A sample is evaluated against the quartile bounds of the window
@@ -60,11 +72,11 @@ def oracle_flag_outliers(
     deviations. At most one flag is emitted per sample (zero > spike >
     bound violation).
     """
-    w = window.duration
+    w = window
     times = series.times
     values = series.values
     n = len(series)
-    flags: list[OutlierFlag] = []
+    flags: list[tuple[int, FlagKind]] = []
     check_spikes = kind is SensorKind.POWER_PHASE
 
     window_vals: list[float] = []  # sorted values of all samples in window
@@ -106,17 +118,17 @@ def oracle_flag_outliers(
 
         if flag is not None:
             flagged[i] = True
-            flags.append(OutlierFlag(i, flag))
+            flags.append((i, flag))
         else:
             clean_sum += v
             clean_sumsq += v * v
             clean_count += 1
             last_clean = v
-    return flags
+    return np.array(flags, dtype=FLAG_RECORD)
 
 
 def oracle_replace_outliers(
-    series: TimeSeries, flags: Iterable[OutlierFlag], window: TimeWindow
+    series: TimeSeries, flags: Iterable[int], window: int
 ) -> RepairResult:
     """Replace each flagged sample with its window min or max.
 
@@ -125,19 +137,19 @@ def oracle_replace_outliers(
     become the window minimum, above-median the window maximum. A flagged
     sample whose window holds no surviving sample is dropped and recorded.
     """
-    flag_list = sorted(flags, key=lambda f: f.index)
+    flag_list = sorted(int(f) for f in flags)
     n = len(series)
     for f in flag_list:
-        if not 0 <= f.index < n:
-            raise QualityError(f"flag index {f.index} outside series of length {n}")
+        if not 0 <= f < n:
+            raise QualityError(f"flag index {f} outside series of length {n}")
     if not flag_list:
-        return RepairResult(series, (), ())
+        return RepairResult(series, np.empty(0, np.int64), np.empty(0, np.int64))
 
     flagged = np.zeros(n, dtype=bool)
     for f in flag_list:
-        flagged[f.index] = True
+        flagged[f] = True
 
-    w = window.duration
+    w = window
     times = series.times
     values = series.values.copy()
     clean_vals: list[float] = []  # sorted non-flagged values in window
@@ -161,15 +173,16 @@ def oracle_replace_outliers(
             median = _interp_rank(clean_vals, 0.5)
             new = clean_vals[0] if v < median else clean_vals[-1]
             values[i] = new
-            replaced.append((int(t), v, new))
+            replaced.append(int(t))
         else:
             bisect.insort(clean_vals, float(series.values[i]))
 
     repaired = TimeSeries(series.sensor_id, times[keep], values[keep])
-    return RepairResult(repaired, tuple(replaced), tuple(dropped))
+    return RepairResult(repaired, np.array(replaced, dtype=np.int64),
+                        np.array(dropped, dtype=np.int64))
 
 
-def oracle_fill_missing(series: TimeSeries, meta: SensorMeta, window: TimeWindow) -> FillResult:
+def oracle_fill_missing(series: TimeSeries, meta: SensorMeta, window: int) -> FillResult:
     """Align a series to its expected sampling grid and impute gaps.
 
     The grid runs at the sensor's sensing rate, anchored at epoch multiples
@@ -180,14 +193,14 @@ def oracle_fill_missing(series: TimeSeries, meta: SensorMeta, window: TimeWindow
     """
     rate = meta.sensing_rate
     if len(series) == 0:
-        return FillResult(series, (), ())
-    w = window.duration
+        return FillResult(series, np.empty(0, np.int64), np.empty(0, np.int64))
+    w = window
     times = series.times
     values = series.values
     grid_first = -(-int(times[0]) // rate)
     grid_last = int(times[-1]) // rate
     if grid_last < grid_first:
-        return FillResult(series, (), ())
+        return FillResult(series, np.empty(0, np.int64), np.empty(0, np.int64))
     grid = np.arange(grid_first, grid_last + 1, dtype=np.int64) * rate
 
     # bucket observed samples onto the grid; the last sample in a bucket wins
@@ -212,7 +225,7 @@ def oracle_fill_missing(series: TimeSeries, meta: SensorMeta, window: TimeWindow
             unfilled.append(g)
     present = ~np.isnan(grid_values)
     out = TimeSeries(series.sensor_id, grid[present], grid_values[present])
-    return FillResult(out, tuple(filled), tuple(unfilled))
+    return FillResult(out, np.array(filled, dtype=np.int64), np.array(unfilled, dtype=np.int64))
 
 
 @dataclass(frozen=True)

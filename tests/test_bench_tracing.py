@@ -2,7 +2,8 @@
 
 `bench/tracing.py` skips a target that no longer exists and reports it
 missing, so a renamed function or parameter would only drop its per-layer
-metric. This test fails instead.
+metric. This test fails instead. A second test checks that the repair
+counts it takes from the quality kernels' results mean what they say.
 """
 
 from __future__ import annotations
@@ -12,6 +13,13 @@ import inspect
 import re
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from schoolsense import quality
+from schoolsense.model import SensorKind, SensorMeta, TimeSeries
+
+from conftest import utc
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -43,3 +51,38 @@ def test_tracer_targets_and_counted_arguments_exist(monkeypatch):
     finally:
         tracer.uninstall()
     assert read_anywhere == {"document", "series"}
+
+
+def _traced(counts, function, *args, **kwargs):
+    """`function`'s result and the tracer's `counts` of that call."""
+    result = function(*args, **kwargs)
+    return counts(inspect.signature(function).bind(*args, **kwargs), result), result
+
+
+def test_repair_counts_add_up_on_a_series_with_every_flag_kind_and_a_gap(monkeypatch):
+    tracing = _load_tracing(monkeypatch)
+    values = np.where(np.arange(120) % 2, 510.0, 500.0)  # quartiles 500 and 510
+    # a zero with no sample before it, a power spike, and a sample just past
+    # Q3 + 3 * IQR = 540 that jumps less than 10 deviations from the last survivor
+    values[[0, 40, 60]] = 0.0, 5000.0, 545.0
+    on = np.ones(120, dtype=bool)
+    on[90:100] = False  # a 10-minute gap in the 60 s grid
+    series = TimeSeries("p", utc(2017, 9, 4) + 60 * np.flatnonzero(on), values[on])
+
+    flag, flags = _traced(tracing._flag, quality.flag_outliers, series, 3600,
+                          kind=SensorKind.POWER_PHASE, zero_implausible=True, spike_sigma=10.0)
+    assert sorted(flags["kind"].tolist()) == list(quality.FlagKind)
+    assert flag["flags"] == len(set(flags["index"].tolist())) == 3
+
+    replace, repair = _traced(tracing._replace, quality.replace_outliers, series,
+                              flags["index"], 3600)
+    assert replace["replaced"] + replace["dropped"] == flag["flags"]
+    assert replace["dropped"] == 1
+    repaired = repair.series
+    assert len(repaired) == len(series) - replace["dropped"]
+
+    meta = SensorMeta("p", "a", SensorKind.POWER_PHASE, 60)
+    fill, _ = _traced(tracing._fill, quality.fill_missing, repaired, meta, 300)
+    missing = (repaired.times[-1] - repaired.times[0]) // 60 + 1 - len(repaired)
+    assert fill["filled"] + fill["unfilled"] == missing == 10
+    assert fill["filled"] == 4  # those within 5 minutes of the last sample before the gap

@@ -334,6 +334,24 @@ def test_catalog_site_value_out_of_range_exits_2(work, capsys, field, value):
     _assert_one_error_line(err)
 
 
+@pytest.mark.parametrize("site, message", [
+    ({"site_id": "../../escaped"}, "site_id '../../escaped' cannot name a store directory"),
+    ({"site_id": ".."}, "site_id '..' cannot name a store directory"),
+    ({"site_id": 7}, "site_id must be a string, got 7"),
+    ({"site_id": "s1", "rooms": [{"room_id": "a,b"}]}, "room_id 'a,b' cannot be part of"),
+    ({"site_id": "s1", "rooms": [{"room_id": "a/b"}]}, "room_id 'a/b' cannot be part of"),
+    ({"site_id": "s1", "rooms": [{"room_id": 3}]}, "room_id must be a string, got 3"),
+], ids=["site-escapes-out", "site-dotdot", "site-int", "room-comma", "room-slash", "room-int"])
+def test_spec_id_that_cannot_name_a_file_exits_2_writing_nothing(tmp_path, capsys, site, message):
+    (tmp_path / "spec.json").write_text(json.dumps(dict(SPEC, sites=[site])))
+    out = tmp_path / "a" / "b" / "out"
+    code, err = _run(["synth", str(tmp_path / "spec.json"), "--out", str(out)], capsys)
+    assert code == 2
+    assert message in err
+    _assert_one_error_line(err)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["spec.json"]
+
+
 @pytest.mark.parametrize("field, value", [
     ("tz_offset_minutes", 100000), ("latitude", 500.0), ("longitude", -900.0)])
 def test_spec_site_value_out_of_range_exits_2(tmp_path, capsys, field, value):

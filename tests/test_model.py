@@ -17,7 +17,6 @@ from schoolsense.model import (
     SensorMeta,
     Site,
     TimeSeries,
-    TimeWindow,
     _written_epochs,
     filter_weekends,
     filter_weekdays,
@@ -231,13 +230,6 @@ def test_site_rejects_values_outside_their_ranges(field, value):
     with pytest.raises(ModelError, match=field):
         Site(**{"site_id": "a", "latitude": 0.0, "longitude": 0.0, "start_time": 0,
                 field: value})
-
-
-def test_time_window_positive():
-    assert TimeWindow.hours(24).duration == 86400
-    assert TimeWindow.minutes(5).duration == 300
-    with pytest.raises(ModelError):
-        TimeWindow(0)
 
 
 def test_slice_one_day_subset():

@@ -1,7 +1,7 @@
 """The array kernels of `quality` against the per-sample loops they replaced.
 
-Every comparison is exact: the same flag list, byte-equal arrays (so the
-sign of a zero counts) and the same time tuples.
+Every comparison is exact: byte-equal flag records, series and time arrays
+(so the sign of a zero counts).
 """
 
 from __future__ import annotations
@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from schoolsense.model import SensorKind, SensorMeta, TimeSeries, TimeWindow
+from schoolsense.model import SensorKind, SensorMeta, TimeSeries
 from schoolsense.quality import (
+    FLAG_RECORD,
     FlagKind,
-    OutlierFlag,
     WaveletMatrix,
     _screen,
     _window_starts,
@@ -62,7 +62,7 @@ def power_series(draw):
     return base.replace_values(vals)
 
 
-windows = st.builds(TimeWindow, st.one_of(st.integers(1, 20000), st.sampled_from((3600, 86400))))
+windows = st.one_of(st.integers(1, 20000), st.sampled_from((3600, 86400)))
 FLAG_OPTIONS = dict(
     kind=st.sampled_from((None, *SensorKind)),
     zero_implausible=st.booleans(),
@@ -71,11 +71,21 @@ FLAG_OPTIONS = dict(
 )
 
 
+def _assert_same(got: np.ndarray, want: np.ndarray):
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_same_flags(series, window, **options):
+    _assert_same(flag_outliers(series, window, **options),
+                 oracle_flag_outliers(series, window, **options))
+
+
 def _assert_same_repair(got, want):
-    assert got.series.times.tobytes() == want.series.times.tobytes()
-    assert got.series.values.tobytes() == want.series.values.tobytes()
-    assert repr(got.replaced) == repr(want.replaced)  # repr tells -0.0 from 0.0
-    assert got.dropped == want.dropped
+    _assert_same(got.series.times, want.series.times)
+    _assert_same(got.series.values, want.series.values)
+    _assert_same(got.replaced, want.replaced)
+    _assert_same(got.dropped, want.dropped)
 
 
 def _minute_series(values):
@@ -87,19 +97,18 @@ def _minute_series(values):
 # 12-sample windows that differ enough within a screen block that bounds
 # taken from the wrong one of its two ranges would clear the flagged sample 12
 @example(_minute_series([-50.0, -10.0, -10.0, 50.0, -10.0, 1.0, 1.0, 50.0, -10.0, -50.0, -10.0,
-                         1.0, -50.0, 50.0]), TimeWindow(720),
+                         1.0, -50.0, 50.0]), 720,
          dict(kind=None, zero_implausible=False, spike_sigma=5.0, min_window_samples=4))
 def test_flag_outliers_matches_loop(s, window, options):
-    assert flag_outliers(s, window, **options) == oracle_flag_outliers(s, window, **options)
+    _assert_same_flags(s, window, **options)
 
 
 @settings(deadline=None, max_examples=100)
 @given(power_series(), windows, st.booleans(), st.sampled_from((0.5, 2.0, 5.0)),
        st.integers(1, 6))
 def test_flag_outliers_power_spikes_match_loop(s, window, zero_implausible, sigma, min_samples):
-    options = dict(kind=SensorKind.POWER_PHASE, zero_implausible=zero_implausible,
-                   spike_sigma=sigma, min_window_samples=min_samples)
-    assert flag_outliers(s, window, **options) == oracle_flag_outliers(s, window, **options)
+    _assert_same_flags(s, window, kind=SensorKind.POWER_PHASE, zero_implausible=zero_implausible,
+                       spike_sigma=sigma, min_window_samples=min_samples)
 
 
 def test_flag_outliers_matches_loop_on_day_windows():
@@ -112,10 +121,9 @@ def test_flag_outliers_matches_loop_on_day_windows():
     s = TimeSeries("s", times, vals)
     seen = set()
     for kind in (SensorKind.INDOOR_TEMPERATURE, SensorKind.POWER_PHASE):
-        got = flag_outliers(s, TimeWindow.hours(24), kind=kind, zero_implausible=True)
-        assert got == oracle_flag_outliers(s, TimeWindow.hours(24), kind=kind,
-                                           zero_implausible=True)
-        seen |= {f.kind for f in got}
+        got = flag_outliers(s, 24 * 3600, kind=kind, zero_implausible=True)
+        _assert_same(got, oracle_flag_outliers(s, 24 * 3600, kind=kind, zero_implausible=True))
+        seen |= set(got["kind"].tolist())
     assert seen == set(FlagKind)
 
 
@@ -123,18 +131,14 @@ def test_flag_outliers_matches_loop_on_day_windows():
 def flagged_series(draw):
     s = draw(series(min_size=1))
     index = st.integers(0, len(s) - 1)
-    flags = draw(st.lists(st.builds(OutlierFlag, index, st.sampled_from(FlagKind)),
-                          max_size=len(s) + 3))
-    return s, flags
+    return s, draw(st.lists(index, max_size=len(s) + 3))
 
 
 @settings(deadline=None, max_examples=100)
 @given(flagged_series(), windows)
 # the window minimum, then the maximum, is a zero of either sign
-@example((_minute_series([-0.0, 0.0, 5.0, 6.0, 7.0, 0.0]), [OutlierFlag(5, FlagKind.ZERO_ERROR)]),
-         TimeWindow(3600))
-@example((_minute_series([-0.0, 0.0, -3.0, -4.0, -5.0, 9.0]), [OutlierFlag(5, FlagKind.SPIKE)]),
-         TimeWindow(3600))
+@example((_minute_series([-0.0, 0.0, 5.0, 6.0, 7.0, 0.0]), [5]), 3600)
+@example((_minute_series([-0.0, 0.0, -3.0, -4.0, -5.0, 9.0]), [5]), 3600)
 def test_replace_outliers_matches_loop(case, window):
     s, flags = case
     _assert_same_repair(replace_outliers(s, flags, window),
@@ -144,10 +148,9 @@ def test_replace_outliers_matches_loop(case, window):
 @settings(deadline=None, max_examples=75)
 @given(series(), windows, st.fixed_dictionaries(FLAG_OPTIONS))
 def test_replace_outliers_of_flagged_series_matches_loop(s, window, options):
-    flags = flag_outliers(s, window, **options)
-    repair = TimeWindow(3600)
-    _assert_same_repair(replace_outliers(s, flags, repair),
-                        oracle_replace_outliers(s, flags, repair))
+    flagged = flag_outliers(s, window, **options)["index"]
+    _assert_same_repair(replace_outliers(s, flagged, 3600),
+                        oracle_replace_outliers(s, flagged, 3600))
 
 
 @settings(deadline=None, max_examples=100)
@@ -157,10 +160,10 @@ def test_fill_missing_matches_loop(s, window, rate):
     meta = SensorMeta("s", "a", SensorKind.INDOOR_TEMPERATURE, rate)
     got = fill_missing(s, meta, window)
     want = oracle_fill_missing(s, meta, window)
-    assert got.series.times.tobytes() == want.series.times.tobytes()
-    assert got.series.values.tobytes() == want.series.values.tobytes()
-    assert got.filled == want.filled
-    assert got.unfilled == want.unfilled
+    _assert_same(got.series.times, want.series.times)
+    _assert_same(got.series.values, want.series.values)
+    _assert_same(got.filled, want.filled)
+    _assert_same(got.unfilled, want.unfilled)
 
 
 def test_kth_smallest_returns_earliest_position_of_tied_minima():
@@ -194,7 +197,7 @@ def test_kth_smallest_matches_stable_argsort_for_every_rank(data, vals):
 
 def _cleared_share(s, window, min_window_samples=4):
     """Share of the tested samples that the bound test's screen clears."""
-    starts = _window_starts(s.times, s.times, window.duration)
+    starts = _window_starts(s.times, s.times, window)
     ends = np.arange(1, len(s) + 1)
     tested = np.flatnonzero(ends - starts >= min_window_samples)
     cleared = _screen(s.values, WaveletMatrix(s.values), starts[tested], ends[tested])
@@ -211,10 +214,10 @@ def test_flag_outliers_matches_loop_where_the_screen_clears(seed, outage, digits
     vals = np.round(20.0 + 3.0 * np.sin(times / 9000.0) + rng.normal(0, 0.3, len(times)), digits)
     vals[rng.integers(0, len(vals), outliers)] = rng.choice((0.0, -40.0, 90.0, 1e6), outliers)
     s = TimeSeries("s", times, vals)
-    window = TimeWindow.hours(24)
+    window = 24 * 3600
     assert _cleared_share(s, window) > 0.5
     for kind in (SensorKind.INDOOR_TEMPERATURE, SensorKind.POWER_PHASE):
-        assert flag_outliers(s, window, kind=kind) == oracle_flag_outliers(s, window, kind=kind)
+        _assert_same_flags(s, window, kind=kind)
 
 
 MAX = 1.7976931348623157e308
@@ -224,7 +227,7 @@ EDGE_VALUES = (1e200, MAX, -MAX, 5e-324, 0.0, -0.0)
 
 def _edge_example(head, tail):
     # every window starts at the first sample, so the windows' ranks grow together
-    return _minute_series([*head, *tail]), TimeWindow.hours(24)
+    return _minute_series([*head, *tail]), 24 * 3600
 
 
 @settings(deadline=None, max_examples=150)
@@ -240,8 +243,7 @@ def _edge_example(head, tail):
 @example(_edge_example([5e-324, 0.0, -0.0] * 10, [1e-323] * 20 + [-5e-324] * 5), 4)
 def test_flag_outliers_matches_loop_at_edge_magnitudes(case, min_window_samples):
     s, window = case
-    options = dict(min_window_samples=min_window_samples)
-    assert flag_outliers(s, window, **options) == oracle_flag_outliers(s, window, **options)
+    _assert_same_flags(s, window, min_window_samples=min_window_samples)
 
 
 @settings(deadline=None, max_examples=100)
@@ -250,9 +252,7 @@ def test_flag_outliers_matches_loop_on_windows_of_min_samples(m, step, n, value,
     # a regular series whose every window (t - m*step, t] holds exactly m samples
     vals = data.draw(st.lists(value, min_size=n, max_size=n))
     s = TimeSeries("s", T0 + step * np.arange(n, dtype=np.int64), np.array(vals, dtype=np.float64))
-    window = TimeWindow(m * step)
-    assert flag_outliers(s, window, min_window_samples=m) == oracle_flag_outliers(
-        s, window, min_window_samples=m)
+    _assert_same_flags(s, m * step, min_window_samples=m)
 
 
 @pytest.mark.parametrize("probe", [-53.6, 75.2])
@@ -262,6 +262,6 @@ def test_bound_flags_a_sample_one_rounding_past_the_screen(probe):
     # just inside those, so the probe is flagged; only the screen's margin
     # keeps it from being cleared
     s = _minute_series([1.6, 20.0] * 20 + [probe])
-    window = TimeWindow.hours(24)
-    want = [OutlierFlag(40, FlagKind.BOUND_VIOLATION)]
-    assert flag_outliers(s, window) == oracle_flag_outliers(s, window) == want
+    want = np.array([(40, FlagKind.BOUND_VIOLATION)], dtype=FLAG_RECORD)
+    _assert_same(flag_outliers(s, 24 * 3600), want)
+    _assert_same(oracle_flag_outliers(s, 24 * 3600), want)
