@@ -55,7 +55,7 @@ import sys
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -85,9 +85,6 @@ from .model import (
     slice_series,
     to_epoch,
 )
-
-if TYPE_CHECKING:
-    from . import quality as quality_mod
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -260,23 +257,25 @@ def cmd_quality(config: RunConfig, end: date | None = None) -> None:
         raise ConfigError(f"the period ends {day_to_date(end_epoch // DAY_SECONDS)}, "
                           "on or before the start of every site")
     repaired_store = SeriesStore(config.repaired)
-    repairs: dict[str, quality_mod.RepairedSeries] = {}
+    # of each repair, the reports read only the flags and the filled times; the
+    # repaired series is saved and let go
+    flags: dict[str, np.ndarray] = {}
+    filled: dict[str, np.ndarray] = {}
     for meta in catalog.sensors:
         site = catalog.site(meta.site_id)
         outcome = quality_mod.repair_series(raw[meta.sensor_id], meta, site)
-        repairs[meta.sensor_id] = outcome
         repaired_store.save(meta.site_id, outcome.series)
+        flags[meta.sensor_id], filled[meta.sensor_id] = outcome.flags, outcome.filled
 
     rows = []
     for sensor_id, (days, expected, observed) in matrix.items():
         fraction = np.divide(observed, expected, out=np.ones(len(days)), where=expected > 0)
         outage = 100.0 * (1.0 - np.minimum(1.0, fraction))
-        outcome = repairs[sensor_id]
-        flags = outcome.flags
-        flagged = [raw[sensor_id].times[flags["index"][flags["kind"] == kind]]
+        index, kinds = flags[sensor_id]["index"], flags[sensor_id]["kind"]
+        flagged = [raw[sensor_id].times[index[kinds == kind]]
                    for kind in quality_mod.FlagKind]  # zero, spike, bound: the column order
         columns = [expected, observed, outage,
-                   *(quality_mod.day_counts(at, days) for at in [*flagged, outcome.filled])]
+                   *(quality_mod.day_counts(at, days) for at in [*flagged, filled[sensor_id]])]
         site_id = catalog.sensor(sensor_id).site_id
         for day, *values in zip(days.tolist(), *(c.tolist() for c in columns)):
             rows.append(f"{site_id},{sensor_id},{day_to_date(day).isoformat()},"
@@ -288,14 +287,14 @@ def cmd_quality(config: RunConfig, end: date | None = None) -> None:
         rows)
 
     site_stats = _group_quality([site.site_id for site in catalog.sites],
-                                lambda m: m.site_id, catalog, matrix, raw, repairs)
+                                lambda m: m.site_id, catalog, matrix, raw, flags)
     _write_csv(
         config.out / "site_quality.csv",
         "site_id,pos,sensors,start_time,outage_pct,outlier_pct",
         [f"{site_id},{pos},{n},{format_iso8601(catalog.site(site_id).start_time)},"
          f"{outage!r},{outlier!r}" for site_id, pos, n, outage, outlier in site_stats])
     kind_stats = _group_quality(CATEGORIES, lambda m: m.kind.category,
-                                catalog, matrix, raw, repairs)
+                                catalog, matrix, raw, flags)
     _write_csv(
         config.out / "kind_quality.csv",
         "category,pos,sensors,outage_pct,outlier_pct",
@@ -313,7 +312,7 @@ def _group_quality(
     catalog: DeploymentCatalog,
     matrix: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
     raw: dict[str, TimeSeries],
-    repairs: dict[str, quality_mod.RepairedSeries],
+    flags: dict[str, np.ndarray],
 ) -> list[tuple[str, int, int, float, float]]:
     """(group, positions, sensors, outage %, outlier %) for each group in
     `order` that expects a sample in the period; a group whose sensors all
@@ -330,8 +329,8 @@ def _group_quality(
         outage = outage_percentage(expected, observed)
         pos = len({(m.site_id, m.room_id) for m in metas})
         samples = sum(len(raw[m.sensor_id]) for m in metas)
-        flags = sum(len(repairs[m.sensor_id].flags) for m in metas)
-        outlier_pct = 100.0 * flags / samples if samples else 0.0
+        flagged = sum(len(flags[m.sensor_id]) for m in metas)
+        outlier_pct = 100.0 * flagged / samples if samples else 0.0
         stats.append((group, pos, len(metas), outage, outlier_pct))
     return stats
 

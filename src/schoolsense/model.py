@@ -8,13 +8,13 @@ All types are immutable values and all operations are pure functions.
 This is the only timestamp codec. It writes ``YYYY-MM-DDTHH:MM:SSZ`` and reads
 what ``datetime.fromisoformat`` reads once surrounding blanks are stripped and
 a final ``Z``/``z`` means ``+00:00``; naive stamps are UTC, fractions truncate.
-Many stamps are read from UTF-8 bytes (`parse_iso8601_bytes`; the sequence form
-of `parse_iso8601` encodes its entries and calls it). The 20 bytes of every
-written-form stamp from year 1000 on are gathered into one ``(n, 20)`` matrix
-and decoded together, as integers from their digits; any other stamp, or one
-with a field out of range, is decoded to str and parsed alone. Many stamps are
-written together too (`written_codes`, the decoder's inverse), as the rows of
-an ``(n, 20)`` matrix, for the years 0000 to 9999.
+One stamp is read from a str (`parse_iso8601`), many from UTF-8 bytes
+(`parse_iso8601_bytes`). The 20 bytes of every written-form stamp from year
+1000 on are gathered into one ``(n, 20)`` matrix and decoded together, as
+integers from their digits; any other stamp, or one with a field out of range,
+is decoded to str and parsed alone. Many stamps are written together too
+(`written_codes`, the decoder's inverse), as the rows of an ``(n, 20)``
+matrix, for the years 0000 to 9999.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ _EPOCH_WEEKDAY_SHIFT = 3
 
 
 class ModelError(ValueError):
-    """Invalid domain value or violated invariant; `index` locates a bad sequence entry."""
+    """Invalid domain value or violated invariant; `index` locates a bad stamp among many."""
 
     index: int | None = None
 
@@ -169,28 +169,16 @@ def parse_iso8601_bytes(data: np.ndarray, starts: np.ndarray, stops: np.ndarray)
     return out
 
 
-def parse_iso8601(text):
-    """Epoch seconds of an ISO-8601 instant: an int for a str, an int64 array for a sequence.
-
-    A bad entry of a sequence raises ModelError with its position as `index`.
-    """
-    if isinstance(text, str):
-        raw = text.strip()
-        if raw.endswith(("Z", "z")):
-            raw = raw[:-1] + "+00:00"
-        try:
-            dt = datetime.fromisoformat(raw)
-        except ValueError as exc:
-            raise ModelError(f"bad timestamp {text!r}: {exc}") from None
-        return to_epoch(dt)
-    texts = list(text)
-    joined = "".join(texts)
-    data = joined.encode("utf-8", "surrogatepass")
-    sizes = np.fromiter(map(len, texts) if len(data) == len(joined)  # all ASCII
-                        else (len(t.encode("utf-8", "surrogatepass")) for t in texts),
-                        np.int64, len(texts))
-    stops = np.cumsum(sizes)
-    return parse_iso8601_bytes(np.frombuffer(data, np.uint8), stops - sizes, stops)
+def parse_iso8601(text: str) -> int:
+    """Epoch seconds of an ISO-8601 instant."""
+    raw = text.strip()
+    if raw.endswith(("Z", "z")):
+        raw = raw[:-1] + "+00:00"
+    try:
+        dt = datetime.fromisoformat(raw)
+    except ValueError as exc:
+        raise ModelError(f"bad timestamp {text!r}: {exc}") from None
+    return to_epoch(dt)
 
 
 def format_iso8601(epoch):

@@ -13,6 +13,7 @@ from schoolsense.model import (
     SensorMeta,
     Site,
     TimeSeries,
+    parse_iso8601_bytes,
     to_epoch,
 )
 
@@ -20,6 +21,16 @@ from schoolsense.model import (
 def utc(year, month, day, hour=0, minute=0, second=0) -> int:
     return int(datetime(year, month, day, hour, minute, second,
                         tzinfo=timezone.utc).timestamp())
+
+
+def parse_stamps(texts) -> np.ndarray:
+    """Epoch seconds, as an int64 array, of a sequence of ISO-8601 stamps, decoded together
+    by `model.parse_iso8601_bytes`; a bad one raises ModelError with its position as
+    `index`."""
+    texts = [text.encode("utf-8", "surrogatepass") for text in texts]
+    sizes = np.array([len(text) for text in texts], np.int64)
+    stops = np.cumsum(sizes)
+    return parse_iso8601_bytes(np.frombuffer(b"".join(texts), np.uint8), stops - sizes, stops)
 
 
 def series_at(sensor_id: str, start: int, rate: int, values) -> TimeSeries:

@@ -10,9 +10,9 @@ The `str.split` reader and the parsers built on it (`oracle_parse_measurements`,
 `np.array(..., float64)`, falling back to float() entry by entry. Today's
 parsers must give the same series bit for bit, the same rejects and the same
 error text. Apart from their names, the functions are the code as it was,
-except that stamps go through the str form of `parse_iso8601` one at a time:
-the sequence form they called is now the byte decoder under test, and its
-contract is to agree with the str form.
+except that stamps go through `parse_iso8601` one at a time: the sequence form
+of it that they called became the byte decoder under test, whose contract is
+to agree with it.
 """
 
 from __future__ import annotations

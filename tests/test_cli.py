@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import schoolsense
-from schoolsense import cli
+from schoolsense import cli, ingest
 from schoolsense.ingest import RECORD, SeriesStore, parse_catalog
 from schoolsense.model import parse_iso8601, to_epoch
 
@@ -373,6 +373,20 @@ def test_malformed_measurements_name_the_file(work, capsys):
     _assert_one_error_line(err)
 
 
+def _fresh_process_env() -> dict:
+    """The environment of a fresh process that imports `schoolsense` and the test helpers."""
+    paths = (str(Path(schoolsense.__file__).resolve().parents[1]),
+             str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH"))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
+def _fresh_ingest(config) -> subprocess.CompletedProcess:
+    """`ingest` with the config, in a fresh process, so that a crash fails one test alone."""
+    code = "import sys\nfrom schoolsense import cli\nsys.exit(cli.main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, "ingest", *config],
+                          env=_fresh_process_env(), capture_output=True, text=True, timeout=60)
+
+
 def test_bad_stamp_in_a_large_file_exits_2_naming_its_line(work):
     """A month 13 in a 1,000-row file, in a fresh process, so that a crash
     fails this test alone."""
@@ -382,22 +396,20 @@ def test_bad_stamp_in_a_large_file_exits_2_naming_its_line(work):
     bad = work / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
     config = _write_config(work, measurements=[str(bad)])
-    src = str(Path(schoolsense.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = "\n".join((
         "import sys",
         "from schoolsense import cli",
-        "from schoolsense.model import ModelError, parse_iso8601",
+        "from schoolsense.model import ModelError",
+        "from conftest import parse_stamps",
         "rows = open(sys.argv[1]).read().splitlines()[1:]",
         "try:",
-        "    parse_iso8601([row.split(',')[1] for row in rows])",
+        "    parse_stamps([row.split(',')[1] for row in rows])",
         "except ModelError as exc:",
         "    print('index', exc.index)",
         "sys.exit(cli.main(sys.argv[2:]))",
     ))
-    run = subprocess.run([sys.executable, "-c", code, str(bad), "ingest", *config], env=env,
-                         capture_output=True, text=True, timeout=60)
+    run = subprocess.run([sys.executable, "-c", code, str(bad), "ingest", *config],
+                         env=_fresh_process_env(), capture_output=True, text=True, timeout=60)
     assert run.returncode == 2, run.stderr
     assert run.stdout.splitlines()[0] == f"index {bad_row - 1}"
     assert f"{bad}: line {bad_row + 1}" in run.stderr
@@ -416,15 +428,35 @@ def test_bad_value_in_a_large_file_exits_2_naming_its_line(work, value, message)
     lines[bad_row] = f"{sensor_id},{stamp},{value}"
     bad = work / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
-    config = _write_config(work, measurements=[str(bad)])
-    src = str(Path(schoolsense.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys\nfrom schoolsense import cli\nsys.exit(cli.main(sys.argv[1:]))"
-    run = subprocess.run([sys.executable, "-c", code, "ingest", *config], env=env,
-                         capture_output=True, text=True, timeout=60)
+    run = _fresh_ingest(_write_config(work, measurements=[str(bad)]))
     assert run.returncode == 2, run.stderr
     assert f"{bad}: line {bad_row + 1}: {message}" in run.stderr
+    _assert_one_error_line(run.stderr)
+
+
+@pytest.mark.parametrize("errors, named, message", [
+    (("value",), "value", "bad value '21.5x'"),
+    (("stamp",), "stamp", "bad timestamp '2017-13-"),
+    (("value", "stamp"), "stamp", "bad timestamp '2017-13-"),  # a stamp outranks a value
+], ids=["value", "stamp", "value-then-stamp"])
+def test_errors_past_the_first_block_name_their_lines(work, errors, named, message):
+    """A bad value 1.5 reader blocks into a file and a bad stamp 2.5 blocks in, in a fresh
+    process: each names its line in the file, and the stamp wins though it comes later."""
+    header, *rows = (work / "inputs" / "measurements" / "s1.csv").read_text().splitlines()
+    lines = [header, *rows * 4]  # a repeated stamp is no error: the last one wins
+    ends = np.cumsum([len(line) + 1 for line in lines])
+    assert ends[-1] > 3 * ingest._BLOCK
+    at = {"value": int(np.searchsorted(ends, 1.5 * ingest._BLOCK)),
+          "stamp": int(np.searchsorted(ends, 2.5 * ingest._BLOCK))}
+    for error in errors:
+        sensor_id, stamp, value = lines[at[error]].split(",")
+        lines[at[error]] = (f"{sensor_id},{stamp},21.5x" if error == "value" else
+                            f"{sensor_id},{stamp.replace('-10-', '-13-', 1)},{value}")
+    bad = work / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    run = _fresh_ingest(_write_config(work, measurements=[str(bad)]))
+    assert run.returncode == 2, run.stderr
+    assert f"{bad}: line {at[named] + 1}: {message}" in run.stderr
     _assert_one_error_line(run.stderr)
 
 
@@ -445,6 +477,22 @@ def test_catalog_id_outside_the_store_exits_2(work, capsys, site_id, sensor_id, 
     assert f"{named} cannot name a store directory" in err
     _assert_one_error_line(err)
     assert not (work / "fresh").exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "quality", "comfort", "perf"])
+def test_catalog_room_id_that_would_split_a_report_row_exits_2(work, capsys, command):
+    """A room id is a field of the comfort and perf report rows; with a comma in it,
+    each such row would have one field more than its header."""
+    catalog = json.loads((work / "inputs" / "catalog.json").read_text())
+    for entry in [*catalog["sites"][0]["rooms"], *catalog["sensors"]]:
+        if entry.get("room_id") == "a":
+            entry["room_id"] = "a,b"
+    (work / "bad_catalog.json").write_text(json.dumps(catalog))
+    config = _write_config(work, catalog=str(work / "bad_catalog.json"))
+    code, err = _run([command, *config, *(COMFORT if command == "comfort" else [])], capsys)
+    assert code == 2
+    assert "room_id 'a,b' cannot be a report field" in err
+    _assert_one_error_line(err)
 
 
 def test_non_utf8_measurements_exit_2(work, capsys):

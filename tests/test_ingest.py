@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import re
 import tempfile
+import tracemalloc
 import zlib
 from fractions import Fraction
 
@@ -195,6 +196,16 @@ def catalog():
     return parse_catalog(_catalog_doc(2))
 
 
+def _each_block_size():
+    """Yields once with the reader's block size at its default, then once at 32
+    characters: a block of a line or two, so that a document of a few lines is
+    read in several blocks, and its errors can sit in any of them."""
+    for size in (ingest._BLOCK, 32):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_BLOCK", size)
+            yield size
+
+
 def test_parse_measurements_sorts_out_of_order(catalog):
     doc = (
         "sensor_id,timestamp,value\n"
@@ -355,8 +366,9 @@ def test_parse_measurements_reparse_fixpoint(catalog):
     ('sensor_id,timestamp,value\nsite0-t,2017-09-30T10:00:00Z,21.5\n\nsite0-t,x"y,1', 4),
 ])
 def test_a_quote_anywhere_names_its_line(catalog, doc, line):
-    with pytest.raises(MeasurementFormatError, match=f"^line {line}: quoted fields"):
-        parse_measurements(doc, catalog)
+    for _ in _each_block_size():
+        with pytest.raises(MeasurementFormatError, match=f"^line {line}: quoted fields"):
+            parse_measurements(doc, catalog)
 
 
 def test_crlf_parses_as_lf(catalog):
@@ -386,8 +398,9 @@ def test_crlf_parses_as_lf(catalog):
 def test_error_after_blank_lines_names_its_line(catalog, bad, message, ending):
     lines = ["sensor_id,timestamp,value", "", "site0-t,2017-09-30T10:00:00Z,21.5", "", "",
              bad, "site0-t,2017-09-30T10:02:00Z,21.5"]
-    with pytest.raises(MeasurementFormatError, match=f"^line 6: {message}"):
-        parse_measurements(ending.join(lines) + ending, catalog)
+    for _ in _each_block_size():
+        with pytest.raises(MeasurementFormatError, match=f"^line 6: {message}"):
+            parse_measurements(ending.join(lines) + ending, catalog)
 
 
 # A field holds no quote (where the two grammars differ), no line break (the
@@ -422,19 +435,23 @@ def _columns_or_error_line(read, document, header):
 
 
 def _decoded_table(document, header, error):
-    """The rows `_read_table` finds, decoded to columns of str, and their line numbers."""
-    table = _read_table(document, header, error)
-    columns = [[table.text(start, stop) for start, stop in zip(*table.field(k))]
-               for k in range(len(header))]
-    return columns, [table.line(row) for row in range(len(table.starts))]
+    """The rows `_read_table` finds in all its blocks, decoded to columns of str, and their
+    line numbers."""
+    columns, lines = [[] for _ in header], []
+    for table in _read_table(document, header, error):
+        for k, column in enumerate(columns):
+            column += (table.text(start, stop) for start, stop in zip(*table.field(k)))
+        lines += (table.line(row) for row in range(len(table.starts)))
+    return columns, lines
 
 
 @settings(deadline=None, max_examples=300)
 @given(_quote_free_tables())
 def test_reader_matches_the_csv_reader_without_quotes(table):
     header, document = table
-    assert (_columns_or_error_line(_decoded_table, document, header)
-            == _columns_or_error_line(oracle_read_table, document, header))
+    expected = _columns_or_error_line(oracle_read_table, document, header)
+    for _ in _each_block_size():
+        assert _columns_or_error_line(_decoded_table, document, header) == expected
 
 
 # ------------------------------------------------ the byte reader against the retired one
@@ -523,10 +540,14 @@ _measurement_documents = _documents(MEASUREMENT_HEADER, st.tuples(_ids, _good_st
 @example("sensor_id,timestamp,value\nsite0-t,2017-09-30T10:00:00Z,1\n"
          "site0-t\x00,2017-09-30T10:01:00Z,2\n")
 @example("sensor_id,timestamp,value\n\x00,2017-09-30T10:00:00Z,1\n,2017-09-30T10:01:00Z,2\n")
+# a bad value outranks a non-finite one on an earlier line, in an earlier block
+@example("sensor_id,timestamp,value\nsite0-t,2017-09-30T10:00:00Z,inf\n"
+         "site0-t,2017-09-30T10:01:00Z,1\nsite0-t,2017-09-30T10:02:00Z,warm\n")
 def test_parse_measurements_matches_the_retired_parser(document):
     catalog = parse_catalog(_catalog_doc(2))
-    assert (_measurement_outcome(parse_measurements, document, catalog)
-            == _measurement_outcome(oracle_parse_measurements, document, catalog))
+    expected = _measurement_outcome(oracle_parse_measurements, document, catalog)
+    for _ in _each_block_size():
+        assert _measurement_outcome(parse_measurements, document, catalog) == expected
 
 
 @settings(deadline=None, max_examples=100)
@@ -534,15 +555,20 @@ def test_parse_measurements_matches_the_retired_parser(document):
 def test_parse_measurements_matches_the_retired_parser_without_long_double(document):
     """Where long double is a plain double, every value goes to float()."""
     catalog = parse_catalog(_catalog_doc(2))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ingest, "_EXACT_QUOTIENTS", False)
-        got = _measurement_outcome(parse_measurements, document, catalog)
-    assert got == _measurement_outcome(oracle_parse_measurements, document, catalog)
+    expected = _measurement_outcome(oracle_parse_measurements, document, catalog)
+    for _ in _each_block_size():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_EXACT_QUOTIENTS", False)
+            assert _measurement_outcome(parse_measurements, document, catalog) == expected
 
 
 _hours = st.integers(0, 40).map(lambda h: format_iso8601(utc(2017, 9, 30) + 3600 * h))
 _fractions = st.one_of(st.floats(0.0, 1.0).map(repr), st.sampled_from(("0", "1", "-0.0", "1.0")))
 _weather_sites = st.sampled_from(("a", "b", "ab", "", "\x00"))
+
+
+def _weather_doc(rows):
+    return "site_id,timestamp,outdoor_temp_c,wind_speed_ms,cloud_cover\n" + "\n".join(rows) + "\n"
 
 
 def _weather_outcome(load, document):
@@ -562,9 +588,17 @@ def _weather_outcome(load, document):
                   st.tuples(_weather_sites, _hours, _good_values, _fractions, _fractions),
                   st.tuples(_weather_sites, st.one_of(_hours, _stamps), _values, _values,
                             _values)))
+# errors outrank those of later fields and row checks on earlier lines, in earlier blocks
+@example(_weather_doc(["a,2017-09-30T00:00:00Z,15.0,1.0,2.0",
+                       "a,2017-09-30T01:30:00Z,15.0,1.0,0.5"]))
+@example(_weather_doc(["a,2017-09-30T00:00:00Z,15.0,inf,0.5",
+                       "a,2017-09-30T01:00:00Z,warm,1.0,0.5"]))
+@example(_weather_doc(["a,2017-09-30T00:00:00Z,15.0,-1.0,0.5",
+                       "a,2017-09-30T01:00:00Z,15.0,1.0,2.0"]))
 def test_load_weather_matches_the_retired_loader(document):
-    assert _weather_outcome(load_weather, document) == _weather_outcome(oracle_load_weather,
-                                                                        document)
+    expected = _weather_outcome(oracle_load_weather, document)
+    for _ in _each_block_size():
+        assert _weather_outcome(load_weather, document) == expected
 
 
 def test_load_weather_matches_the_retired_loader_on_valid_hours():
@@ -573,8 +607,28 @@ def test_load_weather_matches_the_retired_loader_on_valid_hours():
             f"{h / 3},{h / 50}" for h in range(40) for site in ("b", "a")]
     document = _weather_doc(rows)
     assert len(load_weather(document)["a"]) == 40
-    assert _weather_outcome(load_weather, document) == _weather_outcome(oracle_load_weather,
-                                                                        document)
+    expected = _weather_outcome(oracle_load_weather, document)
+    for _ in _each_block_size():
+        assert _weather_outcome(load_weather, document) == expected
+
+
+def test_parse_measurements_holds_less_than_twice_its_document(catalog):
+    """The reader holds one block's arrays at a time, so that parsing's own peak, numpy's
+    buffers included, stays below twice the document's size; a reader of the whole
+    document held about 5.7 times it here."""
+    rng = np.random.default_rng(3)
+    series = {sid: series_at(sid, utc(2017, 9, 4), 60, rng.normal(21, 1, 33_000))
+              for sid in ("site0-t", "site1-t")}
+    document = write_measurements_csv(series)
+    assert len(document.encode()) > 3_000_000
+    tracemalloc.start()
+    try:
+        parsed = parse_measurements(document, catalog)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(s) for s in parsed.series.values()] == [33_000, 33_000]
+    assert peak < 2 * len(document.encode())
 
 
 # ------------------------------------------------------------ the decimal kernel
@@ -635,10 +689,6 @@ def test_decimal_kernel_matches_float_bit_for_bit(texts):
         assert took == (_plain(text) and not _on_a_midpoint(text)), text
         if took:
             assert value == _float_bits(text), text
-
-
-def _weather_doc(rows):
-    return "site_id,timestamp,outdoor_temp_c,wind_speed_ms,cloud_cover\n" + "\n".join(rows) + "\n"
 
 
 def test_load_weather_48_hours():

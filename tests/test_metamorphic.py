@@ -41,6 +41,7 @@ import pytest
 from schoolsense import cli
 from schoolsense.model import format_iso8601, parse_iso8601
 
+from conftest import parse_stamps
 from test_golden import REPORT_DIGESTS, _spec
 
 SHIFT = timedelta(days=7)
@@ -88,7 +89,7 @@ def _rewrite_rows(path: Path, rewrite) -> None:
 def _shift_stamps(rows: list[str]) -> list[str]:
     """Rows whose second field, a timestamp, is moved by SHIFT."""
     fields = [row.split(",") for row in rows]
-    stamps = parse_iso8601([f[1] for f in fields]) + int(SHIFT.total_seconds())
+    stamps = parse_stamps([f[1] for f in fields]) + int(SHIFT.total_seconds())
     for f, stamp in zip(fields, format_iso8601(stamps)):
         f[1] = stamp
     return [",".join(f) for f in fields]

@@ -21,7 +21,6 @@ from schoolsense.quality import (
     REPAIR_WINDOW,
     FlagKind,
     QualityError,
-    RepairedSeries,
     availability_matrix,
     day_counts,
     fill_missing,
@@ -385,8 +384,8 @@ def test_category_outage_grouping(tiny_catalog):
         "p1": (day, np.array([100]), np.array([75])),
     }
     raw = {m.sensor_id: TimeSeries.empty(m.sensor_id) for m in tiny_catalog.sensors}
-    repairs = {sensor_id: RepairedSeries(s, (), ()) for sensor_id, s in raw.items()}
+    flags = {sensor_id: () for sensor_id in raw}
     stats = _group_quality(CATEGORIES, lambda m: m.kind.category, tiny_catalog, matrix, raw,
-                           repairs)
+                           flags)
     pct = {group: outage for group, _, _, outage, _ in stats}
     assert pct == {"environmental": pytest.approx(25.0), "power": pytest.approx(25.0)}
