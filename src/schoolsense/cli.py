@@ -29,10 +29,11 @@ the other reports hold no dates.
 Each command imports only the modules it runs. A command is a fresh process,
 and without cached bytecode it compiles every module it imports, so a module
 that a command never calls still costs it start-up time. `synthgen` loads in
-`synth` alone, `quality` in `quality`, and `performance` (with the `quality`
-kernel it uses) in `perf`. `comfort` loads with this module, because the
-parser lists its acceptability classes. The exceptions that `main` maps live
-in `model`, `ingest` and here, so mapping them loads nothing more.
+`synth` alone, `quality` in `quality`, `comfort` in `comfort`, and
+`performance` in `perf`; `orderstat`, the order-statistic kernel, loads with
+`quality` and with `performance`. The parser lists the acceptability classes
+from `model`, which defines them for `comfort`. The exceptions that `main`
+maps live in `model`, `ingest` and here, so mapping them loads nothing more.
 
 Errors are mapped to exit codes in `main` only, and each failure prints one
 ``error:`` line to stderr:
@@ -59,7 +60,6 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from . import comfort as comfort_mod
 from .ingest import (
     IngestError,
     SeriesStore,
@@ -70,8 +70,10 @@ from .ingest import (
     parse_measurements,
 )
 from .model import (
+    BAND_HALF_WIDTH,
     CATEGORIES,
     DAY_SECONDS,
+    DEFAULT_ACCEPTABILITY,
     DeploymentCatalog,
     ModelError,
     QualityError,
@@ -352,6 +354,7 @@ def _indoor_room_sensors(catalog: DeploymentCatalog, site_id: str) -> dict[str, 
 
 
 def cmd_comfort(config: RunConfig, start: date, end: date, acceptability: int) -> None:
+    from . import comfort as comfort_mod
     catalog = _parse_file(parse_catalog, config.catalog)
     if config.weather is None:
         raise ConfigError("no weather file configured")
@@ -506,8 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--to", dest="end", type=_parse_date, default=None,
                            required=needs_period)
         if name == "comfort":
-            p.add_argument("--acceptability", type=int, choices=sorted(comfort_mod.BAND_HALF_WIDTH),
-                           default=comfort_mod.DEFAULT_ACCEPTABILITY)
+            p.add_argument("--acceptability", type=int, choices=sorted(BAND_HALF_WIDTH),
+                           default=DEFAULT_ACCEPTABILITY)
     return parser
 
 

@@ -19,7 +19,9 @@ import numpy as np
 
 from .ingest import WeatherHistory
 from .model import (
+    BAND_HALF_WIDTH,
     DAY_SECONDS,
+    DEFAULT_ACCEPTABILITY,
     SCHOOL_DAY_SLOTS,
     SCHOOL_DAY_START,
     Site,
@@ -29,8 +31,6 @@ from .model import (
 
 ADAPTIVE_SLOPE = 0.31
 ADAPTIVE_INTERCEPT = 17.8
-BAND_HALF_WIDTH = {80: 3.5, 90: 2.5}
-DEFAULT_ACCEPTABILITY = 80
 PMO_APPLICABLE_MIN = 10.0
 PMO_APPLICABLE_MAX = 33.5
 LOOKBACK_DAYS = 7  # days of outdoor means in the prevailing mean

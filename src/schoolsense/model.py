@@ -28,6 +28,9 @@ import numpy as np
 DAY_SECONDS = 86400
 SCHOOL_DAY_START = 8 * 3600 + 30 * 60   # 08:30 local, inclusive
 SCHOOL_DAY_SLOTS = 8                    # hourly slots tiling 08:30-16:30
+# the adaptive comfort band's half-width (degC) at each acceptability class (%)
+BAND_HALF_WIDTH = {80: 3.5, 90: 2.5}
+DEFAULT_ACCEPTABILITY = 80
 
 # 1970-01-01 was a Thursday; +3 makes Monday == 0.
 _EPOCH_WEEKDAY_SHIFT = 3

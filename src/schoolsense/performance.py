@@ -33,7 +33,7 @@ from .model import (
     filter_weekends,
     orientation_gain,
 )
-from .quality import WaveletMatrix
+from .orderstat import WaveletMatrix
 
 
 # a room is unshaded when its solar-gain correlation reaches this r
@@ -187,8 +187,11 @@ def detect_occupant_events(
     masquerade as an opened window.
 
     Candidate troughs, the earliest minimum of every window [t, t +
-    `within_minutes`] with at least two samples, come from the rolling order
-    statistic shared with `quality`'s bound test (`quality.WaveletMatrix`, k = 0).
+    `within_minutes`] with at least two samples, come from the order
+    statistic shared with `quality`'s bound test (`orderstat.WaveletMatrix`,
+    k = 0). A window of at most `orderstat.BUCKET` samples, 30 min of
+    readings at 60 s or slower, sorts its own ranks and builds no level of
+    the matrix.
     Only starts that fall by `drop` are checked further, in time order;
     the search resumes after each event's recovery.
     """

@@ -12,14 +12,18 @@ period gets no row in the group reports.
 Outlier bounds follow the interquartile-range rule: values outside
 [Q1 - 3*IQR, Q3 + 3*IQR] of their trailing time window are flagged. The
 quartiles come from all samples in the window, flagged or not, so flags
-never change them and the bound test runs over a whole series at once.
-Most samples never need their exact quartiles: a screen over blocks of
-consecutive samples bounds every window of a block between two ranges,
-the windows' common part and their union, and clears the samples that lie
+never change them and the bound test runs over a whole series at once,
+with `orderstat.WaveletMatrix`. Most samples never need their exact
+quartiles: a screen over blocks of consecutive samples bounds every window
+of a block between two ranges, the windows' common part and their union,
+takes certain bounds on their quartiles from the edges of the quartiles'
+buckets of `orderstat.BUCKET` ranks, and clears the samples that lie
 inside the resulting bounds by more than a rounding margin. Only the
 samples it cannot clear get their four exact order statistics, so the
 screen changes how much is computed, never a flag (`_bound_violations`
-gives the argument).
+gives the argument). A series whose windows all hold at most a bucket,
+such as 1 h of 600 s power readings, skips the screen: each exact query
+sorts its window's ranks directly, and the matrix builds no level.
 Zero readings are flagged for sensor kinds where zero is physically
 implausible, and power sensors are additionally checked for transient
 spikes, sample by sample: each jump is measured against the samples that
@@ -51,6 +55,7 @@ from .model import (
     TimeSeries,
     slice_series,
 )
+from .orderstat import BUCKET, CHUNK, WaveletMatrix
 
 
 # Outlier detection needs a day of distributional context, but repair and
@@ -130,60 +135,6 @@ def _window_starts(times: np.ndarray, at: np.ndarray, w: int) -> np.ndarray:
     return np.searchsorted(times, at - w, side="right")
 
 
-class WaveletMatrix:
-    """Positions of the k-th smallest (0-based) of values[lo:hi], for many
-    queries (lo, hi, k) at once, from tables built once per series.
-
-    The wavelet matrix is built over the values' ranks, one level per bit
-    of the rank, most significant first. At each level the samples are
-    stably split by that bit, zeros first, and the level's table counts the
-    zeros before every range boundary: a boundary i with z zeros before it
-    lands at z on the next level when a query follows the zeros, and at
-    i + (the level's zeros) - z when it follows the ones. A query walks the
-    levels in one vector step each: a query whose k lies past the zeros of
-    its range takes the ones. Ranks follow a stable sort, so of equal
-    values the earlier position ranks first: with k = 0 a tie resolves to
-    the earliest position, as `np.argmin` does. The tables hold
-    ceil(log2 n) rows of n + 1 integers, 4 bytes each below 2**30 samples:
-    about 4 * n * log2(n) bytes, 40 MB for a year of 60 s samples.
-    """
-
-    def __init__(self, values: np.ndarray):
-        n = len(values)
-        index = np.int32 if n < 2**30 else np.int64  # the split sums reach 2n
-        self.order = np.argsort(values, kind="stable")
-        level = np.empty(n, dtype=index)
-        level[self.order] = np.arange(n, dtype=index)
-        ones_base = np.arange(n, dtype=index)
-        self.bits = (n - 1).bit_length()
-        # zeros[d, i]: samples before boundary i of level d whose bit is 0
-        self.zeros = np.zeros((self.bits, n + 1), dtype=index)
-        for depth, bit in enumerate(reversed(range(self.bits))):
-            zero = (level & (1 << bit)) == 0
-            before = self.zeros[depth]
-            np.cumsum(zero, out=before[1:])
-            # the stable split: sample i moves to where boundary i lands
-            split = np.empty_like(level)
-            split[np.where(zero, before[:-1], ones_base + before[-1] - before[:-1])] = level
-            level = split
-
-    def kth_smallest(self, lo: np.ndarray, hi: np.ndarray, k: np.ndarray) -> np.ndarray:
-        k = k.copy()
-        rank = np.zeros(len(k), dtype=np.int64)
-        for depth, bit in enumerate(reversed(range(self.bits))):
-            before = self.zeros[depth]
-            zeros_lo = before.take(lo)
-            zeros_hi = before.take(hi)
-            zeros = zeros_hi - zeros_lo
-            up = k >= zeros
-            k -= zeros * up
-            rank |= up.astype(np.int64) << bit
-            level_zeros = before[-1]
-            lo = np.where(up, lo + level_zeros - zeros_lo, zeros_lo)
-            hi = np.where(up, hi + level_zeros - zeros_hi, zeros_hi)
-        return self.order[rank]
-
-
 def _interp(a: np.ndarray, b: np.ndarray, frac: np.ndarray) -> np.ndarray:
     """The quantile at rank r + frac of m sorted values, from their r-th and
     (r + 1)-th smallest a <= b: quantile q has rank (m - 1) * q, and between
@@ -205,7 +156,8 @@ def _screen(values: np.ndarray, matrix: WaveletMatrix, lo: np.ndarray, hi: np.nd
     `_bound_violations` certainly keep inside their windows' bounds."""
     n = len(lo)
     scale = float(np.max(np.abs(values), initial=0.0))
-    if not math.isfinite(8.0 * scale):  # the exact path may overflow: screen nothing
+    # the exact path may overflow, or sorts every window's own ranks: screen nothing
+    if not math.isfinite(8.0 * scale) or not (hi - lo > BUCKET).any():
         return np.zeros(n, dtype=bool)
     first = np.arange(0, n, SCREEN_BLOCK)
     final = np.minimum(first + SCREEN_BLOCK, n) - 1
@@ -213,10 +165,10 @@ def _screen(values: np.ndarray, matrix: WaveletMatrix, lo: np.ndarray, hi: np.nd
     rank1 = np.maximum.reduceat(np.minimum((last * 0.25).astype(np.int64) + 1, last), first)
     rank3 = np.minimum.reduceat((last * 0.75).astype(np.int64), first)
     bounded = np.flatnonzero(rank1 < hi[first] - lo[final])
-    at = matrix.kth_smallest(np.concatenate((lo[first[bounded]], lo[final[bounded]])),
-                             np.concatenate((hi[final[bounded]], hi[first[bounded]])),
-                             np.concatenate((rank3[bounded], rank1[bounded])))
-    l3, h1 = np.split(values[at], 2)
+    least, greatest = matrix.bucket_edges(np.concatenate((lo[first[bounded]], lo[final[bounded]])),
+                                          np.concatenate((hi[final[bounded]], hi[first[bounded]])),
+                                          np.concatenate((rank3[bounded], rank1[bounded])))
+    l3, h1 = values[least[:len(bounded)]], values[greatest[len(bounded):]]
     margin = SCREEN_MARGIN * scale
     below = np.full(len(first), np.inf)  # a block without H1 clears nothing
     above = np.full(len(first), -np.inf)
@@ -243,33 +195,42 @@ def _bound_violations(values: np.ndarray, starts: np.ndarray, min_window_samples
     k shrinks. So L3, the block's least r3-th smallest of U, is at most
     every a3, and H1, its greatest (r1 + 1)-th smallest of I, is at least
     every b1; a block whose I is too short for that rank clears nothing.
-    In exact arithmetic, a sample between 4*H1 - 3*L3 and 4*L3 - 3*H1 is
-    then inside its bounds q1 - 3*(q3 - q1) and q3 + 3*(q3 - q1). The
-    screen narrows that interval by `SCREEN_MARGIN` * max|values|, more
-    than the rounding of both computations can move them, so the exact
-    path would not flag a cleared sample either. A series reaching an
-    eighth of the float64 range is not screened: there the exact path may
-    overflow, and an infinite quartile can flag a sample.
+    The screen does not find L3 and H1 themselves but the edges of their
+    `BUCKET`-rank buckets (`WaveletMatrix.bucket_edges`): L3' <= L3, the
+    value of the smallest rank in L3's bucket, and H1' >= H1, that of the
+    largest rank in H1's. In exact arithmetic, a sample between
+    4*H1' - 3*L3' and 4*L3' - 3*H1' is then inside its bounds
+    q1 - 3*(q3 - q1) and q3 + 3*(q3 - q1). The screen narrows that interval
+    by `SCREEN_MARGIN` * max|values|, more than the rounding of both
+    computations can move them, so the exact path would not flag a cleared
+    sample either. A series reaching an eighth of the float64 range is not
+    screened: there the exact path may overflow, and an infinite quartile
+    can flag a sample. Nor is a series whose windows all hold at most
+    `BUCKET` samples: each of its exact queries sorts its window's own
+    ranks, which costs less than the screen's walk and builds no table.
+    The exact queries run `CHUNK` samples at a time, so their arrays do
+    not grow with the series.
     """
     ends = np.arange(1, len(values) + 1)
     tested = np.flatnonzero(ends - starts >= min_window_samples)
     matrix = WaveletMatrix(values)
     candidates = tested[~_screen(values, matrix, starts[tested], ends[tested])]
-    lo, hi = starts[candidates], ends[candidates]
-    last = hi - lo - 1
-    pos1, pos3 = last * 0.25, last * 0.75
-    r1, r3 = pos1.astype(np.int64), pos3.astype(np.int64)
-    ranks = np.concatenate((r1, np.minimum(r1 + 1, last), r3, np.minimum(r3 + 1, last)))
-    at = matrix.kth_smallest(np.tile(lo, 4), np.tile(hi, 4), ranks)
-    a1, b1, a3, b3 = np.split(values[at], 4)
-    q1 = _interp(a1, b1, pos1 - r1)
-    q3 = _interp(a3, b3, pos3 - r3)
-    v = values[candidates]
-    with np.errstate(over="ignore", invalid="ignore"):
-        iqr = q3 - q1
-        outside = (v < q1 - 3.0 * iqr) | (v > q3 + 3.0 * iqr)
     mask = np.zeros(len(values), dtype=bool)
-    mask[candidates[outside]] = True
+    for first in range(0, len(candidates), CHUNK):
+        at = candidates[first:first + CHUNK]
+        lo, hi = starts[at], ends[at]
+        last = hi - lo - 1
+        pos1, pos3 = last * 0.25, last * 0.75
+        r1, r3 = pos1.astype(np.int64), pos3.astype(np.int64)
+        ranks = np.stack((r1, np.minimum(r1 + 1, last), r3, np.minimum(r3 + 1, last)), axis=1)
+        a1, b1, a3, b3 = values[matrix.kth_smallest(lo, hi, ranks)].T
+        q1 = _interp(a1, b1, pos1 - r1)
+        q3 = _interp(a3, b3, pos3 - r3)
+        v = values[at]
+        with np.errstate(over="ignore", invalid="ignore"):
+            iqr = q3 - q1
+            outside = (v < q1 - 3.0 * iqr) | (v > q3 + 3.0 * iqr)
+        mask[at[outside]] = True
     return mask
 
 

@@ -83,10 +83,10 @@ def test_cli_import_does_not_load_scipy(tmp_path):
     # hashlib loads OpenSSL, about 3.6 MB of RSS per command; the store uses zlib.crc32.
     # numpy.ma costs about 12 ms per command; a plain np.unique or np.percentile loads it.
     # Only synth runs the generator, and each analysis module loads in the commands
-    # that run it (performance uses a quality kernel); synth loads none of them, and
-    # its hashlib comes with numpy.random (through secrets).
+    # that run it (quality and performance share the orderstat kernel); synth loads
+    # none of them, and its hashlib comes with numpy.random (through secrets).
     watched = ("numpy.ma", "schoolsense.synthgen", "schoolsense.quality",
-               "schoolsense.performance")
+               "schoolsense.performance", "schoolsense.comfort", "schoolsense.orderstat")
     code = ("import sys, schoolsense.cli; "
             "code = schoolsense.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
             "print(code, sorted(m for m in sys.modules "
@@ -96,9 +96,9 @@ def test_cli_import_does_not_load_scipy(tmp_path):
         (["synth", str(tmp_path / "spec.json"), "--out", str(tmp_path / "again")],
          ["hashlib", "schoolsense.synthgen"]),
         (["ingest", *config], []),
-        (["quality", *config], ["schoolsense.quality"]),
-        (["comfort", *test_cli.COMFORT, *config], []),
-        (["perf", *config], ["schoolsense.performance", "schoolsense.quality"]),
+        (["quality", *config], ["schoolsense.orderstat", "schoolsense.quality"]),
+        (["comfort", *test_cli.COMFORT, *config], ["schoolsense.comfort"]),
+        (["perf", *config], ["schoolsense.orderstat", "schoolsense.performance"]),
     ):
         out = subprocess.run([sys.executable, "-c", code, *command], env=env, check=True,
                              capture_output=True, text=True, timeout=60).stdout

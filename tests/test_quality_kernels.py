@@ -6,15 +6,20 @@ Every comparison is exact: byte-equal flag records, series and time arrays
 
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from schoolsense import orderstat, quality
 from schoolsense.model import SensorKind, SensorMeta, TimeSeries
+from schoolsense.orderstat import BUCKET, WaveletMatrix
 from schoolsense.quality import (
     FLAG_RECORD,
+    POWER_WINDOW,
     FlagKind,
-    WaveletMatrix,
     _screen,
     _window_starts,
     fill_missing,
@@ -167,32 +172,77 @@ def test_fill_missing_matches_loop(s, window, rate):
 
 
 def test_kth_smallest_returns_earliest_position_of_tied_minima():
-    # 1.0 three times, and zeros of both signs, which compare equal
-    values = np.array([3.0, 1.0, 2.0, 1.0, 1.0, 0.0, -0.0, 0.0, 5.0])
-    lo = np.array([0, 2, 4, 5, 6, 0, 8])
-    hi = np.array([5, 5, 5, 8, 8, 9, 9])
+    # 1.0 three times, and zeros of both signs, which compare equal; then a
+    # run of 40 ties, so a range over it walks down to its bucket
+    values = np.array([3.0, 1.0, 2.0, 1.0, 1.0, 0.0, -0.0, 0.0, 5.0, *[-0.0, 0.0] * 20, 7.0])
+    lo = np.array([0, 2, 4, 5, 6, 0, 8, 9, 10, 8, 30, 0])
+    hi = np.array([5, 5, 5, 8, 8, 9, 9, 49, 50, 50, 50, 50])
     got = WaveletMatrix(values).kth_smallest(lo, hi, np.zeros(len(lo), dtype=np.int64))
-    assert got.tolist() == [1, 3, 4, 5, 6, 5, 8]
+    assert got.tolist() == [1, 3, 4, 5, 6, 5, 8, 9, 10, 9, 30, 5]
     assert got.tolist() == [a + int(np.argmin(values[a:b])) for a, b in zip(lo, hi)]
 
 
 @st.composite
 def ranges(draw, n):
-    lo = draw(st.integers(0, n - 1))
-    return lo, draw(st.integers(lo + 1, n))
+    """A range of at most `BUCKET` samples, which sorts its own ranks, or of any width."""
+    width = draw(st.one_of(st.integers(1, min(n, BUCKET)), st.integers(1, n)))
+    lo = draw(st.integers(0, n - width))
+    return lo, lo + width
+
+
+@st.composite
+def ranked_values(draw):
+    n = draw(st.integers(1, 300))
+    vals = draw(st.lists(st.one_of(st.sampled_from(TIED_VALUES), st.floats(allow_nan=False)),
+                         min_size=n, max_size=n))
+    return np.array(vals, dtype=np.float64), draw(st.lists(ranges(n), min_size=1, max_size=8))
+
+
+def _every_rank(pairs):
+    """(lo, hi, k) queries for every rank of every range."""
+    lo = np.array([a for a, b in pairs for _ in range(b - a)])
+    hi = np.array([b for a, b in pairs for _ in range(b - a)])
+    return lo, hi, np.concatenate([np.arange(b - a) for a, b in pairs])
+
+
+def _assert_every_rank(values, pairs):
+    lo, hi, k = _every_rank(pairs)
+    order = [a + np.argsort(values[a:b], kind="stable") for a, b in pairs]
+    matrix = WaveletMatrix(values)
+    assert matrix.kth_smallest(lo, hi, k).tolist() == np.concatenate(order).tolist()
+    # a row of ranks per range: each rank, and its mirror from the top
+    rows = np.stack((k, hi - lo - 1 - k), axis=1)
+    want = [[w, m] for o in order for w, m in zip(o, o[::-1])]
+    assert matrix.kth_smallest(lo, hi, rows).tolist() == want
 
 
 @settings(deadline=None, max_examples=150)
-@given(st.data(), st.lists(st.one_of(st.sampled_from(TIED_VALUES), st.floats(allow_nan=False)),
-                           min_size=1, max_size=70))
-def test_kth_smallest_matches_stable_argsort_for_every_rank(data, vals):
-    values = np.array(vals, dtype=np.float64)
-    pairs = data.draw(st.lists(ranges(len(values)), min_size=1, max_size=8))
-    lo = np.array([a for a, b in pairs for _ in range(b - a)])
-    hi = np.array([b for a, b in pairs for _ in range(b - a)])
-    k = np.concatenate([np.arange(b - a) for a, b in pairs])
-    want = [a + int(np.argsort(values[a:b], kind="stable")[r]) for a, b, r in zip(lo, hi, k)]
-    assert WaveletMatrix(values).kth_smallest(lo, hi, k).tolist() == want
+@given(ranked_values())
+def test_kth_smallest_matches_stable_argsort_for_every_rank(case):
+    _assert_every_rank(*case)
+
+
+@settings(deadline=None, max_examples=50)
+@given(ranked_values())
+def test_kth_smallest_matches_stable_argsort_across_chunks(case):
+    # chunks of 5 rows: most queries' rows straddle a chunk boundary
+    with mock.patch.object(orderstat, "CHUNK", 5):
+        _assert_every_rank(*case)
+
+
+@settings(deadline=None, max_examples=100)
+@given(ranked_values())
+def test_bucket_edges_bound_the_kth_smallest(case):
+    values, pairs = case
+    lo, hi, k = _every_rank(pairs)
+    # a fresh matrix: the edges must not depend on an earlier query's build
+    matrix = WaveletMatrix(values)
+    least, greatest = matrix.bucket_edges(lo, hi, k)
+    at = matrix.kth_smallest(lo, hi, k)
+    ranks = matrix.ranks
+    assert (ranks[least] <= ranks[at]).all() and (ranks[at] <= ranks[greatest]).all()
+    assert (ranks[greatest] - ranks[least] < BUCKET).all()
+    assert (ranks[least] % BUCKET == 0).all()
 
 
 def _cleared_share(s, window, min_window_samples=4):
@@ -218,6 +268,43 @@ def test_flag_outliers_matches_loop_where_the_screen_clears(seed, outage, digits
     assert _cleared_share(s, window) > 0.5
     for kind in (SensorKind.INDOOR_TEMPERATURE, SensorKind.POWER_PHASE):
         _assert_same_flags(s, window, kind=kind)
+
+
+def test_flag_outliers_matches_loop_where_narrow_and_wide_windows_mix():
+    # 60 s readings under 24 h windows, broken by outages of 40 min to 30 h:
+    # after each outage of over a day the windows refill from a single sample
+    # to over a thousand
+    rng = np.random.default_rng(23)
+    gaps = np.ones(6 * 1440, dtype=np.int64)
+    gaps[rng.integers(0, len(gaps), 12)] = np.concatenate((rng.integers(40, 23 * 60, 6),
+                                                          rng.integers(25 * 60, 30 * 60, 6)))
+    times = T0 + 60 * np.cumsum(gaps)
+    vals = np.round(20.0 + 3.0 * np.sin(times / 9000.0) + rng.normal(0, 0.3, len(times)), 1)
+    vals[rng.integers(0, len(vals), 30)] = rng.choice((0.0, -40.0, 90.0), 30)
+    s = TimeSeries("s", times, vals)
+    counts = np.arange(1, len(s) + 1) - _window_starts(s.times, s.times, 24 * 3600)
+    assert (counts <= BUCKET).sum() > 100 and (counts > BUCKET).sum() > 100
+    want = oracle_flag_outliers(s, 24 * 3600)
+    assert len(want)
+    _assert_same(flag_outliers(s, 24 * 3600), want)
+    # chunks of 7: the exact quartiles and their sorted rows cross many chunk ends
+    with mock.patch.object(orderstat, "CHUNK", 7), mock.patch.object(quality, "CHUNK", 7):
+        _assert_same(flag_outliers(s, 24 * 3600), want)
+
+
+def test_flag_outliers_memory_on_narrow_windows():
+    # 140 days of 600 s power readings: every 1 h window holds at most 6
+    # samples, so the bound test sorts ranks directly and builds no level table
+    rng = np.random.default_rng(5)
+    times = T0 + 600 * np.arange(20160, dtype=np.int64)
+    s = TimeSeries("s", times, np.round(rng.normal(500.0, 20.0, len(times)), 1))
+    tracemalloc.start()
+    try:
+        flag_outliers(s, POWER_WINDOW, kind=SensorKind.POWER_PHASE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
 
 
 MAX = 1.7976931348623157e308
