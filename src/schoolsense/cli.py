@@ -35,12 +35,15 @@ that a command never calls still costs it start-up time. `synthgen` loads in
 from `model`, which defines them for `comfort`. The exceptions that `main`
 maps live in `model`, `ingest` and here, so mapping them loads nothing more.
 
+Every text file a command reads or writes is UTF-8 whatever the locale.
+
 Errors are mapped to exit codes in `main` only, and each failure prints one
 ``error:`` line to stderr:
 
   0  success
   1  environment or I/O failure: a file cannot be read or written
-     (OSError), or the store on disk is inconsistent (StoreIntegrityError)
+     (OSError) or named in the locale's encoding (UnicodeEncodeError),
+     or the store on disk is inconsistent (StoreIntegrityError)
   2  usage, config or input error: bad arguments, ConfigError (including a
      stage run before its inputs exist, or a period with no days in it),
      ScenarioError, a malformed input file (IngestError), ModelError or
@@ -123,7 +126,7 @@ def load_config(path: Path | str) -> RunConfig:
     """Read a JSON config file."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -159,13 +162,13 @@ def load_config(path: Path | str) -> RunConfig:
 
 def _write_csv(path: Path, header: str, rows: list[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join([header, *rows]) + "\n")
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
 
 
 def _parse_file(parse, path: Path, *args):
     """Read one input file and parse it; a format error names the file."""
     try:
-        return parse(path.read_text(), *args)
+        return parse(path.read_text(encoding="utf-8"), *args)
     except (IngestError, UnicodeDecodeError) as exc:
         raise IngestError(f"{path}: {exc}") from None
 
@@ -178,7 +181,10 @@ def generate(spec, out_dir: Path):
 
 def cmd_synth(spec_path: Path, out_dir: Path) -> None:
     from .synthgen import ScenarioSpec
-    spec = ScenarioSpec.from_json(Path(spec_path).read_text())
+    try:
+        spec = ScenarioSpec.from_json(Path(spec_path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"cannot read spec {spec_path}: {exc}") from None
     scenario = generate(spec, out_dir)
     truth = scenario.ground_truth
     n_rooms = sum(len(s.rooms) for s in scenario.catalog.sites)
@@ -475,7 +481,7 @@ def cmd_perf(config: RunConfig, start: date | None = None, end: date | None = No
                "site_id,room_id,kind,metric,value,dates", anomaly_rows)
     notes_text = "".join(f"# {n}\n" for n in notes)
     (config.out / "perf_anomalies.txt").write_text(
-        notes_text + "\n".join(text_lines) + ("\n" if text_lines else ""))
+        notes_text + "\n".join(text_lines) + ("\n" if text_lines else ""), encoding="utf-8")
     print(f"performance reports written to {config.out}: "
           f"{len(anomaly_rows)} anomaly records")
 
@@ -543,6 +549,9 @@ def main(argv: list[str] | None = None) -> int:
         _run(args)
     except (OSError, StoreIntegrityError) as exc:
         return _fail(exc, EXIT_IO)
+    except UnicodeEncodeError as exc:
+        return _fail(f"cannot encode {exc.object!r} in the locale's encoding, {exc.encoding}; "
+                     f"use a UTF-8 locale", EXIT_IO)
     except (ConfigError, ScenarioError, IngestError, ModelError, QualityError) as exc:
         return _fail(exc, EXIT_USAGE)
     return EXIT_OK

@@ -44,8 +44,11 @@ result unless it lands exactly on a midpoint; such values, every other
 spelling, and every value where long double has fewer than 64 bits, are
 decoded to str one at a time and given to float(). Only an error computes a
 line number, from its row's byte offset and its block's first line. A
-document raises the error it would raise if it were read in one block
-(`_read_groups`).
+document raises the error it would raise if it were read in one block: when
+a block's checks fail, every line below the header is read again as one
+block (`_read_groups`).
+
+Every text file, CSV or JSON, is UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -80,9 +83,7 @@ WEATHER_HEADER = ["site_id", "timestamp", "outdoor_temp_c", "wind_speed_ms", "cl
 
 
 class IngestError(ValueError):
-    """Malformed input document; `rank` orders the errors of a CSV's blocks (`_read_groups`)."""
-
-    rank: tuple[int, int] | None = None
+    """Malformed input document."""
 
 
 class CatalogError(IngestError):
@@ -282,12 +283,9 @@ class _Table:
         """The number of a row's line in the file, counting from 1, blank lines included."""
         return int(np.count_nonzero(self.data[:self.starts[row]] == ord("\n"))) + self.first_line
 
-    def error(self, error: type[IngestError], row: int, message: str,
-              rank: tuple[int, int]) -> IngestError:
-        """`error` naming a row's line, with its `rank`."""
-        exc = error(f"line {self.line(row)}: {message}")
-        exc.rank = rank
-        return exc
+    def error(self, error: type[IngestError], row: int, message: str) -> IngestError:
+        """`error` naming a row's line."""
+        return error(f"line {self.line(row)}: {message}")
 
 
 # Below its header, a document is read in blocks of about this many characters,
@@ -400,7 +398,7 @@ def _time_column(table: _Table, error: type[IngestError]) -> np.ndarray:
     try:
         return parse_iso8601_bytes(table.data, *table.field(1))
     except ModelError as exc:
-        raise table.error(error, exc.index, str(exc), (1, 0)) from None
+        raise table.error(error, exc.index, str(exc)) from None
 
 
 # The fast path's quotient M / 10**f is correctly rounded only where long
@@ -485,12 +483,11 @@ def _float_column(table: _Table, k: int, error: type[IngestError]) -> np.ndarray
         try:
             values[i] = float(text)
         except ValueError:
-            raise table.error(error, i, f"bad value {text!r}", (k, 0)) from None
+            raise table.error(error, i, f"bad value {text!r}") from None
     bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
         i = int(bad[0])
-        raise table.error(error, i, f"non-finite value {table.text(starts[i], stops[i])!r}",
-                          (k, 1))
+        raise table.error(error, i, f"non-finite value {table.text(starts[i], stops[i])!r}")
     return values
 
 
@@ -512,29 +509,22 @@ def _read_groups(document: str, header: list[str], error: type[IngestError], rea
     block, as ``{key: (column, ...)}``; a key's columns are joined over the
     blocks in file order.
 
-    `_read_table`'s errors (a quote, the header, a field count) outrank every
-    other and are raised at once. `read_block` raises `error` ranked by the
-    field it checked and its check in that field: a bad stamp, then each
-    value field's bad and then non-finite values, then checks of whole rows.
-    Such an error is held, since a later block may hold one of a lower rank,
-    and no block's columns are kept after it. The document raises the error
-    of the lowest rank, and of those the first line's, as a reader of the
-    whole document would.
+    A document raises the error it would raise if it were read in one block.
+    `_read_table` raises it for a quote, the header or a field count. But
+    `read_block` checks each field over its own block only, so when it
+    raises, all lines below the header, numbered from 2, are read again as
+    one block and that read's error is raised; a good document is read once.
     """
     parts: dict[str, list[tuple[np.ndarray, ...]]] = {}
-    held = None
     for table in _read_table(document, header, error):
         try:
             groups = read_block(table, *args)
-        except error as exc:
-            if held is None or exc.rank < held.rank:
-                held = exc
-            continue
-        if held is None:
-            for key, columns in groups.items():
-                parts.setdefault(key, []).append(columns)
-    if held is not None:
-        raise held
+        except error:
+            body = document.find("\n") + 1
+            read_block(_read_block(document[body:], 2, len(header) - 1, error)[0], *args)
+            raise  # the one-block read passed: keep the block's error
+        for key, columns in groups.items():
+            parts.setdefault(key, []).append(columns)
     for key in sorted(parts):
         yield key, [np.concatenate(column) for column in zip(*parts.pop(key))]
 
@@ -606,13 +596,12 @@ def _weather_block(table: _Table) -> dict[str, tuple[np.ndarray, ...]]:
     keys, codes = _key_codes(table)
     times = _time_column(table, WeatherFormatError)
     temp, wind, cloud = (_float_column(table, k, WeatherFormatError) for k in (2, 3, 4))
-    for check, (bad, message) in enumerate((
+    for bad, message in (
             (times % 3600 != 0, "timestamp not on the hourly grid"),
             ((cloud < 0.0) | (cloud > 1.0), "cloud cover outside [0, 1]"),
-            (wind < 0.0, "negative wind speed"))):
+            (wind < 0.0, "negative wind speed")):
         if bad.any():
-            raise table.error(WeatherFormatError, int(np.argmax(bad)), message,
-                              (len(WEATHER_HEADER), check))
+            raise table.error(WeatherFormatError, int(np.argmax(bad)), message)
     return {key: (times[idx], temp[idx], wind[idx], cloud[idx])
             for key, idx in _group_rows(codes, keys).items()}
 
@@ -670,7 +659,7 @@ class SeriesStore:
         if not manifest_path.exists():
             raise StoreIntegrityError(f"{sensor_dir}: missing manifest")
         try:
-            manifest = json.loads(manifest_path.read_text())
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         except ValueError as exc:  # not UTF-8 or not JSON
             raise StoreIntegrityError(f"{manifest_path}: corrupt manifest: {exc}") from None
         # JSON decodes to exact types, and `type(...) is int` also refuses true and false
@@ -715,8 +704,8 @@ class SeriesStore:
         records["t"], records["v"] = series.times, series.values
         data = records.tobytes()
         (sensor_dir / "records.bin").write_bytes(data)
-        (sensor_dir / "manifest.json").write_text(
-            json.dumps({"crc32": zlib.crc32(data), "rows": len(records)}) + "\n")
+        manifest = {"crc32": zlib.crc32(data), "rows": len(records)}
+        (sensor_dir / "manifest.json").write_text(json.dumps(manifest) + "\n", encoding="utf-8")
         days = series.times // DAY_SECONDS
         return int(np.count_nonzero(np.diff(days))) + 1 if len(days) else 0
 

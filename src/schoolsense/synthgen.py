@@ -806,16 +806,16 @@ def generate(spec: ScenarioSpec, out_dir: Path | str | None = None) -> Generated
     if out_dir is not None:
         out_path = Path(out_dir)
         (out_path / "measurements").mkdir(parents=True, exist_ok=True)
-        (out_path / "catalog.json").write_text(catalog_to_json(catalog))
-        (out_path / "weather.csv").write_text(write_weather_csv(weather))
-        (out_path / "ground_truth.json").write_text(truth.to_json())
+        (out_path / "catalog.json").write_text(catalog_to_json(catalog), encoding="utf-8")
+        (out_path / "weather.csv").write_text(write_weather_csv(weather), encoding="utf-8")
+        (out_path / "ground_truth.json").write_text(truth.to_json(), encoding="utf-8")
         for site_spec in spec.sites:
             site_series = {
                 m.sensor_id: series[m.sensor_id]
                 for m in metas if m.site_id == site_spec.site_id
             }
             (out_path / "measurements" / f"{site_spec.site_id}.csv").write_text(
-                write_measurements_csv(site_series))
+                write_measurements_csv(site_series), encoding="utf-8")
 
     return GeneratedScenario(
         catalog=catalog, series=series, weather=weather,

@@ -512,6 +512,67 @@ def test_non_utf8_config_exits_2(work, capsys):
     _assert_one_error_line(err)
 
 
+def test_non_utf8_spec_exits_2(work, capsys):
+    spec = work / "spec.json"
+    _append_bytes(spec)
+    code, err = _run(["synth", str(spec), "--out", str(work / "synth")], capsys)
+    assert code == 2
+    assert f"cannot read spec {spec}" in err
+    _assert_one_error_line(err)
+
+
+# A locale whose encoding is ASCII, for files and file names alike.
+_ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def _fresh_ascii_locale(argv) -> subprocess.CompletedProcess:
+    """The command in a fresh process under `_ASCII_LOCALE`."""
+    code = "import sys\nfrom schoolsense import cli\nsys.exit(cli.main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          env={**_fresh_process_env(), **_ASCII_LOCALE},
+                          capture_output=True, text=True, encoding="utf-8",
+                          errors="backslashreplace", timeout=60)
+
+
+def test_files_are_utf8_under_an_ascii_locale(work):
+    """A non-ASCII room id in the catalog, under an ASCII locale: every stage reads and
+    writes UTF-8, and its reports equal those of the same stages run in-process."""
+    catalog = json.loads((work / "inputs" / "catalog.json").read_text(encoding="utf-8"))
+    for entry in [*catalog["sites"][0]["rooms"], *catalog["sensors"]]:
+        if entry.get("room_id") == "a":
+            entry["room_id"] = "aula-ö"
+    (work / "utf8_catalog.json").write_text(json.dumps(catalog, ensure_ascii=False),
+                                            encoding="utf-8")
+    runs = {}
+    for name in ("fresh", "in_process"):
+        config = _write_config(work, catalog=str(work / "utf8_catalog.json"),
+                               store=str(work / name / "store"), out=str(work / name / "out"))
+        for command in (["ingest"], ["quality"], ["comfort", *COMFORT], ["perf"]):
+            argv = [command[0], *config, *command[1:]]
+            if name == "fresh":
+                run = _fresh_ascii_locale(argv)
+                assert run.returncode == 0, run.stderr
+            else:
+                assert cli.main(argv) == 0
+        out = work / name / "out"
+        runs[name] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert runs["fresh"] == runs["in_process"]
+    assert "aula-ö".encode() in runs["fresh"][Path("comfort_daily.csv")]
+
+
+def test_file_name_the_locale_cannot_encode_exits_1(work):
+    """A config naming a non-ASCII measurement file, under an ASCII locale: the file
+    name has no form in the file system's encoding."""
+    config = json.loads((work / "config.json").read_text(encoding="utf-8"))
+    config["measurements"] = [str(work / "mätningar.csv")]
+    (work / "config.json").write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
+    run = _fresh_ascii_locale(["ingest", "--config", str(work / "config.json")])
+    assert run.returncode == 1, run.stderr
+    # stderr writes what it cannot encode as escapes
+    assert "cannot encode" in run.stderr and r"m\xe4tningar.csv" in run.stderr
+    _assert_one_error_line(run.stderr)
+
+
 def test_config_root_must_be_an_object(work, capsys):
     (work / "config.json").write_text("[]")
     code, err = _run(["quality", "--config", str(work / "config.json")], capsys)

@@ -543,6 +543,9 @@ _measurement_documents = _documents(MEASUREMENT_HEADER, st.tuples(_ids, _good_st
 # a bad value outranks a non-finite one on an earlier line, in an earlier block
 @example("sensor_id,timestamp,value\nsite0-t,2017-09-30T10:00:00Z,inf\n"
          "site0-t,2017-09-30T10:01:00Z,1\nsite0-t,2017-09-30T10:02:00Z,warm\n")
+# a field count on a later line outranks a bad value in an earlier block
+@example("sensor_id,timestamp,value\nsite0-t,2017-09-30T10:00:00Z,warm\n"
+         "site0-t,2017-09-30T10:01:00Z,1\nsite0-t,2017-09-30T10:02:00Z\n")
 def test_parse_measurements_matches_the_retired_parser(document):
     catalog = parse_catalog(_catalog_doc(2))
     expected = _measurement_outcome(oracle_parse_measurements, document, catalog)
