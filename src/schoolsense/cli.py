@@ -34,6 +34,15 @@ that a command never calls still costs it start-up time. `synthgen` loads in
 `quality` and with `performance`. The parser lists the acceptability classes
 from `model`, which defines them for `comfort`. The exceptions that `main`
 maps live in `model`, `ingest` and here, so mapping them loads nothing more.
+Start-up is also why no class on an analysis command's path is a dataclass:
+each one takes about 1 ms to build in every process, so results are
+`NamedTuple`s, values that check their fields are plain ``__slots__``
+classes, and only `synth` loads `dataclasses`. Teardown is cut too: `entry`,
+which the console script and ``python -m schoolsense.cli`` run, freezes the
+garbage collector once `main` returns, so the interpreter's finalizing
+collections skip the heap the imports built (numpy's above all), and the OS
+reclaims it. That saves about 20 ms a command. `main` freezes nothing, so a
+caller that runs it in-process keeps its own collector as it was.
 
 Every text file a command reads or writes is UTF-8 whatever the locale.
 
@@ -53,13 +62,12 @@ Errors are mapped to exit codes in `main` only, and each failure prints one
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import gc
 import json
 import sys
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -107,8 +115,7 @@ class ConfigError(ValueError):
     """Bad config, or a command that cannot run with what is configured."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Where the analysis commands read and write."""
 
     catalog: Path
@@ -134,7 +141,7 @@ def load_config(path: Path | str) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
 
-    keys = [f.name for f in dataclasses.fields(RunConfig)]
+    keys = RunConfig._fields
     unknown = set(data) - set(keys)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}; a config names "
@@ -557,5 +564,12 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
+def entry() -> None:
+    """Run `main` on the command line and exit with its code, the collector frozen."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

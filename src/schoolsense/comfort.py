@@ -11,9 +11,8 @@ temperature falls inside the band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -42,16 +41,20 @@ class ComfortError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class DailyComfortScore:
-    day: int  # days since epoch, local calendar
-    score: float
-    hours_evaluated: int
-    t_pmo: float
+    __slots__ = ("day", "score", "hours_evaluated", "t_pmo")
 
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise ComfortError(f"score {self.score} outside [0, 1]")
+    def __init__(self, day: int, score: float, hours_evaluated: int, t_pmo: float):
+        if not 0.0 <= score <= 1.0:
+            raise ComfortError(f"score {score} outside [0, 1]")
+        self.day = day  # days since epoch, local calendar
+        self.score = score
+        self.hours_evaluated = hours_evaluated
+        self.t_pmo = t_pmo
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"DailyComfortScore({fields})"
 
 
 def _segment_means(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -110,8 +113,7 @@ def _quartiles(values: np.ndarray) -> tuple[float, float]:
     return q1, q3
 
 
-@dataclass(frozen=True)
-class SiteComfortSummary:
+class SiteComfortSummary(NamedTuple):
     room_scores: dict[str, tuple[DailyComfortScore, ...]]
     mean: float
     minimum: float

@@ -56,8 +56,8 @@ from __future__ import annotations
 import json
 import zlib
 from collections.abc import Iterator
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -253,8 +253,7 @@ class _Table:
     a field's stop is therefore never a digit.
     """
 
-    # Not a dataclass: every command builds its classes afresh, and a frozen
-    # dataclass takes about 1 ms to build.
+    # Not a dataclass: `cli`'s module docstring says why.
     __slots__ = ("data", "starts", "stops", "commas", "first_line")
 
     def __init__(self, data: np.ndarray, starts: np.ndarray, stops: np.ndarray,
@@ -529,8 +528,7 @@ def _read_groups(document: str, header: list[str], error: type[IngestError], rea
         yield key, [np.concatenate(column) for column in zip(*parts.pop(key))]
 
 
-@dataclass(frozen=True)
-class ParsedMeasurements:
+class ParsedMeasurements(NamedTuple):
     series: dict[str, TimeSeries]
     rejected: dict[str, int]  # unknown sensor_id -> line count
 
@@ -566,15 +564,18 @@ def parse_measurements(document: str, catalog: DeploymentCatalog) -> ParsedMeasu
     return ParsedMeasurements(series, dict(sorted(rejected.items())))
 
 
-@dataclass(frozen=True)
 class WeatherHistory:
     """Hourly outdoor conditions for one site; hours may be missing."""
 
-    site_id: str
-    times: np.ndarray      # int64 epoch seconds, hourly grid
-    outdoor_temp: np.ndarray
-    wind_speed: np.ndarray
-    cloud_cover: np.ndarray
+    __slots__ = ("site_id", "times", "outdoor_temp", "wind_speed", "cloud_cover")
+
+    def __init__(self, site_id: str, times: np.ndarray, outdoor_temp: np.ndarray,
+                 wind_speed: np.ndarray, cloud_cover: np.ndarray):
+        self.site_id = site_id
+        self.times = times  # int64 epoch seconds, hourly grid
+        self.outdoor_temp = outdoor_temp
+        self.wind_speed = wind_speed
+        self.cloud_cover = cloud_cover
 
     def __len__(self) -> int:
         return len(self.times)
@@ -623,8 +624,7 @@ def load_weather(document: str) -> dict[str, WeatherHistory]:
     return histories
 
 
-@dataclass(frozen=True)
-class LoadResult:
+class LoadResult(NamedTuple):
     series: TimeSeries
 
 

@@ -3,7 +3,8 @@
 Timestamps are UTC throughout, held as integer epoch seconds. Local wall-clock
 time only appears where analysis needs it (school hours, weekend days) and is
 derived from a fixed per-site UTC offset in minutes; no DST table is applied.
-All types are immutable values and all operations are pure functions.
+No value is changed once built (a series' arrays are read-only), and all
+operations are pure functions.
 
 This is the only timestamp codec. It writes ``YYYY-MM-DDTHH:MM:SSZ`` and reads
 what ``datetime.fromisoformat`` reads once surrounding blanks are stripped and
@@ -19,9 +20,9 @@ matrix, for the years 0000 to 9999.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -323,27 +324,25 @@ def orientation_gain(hour_of_day: np.ndarray, orientation: Orientation) -> np.nd
     return np.where(inside, amplitude * np.sin(np.pi * np.clip(phase, 0.0, 1.0)), 0.0)
 
 
-@dataclass(frozen=True)
 class TimeSeries:
     """Ordered samples of one sensor: strictly increasing times, finite values."""
 
-    sensor_id: str
-    times: np.ndarray   # int64 epoch seconds
-    values: np.ndarray  # float64
+    __slots__ = ("sensor_id", "times", "values")
 
-    def __post_init__(self):
-        times = np.ascontiguousarray(self.times, dtype=np.int64)
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
+    def __init__(self, sensor_id: str, times: np.ndarray, values: np.ndarray):
+        times = np.ascontiguousarray(times, dtype=np.int64)
+        values = np.ascontiguousarray(values, dtype=np.float64)
         if times.shape != values.shape or times.ndim != 1:
             raise ModelError("times and values must be 1-d arrays of equal length")
         if not np.all(times[1:] > times[:-1]):  # np.diff can wrap
-            raise ModelError(f"timestamps not strictly increasing for {self.sensor_id}")
+            raise ModelError(f"timestamps not strictly increasing for {sensor_id}")
         if len(values) and not np.all(np.isfinite(values)):
-            raise ModelError(f"non-finite values in series {self.sensor_id}")
+            raise ModelError(f"non-finite values in series {sensor_id}")
         times.setflags(write=False)
         values.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        self.sensor_id = sensor_id
+        self.times = times    # int64 epoch seconds
+        self.values = values  # float64
 
     @classmethod
     def empty(cls, sensor_id: str) -> TimeSeries:
@@ -359,44 +358,47 @@ class TimeSeries:
         return TimeSeries(self.sensor_id, self.times[mask_or_index], self.values[mask_or_index])
 
 
-@dataclass(frozen=True)
 class SensorMeta:
     """Catalog entry describing one deployed sensor."""
 
-    sensor_id: str
-    site_id: str
-    kind: SensorKind
-    sensing_rate: int = 30  # seconds between expected samples
-    room_id: str | None = None
+    __slots__ = ("sensor_id", "site_id", "kind", "sensing_rate", "room_id")
 
-    def __post_init__(self):
-        if self.sensing_rate <= 0:
-            raise ModelError(f"sensing_rate must be positive for {self.sensor_id}")
+    def __init__(self, sensor_id: str, site_id: str, kind: SensorKind,
+                 sensing_rate: int = 30, room_id: str | None = None):
+        if sensing_rate <= 0:
+            raise ModelError(f"sensing_rate must be positive for {sensor_id}")
+        self.sensor_id = sensor_id
+        self.site_id = site_id
+        self.kind = kind
+        self.sensing_rate = sensing_rate  # seconds between expected samples
+        self.room_id = room_id
 
 
-@dataclass(frozen=True)
-class Classroom:
+class Classroom(NamedTuple):
     room_id: str
     site_id: str
     orientation: Orientation
     label: str = ""
 
 
-@dataclass(frozen=True)
 class Site:
     """One monitored building and its classrooms."""
 
-    site_id: str
-    latitude: float
-    longitude: float
-    start_time: int  # epoch seconds UTC of incorporation
-    tz_offset_minutes: int = 0
-    # In a cold climate a 0 degC indoor reading can be genuine, so the
-    # zero-means-sensor-error heuristic is suppressed for indoor temperature.
-    cold_climate: bool = False
-    rooms: tuple[Classroom, ...] = ()
+    __slots__ = ("site_id", "latitude", "longitude", "start_time", "tz_offset_minutes",
+                 "cold_climate", "rooms")
 
-    def __post_init__(self):
+    def __init__(self, site_id: str, latitude: float, longitude: float, start_time: int,
+                 tz_offset_minutes: int = 0, cold_climate: bool = False,
+                 rooms: tuple[Classroom, ...] = ()):
+        self.site_id = site_id
+        self.latitude = latitude
+        self.longitude = longitude
+        self.start_time = start_time  # epoch seconds UTC of incorporation
+        self.tz_offset_minutes = tz_offset_minutes
+        # In a cold climate a 0 degC indoor reading can be genuine, so the
+        # zero-means-sensor-error heuristic is suppressed for indoor temperature.
+        self.cold_climate = cold_climate
+        self.rooms = rooms
         for name, lo, hi in (("tz_offset_minutes", -720, 840), ("latitude", -90.0, 90.0),
                              ("longitude", -180.0, 180.0)):
             if not lo <= getattr(self, name) <= hi:
@@ -415,16 +417,14 @@ class Site:
         raise ModelError(f"no room {room_id!r} in site {self.site_id!r}")
 
 
-@dataclass(frozen=True)
 class DeploymentCatalog:
     """Validated deployment description: sites, classrooms and sensors."""
 
-    sites: tuple[Site, ...]
-    sensors: tuple[SensorMeta, ...]
-    _site_index: dict = field(init=False, repr=False, compare=False)
-    _sensor_index: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("sites", "sensors", "_site_index", "_sensor_index")
 
-    def __post_init__(self):
+    def __init__(self, sites: tuple[Site, ...], sensors: tuple[SensorMeta, ...]):
+        self.sites = sites
+        self.sensors = sensors
         site_index = {}
         for site in self.sites:
             if site.site_id in site_index:
@@ -441,8 +441,8 @@ class DeploymentCatalog:
             if meta.room_id is not None:
                 site.room(meta.room_id)  # raises on dangling room reference
             sensor_index[meta.sensor_id] = meta
-        object.__setattr__(self, "_site_index", site_index)
-        object.__setattr__(self, "_sensor_index", sensor_index)
+        self._site_index = site_index
+        self._sensor_index = sensor_index
 
     def site(self, site_id: str) -> Site:
         try:

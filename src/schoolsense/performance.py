@@ -21,7 +21,7 @@ writes the findings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ class CorrelationUndefined(ValueError):
     """Zero-variance regressor or too few overlapping hours."""
 
 
-@dataclass(frozen=True)
-class DailySwing:
+class DailySwing(NamedTuple):
     """Temperature range of one room on one local day."""
 
     day: int  # days since epoch, local calendar
@@ -55,8 +54,7 @@ class DailySwing:
     rise_hours: float  # time from the daily minimum to the daily maximum
 
 
-@dataclass(frozen=True)
-class SwingReport:
+class SwingReport(NamedTuple):
     swings: tuple[DailySwing, ...]
     skipped_days: tuple[int, ...]  # weekend days with too few samples
 
@@ -103,8 +101,7 @@ def poor_insulation_days(
     return hits if len(hits) >= min_days else ()
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(NamedTuple):
     r: float
     hours: int
     last_day: int
@@ -161,8 +158,7 @@ def solar_gain_correlation(
     return CorrelationReport(r=r, hours=len(proxies), last_day=int(hours[-1] // 24))
 
 
-@dataclass(frozen=True)
-class OccupantEvent:
+class OccupantEvent(NamedTuple):
     time: int  # epoch seconds of the trough
     fall: float
 

@@ -39,9 +39,8 @@ records, and the times replaced, dropped, filled or left unfilled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -313,8 +312,7 @@ def _spikes(
     return np.array(spike, dtype=bool)
 
 
-@dataclass(frozen=True)
-class RepairResult:
+class RepairResult(NamedTuple):
     series: TimeSeries
     replaced: np.ndarray  # times whose value was replaced
     dropped: np.ndarray  # times whose window held no surviving sample
@@ -378,8 +376,7 @@ def moving_average(series: TimeSeries, window: int) -> TimeSeries:
     return series.replace_values(means)
 
 
-@dataclass(frozen=True)
-class FillResult:
+class FillResult(NamedTuple):
     series: TimeSeries
     filled: np.ndarray    # grid times that were imputed
     unfilled: np.ndarray  # grid times left absent (empty window)
@@ -426,8 +423,7 @@ def fill_missing(series: TimeSeries, meta: SensorMeta, window: int) -> FillResul
     return FillResult(out, gaps[found], gaps[~found])
 
 
-@dataclass(frozen=True)
-class RepairedSeries:
+class RepairedSeries(NamedTuple):
     """Outcome of the flag -> replace -> fill -> smooth pipeline: the final
     (smoothed) series, the `FLAG_RECORD` records of `flag_outliers` on the
     input series, and the grid times that were imputed."""

@@ -263,11 +263,13 @@ def _thermal_lag(signal_in: np.ndarray, rate: int) -> np.ndarray:
     if len(signal_in) == 0:
         return signal_in
     alpha = float(np.exp(-rate / GAIN_TIME_CONSTANT_S))
-    out = np.empty(len(signal_in))
+    beta = 1.0 - alpha
+    responses = []
     prev = 0.0
-    for i, x in enumerate(signal_in.tolist()):
-        prev = alpha * prev + (1.0 - alpha) * x
-        out[i] = prev
+    for x in signal_in.tolist():
+        prev = alpha * prev + beta * x
+        responses.append(prev)
+    out = np.array(responses)
     out += alpha * signal_in[0] * alpha ** np.arange(len(signal_in))  # warm start
     return out
 

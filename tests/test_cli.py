@@ -573,6 +573,43 @@ def test_file_name_the_locale_cannot_encode_exits_1(work):
     _assert_one_error_line(run.stderr)
 
 
+def _module_run(argv) -> subprocess.CompletedProcess:
+    """`python -m schoolsense.cli` with the arguments, in a fresh process whose stdout is
+    block-buffered, so that only the flush at exit writes it."""
+    env = {k: v for k, v in _fresh_process_env().items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "schoolsense.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_module_entry_point_prints_what_main_prints(work, capsys):
+    """The module entry point freezes the collector before the interpreter
+    finalizes; its stdout still arrives whole."""
+    config = ["--config", str(work / "config.json")]
+    run = _module_run(["quality", *config])
+    assert run.returncode == 0, run.stderr
+    assert cli.main(["quality", *config]) == 0
+    assert run.stdout == capsys.readouterr().out
+
+
+def test_console_script_runs_the_module_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(schoolsense.__file__).resolve().parents[2] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"schoolsense": "schoolsense.cli:entry"}
+
+
+@pytest.mark.parametrize("damage, code", [
+    (lambda work: _write_config(work, spike_sigma=5.0), 2),
+    (lambda work: _truncate_records(work / "store"), 1),
+], ids=["bad config", "damaged store"])
+def test_module_entry_point_exits_with_mains_code(work, damage, code):
+    damage(work)
+    run = _module_run(["quality", "--config", str(work / "config.json")])
+    assert run.returncode == code, run.stderr
+    assert run.stdout == ""
+    _assert_one_error_line(run.stderr)
+
+
 def test_config_root_must_be_an_object(work, capsys):
     (work / "config.json").write_text("[]")
     code, err = _run(["quality", "--config", str(work / "config.json")], capsys)

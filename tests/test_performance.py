@@ -85,7 +85,8 @@ def test_cli_import_does_not_load_scipy(tmp_path):
     # Only synth runs the generator, and each analysis module loads in the commands
     # that run it (quality and performance share the orderstat kernel); synth loads
     # none of them, and its hashlib comes with numpy.random (through secrets).
-    watched = ("numpy.ma", "schoolsense.synthgen", "schoolsense.quality",
+    # Building a dataclass costs about 1 ms a class, so only synthgen defines any.
+    watched = ("numpy.ma", "dataclasses", "schoolsense.synthgen", "schoolsense.quality",
                "schoolsense.performance", "schoolsense.comfort", "schoolsense.orderstat")
     code = ("import sys, schoolsense.cli; "
             "code = schoolsense.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
@@ -94,7 +95,7 @@ def test_cli_import_does_not_load_scipy(tmp_path):
     for command, loaded in (
         ([], []),
         (["synth", str(tmp_path / "spec.json"), "--out", str(tmp_path / "again")],
-         ["hashlib", "schoolsense.synthgen"]),
+         ["dataclasses", "hashlib", "schoolsense.synthgen"]),
         (["ingest", *config], []),
         (["quality", *config], ["schoolsense.orderstat", "schoolsense.quality"]),
         (["comfort", *test_cli.COMFORT, *config], ["schoolsense.comfort"]),
