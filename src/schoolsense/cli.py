@@ -18,13 +18,14 @@ Besides the period (`--from` before `--to`), the one choice per run is
 `comfort --acceptability`, which every comfort row records.
 
 Report dates are calendar days of one of two kinds. Local days, by the site's
-fixed UTC offset: `comfort_daily.csv`, `comfort_plot.csv`, `perf_swings.csv`,
-and the `poor_insulation` and `unshaded_solar_gain` rows of
-`perf_anomalies.csv` (and `.txt`). UTC days: `quality_report.csv`, and the
-`occupant_event` rows of `perf_anomalies.csv`. The period follows the same
-split: `comfort` and `perf` read `--from`/`--to` as local days, `quality --to`
-as a UTC day. `site_quality.csv` gives each site's start as a UTC timestamp;
-the other reports hold no dates.
+clock: `comfort_daily.csv`, `comfort_plot.csv`, `perf_swings.csv`, and the
+`poor_insulation` and `unshaded_solar_gain` rows of `perf_anomalies.csv` (and
+`.txt`). UTC days: `quality_report.csv`, and the `occupant_event` rows of
+`perf_anomalies.csv`. The period follows the same split: `comfort` and `perf`
+read `--from`/`--to` as local days, `quality --to` as a UTC day.
+`site_quality.csv` gives each site's start as a UTC timestamp; the other
+reports hold no dates. A site's clock is `Site.local`, from UTC to local time,
+and its inverse `Site.utc`; no other code converts between the two.
 
 Each command imports only the modules it runs. A command is a fresh process,
 and without cached bytecode it compiles every module it imports, so a module
@@ -93,8 +94,8 @@ from .model import (
     SensorMeta,
     TimeSeries,
     day_to_date,
-    filter_weekdays,
     format_iso8601,
+    is_weekend,
     slice_series,
     to_epoch,
 )
@@ -432,15 +433,14 @@ def cmd_perf(config: RunConfig, start: date | None = None, end: date | None = No
     findings: list[tuple[str, str, str, tuple[int, ...], tuple[float, ...]]] = []
     notes = []
     for site in catalog.sites:
-        tz = site.tz_offset_minutes
-        lo = -(2 ** 63) if start is None else to_epoch(start) - tz * 60
-        hi = 2 ** 63 - 1 if end is None else to_epoch(end) - tz * 60
+        lo = -(2 ** 63) if start is None else site.utc(to_epoch(start))
+        hi = 2 ** 63 - 1 if end is None else site.utc(to_epoch(end))
         site_weather = weather.get(site.site_id)
         for room_id, sensor_id in sorted(_indoor_room_sensors(catalog, site.site_id).items()):
             series = slice_series(store.load(site.site_id, sensor_id).series, lo, hi)
             if not len(series):
                 continue
-            report = perf_mod.weekend_daily_swings(series, tz)
+            report = perf_mod.weekend_daily_swings(series, site)
             for s in report.swings:
                 swing_rows.append(
                     f"{site.site_id},{room_id},{day_to_date(s.day).isoformat()},"
@@ -453,7 +453,7 @@ def cmd_perf(config: RunConfig, start: date | None = None, end: date | None = No
             if site_weather is not None:
                 orientation = site.room(room_id).orientation
                 try:
-                    corr = perf_mod.solar_gain_correlation(series, site_weather, orientation, tz)
+                    corr = perf_mod.solar_gain_correlation(series, site_weather, orientation, site)
                 except perf_mod.CorrelationUndefined as exc:
                     notes.append(f"correlation skipped: {room_id}: {exc}")
                 else:
@@ -463,7 +463,8 @@ def cmd_perf(config: RunConfig, start: date | None = None, end: date | None = No
                         findings.append((site.site_id, "unshaded_solar_gain", room_id,
                                          (corr.last_day,), (corr.r,)))
 
-            events = perf_mod.detect_occupant_events(filter_weekdays(series, tz))
+            events = perf_mod.detect_occupant_events(
+                series.take(~is_weekend(site.local(series.times))))
             if events:
                 findings.append((site.site_id, "occupant_event", room_id,
                                  tuple(e.time // DAY_SECONDS for e in events),

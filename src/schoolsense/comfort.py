@@ -71,14 +71,14 @@ def _segment_means(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nda
     return means
 
 
-def prevailing_means(weather: WeatherHistory, days, tz_offset_minutes: int = 0) -> np.ndarray:
-    """Prevailing mean outdoor temperature of each local day in `days`.
+def prevailing_means(weather: WeatherHistory, days, site: Site) -> np.ndarray:
+    """Prevailing mean outdoor temperature of each of the site's local days in `days`.
 
     It is the mean of the daily mean outdoor temperatures over the
     LOOKBACK_DAYS days before the day. Days without any outdoor sample are
     skipped; NaN marks a day whose whole lookback is empty.
     """
-    local_days = (weather.times + tz_offset_minutes * 60) // DAY_SECONDS
+    local_days = site.local(weather.times) // DAY_SECONDS
     first = np.flatnonzero(np.diff(local_days, prepend=local_days[:1] - 1))  # times increase
     present, bounds = local_days[first], np.append(first, len(local_days))
     daily = _segment_means(weather.outdoor_temp, bounds[:-1], bounds[1:])
@@ -151,11 +151,11 @@ def site_comfort_summary(
     half = BAND_HALF_WIDTH[acceptability]
 
     days = np.arange(start_day, end_day)
-    t_pmo = prevailing_means(weather, days, site.tz_offset_minutes)
+    t_pmo = prevailing_means(weather, days, site)
     applicable = (t_pmo >= PMO_APPLICABLE_MIN) & (t_pmo <= PMO_APPLICABLE_MAX)
     t_comfort = ADAPTIVE_SLOPE * t_pmo + ADAPTIVE_INTERCEPT
     # (day, slot) grids: each slot's first second, and its band
-    slot_starts = ((days * DAY_SECONDS - site.tz_offset_minutes * 60 + SCHOOL_DAY_START)[:, None]
+    slot_starts = (site.utc(days * DAY_SECONDS + SCHOOL_DAY_START)[:, None]
                    + 3600 * np.arange(SCHOOL_DAY_SLOTS))
     rows, recorded = weather.rows_at(slot_starts)
     wind_raise = np.zeros(slot_starts.shape)

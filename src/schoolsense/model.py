@@ -1,8 +1,9 @@
 """Domain types and time-series primitives shared across the toolkit.
 
 Timestamps are UTC throughout, held as integer epoch seconds. Local wall-clock
-time only appears where analysis needs it (school hours, weekend days) and is
-derived from a fixed per-site UTC offset in minutes; no DST table is applied.
+time only appears where analysis needs it (school hours, weekend days, local
+days), and `Site.local` and its inverse `Site.utc` are the only conversions
+between the two, by the site's fixed UTC offset; no DST table is applied.
 No value is changed once built (a series' arrays are read-only), and all
 operations are pure functions.
 
@@ -54,8 +55,8 @@ class ScenarioError(ValueError):
 def to_epoch(ts: datetime | date | int) -> int:
     """Convert a timestamp-like value to UTC epoch seconds.
 
-    Naive datetimes are taken as UTC. Bare dates mean local-midnight UTC of
-    that calendar day.
+    Naive datetimes are taken as UTC. A bare date means UTC midnight of that
+    calendar day; `Site.utc` of it is a site's local midnight.
     """
     if isinstance(ts, bool):
         raise ModelError(f"not a timestamp: {ts!r}")
@@ -410,6 +411,14 @@ class Site:
                 raise ModelError(f"duplicate room {room.room_id!r} in site {self.site_id!r}")
             seen.add(room.room_id)
 
+    def local(self, times):
+        """Local wall-clock seconds of UTC epoch seconds, an int or an int64 array."""
+        return times + 60 * self.tz_offset_minutes
+
+    def utc(self, local):
+        """UTC epoch seconds of local wall-clock seconds: the inverse of `local`."""
+        return local - 60 * self.tz_offset_minutes
+
     def room(self, room_id: str) -> Classroom:
         for room in self.rooms:
             if room.room_id == room_id:
@@ -473,17 +482,6 @@ def slice_series(series: TimeSeries, start, end) -> TimeSeries:
     return series.take(slice(i, j))
 
 
-def local_weekday(times: np.ndarray, tz_offset_minutes: int) -> np.ndarray:
-    """Local day of week, Monday == 0 .. Sunday == 6."""
-    days = (times + tz_offset_minutes * 60) // DAY_SECONDS
-    return (days + _EPOCH_WEEKDAY_SHIFT) % 7
-
-
-def filter_weekends(series: TimeSeries, tz_offset_minutes: int = 0) -> TimeSeries:
-    """Keep samples whose local date falls on Saturday or Sunday."""
-    return series.take(local_weekday(series.times, tz_offset_minutes) >= 5)
-
-
-def filter_weekdays(series: TimeSeries, tz_offset_minutes: int = 0) -> TimeSeries:
-    """Keep samples whose local date falls on Monday through Friday."""
-    return series.take(local_weekday(series.times, tz_offset_minutes) < 5)
+def is_weekend(local):
+    """Whether each local time (`Site.local`) falls on a Saturday or a Sunday."""
+    return (local // DAY_SECONDS + _EPOCH_WEEKDAY_SHIFT) % 7 >= 5

@@ -29,8 +29,9 @@ from .ingest import WeatherHistory
 from .model import (
     DAY_SECONDS,
     Orientation,
+    Site,
     TimeSeries,
-    filter_weekends,
+    is_weekend,
     orientation_gain,
 )
 from .orderstat import WaveletMatrix
@@ -61,15 +62,17 @@ class SwingReport(NamedTuple):
 
 def weekend_daily_swings(
     series: TimeSeries,
-    tz_offset_minutes: int = 0,
+    site: Site,
     *,
     min_samples: int = 12,
 ) -> SwingReport:
-    """One DailySwing per weekend day with enough samples."""
-    weekend = filter_weekends(series, tz_offset_minutes)
-    if len(weekend) == 0:
+    """One DailySwing per weekend day of the site's clock with enough samples."""
+    local = site.local(series.times)
+    weekend = is_weekend(local)
+    local, weekend_values = local[weekend], series.values[weekend]
+    if len(local) == 0:
         return SwingReport((), ())
-    local_days = (weekend.times + tz_offset_minutes * 60) // DAY_SECONDS
+    local_days = local // DAY_SECONDS
     bounds = [0, *(np.flatnonzero(np.diff(local_days)) + 1).tolist(), len(local_days)]
     swings = []
     skipped = []
@@ -78,8 +81,8 @@ def weekend_daily_swings(
         if hi - lo < min_samples:
             skipped.append(day)
             continue
-        values = weekend.values[lo:hi]
-        times = weekend.times[lo:hi]
+        values = weekend_values[lo:hi]
+        times = local[lo:hi]
         i_min = int(np.argmin(values))
         i_max = int(np.argmax(values))
         rise = (int(times[i_max]) - int(times[i_min])) / 3600.0
@@ -115,7 +118,7 @@ def solar_gain_correlation(
     series: TimeSeries,
     weather: WeatherHistory,
     orientation: Orientation,
-    tz_offset_minutes: int = 0,
+    site: Site,
     *,
     min_hours: int = 24,
 ) -> CorrelationReport:
@@ -128,23 +131,22 @@ def solar_gain_correlation(
     while the facade can see the sun, and night hours would otherwise pair
     a constant-zero proxy with nightly cooling.
     """
-    weekend = filter_weekends(series, tz_offset_minutes)
-    if len(weekend) == 0:
+    local = site.local(series.times)
+    weekend = is_weekend(local)
+    if not weekend.any():
         raise CorrelationUndefined("no weekend samples")
 
-    offset = tz_offset_minutes * 60
-    local_hours = (weekend.times + offset) // 3600
-    hours, inverse = np.unique(local_hours, return_inverse=True)
+    hours, inverse = np.unique(local[weekend] // 3600, return_inverse=True)
     sums = np.zeros(len(hours))
     counts = np.zeros(len(hours))
-    np.add.at(sums, inverse, weekend.values)
+    np.add.at(sums, inverse, series.values[weekend])
     np.add.at(counts, inverse, 1)
     means = sums / counts
     gains = orientation_gain((hours % 24) + 0.5, orientation)
 
     # each hour pairs with the hour before it; only daylight hours enter
     later = np.flatnonzero((np.diff(hours) == 1) & (gains[1:] > 0.0)) + 1
-    at, recorded = weather.rows_at(hours[later] * 3600 - offset)
+    at, recorded = weather.rows_at(site.utc(hours[later] * 3600))
     later, at = later[recorded], at[recorded]
     proxies = (1.0 - weather.cloud_cover[at]) * gains[later]
     rises = means[later] - means[later - 1]

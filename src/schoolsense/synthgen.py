@@ -56,8 +56,8 @@ from .model import (
     byte_slots,
     date_to_day,
     format_iso8601,
+    is_weekend,
     json_value,
-    local_weekday,
     orientation_gain,
     written_codes,
 )
@@ -287,14 +287,14 @@ def _ar1(rng: np.random.Generator, n: int, rho: float) -> np.ndarray:
     return out
 
 
-def _school_power_profile(local_hour: np.ndarray, weekday: np.ndarray) -> np.ndarray:
+def _school_power_profile(local_hour: np.ndarray, weekend: np.ndarray) -> np.ndarray:
     """Smooth weekday usage hump, 0 outside school operation."""
     def ramp(h, a, b):
         x = np.clip((h - a) / (b - a), 0.0, 1.0)
         return 0.5 - 0.5 * np.cos(np.pi * x)
 
     hump = ramp(local_hour, 7.0, 9.5) * (1.0 - ramp(local_hour, 14.5, 17.0))
-    return np.where(weekday < 5, hump, 0.0)
+    return np.where(weekend, 0.0, hump)
 
 
 def _delete_blocks(
@@ -355,11 +355,25 @@ def _pick_separated(
 class _SiteGenerator:
     """Deterministic signal builder for one site."""
 
-    def __init__(self, spec: ScenarioSpec, site: SiteSpec, site_index: int):
+    def __init__(self, spec: ScenarioSpec, site_spec: SiteSpec, site_index: int):
         self.spec = spec
-        self.site = site
+        self.site_spec = site_spec
         self.rng = np.random.default_rng([spec.seed, site_index])
         self.start_epoch = date_to_day(spec.start) * DAY_SECONDS
+        sid = site_spec.site_id
+        # the catalog entry, whose clock gives every local time below
+        self.site = Site(
+            site_id=sid,
+            latitude=site_spec.latitude,
+            longitude=site_spec.longitude,
+            start_time=self.start_epoch,
+            tz_offset_minutes=site_spec.tz_offset_minutes,
+            cold_climate=site_spec.cold_climate,
+            rooms=tuple(
+                Classroom(room_id=r.room_id, site_id=sid, orientation=r.orientation,
+                          label=f"{r.insulation} insulation, blinds {'yes' if r.blinds else 'no'}")
+                for r in site_spec.rooms),
+        )
         self.end_epoch = self.start_epoch + spec.days * DAY_SECONDS
         self.n_hours = spec.days * 24
         self.hour_times = self.start_epoch + 3600 * np.arange(self.n_hours, dtype=np.int64)
@@ -372,16 +386,14 @@ class _SiteGenerator:
         self._drift_values = day_values
         self.hourly_noise = HOURLY_NOISE_SIGMA * _ar1(self.rng, self.n_hours, rho=HOURLY_NOISE_RHO)
         self.cloud = np.clip(
-            site.mean_cloud + CLOUD_SIGMA * _ar1(self.rng, self.n_hours, rho=CLOUD_RHO),
+            site_spec.mean_cloud + CLOUD_SIGMA * _ar1(self.rng, self.n_hours, rho=CLOUD_RHO),
             0.0, 0.95)
         self.wind = np.clip(0.4 + 0.5 * _ar1(self.rng, self.n_hours, rho=0.6), 0.0, None)
 
-        off = site.tz_offset_minutes * 60
-        self.hour_local = ((self.hour_times + off) % DAY_SECONDS) / 3600.0
         self.outdoor_hourly = (
-            site.outdoor_mean
+            site_spec.outdoor_mean
             + self.drift(self.hour_times)
-            + site.outdoor_amplitude * _diurnal_shape(self.hour_local)
+            + site_spec.outdoor_amplitude * _diurnal_shape(self.local_hours(self.hour_times))
             + self.hourly_noise
         )
 
@@ -400,8 +412,7 @@ class _SiteGenerator:
         return np.clip((times - self.start_epoch) // 3600, 0, self.n_hours - 1)
 
     def local_hours(self, times: np.ndarray) -> np.ndarray:
-        off = self.site.tz_offset_minutes * 60
-        return ((times + off) % DAY_SECONDS) / 3600.0
+        return (self.site.local(times) % DAY_SECONDS) / 3600.0
 
     def weather_history(self) -> WeatherHistory:
         return WeatherHistory(
@@ -421,7 +432,7 @@ class _SiteGenerator:
         swing = spec.poor_swing if room.insulation == "poor" else spec.base_swing
         blinds_mult = spec.blinds_attenuation if room.blinds else 1.0
         base = (
-            self.site.outdoor_mean + spec.indoor_offset
+            self.site_spec.outdoor_mean + spec.indoor_offset
             + INDOOR_DRIFT_COUPLING * self.drift(times)
             + spec.indoor_noise_coupling * self.smooth_noise(times)
         )
@@ -445,9 +456,8 @@ class _SiteGenerator:
         if room.occupant_events == 0:
             return []
         spec = self.spec
-        off = self.site.tz_offset_minutes * 60
-        days = self.start_epoch + DAY_SECONDS * np.arange(spec.days)
-        weekdays = np.flatnonzero(local_weekday(days, 0) < 5).tolist()  # of the spec's dates
+        midnights = self.start_epoch + DAY_SECONDS * np.arange(spec.days)  # local, of each date
+        weekdays = np.flatnonzero(~is_weekend(midnights)).tolist()
         slots = [(d, h) for d in weekdays for h in (9, 13)]
         if room.occupant_events > len(slots):
             raise ScenarioError(
@@ -463,7 +473,7 @@ class _SiteGenerator:
         troughs = []
         for p in sorted(picks.tolist()):
             d, h = slots[p]
-            slot_start = self.start_epoch + d * DAY_SECONDS - off + h * 3600
+            slot_start = self.site.utc(self.start_epoch + d * DAY_SECONDS + h * 3600)
             # sample-aligned so the full drop depth is actually observed
             t_start = slot_start + int(self.rng.integers(0, max(1, 1800 // rate))) * rate
             span = (times >= t_start) & (times <= t_start + int(knots[-1]))
@@ -483,8 +493,8 @@ class _SiteGenerator:
 
     def power(self) -> tuple[np.ndarray, np.ndarray]:
         times = self.grid(self.spec.sensing_rate)
-        weekday = local_weekday(times, self.site.tz_offset_minutes)
-        profile = _school_power_profile(self.local_hours(times), weekday)
+        profile = _school_power_profile(self.local_hours(times),
+                                        is_weekend(self.site.local(times)))
         values = 500.0 + 700.0 * profile + self.rng.normal(0.0, 20.0, len(times))
         return times, values
 
@@ -723,20 +733,7 @@ def generate(spec: ScenarioSpec, out_dir: Path | str | None = None) -> Generated
         gen = _SiteGenerator(spec, site_spec, site_index)
         sid = site_spec.site_id
         weather[sid] = gen.weather_history()
-        rooms = tuple(
-            Classroom(room_id=r.room_id, site_id=sid, orientation=r.orientation,
-                      label=f"{r.insulation} insulation, blinds {'yes' if r.blinds else 'no'}")
-            for r in site_spec.rooms
-        )
-        sites.append(Site(
-            site_id=sid,
-            latitude=site_spec.latitude,
-            longitude=site_spec.longitude,
-            start_time=gen.start_epoch,
-            tz_offset_minutes=site_spec.tz_offset_minutes,
-            cold_climate=site_spec.cold_climate,
-            rooms=rooms,
-        ))
+        sites.append(gen.site)
 
         site_sensors: list[tuple[SensorMeta, np.ndarray, np.ndarray, bool]] = []
         for room in site_spec.rooms:

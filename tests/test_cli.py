@@ -813,6 +813,29 @@ def test_perf_notes_each_room_without_weekend_samples(work):
                                for room in rooms]
 
 
+def test_perf_period_is_local_days_of_a_site_far_from_utc(tmp_path, capsys):
+    # at UTC+14 a bound that applied the offset with the wrong sign would move by
+    # 28 hours, more than a local day; 2017-10-07 and 10-08 are the only weekend
+    spec = dict(SPEC, sites=[dict(SPEC["sites"][0], tz_offset_minutes=840)])
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert cli.main(["synth", str(tmp_path / "spec.json"), "--out", str(tmp_path / "inputs")]) == 0
+    conf = _write_config(tmp_path)
+    for command in ("ingest", "quality"):
+        code, err = _run([command, *conf], capsys)
+        assert code == 0, err
+
+    def swing_rows(*period):
+        code, err = _run(["perf", *conf, *period], capsys)
+        assert code == 0, err
+        return (tmp_path / "out" / "perf_swings.csv").read_text().splitlines()[1:]
+
+    every = swing_rows()
+    assert sorted({row.split(",")[2] for row in every}) == ["2017-10-07", "2017-10-08"]
+    bounded = swing_rows("--from", "2017-10-08", "--to", "2017-10-10")
+    assert bounded and bounded == [row for row in every
+                                   if "2017-10-08" <= row.split(",")[2] < "2017-10-10"]
+
+
 def test_ingest_later_file_wins_repeated_timestamp(work, capsys):
     first = work / "first.csv"
     second = work / "second.csv"

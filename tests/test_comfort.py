@@ -52,7 +52,7 @@ def _in_band(weather, temps, acceptability=80):
 
 def test_prevailing_mean_constant_week():
     weather = flat_weather(temp=20.0)
-    pmo = prevailing_means(weather, [date_to_day(date(2017, 9, 11))])
+    pmo = prevailing_means(weather, [date_to_day(date(2017, 9, 11))], _site())
     assert pmo.tolist() == pytest.approx([20.0])
 
 
@@ -62,21 +62,21 @@ def test_prevailing_mean_alternating_days():
     day_idx = (times - start) // 86400
     temps = np.where(day_idx % 2 == 0, 18.0, 22.0)
     weather = WeatherHistory("a", times, temps, np.zeros(len(times)), np.zeros(len(times)))
-    pmo = prevailing_means(weather, [date_to_day(date(2017, 9, 11))])
+    pmo = prevailing_means(weather, [date_to_day(date(2017, 9, 11))], _site())
     # 4 days at 18, 3 at 22: mean of daily means
     assert pmo.tolist() == pytest.approx([(4 * 18 + 3 * 22) / 7])
 
 
 def test_prevailing_mean_skips_missing_days():
     weather = flat_weather(temp=15.0, days=3)  # only Sep 4-6 present
-    pmo = prevailing_means(weather, [date_to_day(date(2017, 9, 11))])
+    pmo = prevailing_means(weather, [date_to_day(date(2017, 9, 11))], _site())
     assert pmo.tolist() == pytest.approx([15.0])
 
 
 def test_prevailing_mean_no_data_inapplicable():
     weather = flat_weather(days=2)
     day = date(2018, 3, 1)
-    assert np.isnan(prevailing_means(weather, [date_to_day(day)])).all()
+    assert np.isnan(prevailing_means(weather, [date_to_day(day)], _site())).all()
     rooms = {"r1": _school_day_series(utc(2018, 3, 1), [22.0] * 8)}
     with pytest.raises(ComfortError, match="no rooms with scorable data"):
         _scores(weather, rooms, day=day)

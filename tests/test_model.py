@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -18,9 +18,8 @@ from schoolsense.model import (
     Site,
     TimeSeries,
     _written_epochs,
-    filter_weekends,
-    filter_weekdays,
     format_iso8601,
+    is_weekend,
     parse_iso8601,
     slice_series,
     to_epoch,
@@ -275,27 +274,28 @@ def test_slice_composition(a, b, c, d):
     assert np.array_equal(twice.times, once.times)
 
 
-def test_weekend_filter_keeps_saturday():
-    saturday = utc(2017, 9, 30, 12)  # 30/Sep 2017 was a Saturday
-    wednesday = utc(2017, 9, 27, 12)
-    s = TimeSeries("s", np.array([wednesday, saturday]), np.array([1.0, 2.0]))
-    assert filter_weekends(s).values.tolist() == [2.0]
-    assert filter_weekdays(s).values.tolist() == [1.0]
-
-
-def test_weekend_filter_empty_series():
-    s = TimeSeries.empty("s")
-    assert len(filter_weekends(s)) == 0
+# A local Friday's last second and Monday's first are school days; Saturday's first
+# second and Sunday's last are weekend (2017-09-30 was a Saturday).
+WEEKEND_EDGES = ((datetime(2017, 9, 29, 23, 59, 59), False), (datetime(2017, 9, 30), True),
+                 (datetime(2017, 10, 1, 23, 59, 59), True), (datetime(2017, 10, 2), False))
 
 
 @given(st.lists(st.integers(0, 14 * 86400 - 1), min_size=0, max_size=50, unique=True),
-       st.sampled_from([-120, 0, 60, 120]))
-def test_weekday_weekend_filters_partition_in_order(offsets, tz):
-    base = utc(2017, 9, 4)
-    times = np.array(sorted(offsets), dtype=np.int64) + base
-    s = TimeSeries("s", times, np.zeros(len(times)))
-    weekend, weekday = filter_weekends(s, tz), filter_weekdays(s, tz)
-    assert np.array_equal(np.sort(np.concatenate((weekend.times, weekday.times))), s.times)
-    for out in (weekend, weekday):
-        if len(out) > 1:
-            assert np.all(np.diff(out.times) > 0)
+       st.integers(-720, 840))
+@example([], 0)
+@example([], -720)
+@example([], 840)
+def test_site_clock_round_trips_and_tells_weekends_at_every_offset(offsets, tz):
+    site = Site("a", 38.0, 23.7, 0, tz_offset_minutes=tz)
+    zone = timezone(timedelta(minutes=tz))
+    times = np.array(sorted(offsets), dtype=np.int64) + utc(2017, 9, 4)
+    local = site.local(times)
+    assert np.array_equal(site.utc(local), times)
+    assert is_weekend(local).tolist() == [
+        datetime.fromtimestamp(t, zone).weekday() >= 5 for t in times.tolist()]
+    for wall, weekend in WEEKEND_EDGES:
+        instant = site.utc(to_epoch(wall))
+        assert datetime.fromtimestamp(instant, zone).replace(tzinfo=None) == wall
+        assert site.local(instant) == to_epoch(wall)
+        assert is_weekend(site.local(instant)) == weekend
+        assert is_weekend(site.local(np.array([instant]))).tolist() == [weekend]

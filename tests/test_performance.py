@@ -18,6 +18,7 @@ from schoolsense.model import (
     DAY_SECONDS,
     ORIENTATION_TEMPLATE,
     Orientation,
+    Site,
     TimeSeries,
     orientation_gain,
 )
@@ -106,10 +107,23 @@ def test_cli_import_does_not_load_scipy(tmp_path):
         assert out.splitlines()[-1] == f"0 {loaded}", command
 
 
+def test_analysis_modules_leave_local_time_to_the_site_clock():
+    # Site.local and Site.utc are the only conversions between UTC and local time,
+    # so a change of the clock (summer time, say) is made in one class
+    package = Path(schoolsense.__file__).resolve().parent
+    for module in ("cli", "comfort", "performance", "quality", "orderstat"):
+        source = (package / f"{module}.py").read_text(encoding="utf-8")
+        assert "tz_offset_minutes" not in source, module
+
+
 # ---------------------------------------------------------------- detectors
 
 SATURDAY = utc(2017, 9, 9)  # 2017-09-04 is a Monday
 FIVE_MIN = 300
+
+
+def _site(tz_offset_minutes: int = 0) -> Site:
+    return Site("s", 38.0, 23.7, 0, tz_offset_minutes=tz_offset_minutes)
 
 
 @pytest.mark.parametrize("values, events", [
@@ -176,7 +190,7 @@ def test_weekend_daily_swings_skips_days_with_too_few_samples():
     sunday = series_at("t", SATURDAY + DAY_SECONDS, 3600, [20.0] * 11)
     series = TimeSeries("t", np.concatenate((saturday.times, sunday.times)),
                         np.concatenate((saturday.values, sunday.values)))
-    report = weekend_daily_swings(series)
+    report = weekend_daily_swings(series, _site())
     assert [(s.day, s.swing, s.rise_hours) for s in report.swings] == [
         (SATURDAY // DAY_SECONDS, 23 / 4, 23.0)]
     assert report.skipped_days == (SATURDAY // DAY_SECONDS + 1,)
@@ -184,9 +198,9 @@ def test_weekend_daily_swings_skips_days_with_too_few_samples():
 
 def test_weekend_daily_swings_keeps_a_day_of_min_samples():
     series = series_at("t", SATURDAY, 3600, 20.0 + np.arange(12))
-    report = weekend_daily_swings(series, min_samples=12)
+    report = weekend_daily_swings(series, _site(), min_samples=12)
     assert [(s.day, s.swing) for s in report.swings] == [(SATURDAY // DAY_SECONDS, 11.0)]
-    assert weekend_daily_swings(series, min_samples=13).skipped_days == (SATURDAY // DAY_SECONDS,)
+    assert weekend_daily_swings(series, _site(), min_samples=13).skipped_days == (SATURDAY // DAY_SECONDS,)
 
 
 def test_weekend_daily_swings_uses_local_days():
@@ -194,10 +208,10 @@ def test_weekend_daily_swings_uses_local_days():
     # belongs to the local Saturday
     values = [10.0] + [20.0] * 22 + [25.0]
     series = series_at("t", SATURDAY - 2 * 3600, 3600, values)
-    local = weekend_daily_swings(series, 120).swings
+    local = weekend_daily_swings(series, _site(120)).swings
     assert [(s.day, s.min_t, s.max_t) for s in local] == [
         (SATURDAY // DAY_SECONDS, 10.0, 25.0)]
-    utc_days = weekend_daily_swings(series, 0).swings
+    utc_days = weekend_daily_swings(series, _site(0)).swings
     assert [(s.day, s.min_t, s.max_t) for s in utc_days] == [
         (SATURDAY // DAY_SECONDS, 20.0, 25.0)]
 
@@ -234,7 +248,7 @@ def _weekend_indoor(days: int = 2, start: int = SATURDAY, flat: bool = False) ->
 ])
 def test_solar_gain_correlation_undefined(indoor, weather, message):
     with pytest.raises(CorrelationUndefined, match=message):
-        solar_gain_correlation(indoor, weather, Orientation.S)
+        solar_gain_correlation(indoor, weather, Orientation.S, _site())
 
 
 def test_solar_gain_correlation_skips_hours_without_weather():
@@ -245,8 +259,8 @@ def test_solar_gain_correlation_skips_hours_without_weather():
     keep[39:] = False
     gappy = WeatherHistory("s", weather.times[keep], weather.outdoor_temp[keep],
                            weather.wind_speed[keep], weather.cloud_cover[keep])
-    full = solar_gain_correlation(_weekend_indoor(), weather, Orientation.S)
-    assert solar_gain_correlation(_weekend_indoor(), gappy, Orientation.S,
+    full = solar_gain_correlation(_weekend_indoor(), weather, Orientation.S, _site())
+    assert solar_gain_correlation(_weekend_indoor(), gappy, Orientation.S, _site(),
                                   min_hours=1).hours == full.hours - 3 - 3
 
 
