@@ -274,6 +274,36 @@ def test_slice_composition(a, b, c, d):
     assert np.array_equal(twice.times, once.times)
 
 
+def weekend_mask(series, tz=0):
+    return is_weekend(Site("a", 38.0, 23.7, 0, tz_offset_minutes=tz).local(series.times))
+
+
+def test_weekend_filter_keeps_saturday():
+    saturday = utc(2017, 9, 30, 12)  # 30/Sep 2017 was a Saturday
+    wednesday = utc(2017, 9, 27, 12)
+    s = TimeSeries("s", np.array([wednesday, saturday]), np.array([1.0, 2.0]))
+    assert s.take(weekend_mask(s)).values.tolist() == [2.0]
+    assert s.take(~weekend_mask(s)).values.tolist() == [1.0]
+
+
+def test_weekend_filter_empty_series():
+    s = TimeSeries.empty("s")
+    assert len(s.take(weekend_mask(s))) == 0
+
+
+@given(st.lists(st.integers(0, 14 * 86400 - 1), min_size=0, max_size=50, unique=True),
+       st.sampled_from([-120, 0, 60, 120]))
+def test_weekday_weekend_filters_partition_in_order(offsets, tz):
+    base = utc(2017, 9, 4)
+    times = np.array(sorted(offsets), dtype=np.int64) + base
+    s = TimeSeries("s", times, np.zeros(len(times)))
+    weekend, weekday = s.take(weekend_mask(s, tz)), s.take(~weekend_mask(s, tz))
+    assert np.array_equal(np.sort(np.concatenate((weekend.times, weekday.times))), s.times)
+    for out in (weekend, weekday):
+        if len(out) > 1:
+            assert np.all(np.diff(out.times) > 0)
+
+
 # A local Friday's last second and Monday's first are school days; Saturday's first
 # second and Sunday's last are weekend (2017-09-30 was a Saturday).
 WEEKEND_EDGES = ((datetime(2017, 9, 29, 23, 59, 59), False), (datetime(2017, 9, 30), True),
