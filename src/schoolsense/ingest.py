@@ -26,27 +26,22 @@ The CSV grammar is plain comma-separated text. Lines end in ``\n`` or
 anywhere is an error naming its line. Blank lines are skipped, and error
 messages count lines as they stand in the file, blank ones included.
 
-A document is read below its header in blocks of about 256 KiB, each ending
-just after a ``\n``, so that parsing holds one block's arrays at a time
-besides the document and its parsed columns. Each block is read as its UTF-8
-bytes, and no Python object is made per line or field: numpy finds every
-``\n`` and ``,``, and a field is a pair of byte offsets. Each id's columns
-are kept block by block in file order and joined after the last block. A row
-joins the run of the row before if its id has the same bytes, and each run's
-id is decoded once in its block. Written-form stamps are decoded in arrays
-by `model.parse_iso8601_bytes`. A value written ``-?digits[.digits]``, with at
-most 8 digits before the point and 18 in all, is decoded in arrays too: its
-digits give an integer mantissa M below 2**63, eight at a time (SWAR), and
-M / 10**f is divided in long double, where both are exact, so the quotient is
-correctly rounded to 64 bits. Every midpoint between two adjacent doubles
-fits in 64 bits, so rounding that quotient to a double gives float()'s
-result unless it lands exactly on a midpoint; such values, every other
-spelling, and every value where long double has fewer than 64 bits, are
-decoded to str one at a time and given to float(). Only an error computes a
-line number, from its row's byte offset and its block's first line. A
-document raises the error it would raise if it were read in one block: when
-a block's checks fail, every line below the header is read again as one
-block (`_read_groups`).
+A document is read below its header as its UTF-8 bytes, and no Python object
+is made per line or field: numpy finds every ``\n`` and ``,``, and a field is
+a pair of byte offsets. A row joins the run of the row before if its id has
+the same bytes, and each run's id is decoded once. Written-form stamps are
+decoded in arrays by `model.parse_iso8601_bytes`. A value written
+``-?digits[.digits]``, with at most 8 digits before the point and 18 in all,
+is decoded in arrays too: its digits give an integer mantissa M below 2**63,
+eight at a time (SWAR), and M / 10**f is divided in long double, where both
+are exact, so the quotient is correctly rounded to 64 bits. Every midpoint
+between two adjacent doubles fits in 64 bits, so rounding that quotient to a
+double gives float()'s result unless it lands exactly on a midpoint; such
+values, every other spelling, and every value where long double has fewer
+than 64 bits, are decoded to str one at a time and given to float(). Only an
+error computes a line number, from its row's byte offset. A parser holds a
+whole document's arrays at once, so `cli` hands it a file in line-aligned
+pieces, each below the header (`cli._read_csv`).
 
 Every text file, CSV or JSON, is UTF-8 whatever the locale.
 """
@@ -55,7 +50,6 @@ from __future__ import annotations
 
 import json
 import zlib
-from collections.abc import Iterator
 from pathlib import Path
 from typing import NamedTuple
 
@@ -244,8 +238,8 @@ _RUN_ID_BYTES = 56
 
 
 class _Table:
-    """One block of a CSV document's rows: its lines' UTF-8 bytes and the byte offsets of
-    the fields of its rows.
+    """A CSV document's rows: the UTF-8 bytes of its lines below the header and the byte
+    offsets of the fields of its rows.
 
     A row is a non-blank line below the header. Field k of a row runs from its
     line's start or its comma k − 1, to its comma k or its line's stop, which
@@ -254,20 +248,18 @@ class _Table:
     """
 
     # Not a dataclass: `cli`'s module docstring says why.
-    __slots__ = ("data", "starts", "stops", "commas", "first_line")
+    __slots__ = ("data", "starts", "stops", "commas")
 
     def __init__(self, data: np.ndarray, starts: np.ndarray, stops: np.ndarray,
-                 commas: np.ndarray, first_line: int):
-        self.data = data      # the block's bytes, then _PAD zero bytes
+                 commas: np.ndarray):
+        self.data = data      # the bytes below the header, then _PAD zero bytes
         self.starts = starts  # (rows,) offset of each row's line
         self.stops = stops    # (rows,) offset past each row's last field
         self.commas = commas  # (rows, width - 1) offsets of each row's commas
-        self.first_line = first_line  # the number in the file of the block's first line
 
     def take(self, rows) -> _Table:
         """The table of the rows that `rows`, an index or mask, selects."""
-        return _Table(self.data, self.starts[rows], self.stops[rows], self.commas[rows],
-                      self.first_line)
+        return _Table(self.data, self.starts[rows], self.stops[rows], self.commas[rows])
 
     def field(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Start and stop offsets of field `k` of every row."""
@@ -279,36 +271,25 @@ class _Table:
         return self.data[start:stop].tobytes().decode("utf-8", "surrogatepass")
 
     def line(self, row: int) -> int:
-        """The number of a row's line in the file, counting from 1, blank lines included."""
-        return int(np.count_nonzero(self.data[:self.starts[row]] == ord("\n"))) + self.first_line
+        """The number of a row's line in the document, counting from 1, blank lines
+        included; the bytes start at line 2."""
+        return int(np.count_nonzero(self.data[:self.starts[row]] == ord("\n"))) + 2
 
     def error(self, error: type[IngestError], row: int, message: str) -> IngestError:
         """`error` naming a row's line."""
         return error(f"line {self.line(row)}: {message}")
 
 
-# Below its header, a document is read in blocks of about this many characters,
-# each ending just after a line break. A block's arrays take several times its
-# size, and each block costs about 0.3 ms of numpy calls. On 2.4 MB measurement
-# files, 64 KiB blocks took 1.5 times as long to parse as these, and 1 MiB
-# blocks raised parsing's peak 2.8 times.
-_BLOCK = 1 << 18
-
-
-def _read_table(document: str, header: list[str], error: type[IngestError]) -> Iterator[_Table]:
-    """The rows of a CSV document below its header, as one `_Table` per block of lines.
+def _read_table(document: str, header: list[str], error: type[IngestError]) -> _Table:
+    """The rows of a CSV document below its header.
 
     The grammar is the module docstring's, checked in this order: a quote
     raises `error` with its line; the first line, less a trailing ``\r``, must
     be the header; blank lines are skipped; every other line must hold one
     comma fewer than the header has fields, or `error` names the first that
-    does not. The quote and the header are checked on the str. The lines below
-    the header are then cut into blocks of about `_BLOCK` characters, each
-    ending just after a ``\n`` or at the document's end. A block is encoded
-    and split only when the caller asks for it, so a caller that lets each
-    block go holds no more than two at a time. Each block carries the number
-    of its first line, so its errors name lines in the file. No Python object
-    is made per line or field.
+    does not. The quote and the header are checked on the str, the field
+    counts on the document's UTF-8 bytes. No Python object is made per line or
+    field.
     """
     quote = document.find('"')
     if quote >= 0:
@@ -320,42 +301,30 @@ def _read_table(document: str, header: list[str], error: type[IngestError]) -> I
     if got != expected:
         raise error(f"line 1: expected header {expected!r}, got {got!r}")
 
-    first_line = 2
-    while start < len(document):
-        stop = document.find("\n", start + _BLOCK) + 1 or len(document)
-        table, breaks = _read_block(document[start:stop], first_line, len(header) - 1, error)
-        yield table
-        first_line += breaks
-        start = stop
-
-
-def _read_block(block: str, first_line: int, share: int,
-                error: type[IngestError]) -> tuple[_Table, int]:
-    """The rows of a block of whole lines, the first of them line `first_line` of the
-    file, and the number of line breaks in the block; a row without `share` commas
-    raises `error`."""
-    raw = block.encode("utf-8", "surrogatepass")
-    data = np.zeros(len(raw) + _PAD, np.uint8)
-    text = data[:len(raw)]
-    text[:] = np.frombuffer(raw, np.uint8)
+    # the header is ASCII, so its characters are its bytes
+    raw = document.encode("utf-8", "surrogatepass")
+    data = np.zeros(len(raw) - start + _PAD, np.uint8)
+    text = data[:len(raw) - start]
+    text[:] = np.frombuffer(raw, np.uint8, offset=start)
     breaks = np.flatnonzero(text == ord("\n"))
     starts = np.concatenate(([0], breaks + 1))
-    stops = np.append(breaks, len(raw))
+    stops = np.append(breaks, len(text))
     stops -= (stops > starts) & (data[stops - 1] == ord("\r"))
     filled = stops > starts
     if not filled.all():
         starts, stops = starts[filled], stops[filled]
+    share = len(header) - 1
     commas = np.flatnonzero(text == ord(","))
     if len(commas) == len(starts) * share:
         # With sorted commas and the right total, each row holds exactly its
         # share if the share lies inside the row's line.
         shares = commas.reshape(len(starts), share)
         if len(starts) == 0 or ((shares[:, 0] >= starts) & (shares[:, -1] < stops)).all():
-            return _Table(data, starts, stops, shares, first_line), len(breaks)
+            return _Table(data, starts, stops, shares)
     counts = np.searchsorted(commas, stops) - np.searchsorted(commas, starts)
     row = int(np.argmax(counts != share))
-    line = _Table(data, starts, stops, commas, first_line).line(row)
-    raise error(f"line {line}: expected {share + 1} fields, got {counts[row] + 1}")
+    raise _Table(data, starts, stops, commas).error(
+        error, row, f"expected {share + 1} fields, got {counts[row] + 1}")
 
 
 _WORD_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
@@ -500,55 +469,9 @@ def last_wins(sensor_id: str, times: np.ndarray, values: np.ndarray) -> TimeSeri
     return TimeSeries(sensor_id, times, values)
 
 
-def _read_groups(document: str, header: list[str], error: type[IngestError], read_block,
-                 *args) -> Iterator[tuple[str, list[np.ndarray]]]:
-    """Each key's columns over a whole CSV document, in key order.
-
-    `read_block(table, *args)` gives the columns of each key's rows in one
-    block, as ``{key: (column, ...)}``; a key's columns are joined over the
-    blocks in file order.
-
-    A document raises the error it would raise if it were read in one block.
-    `_read_table` raises it for a quote, the header or a field count. But
-    `read_block` checks each field over its own block only, so when it
-    raises, all lines below the header, numbered from 2, are read again as
-    one block and that read's error is raised; a good document is read once.
-    """
-    parts: dict[str, list[tuple[np.ndarray, ...]]] = {}
-    for table in _read_table(document, header, error):
-        try:
-            groups = read_block(table, *args)
-        except error:
-            body = document.find("\n") + 1
-            read_block(_read_block(document[body:], 2, len(header) - 1, error)[0], *args)
-            raise  # the one-block read passed: keep the block's error
-        for key, columns in groups.items():
-            parts.setdefault(key, []).append(columns)
-    for key in sorted(parts):
-        yield key, [np.concatenate(column) for column in zip(*parts.pop(key))]
-
-
 class ParsedMeasurements(NamedTuple):
     series: dict[str, TimeSeries]
     rejected: dict[str, int]  # unknown sensor_id -> line count
-
-
-def _sensor_block(table: _Table, catalog: DeploymentCatalog,
-                  rejected: dict[str, int]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Each known sensor's (times, values) in one block of a measurements CSV, in file
-    order; each unknown sensor's rows are counted into `rejected`."""
-    keys, codes = _key_codes(table)
-    known = np.array([catalog.has_sensor(key) for key in keys], bool)
-    for key, count, ok in zip(keys, np.bincount(codes, minlength=len(keys)).tolist(),
-                              known.tolist()):
-        if not ok:
-            rejected[key] = rejected.get(key, 0) + count
-    if not known.all():
-        kept = known[codes]
-        table, codes = table.take(kept), codes[kept]
-    times = _time_column(table, MeasurementFormatError)
-    values = _float_column(table, 2, MeasurementFormatError)
-    return {key: (times[idx], values[idx]) for key, idx in _group_rows(codes, keys).items()}
 
 
 def parse_measurements(document: str, catalog: DeploymentCatalog) -> ParsedMeasurements:
@@ -558,10 +481,19 @@ def parse_measurements(document: str, catalog: DeploymentCatalog) -> ParsedMeasu
     (sensor, timestamp) pairs collapse to the last occurrence in file order.
     Unknown sensor ids are quarantined, malformed lines are an error.
     """
-    rejected: dict[str, int] = {}
-    series = {sid: last_wins(sid, times, values) for sid, (times, values) in _read_groups(
-        document, MEASUREMENT_HEADER, MeasurementFormatError, _sensor_block, catalog, rejected)}
-    return ParsedMeasurements(series, dict(sorted(rejected.items())))
+    table = _read_table(document, MEASUREMENT_HEADER, MeasurementFormatError)
+    keys, codes = _key_codes(table)
+    known = np.array([catalog.has_sensor(key) for key in keys], bool)
+    rejected = {key: count for key, count, ok in zip(
+        keys, np.bincount(codes, minlength=len(keys)).tolist(), known.tolist()) if not ok}
+    if rejected:
+        kept = known[codes]
+        table, codes = table.take(kept), codes[kept]
+    times = _time_column(table, MeasurementFormatError)
+    values = _float_column(table, 2, MeasurementFormatError)
+    series = {key: last_wins(key, times[idx], values[idx])
+              for key, idx in _group_rows(codes, keys).items()}
+    return ParsedMeasurements(series, rejected)
 
 
 class WeatherHistory:
@@ -591,9 +523,9 @@ class WeatherHistory:
         return rows, recorded
 
 
-def _weather_block(table: _Table) -> dict[str, tuple[np.ndarray, ...]]:
-    """Each site's (times, temperature, wind, cloud) in one block of a weather CSV, in
-    file order."""
+def load_weather(document: str) -> dict[str, WeatherHistory]:
+    """Parse an hourly weather CSV into per-site histories."""
+    table = _read_table(document, WEATHER_HEADER, WeatherFormatError)
     keys, codes = _key_codes(table)
     times = _time_column(table, WeatherFormatError)
     temp, wind, cloud = (_float_column(table, k, WeatherFormatError) for k in (2, 3, 4))
@@ -603,23 +535,16 @@ def _weather_block(table: _Table) -> dict[str, tuple[np.ndarray, ...]]:
             (wind < 0.0, "negative wind speed")):
         if bad.any():
             raise table.error(WeatherFormatError, int(np.argmax(bad)), message)
-    return {key: (times[idx], temp[idx], wind[idx], cloud[idx])
-            for key, idx in _group_rows(codes, keys).items()}
-
-
-def load_weather(document: str) -> dict[str, WeatherHistory]:
-    """Parse an hourly weather CSV into per-site histories."""
     histories: dict[str, WeatherHistory] = {}
-    for site_id, (times, temp, wind, cloud) in _read_groups(
-            document, WEATHER_HEADER, WeatherFormatError, _weather_block):
-        if np.any(np.diff(times) <= 0):
+    for site_id, idx in _group_rows(codes, keys).items():
+        if np.any(np.diff(times[idx]) <= 0):
             raise WeatherFormatError(f"site {site_id}: timestamps not strictly increasing")
         histories[site_id] = WeatherHistory(
             site_id=site_id,
-            times=times,
-            outdoor_temp=temp,
-            wind_speed=wind,
-            cloud_cover=cloud,
+            times=times[idx],
+            outdoor_temp=temp[idx],
+            wind_speed=wind[idx],
+            cloud_cover=cloud[idx],
         )
     return histories
 

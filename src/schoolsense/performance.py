@@ -137,11 +137,7 @@ def solar_gain_correlation(
         raise CorrelationUndefined("no weekend samples")
 
     hours, inverse = np.unique(local[weekend] // 3600, return_inverse=True)
-    sums = np.zeros(len(hours))
-    counts = np.zeros(len(hours))
-    np.add.at(sums, inverse, series.values[weekend])
-    np.add.at(counts, inverse, 1)
-    means = sums / counts
+    means = np.bincount(inverse, weights=series.values[weekend]) / np.bincount(inverse)
     gains = orientation_gain((hours % 24) + 0.5, orientation)
 
     # each hour pairs with the hour before it; only daylight hours enter

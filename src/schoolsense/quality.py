@@ -326,7 +326,8 @@ def replace_outliers(series: TimeSeries, flagged, window: int) -> RepairResult:
     (t - W, t) of `window` seconds, so an outlier cannot pollute its own
     repair: below-median values become the window minimum, above-median the
     window maximum. A flagged sample whose window holds no surviving sample
-    is dropped. All windows are sorted at once, laid out one after another.
+    is dropped. All windows are sorted at once, one row each, padded with
+    +inf.
     """
     n = len(series)
     flagged = np.asarray(flagged, dtype=np.int64)
@@ -341,22 +342,26 @@ def replace_outliers(series: TimeSeries, flagged, window: int) -> RepairResult:
     index = np.flatnonzero(mask)
     times = series.times
     starts = _window_starts(times, times[index], window)
-    # each window's surviving samples, window after window, each window sorted;
-    # stably, so of equal values (0.0 and -0.0) the earliest comes first
     before = np.concatenate(([0], np.cumsum(~mask)))  # survivors before each sample
     lo = before[starts]
     count = before[index] - lo
-    end = np.cumsum(count)
-    pool = series.values[~mask][np.arange(end[-1]) + np.repeat(lo - (end - count), count)]
-    pool = pool[np.lexsort((pool, np.repeat(np.arange(len(index)), count)))]
+    # each window's surviving samples in a row, padded with +inf and sorted;
+    # stably, so of equal values (0.0 and -0.0) the earliest comes first. The
+    # rows have a column even where every window is empty.
+    offsets = np.arange(max(count.max(), 1))
+    inside = offsets < count[:, None]
+    rows = np.full(inside.shape, np.inf)
+    rows[inside] = series.values[~mask][(lo[:, None] + offsets)[inside]]
+    rows = np.sort(rows, axis=1, kind="stable")
     kept = count > 0
-    first, last = (end - count)[kept], count[kept] - 1
+    rows, last = rows[kept], count[kept] - 1
     pos = last * 0.5
     mid = pos.astype(np.int64)
-    median = _interp(pool[first + mid], pool[first + np.minimum(mid + 1, last)], pos - mid)
+    row = np.arange(len(rows))
+    median = _interp(rows[row, mid], rows[row, np.minimum(mid + 1, last)], pos - mid)
     at = index[kept]
     values = series.values.copy()
-    values[at] = np.where(values[at] < median, pool[first], pool[first + last])
+    values[at] = np.where(values[at] < median, rows[:, 0], rows[row, last])
     keep = np.ones(n, dtype=bool)
     keep[index[~kept]] = False
     repaired = TimeSeries(series.sensor_id, times[keep], values[keep])

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import schoolsense
-from schoolsense import cli, ingest
-from schoolsense.ingest import RECORD, SeriesStore, parse_catalog
+from schoolsense import cli
+from schoolsense.ingest import RECORD, SeriesStore, load_weather, parse_catalog
 from schoolsense.model import parse_iso8601, to_epoch
 
 SPEC = {
@@ -440,14 +440,14 @@ def test_bad_value_in_a_large_file_exits_2_naming_its_line(work, value, message)
     (("value", "stamp"), "stamp", "bad timestamp '2017-13-"),  # a stamp outranks a value
 ], ids=["value", "stamp", "value-then-stamp"])
 def test_errors_past_the_first_block_name_their_lines(work, errors, named, message):
-    """A bad value 1.5 reader blocks into a file and a bad stamp 2.5 blocks in, in a fresh
+    """A bad value 1.5 reader pieces into a file and a bad stamp 2.5 pieces in, in a fresh
     process: each names its line in the file, and the stamp wins though it comes later."""
     header, *rows = (work / "inputs" / "measurements" / "s1.csv").read_text().splitlines()
     lines = [header, *rows * 4]  # a repeated stamp is no error: the last one wins
     ends = np.cumsum([len(line) + 1 for line in lines])
-    assert ends[-1] > 3 * ingest._BLOCK
-    at = {"value": int(np.searchsorted(ends, 1.5 * ingest._BLOCK)),
-          "stamp": int(np.searchsorted(ends, 2.5 * ingest._BLOCK))}
+    assert ends[-1] > 3 * cli._BLOCK
+    at = {"value": int(np.searchsorted(ends, 1.5 * cli._BLOCK)),
+          "stamp": int(np.searchsorted(ends, 2.5 * cli._BLOCK))}
     for error in errors:
         sensor_id, stamp, value = lines[at[error]].split(",")
         lines[at[error]] = (f"{sensor_id},{stamp},21.5x" if error == "value" else
@@ -458,6 +458,92 @@ def test_errors_past_the_first_block_name_their_lines(work, errors, named, messa
     assert run.returncode == 2, run.stderr
     assert f"{bad}: line {at[named] + 1}: {message}" in run.stderr
     _assert_one_error_line(run.stderr)
+
+
+def _whole_file(parse, path, *args):
+    """One read and one parse of the whole file: the outcome that reading it in pieces
+    must give."""
+    return [cli._parse_file(parse, path, *args)]
+
+
+def _ingest_outcome(work, capsys, measurements, name):
+    """Exit code, stderr, and the bytes of every file written, of an ingest of one file."""
+    root = work / name
+    config = _write_config(work, measurements=[str(measurements)],
+                           store=str(root / "store"), out=str(root / "out"))
+    code, err = _run(["ingest", *config], capsys)
+    return code, err, {str(path.relative_to(root)): path.read_bytes()
+                       for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def _crlf_split(header, rows):
+    """CRLF line endings, and a first piece that ends where the \r\n of line 41 begins:
+    the reader counts characters once each \r\n has become \n."""
+    return ("\r\n".join([header, *rows]) + "\r\n").encode(), len("\n".join(rows[:40]))
+
+
+def _long_line(header, rows):
+    """Pieces of 64 characters, and a line of over 300: a value written with 300 zeros."""
+    sensor_id, stamp, value = rows[10].split(",")
+    rows[10] = f"{sensor_id},{stamp},{value}{'' if '.' in value else '.'}{'0' * 300}"
+    return ("\n".join([header, *rows]) + "\n").encode(), 64
+
+
+def _non_utf8(header, rows):
+    """A byte that is not UTF-8 past the first piece and past the first 8 KiB that the
+    text layer decodes at a time, so that no piece- or chunk-relative position names it."""
+    raw = bytearray(("\n".join([header, *rows]) + "\n").encode())
+    at = raw.index(b"\n", 10_000) + 1
+    raw[at] = 0xFF
+    return bytes(raw), 1024
+
+
+def _header_only(header, rows):
+    return (header + "\n").encode(), 32
+
+
+@pytest.mark.parametrize("case", [_crlf_split, _long_line, _non_utf8, _header_only],
+                         ids=lambda case: case.__name__.lstrip("_"))
+def test_text_at_a_piece_boundary_reads_as_the_whole_file(work, capsys, monkeypatch, case):
+    """Ingest in small pieces writes the store, and prints the stderr, of one read of the
+    whole file."""
+    header, *rows = (work / "inputs" / "measurements" / "s1.csv").read_text().splitlines()
+    raw, block = case(header, rows)
+    path = work / "case.csv"
+    path.write_bytes(raw)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_read_csv", _whole_file)
+        expected = _ingest_outcome(work, capsys, path, "whole")
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    assert case is _header_only or len(raw) > 3 * block
+    assert _ingest_outcome(work, capsys, path, "pieces") == expected
+    code, err, _ = expected
+    if case is _non_utf8:
+        assert code == 2
+        assert err == (f"error: {path}: 'utf-8' codec can't decode byte 0xff in position "
+                       f"{raw.index(0xFF)}: invalid start byte\n")
+    else:
+        assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("command", ["comfort", "perf"])
+def test_weather_stamp_going_back_at_a_piece_boundary_exits_2(work, capsys, monkeypatch,
+                                                              command):
+    """A site's stamps increase within each piece, but the first stamp of a piece comes
+    before the last of the piece before: the joined history is refused with the error one
+    read of the whole file gives."""
+    weather = work / "inputs" / "weather.csv"
+    header, *rows = weather.read_text().splitlines()
+    rows[40], rows[41] = rows[41], rows[40]
+    weather.write_text("\n".join([header, *rows]) + "\n")
+    monkeypatch.setattr(cli, "_BLOCK", len("\n".join(rows[:41])) + 1)
+    pieces = cli._read_csv(load_weather, weather)
+    assert len(pieces) > 1 and len(pieces[0]["s1"]) == 41
+    period = COMFORT if command == "comfort" else []
+    code, err = _run([command, *_write_config(work), *period], capsys)
+    assert code == 2
+    assert f"error: {weather}: site s1: timestamps not strictly increasing" in err
+    _assert_one_error_line(err)
 
 
 @pytest.mark.parametrize("site_id, sensor_id, named", [

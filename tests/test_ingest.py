@@ -6,12 +6,13 @@ import tempfile
 import tracemalloc
 import zlib
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from schoolsense import ingest
+from schoolsense import cli, ingest
 from schoolsense.ingest import (
     MEASUREMENT_HEADER,
     RECORD,
@@ -19,11 +20,13 @@ from schoolsense.ingest import (
     CatalogError,
     IngestError,
     MeasurementFormatError,
+    ParsedMeasurements,
     SeriesStore,
     StoreIntegrityError,
     WeatherFormatError,
     _read_table,
     catalog_to_json,
+    last_wins,
     load_weather,
     parse_catalog,
     parse_measurements,
@@ -203,14 +206,42 @@ def catalog():
     return parse_catalog(_catalog_doc(2))
 
 
-def _each_block_size():
-    """Yields once with the reader's block size at its default, then once at 32
-    characters: a block of a line or two, so that a document of a few lines is
-    read in several blocks, and its errors can sit in any of them."""
-    for size in (ingest._BLOCK, 32):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ingest, "_BLOCK", size)
-            yield size
+def _each_piece_size(document):
+    """Writes `document` to a file as UTF-8 and yields its path once with the file
+    reader's piece size at its default, then once at 32 characters: a piece of a line
+    or two, so that a document of a few lines is read in several pieces, and its errors
+    can sit in any of them."""
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "document.csv"
+        path.write_bytes(document.encode("utf-8"))
+        for size in (cli._BLOCK, 32):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cli, "_BLOCK", size)
+                yield path
+
+
+def _read_measurements(path, catalog) -> ParsedMeasurements:
+    """A measurements file read in pieces and joined as `cli.cmd_ingest` joins them: each
+    sensor's pieces in file order, the last sample of a repeated stamp winning, and the
+    rejects summed."""
+    pieces = cli._read_csv(parse_measurements, path, catalog)
+    series = {}
+    for sid in sorted({sid for piece in pieces for sid in piece.series}):
+        parts = [piece.series[sid] for piece in pieces if sid in piece.series]
+        series[sid] = last_wins(sid, np.concatenate([s.times for s in parts]),
+                                np.concatenate([s.values for s in parts]))
+    rejected = {}
+    for piece in pieces:
+        for sid, count in piece.rejected.items():
+            rejected[sid] = rejected.get(sid, 0) + count
+    return ParsedMeasurements(series, dict(sorted(rejected.items())))
+
+
+def _in_file(outcome, path):
+    """An outcome as the file reader gives it: an error is an IngestError naming the file."""
+    if isinstance(outcome, tuple) and isinstance(outcome[0], str):
+        return "IngestError", f"{path}: {outcome[1]}"
+    return outcome
 
 
 def test_parse_measurements_sorts_out_of_order(catalog):
@@ -373,9 +404,11 @@ def test_parse_measurements_reparse_fixpoint(catalog):
     ('sensor_id,timestamp,value\nsite0-t,2017-09-30T10:00:00Z,21.5\n\nsite0-t,x"y,1', 4),
 ])
 def test_a_quote_anywhere_names_its_line(catalog, doc, line):
-    for _ in _each_block_size():
-        with pytest.raises(MeasurementFormatError, match=f"^line {line}: quoted fields"):
-            parse_measurements(doc, catalog)
+    with pytest.raises(MeasurementFormatError, match=f"^line {line}: quoted fields"):
+        parse_measurements(doc, catalog)
+    for path in _each_piece_size(doc):
+        with pytest.raises(IngestError, match=f"^{re.escape(str(path))}: line {line}: quoted"):
+            _read_measurements(path, catalog)
 
 
 def test_crlf_parses_as_lf(catalog):
@@ -405,9 +438,12 @@ def test_crlf_parses_as_lf(catalog):
 def test_error_after_blank_lines_names_its_line(catalog, bad, message, ending):
     lines = ["sensor_id,timestamp,value", "", "site0-t,2017-09-30T10:00:00Z,21.5", "", "",
              bad, "site0-t,2017-09-30T10:02:00Z,21.5"]
-    for _ in _each_block_size():
-        with pytest.raises(MeasurementFormatError, match=f"^line 6: {message}"):
-            parse_measurements(ending.join(lines) + ending, catalog)
+    doc = ending.join(lines) + ending
+    with pytest.raises(MeasurementFormatError, match=f"^line 6: {message}"):
+        parse_measurements(doc, catalog)
+    for path in _each_piece_size(doc):
+        with pytest.raises(IngestError, match=f"^{re.escape(str(path))}: line 6: {message}"):
+            _read_measurements(path, catalog)
 
 
 # A field holds no quote (where the two grammars differ), no line break (the
@@ -432,23 +468,38 @@ def _quote_free_tables(draw):
     return header, "".join(map(str.__add__, lines, endings))
 
 
-def _columns_or_error_line(read, document, header):
+def _columns_or_error_line(read, source, header):
     """The columns and line numbers `read` gives, or the line its error names."""
     try:
-        columns, lines = read(document, header, MeasurementFormatError)
+        columns, lines = read(source, header, MeasurementFormatError)
     except MeasurementFormatError as exc:
         return int(re.match(r"line (\d+): ", str(exc)).group(1))
     return [list(column) for column in columns], lines
 
 
-def _decoded_table(document, header, error):
-    """The rows `_read_table` finds in all its blocks, decoded to columns of str, and their
-    line numbers."""
-    columns, lines = [[] for _ in header], []
-    for table in _read_table(document, header, error):
-        for k, column in enumerate(columns):
-            column += (table.text(start, stop) for start, stop in zip(*table.field(k)))
-        lines += (table.line(row) for row in range(len(table.starts)))
+def _decoded_piece(document, header, error):
+    """The rows `_read_table` finds, decoded to columns of str, their line numbers, and the
+    number of line breaks below the header."""
+    table = _read_table(document, header, error)
+    columns = [[table.text(start, stop) for start, stop in zip(*table.field(k))]
+               for k in range(len(header))]
+    return columns, [table.line(row) for row in range(len(table.starts))], document.count("\n") - 1
+
+
+def _decoded_file(path, header, error):
+    """The rows of a file read in pieces, decoded to columns of str, and their line
+    numbers in the file: each piece's numbers move down by the lines of the pieces
+    before it."""
+    try:
+        pieces = cli._read_csv(_decoded_piece, path, header, error)
+    except IngestError as exc:
+        raise error(str(exc).removeprefix(f"{path}: ")) from None
+    columns, lines, before = [[] for _ in header], [], 0
+    for piece_columns, piece_lines, breaks in pieces:
+        for column, part in zip(columns, piece_columns):
+            column += part
+        lines += [line + before for line in piece_lines]
+        before += breaks
     return columns, lines
 
 
@@ -457,8 +508,12 @@ def _decoded_table(document, header, error):
 def test_reader_matches_the_csv_reader_without_quotes(table):
     header, document = table
     expected = _columns_or_error_line(oracle_read_table, document, header)
-    for _ in _each_block_size():
-        assert _columns_or_error_line(_decoded_table, document, header) == expected
+    assert _columns_or_error_line(
+        lambda *args: _decoded_piece(*args)[:2], document, header) == expected
+    if any("\ud800" <= c <= "\udfff" for c in document):
+        return  # no UTF-8 file holds a lone surrogate
+    for path in _each_piece_size(document):
+        assert _columns_or_error_line(_decoded_file, path, header) == expected
 
 
 # ------------------------------------------------ the byte reader against the retired one
@@ -528,10 +583,10 @@ def _documents(draw, header, clean_row, dirty_row):
     return "".join(map(str.__add__, lines, endings))
 
 
-def _measurement_outcome(parse, document, catalog):
+def _measurement_outcome(parse, source, catalog):
     """The series bits and rejects `parse` gives, or its error's class and text."""
     try:
-        parsed = parse(document, catalog)
+        parsed = parse(source, catalog)
     except IngestError as exc:
         return type(exc).__name__, str(exc)
     return ([(sid, s.times.tobytes(), s.values.tobytes()) for sid, s in parsed.series.items()],
@@ -547,17 +602,18 @@ _measurement_documents = _documents(MEASUREMENT_HEADER, st.tuples(_ids, _good_st
 @example("sensor_id,timestamp,value\nsite0-t,2017-09-30T10:00:00Z,1\n"
          "site0-t\x00,2017-09-30T10:01:00Z,2\n")
 @example("sensor_id,timestamp,value\n\x00,2017-09-30T10:00:00Z,1\n,2017-09-30T10:01:00Z,2\n")
-# a bad value outranks a non-finite one on an earlier line, in an earlier block
+# a bad value outranks a non-finite one on an earlier line, in an earlier piece
 @example("sensor_id,timestamp,value\nsite0-t,2017-09-30T10:00:00Z,inf\n"
          "site0-t,2017-09-30T10:01:00Z,1\nsite0-t,2017-09-30T10:02:00Z,warm\n")
-# a field count on a later line outranks a bad value in an earlier block
+# a field count on a later line outranks a bad value in an earlier piece
 @example("sensor_id,timestamp,value\nsite0-t,2017-09-30T10:00:00Z,warm\n"
          "site0-t,2017-09-30T10:01:00Z,1\nsite0-t,2017-09-30T10:02:00Z\n")
 def test_parse_measurements_matches_the_retired_parser(document):
     catalog = parse_catalog(_catalog_doc(2))
     expected = _measurement_outcome(oracle_parse_measurements, document, catalog)
-    for _ in _each_block_size():
-        assert _measurement_outcome(parse_measurements, document, catalog) == expected
+    assert _measurement_outcome(parse_measurements, document, catalog) == expected
+    for path in _each_piece_size(document):
+        assert _measurement_outcome(_read_measurements, path, catalog) == _in_file(expected, path)
 
 
 @settings(deadline=None, max_examples=100)
@@ -566,10 +622,12 @@ def test_parse_measurements_matches_the_retired_parser_without_long_double(docum
     """Where long double is a plain double, every value goes to float()."""
     catalog = parse_catalog(_catalog_doc(2))
     expected = _measurement_outcome(oracle_parse_measurements, document, catalog)
-    for _ in _each_block_size():
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ingest, "_EXACT_QUOTIENTS", False)
-            assert _measurement_outcome(parse_measurements, document, catalog) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_EXACT_QUOTIENTS", False)
+        assert _measurement_outcome(parse_measurements, document, catalog) == expected
+        for path in _each_piece_size(document):
+            assert (_measurement_outcome(_read_measurements, path, catalog)
+                    == _in_file(expected, path))
 
 
 _hours = st.integers(0, 40).map(lambda h: format_iso8601(utc(2017, 9, 30) + 3600 * h))
@@ -581,9 +639,9 @@ def _weather_doc(rows):
     return "site_id,timestamp,outdoor_temp_c,wind_speed_ms,cloud_cover\n" + "\n".join(rows) + "\n"
 
 
-def _weather_outcome(load, document):
+def _weather_outcome(load, source):
     try:
-        histories = load(document)
+        histories = load(source)
     except IngestError as exc:
         return type(exc).__name__, str(exc)
     return [(site, *(getattr(h, name).tobytes() for name in
@@ -598,7 +656,7 @@ def _weather_outcome(load, document):
                   st.tuples(_weather_sites, _hours, _good_values, _fractions, _fractions),
                   st.tuples(_weather_sites, st.one_of(_hours, _stamps), _values, _values,
                             _values)))
-# errors outrank those of later fields and row checks on earlier lines, in earlier blocks
+# errors outrank those of later fields and row checks on earlier lines, in earlier pieces
 @example(_weather_doc(["a,2017-09-30T00:00:00Z,15.0,1.0,2.0",
                        "a,2017-09-30T01:30:00Z,15.0,1.0,0.5"]))
 @example(_weather_doc(["a,2017-09-30T00:00:00Z,15.0,inf,0.5",
@@ -607,8 +665,9 @@ def _weather_outcome(load, document):
                        "a,2017-09-30T01:00:00Z,15.0,1.0,2.0"]))
 def test_load_weather_matches_the_retired_loader(document):
     expected = _weather_outcome(oracle_load_weather, document)
-    for _ in _each_block_size():
-        assert _weather_outcome(load_weather, document) == expected
+    assert _weather_outcome(load_weather, document) == expected
+    for path in _each_piece_size(document):
+        assert _weather_outcome(cli._read_weather, path) == _in_file(expected, path)
 
 
 def test_load_weather_matches_the_retired_loader_on_valid_hours():
@@ -618,27 +677,33 @@ def test_load_weather_matches_the_retired_loader_on_valid_hours():
     document = _weather_doc(rows)
     assert len(load_weather(document)["a"]) == 40
     expected = _weather_outcome(oracle_load_weather, document)
-    for _ in _each_block_size():
-        assert _weather_outcome(load_weather, document) == expected
+    assert _weather_outcome(load_weather, document) == expected
+    for path in _each_piece_size(document):
+        assert _weather_outcome(cli._read_weather, path) == expected
 
 
-def test_parse_measurements_holds_less_than_twice_its_document(catalog):
-    """The reader holds one block's arrays at a time, so that parsing's own peak, numpy's
-    buffers included, stays below twice the document's size; a reader of the whole
-    document held about 5.7 times it here."""
+def test_reading_a_measurement_file_holds_less_than_one_and_a_half_times_it(catalog, tmp_path):
+    """The file reader holds one piece of the file at a time, so that reading and parsing
+    it, numpy's buffers and the parsed series included, peaks below 1.5 times the file's
+    size. `cli._parse_file`, which reads the whole file to one str and parses that at
+    once, peaked at almost 7 times it here."""
     rng = np.random.default_rng(3)
     series = {sid: series_at(sid, utc(2017, 9, 4), 60, rng.normal(21, 1, 33_000))
               for sid in ("site0-t", "site1-t")}
-    document = write_measurements_csv(series)
-    assert len(document.encode()) > 3_000_000
+    path = tmp_path / "measurements.csv"
+    path.write_text(write_measurements_csv(series), encoding="utf-8")
+    size = path.stat().st_size
+    assert size > 3_000_000
     tracemalloc.start()
     try:
-        parsed = parse_measurements(document, catalog)
+        pieces = cli._read_csv(parse_measurements, path, catalog)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [len(s) for s in parsed.series.values()] == [33_000, 33_000]
-    assert peak < 2 * len(document.encode())
+    assert len(pieces) > 1
+    assert [sum(len(piece.series.get(sid, ())) for piece in pieces)
+            for sid in series] == [33_000] * 2
+    assert peak < 1.5 * size
 
 
 # ------------------------------------------------------------ the decimal kernel
