@@ -7,7 +7,11 @@ Commands hand off through files only: `synth` materializes a scenario,
 deterministic given its config and data: no wall-clock dependence, stable
 ordering, full-precision decimals. `ingest` and `quality` write every
 catalog sensor, an empty series included, so each store holds exactly what
-its stage computed and no earlier run shows through.
+its stage computed and no earlier run shows through. `quality` checks every
+stored series before it writes anything, so a damaged store or an empty
+period fails with nothing written; it then loads, audits, repairs and saves
+one sensor at a time, keeping only report rows and per-site and per-category
+totals between sensors.
 
 The JSON config file is the only source of settings, and it names paths
 only: `catalog`, `store` and `out` are required, `weather` and
@@ -73,7 +77,7 @@ import json
 import sys
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,7 +101,6 @@ from .model import (
     QualityError,
     ScenarioError,
     SensorKind,
-    SensorMeta,
     TimeSeries,
     day_to_date,
     format_iso8601,
@@ -294,118 +297,87 @@ def cmd_ingest(config: RunConfig) -> None:
           f"into {config.store}; {sum(rejects.values())} rejected lines")
 
 
-def _load_all_series(
-    store: SeriesStore, catalog: DeploymentCatalog
-) -> dict[str, TimeSeries]:
-    """Every catalog sensor's raw series; absent sensors load empty."""
-    return {
-        meta.sensor_id: store.load(meta.site_id, meta.sensor_id).series
-        for meta in catalog.sensors
-    }
-
-
 def cmd_quality(config: RunConfig, end: date | None = None) -> None:
     from . import quality as quality_mod
     catalog = _parse_file(parse_catalog, config.catalog)
     store = SeriesStore(config.store)
     if not store.sites():
         raise ConfigError(f"no data in store {config.store}")
-    raw = _load_all_series(store, catalog)
-    last_times = [int(s.times[-1]) for s in raw.values() if len(s)]
-    if not last_times:
+    # the first pass reads every stored series in catalog order, keeping only
+    # its last stamp, so that no store or period error fires after a write
+    loaded = (store.load(m.site_id, m.sensor_id).series for m in catalog.sensors)
+    last = max((int(s.times[-1]) for s in loaded if len(s)), default=None)
+    if last is None:
         raise ConfigError("no data in store (all sensors empty)")
-    if end is None:
-        end_epoch = ((max(last_times) // DAY_SECONDS) + 1) * DAY_SECONDS
-    else:
-        end_epoch = to_epoch(end)
-    # the repaired store and every report cover [site start, end) only; a site
-    # that starts after the end keeps no sample
-    raw = {m.sensor_id: slice_series(raw[m.sensor_id],
-                                     min(catalog.site(m.site_id).start_time, end_epoch),
-                                     end_epoch)
-           for m in catalog.sensors}
-
-    matrix = quality_mod.availability_matrix(raw, catalog, end_epoch)
-    if not matrix:
+    end_epoch = (last // DAY_SECONDS + 1) * DAY_SECONDS if end is None else to_epoch(end)
+    if all(catalog.site(m.site_id).start_time >= end_epoch for m in catalog.sensors):
         raise ConfigError(f"the period ends {day_to_date(end_epoch // DAY_SECONDS)}, "
                           "on or before the start of every site")
-    repaired_store = SeriesStore(config.repaired)
-    # of each repair, the reports read only the flags and the filled times; the
-    # repaired series is saved and let go
-    flags: dict[str, np.ndarray] = {}
-    filled: dict[str, np.ndarray] = {}
-    for meta in catalog.sensors:
-        site = catalog.site(meta.site_id)
-        outcome = quality_mod.repair_series(raw[meta.sensor_id], meta, site)
-        repaired_store.save(meta.site_id, outcome.series)
-        flags[meta.sensor_id], filled[meta.sensor_id] = outcome.flags, outcome.filled
 
+    # each site's and each category's [sensors, positions, expected, observed,
+    # samples, flags], with each day's observed count capped at its expected
+    # count; apart, since a site may be named like a category
+    site_totals = {site.site_id: [0, set(), 0, 0, 0, 0] for site in catalog.sites}
+    kind_totals = {category: [0, set(), 0, 0, 0, 0] for category in CATEGORIES}
+    repaired_store = SeriesStore(config.repaired)
     rows = []
-    for sensor_id, (days, expected, observed) in matrix.items():
-        fraction = np.divide(observed, expected, out=np.ones(len(days)), where=expected > 0)
-        outage = 100.0 * (1.0 - np.minimum(1.0, fraction))
-        index, kinds = flags[sensor_id]["index"], flags[sensor_id]["kind"]
-        flagged = [raw[sensor_id].times[index[kinds == kind]]
-                   for kind in quality_mod.FlagKind]  # zero, spike, bound: the column order
-        columns = [expected, observed, outage,
-                   *(quality_mod.day_counts(at, days) for at in [*flagged, filled[sensor_id]])]
-        site_id = catalog.sensor(sensor_id).site_id
-        for day, *values in zip(days.tolist(), *(c.tolist() for c in columns)):
-            rows.append(f"{site_id},{sensor_id},{day_to_date(day).isoformat()},"
-                        + ",".join(map(repr, values)))
+    for meta in sorted(catalog.sensors, key=lambda m: m.sensor_id):
+        site = catalog.site(meta.site_id)
+        # the repaired store and every report cover [site start, end) only; a
+        # site that starts after the end keeps no sample and has no matrix entry
+        raw = slice_series(store.load(meta.site_id, meta.sensor_id).series,
+                           min(site.start_time, end_epoch), end_epoch)
+        matrix = quality_mod.availability_matrix({meta.sensor_id: raw}, catalog, end_epoch)
+        # of the repair, the reports read only the flags and the filled times
+        outcome = quality_mod.repair_series(raw, meta, site)
+        repaired_store.save(meta.site_id, outcome.series)
+        counts = [0, 0, len(raw), len(outcome.flags)]
+        for days, expected, observed in matrix.values():
+            counts[:2] = int(expected.sum()), int(np.minimum(observed, expected).sum())
+            fraction = np.divide(observed, expected, out=np.ones(len(days)), where=expected > 0)
+            outage = 100.0 * (1.0 - np.minimum(1.0, fraction))
+            index, kinds = outcome.flags["index"], outcome.flags["kind"]
+            flagged = [raw.times[index[kinds == kind]]
+                       for kind in quality_mod.FlagKind]  # zero, spike, bound: the column order
+            columns = [expected, observed, outage,
+                       *(quality_mod.day_counts(at, days) for at in [*flagged, outcome.filled])]
+            for day, *values in zip(days.tolist(), *(c.tolist() for c in columns)):
+                rows.append(f"{meta.site_id},{meta.sensor_id},{day_to_date(day).isoformat()},"
+                            + ",".join(map(repr, values)))
+        for totals in (site_totals[meta.site_id], kind_totals[meta.kind.category]):
+            totals[0] += 1
+            totals[1].add((meta.site_id, meta.room_id))
+            totals[2:] = [total + count for total, count in zip(totals[2:], counts)]
     _write_csv(
         config.out / "quality_report.csv",
         "site_id,sensor_id,date,expected,observed,outage_pct,"
         "zero_flags,spike_flags,bound_flags,fills",
         rows)
 
-    site_stats = _group_quality([site.site_id for site in catalog.sites],
-                                lambda m: m.site_id, catalog, matrix, raw, flags)
+    def group_stats(totals: dict[str, list]) -> list[tuple[str, int, int, float, float]]:
+        """(group, positions, sensors, outage %, outlier %) for each group that
+        expects a sample in the period, in the order of `totals`."""
+        return [(group, len(positions), sensors,
+                 quality_mod.outage_percentage(np.array([expected]), np.array([observed])),
+                 100.0 * flags / samples if samples else 0.0)
+                for group, (sensors, positions, expected, observed, samples, flags)
+                in totals.items() if expected]
+
+    site_stats = group_stats(site_totals)
     _write_csv(
         config.out / "site_quality.csv",
         "site_id,pos,sensors,start_time,outage_pct,outlier_pct",
         [f"{site_id},{pos},{n},{format_iso8601(catalog.site(site_id).start_time)},"
          f"{outage!r},{outlier!r}" for site_id, pos, n, outage, outlier in site_stats])
-    kind_stats = _group_quality(CATEGORIES, lambda m: m.kind.category,
-                                catalog, matrix, raw, flags)
     _write_csv(
         config.out / "kind_quality.csv",
         "category,pos,sensors,outage_pct,outlier_pct",
         [f"{category},{pos},{n},{outage!r},{outlier!r}"
-         for category, pos, n, outage, outlier in kind_stats])
+         for category, pos, n, outage, outlier in group_stats(kind_totals)])
 
     print(f"quality report for {len(catalog.sensors)} sensors written to {config.out}")
     for site_id, _, _, outage, _ in sorted(site_stats):
         print(f"  site {site_id}: outage {outage:.2f}%")
-
-
-def _group_quality(
-    order: Iterable[str],
-    group_of: Callable[[SensorMeta], str],
-    catalog: DeploymentCatalog,
-    matrix: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
-    raw: dict[str, TimeSeries],
-    flags: dict[str, np.ndarray],
-) -> list[tuple[str, int, int, float, float]]:
-    """(group, positions, sensors, outage %, outlier %) for each group in
-    `order` that expects a sample in the period; a group whose sensors all
-    start after the period, expect no grid point in it, or that has no
-    sensor, gets no row."""
-    from .quality import outage_percentage
-    stats = []
-    for group in order:
-        metas = [m for m in catalog.sensors if group_of(m) == group]
-        counted = [matrix[m.sensor_id] for m in metas if m.sensor_id in matrix]
-        if not any(expected.any() for _, expected, _ in counted):
-            continue
-        _, expected, observed = (np.concatenate(c) for c in zip(*counted))
-        outage = outage_percentage(expected, observed)
-        pos = len({(m.site_id, m.room_id) for m in metas})
-        samples = sum(len(raw[m.sensor_id]) for m in metas)
-        flagged = sum(len(flags[m.sensor_id]) for m in metas)
-        outlier_pct = 100.0 * flagged / samples if samples else 0.0
-        stats.append((group, pos, len(metas), outage, outlier_pct))
-    return stats
 
 
 def _repaired_store(config: RunConfig) -> SeriesStore:

@@ -84,7 +84,13 @@ def _given(spec: type, data: dict) -> dict:
     """The settings of `spec` that `data` holds, each of the JSON type of its
     field's default (`json_value`); settings `data` lacks keep the dataclass
     default. Fields without a default, and a site's rooms, are the caller's to
-    build."""
+    build. A key that names no field is refused."""
+    names = [f.name for f in fields(spec)]
+    unknown = set(data) - set(names)
+    if unknown:
+        level = spec.__name__.removesuffix("Spec").lower()
+        raise ScenarioError(f"unknown {level} keys: {sorted(unknown)}; a {level} takes "
+                            f"{', '.join(names)}")
     return {f.name: json_value(data[f.name], type(f.default), f.name) for f in fields(spec)
             if f.name in data and f.default is not MISSING and f.name != "rooms"}
 
@@ -151,8 +157,18 @@ class ScenarioSpec:
     indoor_noise_coupling: float = INDOOR_NOISE_COUPLING
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
         if self.days <= 0:
             raise ScenarioError("days must be positive")
+        if self.start.toordinal() + self.days - 1 > date.max.toordinal():
+            # a stamp is written with a four-digit year
+            raise ScenarioError(f"days must end the period by {date.max}: {self.days} days "
+                                f"from {self.start} do not")
+        # a normal scale; numpy refuses -0.0 as it does any negative one
+        if not np.isfinite(self.noise_sigma) or np.signbit(self.noise_sigma):
+            raise ScenarioError(f"noise_sigma must be finite and not negative, got "
+                                f"{self.noise_sigma!r}")
         if self.sensing_rate <= 0 or self.station_rate <= 0:
             raise ScenarioError("sensing rates must be positive")
         if not self.sites:

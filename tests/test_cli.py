@@ -17,7 +17,7 @@ import pytest
 import schoolsense
 from schoolsense import cli
 from schoolsense.ingest import RECORD, SeriesStore, load_weather, parse_catalog
-from schoolsense.model import parse_iso8601, to_epoch
+from schoolsense.model import CATEGORIES, parse_iso8601, to_epoch
 
 SPEC = {
     "seed": 5,
@@ -334,6 +334,16 @@ def test_catalog_site_value_out_of_range_exits_2(work, capsys, field, value):
     _assert_one_error_line(err)
 
 
+def _assert_synth_refuses(tmp_path, capsys, spec, message):
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    out = tmp_path / "a" / "b" / "out"
+    code, err = _run(["synth", str(tmp_path / "spec.json"), "--out", str(out)], capsys)
+    assert code == 2
+    assert message in err
+    _assert_one_error_line(err)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["spec.json"]
+
+
 @pytest.mark.parametrize("site, message", [
     ({"site_id": "../../escaped"}, "site_id '../../escaped' cannot name a store directory"),
     ({"site_id": ".."}, "site_id '..' cannot name a store directory"),
@@ -343,13 +353,26 @@ def test_catalog_site_value_out_of_range_exits_2(work, capsys, field, value):
     ({"site_id": "s1", "rooms": [{"room_id": 3}]}, "room_id must be a string, got 3"),
 ], ids=["site-escapes-out", "site-dotdot", "site-int", "room-comma", "room-slash", "room-int"])
 def test_spec_id_that_cannot_name_a_file_exits_2_writing_nothing(tmp_path, capsys, site, message):
-    (tmp_path / "spec.json").write_text(json.dumps(dict(SPEC, sites=[site])))
-    out = tmp_path / "a" / "b" / "out"
-    code, err = _run(["synth", str(tmp_path / "spec.json"), "--out", str(out)], capsys)
-    assert code == 2
-    assert message in err
-    _assert_one_error_line(err)
-    assert sorted(p.name for p in tmp_path.rglob("*")) == ["spec.json"]
+    _assert_synth_refuses(tmp_path, capsys, dict(SPEC, sites=[site]), message)
+
+
+SITE = SPEC["sites"][0]
+
+
+@pytest.mark.parametrize("spec, message", [
+    (dict(SPEC, seed=-1), "seed must be >= 0"),
+    (dict(SPEC, noise_sigma=-1), "noise_sigma must be finite and not negative"),
+    (dict(SPEC, noise_sigma=-0.0), "noise_sigma must be finite and not negative"),
+    (dict(SPEC, start="9999-12-30", days=5), "days must end the period by 9999-12-31"),
+    (dict(SPEC, typo_key=1), "unknown scenario keys: ['typo_key']"),
+    (dict(SPEC, outdoor_mean=20.0), "unknown scenario keys: ['outdoor_mean']"),
+    (dict(SPEC, sites=[dict(SITE, colour="blue")]), "unknown site keys: ['colour']"),
+    (dict(SPEC, sites=[dict(SITE, rooms=[dict(SITE["rooms"][0], outdoor_mean=20.0)])]),
+     "unknown room keys: ['outdoor_mean']"),
+], ids=["seed-negative", "noise-negative", "noise-negative-zero", "past-year-9999",
+        "unknown-key", "site-key-at-top", "unknown-site-key", "site-key-in-room"])
+def test_spec_that_synth_cannot_generate_exits_2_writing_nothing(tmp_path, capsys, spec, message):
+    _assert_synth_refuses(tmp_path, capsys, spec, message)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -764,6 +787,76 @@ def test_quality_group_expecting_no_sample_gets_no_row(work, capsys):
             assert int(expected) == 1800 // rates[sensor_id], sensor_id
     assert [row.split(",")[0] for row in
             (out / "site_quality.csv").read_text().splitlines()[1:]] == ["s1"]
+
+
+def _file_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("damaged, period, exit_code", [
+    ("s1-wind", [], 1),
+    ("s1-pressure", [], 1),
+    (None, ["--to", "2017-10-02"], 2),
+], ids=["last-sensor-by-id", "last-sensor-in-catalog", "period-before-every-start"])
+def test_failing_quality_writes_nothing(work, capsys, damaged, period, exit_code):
+    # a shorter repair first, so that any file the failing run wrote would differ
+    conf = ["--config", str(work / "config.json")]
+    assert _run(["quality", *conf, "--to", "2017-10-05"], capsys) == (0, "")
+    before = _file_bytes(work / "out")
+    if damaged is not None:
+        _flip_byte(work / "store" / "s1" / damaged / "records.bin")
+    code, err = _run(["quality", *conf, *period], capsys)
+    assert code == exit_code
+    _assert_one_error_line(err)
+    assert _file_bytes(work / "out") == before
+
+
+def test_quality_site_named_like_a_category(tmp_path, capsys):
+    # the second site is named like the power category and a third has no
+    # sensor; each report row must hold only its own group's counts
+    spec = dict(SPEC, sites=[SITE, dict(SITE, site_id="power", outage_fraction=0.2,
+                                        zero_error_rate=0.05)])
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert cli.main(["synth", str(tmp_path / "spec.json"), "--out", str(tmp_path / "inputs")]) == 0
+    catalog_path = tmp_path / "inputs" / "catalog.json"
+    doc = json.loads(catalog_path.read_text())
+    doc["sites"].append(dict(doc["sites"][0], site_id="s3"))
+    catalog_path.write_text(json.dumps(doc))
+    measurements = tmp_path / "inputs" / "measurements"
+    conf = _write_config(tmp_path, measurements=[str(measurements / "s1.csv"),
+                                                 str(measurements / "power.csv")])
+    for command in ("ingest", "quality"):
+        code, err = _run([command, *conf], capsys)
+        assert code == 0, err
+
+    catalog = parse_catalog(catalog_path.read_text())
+    out = tmp_path / "out"
+    header, *rows = (line.split(",") for line in
+                     (out / "quality_report.csv").read_text().splitlines())
+    columns = [header.index(c) for c in
+               ("expected", "observed", "zero_flags", "spike_flags", "bound_flags")]
+    # (report, group) -> [expected, observed capped per day, observed, flags]
+    sums = {("site", s.site_id): [0] * 4 for s in catalog.sites}
+    sums |= {("kind", category): [0] * 4 for category in CATEGORIES}
+    for row in rows:
+        meta = catalog.sensor(row[1])
+        expected, observed, *flags = (int(row[c]) for c in columns)
+        for key in (("site", meta.site_id), ("kind", meta.kind.category)):
+            sums[key] = [total + n for total, n in
+                         zip(sums[key], (expected, min(observed, expected), observed, sum(flags)))]
+    for report, kind in (("site_quality.csv", "site"), ("kind_quality.csv", "kind")):
+        wanted = []
+        for (of, group), (expected, capped, observed, flags) in sums.items():
+            metas = [m for m in catalog.sensors
+                     if group == (m.site_id if of == "site" else m.kind.category)]
+            if of == kind and expected:
+                wanted.append([group, str(len({(m.site_id, m.room_id) for m in metas})),
+                               str(len(metas)), repr(100.0 * (1.0 - capped / expected)),
+                               repr(100.0 * flags / observed)])
+        got = [line.split(",") for line in (out / report).read_text().splitlines()[1:]]
+        assert [row[:3] + row[-2:] for row in got] == wanted, report
+    assert [line.split(",")[0] for line in
+            (out / "site_quality.csv").read_text().splitlines()[1:]] == ["s1", "power"]
 
 
 def test_quality_to_limits_repair_and_outlier_rates(tmp_path, capsys):

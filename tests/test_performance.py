@@ -82,7 +82,8 @@ def test_cli_import_does_not_load_scipy(tmp_path):
     assert cli.main(["synth", str(tmp_path / "spec.json"), "--out", str(tmp_path / "inputs")]) == 0
     config = test_cli._write_config(tmp_path)
     # hashlib loads OpenSSL, about 3.6 MB of RSS per command; the store uses zlib.crc32.
-    # numpy.ma costs about 12 ms per command; a plain np.unique or np.percentile loads it.
+    # numpy.ma costs about 12 ms per command. Under numpy 2.4.6 np.percentile and
+    # np.quantile load it, and so does np.unique unless it returns indices or counts.
     # Only synth runs the generator, and each analysis module loads in the commands
     # that run it (quality and performance share the orderstat kernel); synth loads
     # none of them, and its hashlib comes with numpy.random (through secrets).

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 from datetime import date
 
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from schoolsense.cli import _group_quality
+from schoolsense.cli import main
+from schoolsense.ingest import SeriesStore, catalog_to_json
 from schoolsense.model import (
-    CATEGORIES,
     DeploymentCatalog,
     SensorKind,
     SensorMeta,
@@ -376,16 +377,24 @@ def test_repair_series_reports_all_stages(tiny_catalog, tiny_site):
     assert len(outcome.series) == n
 
 
-def test_category_outage_grouping(tiny_catalog):
-    day = np.array([0])
-    matrix = {
-        "t1": (day, np.array([100]), np.array([50])),
-        "h1": (day, np.array([100]), np.array([100])),
-        "p1": (day, np.array([100]), np.array([75])),
-    }
-    raw = {m.sensor_id: TimeSeries.empty(m.sensor_id) for m in tiny_catalog.sensors}
-    flags = {sensor_id: () for sensor_id in raw}
-    stats = _group_quality(CATEGORIES, lambda m: m.kind.category, tiny_catalog, matrix, raw,
-                           flags)
-    pct = {group: outage for group, _, _, outage, _ in stats}
-    assert pct == {"environmental": pytest.approx(25.0), "power": pytest.approx(25.0)}
+def test_category_outage_grouping(tiny_catalog, tmp_path, capsys):
+    # on 2017-09-04 t1 sees half of its 2,880 samples, h1 all and p1 three
+    # quarters: the environmental category pools t1 with h1, power holds p1
+    start = utc(2017, 9, 4)
+    store = SeriesStore(tmp_path / "store")
+    for sensor_id, kept in (("t1", slice(None, None, 2)), ("h1", slice(None)),
+                            ("p1", slice(None, 2160))):
+        times = start + 30 * np.arange(2880, dtype=np.int64)[kept]
+        store.save("alpha", TimeSeries(sensor_id, times, np.full(len(times), 20.0)))
+    (tmp_path / "catalog.json").write_text(catalog_to_json(tiny_catalog))
+    (tmp_path / "config.json").write_text(json.dumps(
+        {"catalog": "catalog.json", "store": "store", "out": "out"}))
+    assert main(["quality", "--config", str(tmp_path / "config.json"),
+                 "--to", "2017-09-05"]) == 0, capsys.readouterr().err
+    rows = [line.split(",") for line in
+            (tmp_path / "out" / "kind_quality.csv").read_text().splitlines()[1:]]
+    assert [(category, int(pos), int(n), float(outage), float(outlier))
+            for category, pos, n, outage, outlier in rows] == [
+        ("environmental", 1, 2, 25.0, 0.0),
+        ("power", 1, 1, 25.0, 0.0),
+    ]

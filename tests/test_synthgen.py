@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
 from datetime import date
 
 import pytest
 
 from schoolsense.model import Orientation
-from schoolsense.synthgen import RoomSpec, ScenarioError, ScenarioSpec, SiteSpec
+from schoolsense.synthgen import RoomSpec, ScenarioError, ScenarioSpec, SiteSpec, generate
 
 MINIMAL = {"seed": 1, "start": "2017-10-02", "days": 3,
            "sites": [{"site_id": "s1", "rooms": [{"room_id": "a"}]}]}
@@ -62,11 +63,33 @@ def test_spec_values_must_have_their_json_type(doc, field):
         ScenarioSpec.from_json(json.dumps(doc))
 
 
-@pytest.mark.parametrize("site, message", [
-    ({"rooms": []}, "missing field 'site_id'"),
-    ({"site_id": "s1", "latitude": "north"}, "bad scenario field"),
-    ({"site_id": "s1", "rooms": [{"room_id": "a", "orientation": "up"}]}, "bad scenario field"),
-])
-def test_bad_spec_raises_scenario_error(site, message):
-    with pytest.raises(ScenarioError, match=message):
-        ScenarioSpec.from_json(json.dumps(dict(MINIMAL, sites=[site])))
+@pytest.mark.parametrize("doc, message", [
+    (dict(MINIMAL, sites=[{"rooms": []}]), "missing field 'site_id'"),
+    (dict(MINIMAL, sites=[{"site_id": "s1", "latitude": "north"}]), "bad scenario field"),
+    (dict(MINIMAL, sites=[{"site_id": "s1", "rooms": [{"room_id": "a", "orientation": "up"}]}]),
+     "bad scenario field"),
+    # values that generate nothing: numpy refuses the seed and the scale, and a
+    # stamp is written with a four-digit year
+    (dict(MINIMAL, seed=-1), "seed must be >= 0, got -1"),
+    (dict(MINIMAL, noise_sigma=-1), "noise_sigma must be finite and not negative, got -1.0"),
+    (dict(MINIMAL, noise_sigma=-0.0), "noise_sigma must be finite and not negative, got -0.0"),
+    (dict(MINIMAL, start="9999-12-30", days=5), "days must end the period by 9999-12-31"),
+    # keys that name no setting
+    (dict(MINIMAL, typo_key=1), "unknown scenario keys: ['typo_key']"),
+    (dict(MINIMAL, outdoor_mean=20.0), "unknown scenario keys: ['outdoor_mean']"),
+    (dict(MINIMAL, sites=[dict(SITE, colour="blue")]), "unknown site keys: ['colour']"),
+    (dict(MINIMAL, sites=[dict(SITE, rooms=[dict(ROOM, outdoor_mean=20.0)])]),
+     "unknown room keys: ['outdoor_mean']"),
+], ids=["site0-missing field 'site_id'", "site1-bad scenario field", "site2-bad scenario field",
+        "seed-negative", "noise-negative", "noise-negative-zero", "past-year-9999",
+        "unknown-key", "site-key-at-top", "unknown-site-key", "site-key-in-room"])
+def test_bad_spec_raises_scenario_error(doc, message):
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        ScenarioSpec.from_json(json.dumps(doc))
+
+
+def test_spec_ending_on_the_last_writable_day_is_written(tmp_path):
+    spec = ScenarioSpec.from_json(json.dumps(dict(MINIMAL, start="9999-12-27", days=5)))
+    generate(spec, tmp_path)
+    last = (tmp_path / "weather.csv").read_text().splitlines()[-1]
+    assert last.split(",")[1] == "9999-12-31T23:00:00Z"
