@@ -324,26 +324,26 @@ def cmd_quality(config: RunConfig, end: date | None = None) -> None:
     for meta in sorted(catalog.sensors, key=lambda m: m.sensor_id):
         site = catalog.site(meta.site_id)
         # the repaired store and every report cover [site start, end) only; a
-        # site that starts after the end keeps no sample and has no matrix entry
+        # site that starts after the end keeps no sample and has no day
         raw = slice_series(store.load(meta.site_id, meta.sensor_id).series,
                            min(site.start_time, end_epoch), end_epoch)
-        matrix = quality_mod.availability_matrix({meta.sensor_id: raw}, catalog, end_epoch)
+        days, expected, observed = quality_mod.availability_matrix(
+            raw, meta.sensing_rate, site.start_time, end_epoch)
         # of the repair, the reports read only the flags and the filled times
         outcome = quality_mod.repair_series(raw, meta, site)
         repaired_store.save(meta.site_id, outcome.series)
-        counts = [0, 0, len(raw), len(outcome.flags)]
-        for days, expected, observed in matrix.values():
-            counts[:2] = int(expected.sum()), int(np.minimum(observed, expected).sum())
-            fraction = np.divide(observed, expected, out=np.ones(len(days)), where=expected > 0)
-            outage = 100.0 * (1.0 - np.minimum(1.0, fraction))
-            index, kinds = outcome.flags["index"], outcome.flags["kind"]
-            flagged = [raw.times[index[kinds == kind]]
-                       for kind in quality_mod.FlagKind]  # zero, spike, bound: the column order
-            columns = [expected, observed, outage,
-                       *(quality_mod.day_counts(at, days) for at in [*flagged, outcome.filled])]
-            for day, *values in zip(days.tolist(), *(c.tolist() for c in columns)):
-                rows.append(f"{meta.site_id},{meta.sensor_id},{day_to_date(day).isoformat()},"
-                            + ",".join(map(repr, values)))
+        counts = [int(expected.sum()), int(np.minimum(observed, expected).sum()),
+                  len(raw), len(outcome.flags)]
+        fraction = np.divide(observed, expected, out=np.ones(len(days)), where=expected > 0)
+        outage = 100.0 * (1.0 - np.minimum(1.0, fraction))
+        index, kinds = outcome.flags["index"], outcome.flags["kind"]
+        flagged = [raw.times[index[kinds == kind]]
+                   for kind in quality_mod.FlagKind]  # zero, spike, bound: the column order
+        columns = [expected, observed, outage,
+                   *(quality_mod.day_counts(at, days) for at in [*flagged, outcome.filled])]
+        for day, *values in zip(days.tolist(), *(c.tolist() for c in columns)):
+            rows.append(f"{meta.site_id},{meta.sensor_id},{day_to_date(day).isoformat()},"
+                        + ",".join(map(repr, values)))
         for totals in (site_totals[meta.site_id], kind_totals[meta.kind.category]):
             totals[0] += 1
             totals[1].add((meta.site_id, meta.room_id))

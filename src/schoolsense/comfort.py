@@ -41,20 +41,11 @@ class ComfortError(ValueError):
     pass
 
 
-class DailyComfortScore:
-    __slots__ = ("day", "score", "hours_evaluated", "t_pmo")
-
-    def __init__(self, day: int, score: float, hours_evaluated: int, t_pmo: float):
-        if not 0.0 <= score <= 1.0:
-            raise ComfortError(f"score {score} outside [0, 1]")
-        self.day = day  # days since epoch, local calendar
-        self.score = score
-        self.hours_evaluated = hours_evaluated
-        self.t_pmo = t_pmo
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"DailyComfortScore({fields})"
+class DailyComfortScore(NamedTuple):
+    day: int  # days since epoch, local calendar
+    score: float
+    hours_evaluated: int
+    t_pmo: float
 
 
 def _segment_means(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -77,19 +77,7 @@ WEATHER_HEADER = ["site_id", "timestamp", "outdoor_temp_c", "wind_speed_ms", "cl
 
 
 class IngestError(ValueError):
-    """Malformed input document."""
-
-
-class CatalogError(IngestError):
-    pass
-
-
-class MeasurementFormatError(IngestError):
-    pass
-
-
-class WeatherFormatError(IngestError):
-    pass
+    """Malformed input document: a catalog, measurement or weather file."""
 
 
 class StoreIntegrityError(IngestError):
@@ -97,9 +85,9 @@ class StoreIntegrityError(IngestError):
 
 
 def _objects(value, name: str) -> list[dict]:
-    """`value` if it is a list of JSON objects; CatalogError naming the field otherwise."""
+    """`value` if it is a list of JSON objects; IngestError naming the field otherwise."""
     if type(value) is not list or any(type(item) is not dict for item in value):
-        raise CatalogError(f"{name} must be a list of objects")
+        raise IngestError(f"{name} must be a list of objects")
     return value
 
 
@@ -109,7 +97,7 @@ def _objects(value, name: str) -> list[dict]:
 _ID_FORBIDDEN = ("/", "\\", "\x00", ",", '"', "\r", "\n")
 
 
-def _store_id(value, name: str, error: type[ValueError] = CatalogError) -> str:
+def _store_id(value, name: str, error: type[ValueError] = IngestError) -> str:
     """`value` if it is a string that can name a store directory and be a CSV field;
     `error` naming the field otherwise."""
     value = json_value(value, str, name)
@@ -120,12 +108,12 @@ def _store_id(value, name: str, error: type[ValueError] = CatalogError) -> str:
 
 
 def _room_id(value) -> str:
-    """`value` if it is a string that can be a field of a report row; CatalogError naming
+    """`value` if it is a string that can be a field of a report row; IngestError naming
     the field otherwise."""
     value = json_value(value, str, "room_id")
     if any(c in value for c in _ID_FORBIDDEN):
-        raise CatalogError(f"room_id {value!r} cannot be a report field: a room id holds "
-                           f"no /, \\, NUL, comma, quote or line break")
+        raise IngestError(f"room_id {value!r} cannot be a report field: a room id holds "
+                          f"no /, \\, NUL, comma, quote or line break")
     return value
 
 
@@ -134,10 +122,10 @@ def parse_catalog(document: str) -> DeploymentCatalog:
     try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
-        raise CatalogError(f"catalog syntax error at line {exc.lineno}, column {exc.colno}: "
-                           f"{exc.msg}") from None
+        raise IngestError(f"catalog syntax error at line {exc.lineno}, column {exc.colno}: "
+                          f"{exc.msg}") from None
     if type(data) is not dict:
-        raise CatalogError("catalog root must be an object")
+        raise IngestError("catalog root must be an object")
 
     sites = []
     for raw in _objects(data.get("sites", []), "sites"):
@@ -163,9 +151,9 @@ def parse_catalog(document: str) -> DeploymentCatalog:
                 rooms=rooms,
             ))
         except KeyError as exc:
-            raise CatalogError(f"site entry missing field {exc}") from None
-        except (ValueError, ModelError) as exc:
-            raise CatalogError(f"bad site entry: {exc}") from None
+            raise IngestError(f"site entry missing field {exc}") from None
+        except ValueError as exc:
+            raise IngestError(f"bad site entry: {exc}") from None
 
     sensors = []
     for raw in _objects(data.get("sensors", []), "sensors"):
@@ -173,7 +161,7 @@ def parse_catalog(document: str) -> DeploymentCatalog:
             kind = SensorKind(raw["kind"])
             unit = raw.get("unit")
             if unit is not None and unit != kind.unit:
-                raise CatalogError(
+                raise IngestError(
                     f"sensor {raw.get('sensor_id')!r}: unit {unit!r} does not match "
                     f"{kind.value} ({kind.unit}); units are fixed per kind")
             sensors.append(SensorMeta(
@@ -185,14 +173,14 @@ def parse_catalog(document: str) -> DeploymentCatalog:
                 sensing_rate=json_value(raw.get("sensing_rate", 30), int, "sensing_rate"),
             ))
         except KeyError as exc:
-            raise CatalogError(f"sensor entry missing field {exc}") from None
-        except (ValueError, ModelError) as exc:
-            raise CatalogError(f"bad sensor entry: {exc}") from None
+            raise IngestError(f"sensor entry missing field {exc}") from None
+        except ValueError as exc:
+            raise IngestError(f"bad sensor entry: {exc}") from None
 
     try:
         return DeploymentCatalog(sites=tuple(sites), sensors=tuple(sensors))
     except ModelError as exc:
-        raise CatalogError(str(exc)) from None
+        raise IngestError(str(exc)) from None
 
 
 def catalog_to_json(catalog: DeploymentCatalog) -> str:
@@ -275,31 +263,31 @@ class _Table:
         included; the bytes start at line 2."""
         return int(np.count_nonzero(self.data[:self.starts[row]] == ord("\n"))) + 2
 
-    def error(self, error: type[IngestError], row: int, message: str) -> IngestError:
-        """`error` naming a row's line."""
-        return error(f"line {self.line(row)}: {message}")
+    def error(self, row: int, message: str) -> IngestError:
+        """An IngestError naming a row's line."""
+        return IngestError(f"line {self.line(row)}: {message}")
 
 
-def _read_table(document: str, header: list[str], error: type[IngestError]) -> _Table:
+def _read_table(document: str, header: list[str]) -> _Table:
     """The rows of a CSV document below its header.
 
     The grammar is the module docstring's, checked in this order: a quote
-    raises `error` with its line; the first line, less a trailing ``\r``, must
-    be the header; blank lines are skipped; every other line must hold one
-    comma fewer than the header has fields, or `error` names the first that
-    does not. The quote and the header are checked on the str, the field
+    raises IngestError with its line; the first line, less a trailing ``\r``,
+    must be the header; blank lines are skipped; every other line must hold
+    one comma fewer than the header has fields, or IngestError names the first
+    that does not. The quote and the header are checked on the str, the field
     counts on the document's UTF-8 bytes. No Python object is made per line or
     field.
     """
     quote = document.find('"')
     if quote >= 0:
         line = document.count("\n", 0, quote) + 1
-        raise error(f"line {line}: quoted fields are not supported")
+        raise IngestError(f"line {line}: quoted fields are not supported")
     start = document.find("\n") + 1 or len(document)
     expected = ",".join(header)
     got = document[:start].removesuffix("\n").removesuffix("\r")
     if got != expected:
-        raise error(f"line 1: expected header {expected!r}, got {got!r}")
+        raise IngestError(f"line 1: expected header {expected!r}, got {got!r}")
 
     # the header is ASCII, so its characters are its bytes
     raw = document.encode("utf-8", "surrogatepass")
@@ -324,7 +312,7 @@ def _read_table(document: str, header: list[str], error: type[IngestError]) -> _
     counts = np.searchsorted(commas, stops) - np.searchsorted(commas, starts)
     row = int(np.argmax(counts != share))
     raise _Table(data, starts, stops, commas).error(
-        error, row, f"expected {share + 1} fields, got {counts[row] + 1}")
+        row, f"expected {share + 1} fields, got {counts[row] + 1}")
 
 
 _WORD_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
@@ -361,12 +349,12 @@ def _group_rows(codes: np.ndarray, keys: list[str]) -> dict[str, np.ndarray]:
     return {key: group for key, group, count in zip(keys, groups, counts) if count}
 
 
-def _time_column(table: _Table, error: type[IngestError]) -> np.ndarray:
-    """Epoch seconds of field 1 of the table's rows; a bad stamp raises `error`."""
+def _time_column(table: _Table) -> np.ndarray:
+    """Epoch seconds of field 1 of the table's rows; a bad stamp raises IngestError."""
     try:
         return parse_iso8601_bytes(table.data, *table.field(1))
     except ModelError as exc:
-        raise table.error(error, exc.index, str(exc)) from None
+        raise table.error(exc.index, str(exc)) from None
 
 
 # The fast path's quotient M / 10**f is correctly rounded only where long
@@ -436,9 +424,9 @@ def _decimals(data: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     return values, fast
 
 
-def _float_column(table: _Table, k: int, error: type[IngestError]) -> np.ndarray:
+def _float_column(table: _Table, k: int) -> np.ndarray:
     """Float64 values of field `k` of the table's rows; a bad or non-finite value raises
-    `error`.
+    IngestError.
 
     Plain decimals are decoded in arrays (`_decimals`); each other field is
     decoded to str and given to float(). A bad value anywhere comes before a
@@ -451,11 +439,11 @@ def _float_column(table: _Table, k: int, error: type[IngestError]) -> np.ndarray
         try:
             values[i] = float(text)
         except ValueError:
-            raise table.error(error, i, f"bad value {text!r}") from None
+            raise table.error(i, f"bad value {text!r}") from None
     bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
         i = int(bad[0])
-        raise table.error(error, i, f"non-finite value {table.text(starts[i], stops[i])!r}")
+        raise table.error(i, f"non-finite value {table.text(starts[i], stops[i])!r}")
     return values
 
 
@@ -481,7 +469,7 @@ def parse_measurements(document: str, catalog: DeploymentCatalog) -> ParsedMeasu
     (sensor, timestamp) pairs collapse to the last occurrence in file order.
     Unknown sensor ids are quarantined, malformed lines are an error.
     """
-    table = _read_table(document, MEASUREMENT_HEADER, MeasurementFormatError)
+    table = _read_table(document, MEASUREMENT_HEADER)
     keys, codes = _key_codes(table)
     known = np.array([catalog.has_sensor(key) for key in keys], bool)
     rejected = {key: count for key, count, ok in zip(
@@ -489,8 +477,8 @@ def parse_measurements(document: str, catalog: DeploymentCatalog) -> ParsedMeasu
     if rejected:
         kept = known[codes]
         table, codes = table.take(kept), codes[kept]
-    times = _time_column(table, MeasurementFormatError)
-    values = _float_column(table, 2, MeasurementFormatError)
+    times = _time_column(table)
+    values = _float_column(table, 2)
     series = {key: last_wins(key, times[idx], values[idx])
               for key, idx in _group_rows(codes, keys).items()}
     return ParsedMeasurements(series, rejected)
@@ -525,20 +513,20 @@ class WeatherHistory:
 
 def load_weather(document: str) -> dict[str, WeatherHistory]:
     """Parse an hourly weather CSV into per-site histories."""
-    table = _read_table(document, WEATHER_HEADER, WeatherFormatError)
+    table = _read_table(document, WEATHER_HEADER)
     keys, codes = _key_codes(table)
-    times = _time_column(table, WeatherFormatError)
-    temp, wind, cloud = (_float_column(table, k, WeatherFormatError) for k in (2, 3, 4))
+    times = _time_column(table)
+    temp, wind, cloud = (_float_column(table, k) for k in (2, 3, 4))
     for bad, message in (
             (times % 3600 != 0, "timestamp not on the hourly grid"),
             ((cloud < 0.0) | (cloud > 1.0), "cloud cover outside [0, 1]"),
             (wind < 0.0, "negative wind speed")):
         if bad.any():
-            raise table.error(WeatherFormatError, int(np.argmax(bad)), message)
+            raise table.error(int(np.argmax(bad)), message)
     histories: dict[str, WeatherHistory] = {}
     for site_id, idx in _group_rows(codes, keys).items():
         if np.any(np.diff(times[idx]) <= 0):
-            raise WeatherFormatError(f"site {site_id}: timestamps not strictly increasing")
+            raise IngestError(f"site {site_id}: timestamps not strictly increasing")
         histories[site_id] = WeatherHistory(
             site_id=site_id,
             times=times[idx],

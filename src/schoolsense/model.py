@@ -232,60 +232,30 @@ def json_value(value, kind: type, name: str):
 
 
 class SensorKind(Enum):
-    """Sensor categories deployed across the buildings, with fixed units."""
+    """Sensor categories deployed across the buildings. Each row is a kind's
+    value, its fixed unit and its device category: environmental,
+    atmospheric, weather or power."""
 
-    INDOOR_TEMPERATURE = "indoor_temperature"
-    RELATIVE_HUMIDITY = "relative_humidity"
-    LUMINOSITY = "luminosity"
-    NOISE = "noise"
-    OCCUPANCY = "occupancy"
-    POWER_PHASE = "power_phase"
-    OUTDOOR_TEMPERATURE = "outdoor_temperature"
-    WIND_SPEED = "wind_speed"
-    ATMOSPHERIC_PRESSURE = "atmospheric_pressure"
-    PRECIPITATION = "precipitation"
-    POLLUTANT = "pollutant"
-    CLOUD_COVER = "cloud_cover"
+    INDOOR_TEMPERATURE = "indoor_temperature", "degC", "environmental"
+    RELATIVE_HUMIDITY = "relative_humidity", "%", "environmental"
+    LUMINOSITY = "luminosity", "lux", "environmental"
+    NOISE = "noise", "dB", "environmental"
+    OCCUPANCY = "occupancy", "bool", "environmental"
+    POWER_PHASE = "power_phase", "W", "power"
+    OUTDOOR_TEMPERATURE = "outdoor_temperature", "degC", "weather"
+    WIND_SPEED = "wind_speed", "m/s", "weather"
+    ATMOSPHERIC_PRESSURE = "atmospheric_pressure", "hPa", "atmospheric"
+    PRECIPITATION = "precipitation", "mm", "weather"
+    POLLUTANT = "pollutant", "ppm", "atmospheric"
+    CLOUD_COVER = "cloud_cover", "fraction", "weather"
 
-    @property
-    def unit(self) -> str:
-        return _KIND_UNITS[self]
+    def __new__(cls, value: str, unit: str, category: str):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.unit = unit
+        member.category = category
+        return member
 
-    @property
-    def category(self) -> str:
-        """Device category: environmental, atmospheric, weather or power."""
-        return _KIND_CATEGORIES[self]
-
-
-_KIND_UNITS = {
-    SensorKind.INDOOR_TEMPERATURE: "degC",
-    SensorKind.RELATIVE_HUMIDITY: "%",
-    SensorKind.LUMINOSITY: "lux",
-    SensorKind.NOISE: "dB",
-    SensorKind.OCCUPANCY: "bool",
-    SensorKind.POWER_PHASE: "W",
-    SensorKind.OUTDOOR_TEMPERATURE: "degC",
-    SensorKind.WIND_SPEED: "m/s",
-    SensorKind.ATMOSPHERIC_PRESSURE: "hPa",
-    SensorKind.PRECIPITATION: "mm",
-    SensorKind.POLLUTANT: "ppm",
-    SensorKind.CLOUD_COVER: "fraction",
-}
-
-_KIND_CATEGORIES = {
-    SensorKind.INDOOR_TEMPERATURE: "environmental",
-    SensorKind.RELATIVE_HUMIDITY: "environmental",
-    SensorKind.LUMINOSITY: "environmental",
-    SensorKind.NOISE: "environmental",
-    SensorKind.OCCUPANCY: "environmental",
-    SensorKind.POWER_PHASE: "power",
-    SensorKind.OUTDOOR_TEMPERATURE: "weather",
-    SensorKind.WIND_SPEED: "weather",
-    SensorKind.PRECIPITATION: "weather",
-    SensorKind.CLOUD_COVER: "weather",
-    SensorKind.ATMOSPHERIC_PRESSURE: "atmospheric",
-    SensorKind.POLLUTANT: "atmospheric",
-}
 
 CATEGORIES = ("environmental", "atmospheric", "weather", "power")
 
@@ -429,7 +399,7 @@ class Site:
 class DeploymentCatalog:
     """Validated deployment description: sites, classrooms and sensors."""
 
-    __slots__ = ("sites", "sensors", "_site_index", "_sensor_index")
+    __slots__ = ("sites", "sensors", "_site_index", "_sensor_ids")
 
     def __init__(self, sites: tuple[Site, ...], sensors: tuple[SensorMeta, ...]):
         self.sites = sites
@@ -439,9 +409,9 @@ class DeploymentCatalog:
             if site.site_id in site_index:
                 raise ModelError(f"duplicate site_id {site.site_id!r}")
             site_index[site.site_id] = site
-        sensor_index = {}
+        sensor_ids = set()
         for meta in self.sensors:
-            if meta.sensor_id in sensor_index:
+            if meta.sensor_id in sensor_ids:
                 raise ModelError(f"duplicate sensor_id {meta.sensor_id!r}")
             site = site_index.get(meta.site_id)
             if site is None:
@@ -449,9 +419,9 @@ class DeploymentCatalog:
                     f"sensor {meta.sensor_id!r} references unknown site {meta.site_id!r}")
             if meta.room_id is not None:
                 site.room(meta.room_id)  # raises on dangling room reference
-            sensor_index[meta.sensor_id] = meta
+            sensor_ids.add(meta.sensor_id)
         self._site_index = site_index
-        self._sensor_index = sensor_index
+        self._sensor_ids = sensor_ids
 
     def site(self, site_id: str) -> Site:
         try:
@@ -459,14 +429,8 @@ class DeploymentCatalog:
         except KeyError:
             raise ModelError(f"unknown site {site_id!r}") from None
 
-    def sensor(self, sensor_id: str) -> SensorMeta:
-        try:
-            return self._sensor_index[sensor_id]
-        except KeyError:
-            raise ModelError(f"unknown sensor {sensor_id!r}") from None
-
     def has_sensor(self, sensor_id: str) -> bool:
-        return sensor_id in self._sensor_index
+        return sensor_id in self._sensor_ids
 
     def sensors_for_site(self, site_id: str) -> list[SensorMeta]:
         return [m for m in self.sensors if m.site_id == site_id]

@@ -40,19 +40,17 @@ from __future__ import annotations
 
 import math
 from enum import IntEnum
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import (
     DAY_SECONDS,
-    DeploymentCatalog,
     QualityError,
     SensorKind,
     SensorMeta,
     Site,
     TimeSeries,
-    slice_series,
 )
 from .orderstat import BUCKET, CHUNK, WaveletMatrix
 
@@ -71,32 +69,24 @@ SMOOTH_WINDOW = 5 * 60
 def day_counts(times, days: np.ndarray) -> np.ndarray:
     """How many of `times` fall on each of the consecutive UTC `days`; times
     on other days are not counted."""
-    offsets = np.asarray(times, dtype=np.int64) // DAY_SECONDS - days[0]
+    offsets = np.asarray(times, dtype=np.int64) // DAY_SECONDS - (days[0] if len(days) else 0)
     return np.bincount(offsets[(offsets >= 0) & (offsets < len(days))], minlength=len(days))
 
 
 def availability_matrix(
-    series: Mapping[str, TimeSeries],
-    catalog: DeploymentCatalog,
-    end: int,
-) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per sensor, in id order, the UTC days from its site's start to `end`
-    with the samples expected and observed on each; a sensor whose site
-    starts at or after `end` has no entry."""
-    matrix = {}
-    for sensor_id in sorted(series):
-        meta = catalog.sensor(sensor_id)
-        start = catalog.site(meta.site_id).start_time
-        if end <= start:
-            continue
-        days = np.arange(start // DAY_SECONDS, (end - 1) // DAY_SECONDS + 1)
-        lo = np.maximum(days * DAY_SECONDS, start)
-        hi = np.minimum((days + 1) * DAY_SECONDS, end)
-        rate = meta.sensing_rate
-        expected = (lo // -rate) - (hi // -rate)  # ceil(hi/rate) - ceil(lo/rate)
-        observed = day_counts(slice_series(series[sensor_id], start, end).times, days)
-        matrix[sensor_id] = (days, expected, observed)
-    return matrix
+    series: TimeSeries, rate: int, start: int, end: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The UTC days of [start, end) for one sensor sampled every `rate`
+    seconds, with the samples expected and observed in each day's part of the
+    period; samples outside it are not counted. All three int64 arrays are
+    empty when `end <= start`."""
+    first = start // DAY_SECONDS
+    days = np.arange(first, (end - 1) // DAY_SECONDS + 1 if end > start else first)
+    lo = np.maximum(days * DAY_SECONDS, start)
+    hi = np.minimum((days + 1) * DAY_SECONDS, end)
+    expected = (lo // -rate) - (hi // -rate)  # ceil(hi/rate) - ceil(lo/rate)
+    observed = np.searchsorted(series.times, hi) - np.searchsorted(series.times, lo)
+    return days, expected, observed
 
 
 def outage_percentage(expected: np.ndarray, observed: np.ndarray) -> float:

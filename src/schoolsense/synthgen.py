@@ -522,11 +522,9 @@ class _SiteGenerator:
             values = self.outdoor_hourly[hidx] + noise
         elif kind is SensorKind.WIND_SPEED:
             values = np.clip(self.wind[hidx] + 0.1 * noise, 0.0, None)
-        elif kind is SensorKind.ATMOSPHERIC_PRESSURE:
+        else:  # atmospheric pressure, the third station kind `generate` asks for
             week_phase = (times - self.start_epoch) / (7.0 * DAY_SECONDS)
             values = 1013.0 + 4.0 * np.sin(2.0 * np.pi * week_phase) + 2.0 * noise
-        else:
-            raise ScenarioError(f"no station signal for {kind}")
         return times, values
 
 

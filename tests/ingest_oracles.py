@@ -12,7 +12,8 @@ parsers must give the same series bit for bit, the same rejects and the same
 error text. Apart from their names, the functions are the code as it was,
 except that stamps go through `parse_iso8601` one at a time: the sequence form
 of it that they called became the byte decoder under test, whose contract is
-to agree with it.
+to agree with it. And every error they raise is an IngestError, as `ingest`'s
+are: they no longer take a subclass of it to raise.
 """
 
 from __future__ import annotations
@@ -27,53 +28,51 @@ from schoolsense.ingest import (
     MEASUREMENT_HEADER,
     WEATHER_HEADER,
     IngestError,
-    MeasurementFormatError,
     ParsedMeasurements,
-    WeatherFormatError,
     WeatherHistory,
     last_wins,
 )
 from schoolsense.model import DeploymentCatalog, ModelError, parse_iso8601
 
 
-def oracle_read_table(document: str, header: list[str], error: type[IngestError]):
+def oracle_read_table(document: str, header: list[str]):
     """The columns (tuples of str) of a CSV document below its header, and their line numbers.
 
-    Blank lines are skipped; a wrong header or field count raises `error` with its line.
+    Blank lines are skipped; a wrong header or field count raises IngestError with its line.
     """
     rows = list(csv.reader(io.StringIO(document)))
     if not rows or rows[0] != header:
-        raise error(f"line 1: expected header {','.join(header)!r}, got {rows[:1]!r}")
+        raise IngestError(f"line 1: expected header {','.join(header)!r}, got {rows[:1]!r}")
     lines = [n for n, row in enumerate(rows[1:], start=2) if row]
     rows = [row for row in rows[1:] if row]
     if set(map(len, rows)) - {len(header)}:
         line, row = next((n, r) for n, r in zip(lines, rows) if len(r) != len(header))
-        raise error(f"line {line}: expected {len(header)} fields, got {len(row)}")
+        raise IngestError(f"line {line}: expected {len(header)} fields, got {len(row)}")
     return list(zip(*rows)) or [()] * len(header), lines
 
 
-def oracle_split_table(document: str, header: list[str], error: type[IngestError]):
+def oracle_split_table(document: str, header: list[str]):
     """The columns (lists of str) of a CSV document below its header, and their line numbers.
 
-    The grammar is the module docstring's: a quote raises `error` with its
+    The grammar is the module docstring's: a quote raises IngestError with its
     line, a trailing ``\r`` is dropped, and blank lines are skipped but keep
-    their numbers. A wrong header or field count raises `error` with its line.
+    their numbers. A wrong header or field count raises IngestError with its line.
     """
     if '"' in document:
         line = document.count("\n", 0, document.index('"')) + 1
-        raise error(f"line {line}: quoted fields are not supported")
+        raise IngestError(f"line {line}: quoted fields are not supported")
     lines = document.split("\n")
     if "\r" in document:
         lines = [line[:-1] if line.endswith("\r") else line for line in lines]
     if lines[0] != ",".join(header):
-        raise error(f"line 1: expected header {','.join(header)!r}, got {lines[0]!r}")
+        raise IngestError(f"line 1: expected header {','.join(header)!r}, got {lines[0]!r}")
     numbers = list(compress(range(2, len(lines) + 1), lines[1:]))
     body = list(filter(None, lines[1:]))
     width = len(header)
     commas = list(map(str.count, body, repeat(",")))
     if commas.count(width - 1) != len(commas):
         i = next(i for i, n in enumerate(commas) if n != width - 1)
-        raise error(f"line {numbers[i]}: expected {width} fields, got {commas[i] + 1}")
+        raise IngestError(f"line {numbers[i]}: expected {width} fields, got {commas[i] + 1}")
     cells = ",".join(body).split(",") if body else []
     return [cells[k::width] for k in range(width)], numbers
 
@@ -87,18 +86,18 @@ def oracle_group_rows(keys) -> dict[str, np.ndarray]:
     return {key: groups[code_of[key]] for key in sorted(code_of)}
 
 
-def oracle_time_column(texts, lines, error: type[IngestError]) -> np.ndarray:
+def oracle_time_column(texts, lines) -> np.ndarray:
     out = np.empty(len(texts), np.int64)
     for i, text in enumerate(texts):
         try:
             out[i] = parse_iso8601(text)
         except ModelError as exc:
-            raise error(f"line {lines[i]}: {exc}") from None
+            raise IngestError(f"line {lines[i]}: {exc}") from None
     return out
 
 
-def oracle_float_column(texts, lines, error: type[IngestError]) -> np.ndarray:
-    """Float64 values of a text column; a bad or non-finite value raises `error`."""
+def oracle_float_column(texts, lines) -> np.ndarray:
+    """Float64 values of a text column; a bad or non-finite value raises IngestError."""
     try:
         values = np.array(texts, dtype=np.float64)
     except ValueError:
@@ -107,11 +106,11 @@ def oracle_float_column(texts, lines, error: type[IngestError]) -> np.ndarray:
             try:
                 values[i] = float(text)
             except ValueError:
-                raise error(f"line {lines[i]}: bad value {text!r}") from None
+                raise IngestError(f"line {lines[i]}: bad value {text!r}") from None
     bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
         i = int(bad[0])
-        raise error(f"line {lines[i]}: non-finite value {texts[i]!r}")
+        raise IngestError(f"line {lines[i]}: non-finite value {texts[i]!r}")
     return values
 
 
@@ -122,8 +121,7 @@ def oracle_parse_measurements(document: str, catalog: DeploymentCatalog) -> Pars
     (sensor, timestamp) pairs collapse to the last occurrence in file order.
     Unknown sensor ids are quarantined, malformed lines are an error.
     """
-    (ids, stamps, raw_values), lines = oracle_split_table(
-        document, MEASUREMENT_HEADER, MeasurementFormatError)
+    (ids, stamps, raw_values), lines = oracle_split_table(document, MEASUREMENT_HEADER)
     groups = oracle_group_rows(ids)
     rejected = {sid: len(idx) for sid, idx in groups.items() if not catalog.has_sensor(sid)}
     if rejected:
@@ -131,28 +129,27 @@ def oracle_parse_measurements(document: str, catalog: DeploymentCatalog) -> Pars
         ids, stamps, raw_values, lines = (
             [column[i] for i in keep] for column in (ids, stamps, raw_values, lines))
         groups = oracle_group_rows(ids)
-    times = oracle_time_column(stamps, lines, MeasurementFormatError)
-    values = oracle_float_column(raw_values, lines, MeasurementFormatError)
+    times = oracle_time_column(stamps, lines)
+    values = oracle_float_column(raw_values, lines)
     series = {sid: last_wins(sid, times[idx], values[idx]) for sid, idx in groups.items()}
     return ParsedMeasurements(series, rejected)
 
 
 def oracle_load_weather(document: str) -> dict[str, WeatherHistory]:
     """Parse an hourly weather CSV into per-site histories."""
-    (site_ids, stamps, *measured), lines = oracle_split_table(
-        document, WEATHER_HEADER, WeatherFormatError)
-    times = oracle_time_column(stamps, lines, WeatherFormatError)
-    temp, wind, cloud = (oracle_float_column(c, lines, WeatherFormatError) for c in measured)
+    (site_ids, stamps, *measured), lines = oracle_split_table(document, WEATHER_HEADER)
+    times = oracle_time_column(stamps, lines)
+    temp, wind, cloud = (oracle_float_column(c, lines) for c in measured)
     for bad, message in ((times % 3600 != 0, "timestamp not on the hourly grid"),
                          ((cloud < 0.0) | (cloud > 1.0), "cloud cover outside [0, 1]"),
                          (wind < 0.0, "negative wind speed")):
         if bad.any():
-            raise WeatherFormatError(f"line {lines[int(np.argmax(bad))]}: {message}")
+            raise IngestError(f"line {lines[int(np.argmax(bad))]}: {message}")
 
     histories: dict[str, WeatherHistory] = {}
     for site_id, idx in oracle_group_rows(site_ids).items():
         if np.any(np.diff(times[idx]) <= 0):
-            raise WeatherFormatError(f"site {site_id}: timestamps not strictly increasing")
+            raise IngestError(f"site {site_id}: timestamps not strictly increasing")
         histories[site_id] = WeatherHistory(
             site_id=site_id,
             times=times[idx],

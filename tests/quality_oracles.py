@@ -264,9 +264,10 @@ def oracle_availability_matrix(
     epoch-multiples of the rate, pro-rated on the first and last day.
     """
     end_epoch = to_epoch(end)
+    metas = {meta.sensor_id: meta for meta in catalog.sensors}
     cells: list[AvailabilityCell] = []
     for sensor_id in sorted(series):
-        meta = catalog.sensor(sensor_id)
+        meta = metas[sensor_id]
         site = catalog.site(meta.site_id)
         if end_epoch <= site.start_time:
             continue

@@ -830,6 +830,7 @@ def test_quality_site_named_like_a_category(tmp_path, capsys):
         assert code == 0, err
 
     catalog = parse_catalog(catalog_path.read_text())
+    metas = {meta.sensor_id: meta for meta in catalog.sensors}
     out = tmp_path / "out"
     header, *rows = (line.split(",") for line in
                      (out / "quality_report.csv").read_text().splitlines())
@@ -839,7 +840,7 @@ def test_quality_site_named_like_a_category(tmp_path, capsys):
     sums = {("site", s.site_id): [0] * 4 for s in catalog.sites}
     sums |= {("kind", category): [0] * 4 for category in CATEGORIES}
     for row in rows:
-        meta = catalog.sensor(row[1])
+        meta = metas[row[1]]
         expected, observed, *flags = (int(row[c]) for c in columns)
         for key in (("site", meta.site_id), ("kind", meta.kind.category)):
             sums[key] = [total + n for total, n in
@@ -870,13 +871,14 @@ def test_quality_to_limits_repair_and_outlier_rates(tmp_path, capsys):
     assert code == 0, err
     out = tmp_path / "out"
     catalog = parse_catalog((tmp_path / "inputs" / "catalog.json").read_text())
+    metas = {meta.sensor_id: meta for meta in catalog.sensors}
     header, *rows = (line.split(",") for line in
                      (out / "quality_report.csv").read_text().splitlines())
     flag_columns = [header.index(c) for c in ("zero_flags", "spike_flags", "bound_flags")]
     totals: dict[str, tuple[int, int]] = {}  # site or category -> (flags, observed)
     for row in rows:
         assert row[2] < "2017-10-04"
-        meta = catalog.sensor(row[1])
+        meta = metas[row[1]]
         for group in (meta.site_id, meta.kind.category):
             flags, observed = totals.get(group, (0, 0))
             totals[group] = (flags + sum(int(row[c]) for c in flag_columns),

@@ -17,13 +17,10 @@ from schoolsense.ingest import (
     MEASUREMENT_HEADER,
     RECORD,
     WEATHER_HEADER,
-    CatalogError,
     IngestError,
-    MeasurementFormatError,
     ParsedMeasurements,
     SeriesStore,
     StoreIntegrityError,
-    WeatherFormatError,
     _read_table,
     catalog_to_json,
     last_wins,
@@ -68,14 +65,14 @@ def test_catalog_with_18_sites():
 def test_catalog_dangling_room_reference():
     doc = json.loads(_catalog_doc(1))
     doc["sensors"][0]["room_id"] = "no-such-room"
-    with pytest.raises(CatalogError):
+    with pytest.raises(IngestError, match="no room 'no-such-room'"):
         parse_catalog(json.dumps(doc))
 
 
 def test_catalog_duplicate_sensor_id():
     doc = json.loads(_catalog_doc(1))
     doc["sensors"].append(dict(doc["sensors"][0]))
-    with pytest.raises(CatalogError):
+    with pytest.raises(IngestError, match="duplicate sensor_id"):
         parse_catalog(json.dumps(doc))
 
 
@@ -85,14 +82,14 @@ def test_catalog_empty_is_valid():
 
 
 def test_catalog_syntax_error_reports_position():
-    with pytest.raises(CatalogError, match=r"line \d+"):
+    with pytest.raises(IngestError, match=r"line \d+"):
         parse_catalog('{"sites": [}')
 
 
 def test_catalog_rejects_unit_mismatch():
     doc = json.loads(_catalog_doc(1))
     doc["sensors"][0]["unit"] = "K"
-    with pytest.raises(CatalogError, match="unit"):
+    with pytest.raises(IngestError, match="unit"):
         parse_catalog(json.dumps(doc))
 
 
@@ -128,7 +125,7 @@ def test_catalog_roundtrip():
 def test_catalog_values_must_have_their_json_type(entry, field, value):
     doc = json.loads(_catalog_doc(1))
     doc[entry][0][field] = value
-    with pytest.raises(CatalogError, match=f"{field} must be"):
+    with pytest.raises(IngestError, match=f"{field} must be"):
         parse_catalog(json.dumps(doc))
 
 
@@ -153,7 +150,7 @@ def test_catalog_ids_must_name_a_store_directory(entry, field, value):
     doc[entry][0][field] = value
     if field == "site_id":
         doc["sensors"][0]["site_id"] = value
-    with pytest.raises(CatalogError, match=f"{field} {re.escape(repr(value))} cannot name"):
+    with pytest.raises(IngestError, match=f"{field} {re.escape(repr(value))} cannot name"):
         parse_catalog(json.dumps(doc))
 
 
@@ -169,7 +166,7 @@ def test_catalog_ids_may_hold_dots_blanks_and_non_ascii():
 def test_catalog_room_strings_are_not_null(label):
     doc = json.loads(_catalog_doc(1))
     doc["sites"][0]["rooms"][0][label] = None  # str() would make it the room "None"
-    with pytest.raises(CatalogError, match=f"{label} must be a string, got None"):
+    with pytest.raises(IngestError, match=f"{label} must be a string, got None"):
         parse_catalog(json.dumps(doc))
 
 
@@ -189,7 +186,7 @@ def test_catalog_lists_must_hold_objects(path, value):
     for key in parents:
         owner = owner[key]
     owner[field] = value
-    with pytest.raises(CatalogError, match=f"{field} must be a list of objects"):
+    with pytest.raises(IngestError, match=f"{field} must be a list of objects"):
         parse_catalog(json.dumps(doc))
 
 
@@ -282,10 +279,10 @@ def test_parse_measurements_malformed_line_number(catalog):
         "site0-t,2017-09-30T10:00:00Z,21.5\n"
         "site0-t,not-a-time,21.5\n"
     )
-    with pytest.raises(MeasurementFormatError, match="line 3"):
+    with pytest.raises(IngestError, match="line 3"):
         parse_measurements(doc, catalog)
     doc = "sensor_id,timestamp,value\nsite0-t,2017-09-30T10:00:00Z,nope\n"
-    with pytest.raises(MeasurementFormatError, match="line 2"):
+    with pytest.raises(IngestError, match="line 2"):
         parse_measurements(doc, catalog)
 
 
@@ -300,7 +297,7 @@ def test_parse_measurements_rejects_non_iso_stamp_with_line(catalog, stamp):
         "\n"
         f"site0-t,{stamp},21.5\n"
     )
-    with pytest.raises(MeasurementFormatError, match=f"line 4: bad timestamp '{stamp}'"):
+    with pytest.raises(IngestError, match=f"line 4: bad timestamp '{stamp}'"):
         parse_measurements(doc, catalog)
 
 
@@ -314,7 +311,7 @@ def test_parse_measurements_reads_every_iso_form(catalog):
 
 def test_parse_measurements_rejects_non_finite(catalog):
     doc = "sensor_id,timestamp,value\nsite0-t,2017-09-30T10:00:00Z,inf\n"
-    with pytest.raises(MeasurementFormatError, match="non-finite"):
+    with pytest.raises(IngestError, match="non-finite"):
         parse_measurements(doc, catalog)
 
 
@@ -376,7 +373,7 @@ def test_parse_measurements_names_a_bad_line_after_unknown_rows(catalog):
         "ghost,2017-09-30T10:00:00Z,nope\n"
         "site0-t,2017-09-30T10:01:00Z,bad\n"
     )
-    with pytest.raises(MeasurementFormatError, match="line 5: bad value 'bad'"):
+    with pytest.raises(IngestError, match="line 5: bad value 'bad'"):
         parse_measurements(doc, catalog)
 
 
@@ -404,7 +401,7 @@ def test_parse_measurements_reparse_fixpoint(catalog):
     ('sensor_id,timestamp,value\nsite0-t,2017-09-30T10:00:00Z,21.5\n\nsite0-t,x"y,1', 4),
 ])
 def test_a_quote_anywhere_names_its_line(catalog, doc, line):
-    with pytest.raises(MeasurementFormatError, match=f"^line {line}: quoted fields"):
+    with pytest.raises(IngestError, match=f"^line {line}: quoted fields"):
         parse_measurements(doc, catalog)
     for path in _each_piece_size(doc):
         with pytest.raises(IngestError, match=f"^{re.escape(str(path))}: line {line}: quoted"):
@@ -439,7 +436,7 @@ def test_error_after_blank_lines_names_its_line(catalog, bad, message, ending):
     lines = ["sensor_id,timestamp,value", "", "site0-t,2017-09-30T10:00:00Z,21.5", "", "",
              bad, "site0-t,2017-09-30T10:02:00Z,21.5"]
     doc = ending.join(lines) + ending
-    with pytest.raises(MeasurementFormatError, match=f"^line 6: {message}"):
+    with pytest.raises(IngestError, match=f"^line 6: {message}"):
         parse_measurements(doc, catalog)
     for path in _each_piece_size(doc):
         with pytest.raises(IngestError, match=f"^{re.escape(str(path))}: line 6: {message}"):
@@ -471,29 +468,29 @@ def _quote_free_tables(draw):
 def _columns_or_error_line(read, source, header):
     """The columns and line numbers `read` gives, or the line its error names."""
     try:
-        columns, lines = read(source, header, MeasurementFormatError)
-    except MeasurementFormatError as exc:
+        columns, lines = read(source, header)
+    except IngestError as exc:
         return int(re.match(r"line (\d+): ", str(exc)).group(1))
     return [list(column) for column in columns], lines
 
 
-def _decoded_piece(document, header, error):
+def _decoded_piece(document, header):
     """The rows `_read_table` finds, decoded to columns of str, their line numbers, and the
     number of line breaks below the header."""
-    table = _read_table(document, header, error)
+    table = _read_table(document, header)
     columns = [[table.text(start, stop) for start, stop in zip(*table.field(k))]
                for k in range(len(header))]
     return columns, [table.line(row) for row in range(len(table.starts))], document.count("\n") - 1
 
 
-def _decoded_file(path, header, error):
+def _decoded_file(path, header):
     """The rows of a file read in pieces, decoded to columns of str, and their line
     numbers in the file: each piece's numbers move down by the lines of the pieces
     before it."""
     try:
-        pieces = cli._read_csv(_decoded_piece, path, header, error)
+        pieces = cli._read_csv(_decoded_piece, path, header)
     except IngestError as exc:
-        raise error(str(exc).removeprefix(f"{path}: ")) from None
+        raise IngestError(str(exc).removeprefix(f"{path}: ")) from None
     columns, lines, before = [[] for _ in header], [], 0
     for piece_columns, piece_lines, breaks in pieces:
         for column, part in zip(columns, piece_columns):
@@ -777,7 +774,7 @@ def test_load_weather_48_hours():
 
 def test_load_weather_cloud_range_error():
     rows = [f"a,{format_iso8601(utc(2017, 9, 4))},15.0,1.0,1.3"]
-    with pytest.raises(WeatherFormatError, match="cloud"):
+    with pytest.raises(IngestError, match="cloud"):
         load_weather(_weather_doc(rows))
 
 
@@ -799,21 +796,21 @@ def test_load_weather_gap_recorded():
 
 def test_load_weather_rejects_off_grid_timestamp():
     rows = [f"a,2017-09-04T00:30:00Z,15.0,1.0,0.5"]
-    with pytest.raises(WeatherFormatError, match="hourly"):
+    with pytest.raises(IngestError, match="hourly"):
         load_weather(_weather_doc(rows))
 
 
 @pytest.mark.parametrize("stamp", NON_ISO_STAMPS)
 def test_load_weather_rejects_non_iso_stamp_with_line(stamp):
     rows = [f"a,{format_iso8601(utc(2017, 9, 4))},15.0,1.0,0.5", f"a,{stamp},15.0,1.0,0.5"]
-    with pytest.raises(WeatherFormatError, match=f"line 3: bad timestamp '{stamp}'"):
+    with pytest.raises(IngestError, match=f"line 3: bad timestamp '{stamp}'"):
         load_weather(_weather_doc(rows))
 
 
 def test_load_weather_rejects_bad_value_with_line():
     t0 = utc(2017, 9, 4)
     rows = [f"a,{format_iso8601(t0)},15.0,1.0,0.5", f"a,{format_iso8601(t0 + 3600)},x,1.0,0.5"]
-    with pytest.raises(WeatherFormatError, match="line 3: bad value 'x'"):
+    with pytest.raises(IngestError, match="line 3: bad value 'x'"):
         load_weather(_weather_doc(rows))
 
 

@@ -17,7 +17,7 @@ A batch re-analysis relies on relations that no single example pins:
 
 A third relation fails today and is pinned as a strict xfail: `quality --to
 D` should reproduce the plain run's `quality_report.csv` rows for the days
-before D, since every window is trailing (ROADMAP item 4).
+before D, since every window is trailing (ROADMAP item 7).
 
 The plain run's quality reports must also add up to the scenario's ground
 truth: per sensor, the daily expected counts sum to the samples the
@@ -206,7 +206,7 @@ def test_week_shift_moves_every_report_date_and_nothing_else(scenario, tmp_path)
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 4: fill_missing ends its grid at the last observed sample, so "
+    "ROADMAP item 7: fill_missing ends its grid at the last observed sample, so "
     "`quality --to` leaves the gap at the end of the period unfilled; its mend "
     "removes this marker"))
 def test_quality_to_reproduces_the_days_before_its_end(scenario, tmp_path):

@@ -86,18 +86,9 @@ def test_quartiles_match_rank_oracle(values):
         assert _interp_rank(s, q) == pytest.approx(rank_percentile(s, q), rel=1e-9, abs=1e-9)
 
 
-def _avail_catalog(rate=30):
-    site = Site("a", 0.0, 0.0, utc(2017, 9, 4))
-    meta = SensorMeta("s1", "a", SensorKind.INDOOR_TEMPERATURE, rate, None)
-    return DeploymentCatalog((site,), (meta,))
-
-
 def test_availability_full_day():
-    catalog = _avail_catalog()
     series = series_at("s1", utc(2017, 9, 4), 30, np.full(2880, 20.0))
-    matrix = availability_matrix({"s1": series}, catalog, utc(2017, 9, 5))
-    assert list(matrix) == ["s1"]
-    days, expected, observed = matrix["s1"]
+    days, expected, observed = availability_matrix(series, 30, utc(2017, 9, 4), utc(2017, 9, 5))
     assert days.tolist() == [utc(2017, 9, 4) // 86400]
     assert expected.tolist() == [2880]
     assert observed.tolist() == [2880]
@@ -105,17 +96,15 @@ def test_availability_full_day():
 
 
 def test_availability_partial_day():
-    catalog = _avail_catalog()
     series = series_at("s1", utc(2017, 9, 4), 30, np.full(2160, 20.0))
-    _, expected, observed = availability_matrix({"s1": series}, catalog, utc(2017, 9, 5))["s1"]
+    _, expected, observed = availability_matrix(series, 30, utc(2017, 9, 4), utc(2017, 9, 5))
     assert outage_percentage(expected, observed) == pytest.approx(25.0)
 
 
 def test_availability_no_cell_before_site_start():
-    catalog = _avail_catalog()
     # samples the day before the site start are clipped out
     series = series_at("s1", utc(2017, 9, 3), 30, np.full(2880 * 2, 20.0))
-    days, _, observed = availability_matrix({"s1": series}, catalog, utc(2017, 9, 5))["s1"]
+    days, _, observed = availability_matrix(series, 30, utc(2017, 9, 4), utc(2017, 9, 5))
     assert days.tolist() == [utc(2017, 9, 4) // 86400]
     assert observed.tolist() == [2880]
 
@@ -154,9 +143,12 @@ def test_outage_matches_injected_fraction():
         sites=(SiteSpec(site_id="a", outage_fraction=0.1778,
                         rooms=(RoomSpec("r1"),)),))
     out = generate(spec)
-    matrix = availability_matrix(out.series, out.catalog, utc(2017, 10, 4))
-    assert {out.catalog.sensor(sensor_id).site_id for sensor_id in matrix} == {"a"}
-    _, expected, observed = (np.concatenate(c) for c in zip(*matrix.values()))
+    metas = {meta.sensor_id: meta for meta in out.catalog.sensors}
+    assert {metas[sensor_id].site_id for sensor_id in out.series} == {"a"}
+    start = out.catalog.site("a").start_time
+    matrix = [availability_matrix(series, metas[sensor_id].sensing_rate, start, utc(2017, 10, 4))
+              for sensor_id, series in out.series.items()]
+    _, expected, observed = (np.concatenate(c) for c in zip(*matrix))
     assert outage_percentage(expected, observed) == pytest.approx(17.78, abs=0.01)
 
 
@@ -181,13 +173,12 @@ def test_availability_arrays_equal_the_per_day_cells(rate, start, length, stamps
     series = TimeSeries("s1", base + np.array(sorted(stamps), dtype=np.int64),
                         np.full(len(stamps), 20.0))
     end = base + start + length
-    matrix = availability_matrix({"s1": series}, catalog, end)
-    got = [cell for days, expected, observed in matrix.values()
-           for cell in zip(days.tolist(), expected.tolist(), observed.tolist())]
+    arrays = availability_matrix(series, rate, base + start, end)
     cells = oracle_availability_matrix({"s1": series}, catalog, end)
-    assert got == [(c.day, c.expected, c.observed) for c in cells]
-    assert list(matrix) == (["s1"] if cells else [])
-    assert all(a.dtype == np.int64 for triple in matrix.values() for a in triple)
+    assert [len(a) for a in arrays] == [len(cells)] * 3
+    assert list(zip(*(a.tolist() for a in arrays))) == [
+        (c.day, c.expected, c.observed) for c in cells]
+    assert all(a.dtype == np.int64 for a in arrays)
 
 
 def test_flag_zero_error_example():
@@ -351,7 +342,7 @@ def test_repair_pipeline_stable_on_second_pass(tiny_site):
         sites=(SiteSpec(site_id="a", zero_error_rate=0.02,
                         rooms=(RoomSpec("r1"),)),))
     out = generate(spec)
-    meta = out.catalog.sensor("a-r1-temp")
+    meta = next(m for m in out.catalog.sensors if m.sensor_id == "a-r1-temp")
     site = out.catalog.site("a")
     series = out.series["a-r1-temp"]
     flags = flag_outliers(series, ENV_WINDOW, kind=meta.kind,
@@ -371,7 +362,8 @@ def test_repair_series_reports_all_stages(tiny_catalog, tiny_site):
     keep[1000:1040] = False
     times = utc(2017, 9, 4) + 30 * np.arange(n, dtype=np.int64)
     series = TimeSeries("h1", times[keep], values[keep])
-    outcome = repair_series(series, tiny_catalog.sensor("h1"), tiny_site)
+    meta = next(m for m in tiny_catalog.sensors if m.sensor_id == "h1")
+    outcome = repair_series(series, meta, tiny_site)
     assert np.count_nonzero(outcome.flags["kind"] == FlagKind.ZERO_ERROR) == 1
     assert len(outcome.filled) == 40
     assert len(outcome.series) == n
