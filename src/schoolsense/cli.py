@@ -235,8 +235,8 @@ def _read_weather(path: Path) -> dict[str, WeatherHistory]:
         if np.any(times[1:] <= times[:-1]):
             return _parse_file(load_weather, path)
         histories[site_id] = WeatherHistory(
-            site_id, times, *(np.concatenate([getattr(h, name) for h in parts])
-                              for name in ("outdoor_temp", "wind_speed", "cloud_cover")))
+            times, *(np.concatenate([getattr(h, name) for h in parts])
+                     for name in ("outdoor_temp", "wind_speed", "cloud_cover")))
     return histories
 
 
@@ -388,10 +388,14 @@ def _repaired_store(config: RunConfig) -> SeriesStore:
 
 
 def _indoor_room_sensors(catalog: DeploymentCatalog, site_id: str) -> dict[str, str]:
-    """room_id -> indoor temperature sensor_id for one site."""
+    """room_id -> indoor temperature sensor_id for one site, which must be the room's one."""
     out = {}
     for meta in catalog.sensors_for_site(site_id):
         if meta.kind is SensorKind.INDOOR_TEMPERATURE and meta.room_id is not None:
+            if meta.room_id in out:
+                raise ConfigError(
+                    f"site {site_id!r}, room {meta.room_id!r}: two indoor temperature sensors, "
+                    f"{out[meta.room_id]!r} and {meta.sensor_id!r}")
             out[meta.room_id] = meta.sensor_id
     return out
 

@@ -134,7 +134,6 @@ def parse_catalog(document: str) -> DeploymentCatalog:
             rooms = tuple(
                 Classroom(
                     room_id=_room_id(r["room_id"]),
-                    site_id=site_id,
                     orientation=Orientation(r.get("orientation", "S")),
                     label=json_value(r.get("label", ""), str, "label"),
                 )
@@ -487,11 +486,10 @@ def parse_measurements(document: str, catalog: DeploymentCatalog) -> ParsedMeasu
 class WeatherHistory:
     """Hourly outdoor conditions for one site; hours may be missing."""
 
-    __slots__ = ("site_id", "times", "outdoor_temp", "wind_speed", "cloud_cover")
+    __slots__ = ("times", "outdoor_temp", "wind_speed", "cloud_cover")
 
-    def __init__(self, site_id: str, times: np.ndarray, outdoor_temp: np.ndarray,
-                 wind_speed: np.ndarray, cloud_cover: np.ndarray):
-        self.site_id = site_id
+    def __init__(self, times: np.ndarray, outdoor_temp: np.ndarray, wind_speed: np.ndarray,
+                 cloud_cover: np.ndarray):
         self.times = times  # int64 epoch seconds, hourly grid
         self.outdoor_temp = outdoor_temp
         self.wind_speed = wind_speed
@@ -528,7 +526,6 @@ def load_weather(document: str) -> dict[str, WeatherHistory]:
         if np.any(np.diff(times[idx]) <= 0):
             raise IngestError(f"site {site_id}: timestamps not strictly increasing")
         histories[site_id] = WeatherHistory(
-            site_id=site_id,
             times=times[idx],
             outdoor_temp=temp[idx],
             wind_speed=wind[idx],

@@ -347,7 +347,6 @@ class SensorMeta:
 
 class Classroom(NamedTuple):
     room_id: str
-    site_id: str
     orientation: Orientation
     label: str = ""
 

@@ -5,8 +5,8 @@ envelope signal. Three detectors, each given one room's series:
 
   * poor insulation: repeated large daily temperature swings.
     `weekend_daily_swings` gives every weekend day's swing, and
-    `poor_insulation_days` the days that reach the threshold, or none when
-    too few do;
+    `poor_insulation_days` the days that swing by `POOR_SWING_C`, or none
+    when fewer than `POOR_MIN_DAYS` do;
   * unshaded solar gain: hourly temperature rise correlating with a
     clear-sky solar proxy, (1 - cloud cover) * an orientation-dependent
     daylight template. `solar_gain_correlation` gives the Pearson r, and
@@ -15,8 +15,9 @@ envelope signal. Three detectors, each given one room's series:
     examined on school days where occupants cause them.
     `detect_occupant_events` gives each event's trough time and fall.
 
-The results carry no room or site: `cli.cmd_perf` alone names, orders and
-writes the findings.
+Every room is judged by the same rules, so each threshold and window is a
+constant of this module, read when a detector runs. The results carry no
+room or site: `cli.cmd_perf` alone names, orders and writes the findings.
 """
 
 from __future__ import annotations
@@ -37,8 +38,20 @@ from .model import (
 from .orderstat import WaveletMatrix
 
 
+SWING_MIN_SAMPLES = 12  # samples a weekend day needs for its swing
+POOR_SWING_C = 8.0      # a poorly insulated room swings at least this much, degC,
+POOR_MIN_DAYS = 2       # on at least this many weekend days
+SOLAR_MIN_HOURS = 24    # daylight (proxy, rise) hours a solar-gain correlation needs
 # a room is unshaded when its solar-gain correlation reaches this r
 UNSHADED_MIN_R = 0.5
+# an occupant event falls by EVENT_DROP_C within EVENT_WITHIN_S, stays below
+# half depth for two samples within EVENT_SUSTAIN_S of the trough, and
+# recovers EVENT_RECOVERY_FRACTION of the fall within EVENT_RECOVERY_S of it
+EVENT_DROP_C = 2.0
+EVENT_WITHIN_S = 30 * 60
+EVENT_SUSTAIN_S = 10 * 60
+EVENT_RECOVERY_FRACTION = 0.5
+EVENT_RECOVERY_S = 120 * 60
 
 
 class CorrelationUndefined(ValueError):
@@ -60,13 +73,9 @@ class SwingReport(NamedTuple):
     skipped_days: tuple[int, ...]  # weekend days with too few samples
 
 
-def weekend_daily_swings(
-    series: TimeSeries,
-    site: Site,
-    *,
-    min_samples: int = 12,
-) -> SwingReport:
-    """One DailySwing per weekend day of the site's clock with enough samples."""
+def weekend_daily_swings(series: TimeSeries, site: Site) -> SwingReport:
+    """One DailySwing per weekend day of the site's clock with at least
+    `SWING_MIN_SAMPLES` samples."""
     local = site.local(series.times)
     weekend = is_weekend(local)
     local, weekend_values = local[weekend], series.values[weekend]
@@ -78,7 +87,7 @@ def weekend_daily_swings(
     skipped = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         day = int(local_days[lo])
-        if hi - lo < min_samples:
+        if hi - lo < SWING_MIN_SAMPLES:
             skipped.append(day)
             continue
         values = weekend_values[lo:hi]
@@ -96,12 +105,11 @@ def weekend_daily_swings(
     return SwingReport(tuple(swings), tuple(skipped))
 
 
-def poor_insulation_days(
-    report: SwingReport, threshold: float = 8.0, min_days: int = 2
-) -> tuple[DailySwing, ...]:
-    """The days whose swing reaches the threshold, or none when fewer than `min_days` do."""
-    hits = tuple(s for s in report.swings if s.swing >= threshold)
-    return hits if len(hits) >= min_days else ()
+def poor_insulation_days(report: SwingReport) -> tuple[DailySwing, ...]:
+    """The days whose swing reaches `POOR_SWING_C`, or none when fewer than
+    `POOR_MIN_DAYS` do."""
+    hits = tuple(s for s in report.swings if s.swing >= POOR_SWING_C)
+    return hits if len(hits) >= POOR_MIN_DAYS else ()
 
 
 class CorrelationReport(NamedTuple):
@@ -119,8 +127,6 @@ def solar_gain_correlation(
     weather: WeatherHistory,
     orientation: Orientation,
     site: Site,
-    *,
-    min_hours: int = 24,
 ) -> CorrelationReport:
     """Pearson correlation of hourly indoor rise against the solar proxy.
 
@@ -129,7 +135,8 @@ def solar_gain_correlation(
     (1 - cloud cover) * orientation_gain for the later hour. Only daylight
     hours (nonzero template) enter: sun-driven heating is only identifiable
     while the facade can see the sun, and night hours would otherwise pair
-    a constant-zero proxy with nightly cooling.
+    a constant-zero proxy with nightly cooling. Fewer than `SOLAR_MIN_HOURS`
+    points leave the correlation undefined.
     """
     local = site.local(series.times)
     weekend = is_weekend(local)
@@ -147,9 +154,9 @@ def solar_gain_correlation(
     proxies = (1.0 - weather.cloud_cover[at]) * gains[later]
     rises = means[later] - means[later - 1]
 
-    if len(proxies) < min_hours:
+    if len(proxies) < SOLAR_MIN_HOURS:
         raise CorrelationUndefined(
-            f"only {len(proxies)} overlapping hours, need {min_hours}")
+            f"only {len(proxies)} overlapping hours, need {SOLAR_MIN_HOURS}")
     if float(np.std(proxies)) == 0.0 or float(np.std(rises)) == 0.0:
         raise CorrelationUndefined("zero-variance input, correlation undefined")
     r = float(np.corrcoef(proxies, rises)[0, 1])
@@ -161,32 +168,24 @@ class OccupantEvent(NamedTuple):
     fall: float
 
 
-def detect_occupant_events(
-    series: TimeSeries,
-    drop: float = 2.0,
-    within_minutes: float = 30.0,
-    *,
-    recovery_fraction: float = 0.5,
-    recovery_minutes: float = 120.0,
-    sustain_minutes: float = 10.0,
-) -> list[OccupantEvent]:
+def detect_occupant_events(series: TimeSeries) -> list[OccupantEvent]:
     """Sharp drop-and-recover events, the signature of an opened window.
 
-    An event is a fall of at least `drop` degC within `within_minutes`
-    that recovers at least `recovery_fraction` of the fall within
-    `recovery_minutes` of the trough; slow weather-front declines fail the
+    An event is a fall of at least `EVENT_DROP_C` degC within `EVENT_WITHIN_S`
+    that recovers at least `EVENT_RECOVERY_FRACTION` of the fall within
+    `EVENT_RECOVERY_S` of the trough; slow weather-front declines fail the
     first test, persistent cooling fails the second. The drop must also be
-    sustained: at least two samples within `sustain_minutes` of the trough
+    sustained: at least two samples within `EVENT_SUSTAIN_S` of the trough
     sit below half depth, so a single repaired or glitched sample cannot
     masquerade as an opened window.
 
     Candidate troughs, the earliest minimum of every window [t, t +
-    `within_minutes`] with at least two samples, come from the order
+    `EVENT_WITHIN_S`] with at least two samples, come from the order
     statistic shared with `quality`'s bound test (`orderstat.WaveletMatrix`,
     k = 0). A window of at most `orderstat.BUCKET` samples, 30 min of
     readings at 60 s or slower, sorts its own ranks and builds no level of
     the matrix.
-    Only starts that fall by `drop` are checked further, in time order;
+    Only starts that fall by `EVENT_DROP_C` are checked further, in time order;
     the search resumes after each event's recovery.
     """
     times = series.times
@@ -194,27 +193,24 @@ def detect_occupant_events(
     n = len(series)
     if n < 2:
         return []
-    within_s = int(within_minutes * 60)
-    recovery_s = int(recovery_minutes * 60)
-    sustain_s = int(sustain_minutes * 60)
-    ends = np.searchsorted(times, times + within_s, side="right")
+    ends = np.searchsorted(times, times + EVENT_WITHIN_S, side="right")
     starts = np.flatnonzero(ends - np.arange(n) >= 2)
     troughs = WaveletMatrix(values).kth_smallest(starts, ends[starts],
                                                 np.zeros(len(starts), dtype=np.int64))
     falls = values[starts] - values[troughs]
-    steep = falls >= drop
+    steep = falls >= EVENT_DROP_C
     events: list[OccupantEvent] = []
     next_start = 0
     for i, j, fall in zip(starts[steep].tolist(), troughs[steep].tolist(),
                           falls[steep].tolist()):
         if i < next_start:  # inside the last event, before its recovery
             continue
-        lo = int(np.searchsorted(times, times[j] - sustain_s, side="left"))
-        hi = int(np.searchsorted(times, times[j] + sustain_s, side="right"))
+        lo = int(np.searchsorted(times, times[j] - EVENT_SUSTAIN_S, side="left"))
+        hi = int(np.searchsorted(times, times[j] + EVENT_SUSTAIN_S, side="right"))
         half_depth = values[i] - 0.5 * fall
         sustained = int(np.sum(values[lo:hi] <= half_depth)) >= 2
-        k_end = int(np.searchsorted(times, times[j] + recovery_s, side="right"))
-        target = values[j] + recovery_fraction * fall
+        k_end = int(np.searchsorted(times, times[j] + EVENT_RECOVERY_S, side="right"))
+        target = values[j] + EVENT_RECOVERY_FRACTION * fall
         recovered = np.flatnonzero(values[j:k_end] >= target)
         if sustained and len(recovered):
             events.append(OccupantEvent(time=int(times[j]), fall=fall))

@@ -64,6 +64,11 @@ POWER_WINDOW = 3600
 REPAIR_WINDOW = 3600
 FILL_WINDOW = 2 * 3600
 SMOOTH_WINDOW = 5 * 60
+# A sample is tested against its window's quartile bounds only when the window
+# holds at least this many samples; a power reading is a spike when it jumps
+# more than SPIKE_SIGMA standard deviations of its window's survivors.
+MIN_WINDOW_SAMPLES = 4
+SPIKE_SIGMA = 5.0
 
 
 def day_counts(times, days: np.ndarray) -> np.ndarray:
@@ -168,11 +173,11 @@ def _screen(values: np.ndarray, matrix: WaveletMatrix, lo: np.ndarray, hi: np.nd
             & (v <= np.repeat(above, SCREEN_BLOCK)[:n]))
 
 
-def _bound_violations(values: np.ndarray, starts: np.ndarray, min_window_samples: int) -> np.ndarray:
+def _bound_violations(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Mask of samples outside [Q1 - 3*IQR, Q3 + 3*IQR] of values[starts[i]:i + 1].
 
     The quartiles are those `_interp` gives for every sample of the
-    window; windows of fewer than `min_window_samples` samples are not tested.
+    window; windows of fewer than `MIN_WINDOW_SAMPLES` samples are not tested.
 
     A screen clears most tested samples first; only the rest get the four
     exact order statistics a1 <= q1 <= b1 and a3 <= q3 <= b3 of their
@@ -201,7 +206,7 @@ def _bound_violations(values: np.ndarray, starts: np.ndarray, min_window_samples
     not grow with the series.
     """
     ends = np.arange(1, len(values) + 1)
-    tested = np.flatnonzero(ends - starts >= min_window_samples)
+    tested = np.flatnonzero(ends - starts >= MIN_WINDOW_SAMPLES)
     matrix = WaveletMatrix(values)
     candidates = tested[~_screen(values, matrix, starts[tested], ends[tested])]
     mask = np.zeros(len(values), dtype=bool)
@@ -229,8 +234,6 @@ def flag_outliers(
     *,
     kind: SensorKind | None = None,
     zero_implausible: bool = False,
-    spike_sigma: float = 5.0,
-    min_window_samples: int = 4,
 ) -> np.ndarray:
     """Flag outliers per sample against its trailing window of `window` seconds.
 
@@ -238,7 +241,7 @@ def flag_outliers(
     implausible for the sensor kind; bound violations, samples outside the
     quartile bounds of their window (t - W, t], whose quartiles come from all
     its samples, flagged or not (a sample whose window holds fewer than
-    `min_window_samples` is not tested); and, for power sensors, the spikes of
+    `MIN_WINDOW_SAMPLES` is not tested); and, for power sensors, the spikes of
     `_spikes`. The flags are composed once, at most one per sample (zero >
     spike > bound violation), and returned as `FLAG_RECORD` records in sample
     order: one (index, kind) record per flagged sample.
@@ -247,9 +250,8 @@ def flag_outliers(
     n = len(series)
     starts = _window_starts(series.times, series.times, window)
     zero = values == 0.0 if zero_implausible else np.zeros(n, dtype=bool)
-    bound = _bound_violations(values, starts, min_window_samples)
-    spike = (_spikes(values.tolist(), starts.tolist(), (zero | bound).tolist(), spike_sigma,
-                     min_window_samples)
+    bound = _bound_violations(values, starts)
+    spike = (_spikes(values.tolist(), starts.tolist(), (zero | bound).tolist())
              if kind is SensorKind.POWER_PHASE else np.zeros(n, dtype=bool))
     first = np.select([zero, spike, bound], list(FlagKind), -1)  # the first mask, in that order
     flagged = np.flatnonzero(first >= 0)
@@ -258,18 +260,13 @@ def flag_outliers(
     return flags
 
 
-def _spikes(
-    values: list[float],
-    starts: list[int],
-    flagged: list[bool],
-    spike_sigma: float,
-    min_window_samples: int,
-) -> np.ndarray:
+def _spikes(values: list[float], starts: list[int], flagged: list[bool]) -> np.ndarray:
     """Mask of jumps away from the last surviving value larger than
-    `spike_sigma` standard deviations of the window's surviving samples:
+    `SPIKE_SIGMA` standard deviations of the window's surviving samples:
     those neither `flagged` (zero or bound) nor spikes. The loop keeps the
     window's running sums and yields only spikes, neither flags nor their
-    priority."""
+    priority. A window of fewer than `MIN_WINDOW_SAMPLES` survivors holds no
+    spike."""
     spike = [False] * len(values)
     left = 0
     clean_sum = 0.0
@@ -287,12 +284,12 @@ def _spikes(
         if clean_sum != clean_sum or clean_sumsq != clean_sumsq:  # inf - inf: rebuild
             kept = [values[j] for j in range(left, i) if not flagged[j]]
             clean_sum, clean_sumsq = sum(kept, 0.0), sum(x * x for x in kept)
-        if clean_count >= min_window_samples and last_clean is not None:
+        if clean_count >= MIN_WINDOW_SAMPLES and last_clean is not None:
             try:
                 variance = max(0.0, clean_sumsq / clean_count - (clean_sum / clean_count) ** 2)
             except OverflowError:  # a mean beyond 1e154: no finite scale, so no spike
                 variance = math.inf
-            if abs(v - last_clean) > spike_sigma * math.sqrt(variance):
+            if abs(v - last_clean) > SPIKE_SIGMA * math.sqrt(variance):
                 spike[i] = flagged[i] = True
         if not flagged[i]:
             clean_sum += v
@@ -381,10 +378,12 @@ def fill_missing(series: TimeSeries, meta: SensorMeta, window: int) -> FillResul
     """Align a series to its expected sampling grid and impute gaps.
 
     The grid runs at the sensor's sensing rate, anchored at epoch multiples
-    of the rate, spanning the observed extent of the series. Each missing
-    grid point is filled with the mean of the observed samples in its
-    trailing window (g - W, g) of `window` seconds; grid points with an
-    empty window stay absent and are reported.
+    of the rate, from the grid point at or before the first sample to the
+    one at or before the last. Each sample lands on the grid point at or
+    before it, and of several the last wins. Each missing grid point is
+    filled with the mean of the observed samples in its trailing window
+    (g - W, g) of `window` seconds; grid points with an empty window stay
+    absent and are reported.
     """
     rate = meta.sensing_rate
     none = np.empty(0, dtype=np.int64)
@@ -392,18 +391,11 @@ def fill_missing(series: TimeSeries, meta: SensorMeta, window: int) -> FillResul
         return FillResult(series, none, none)
     times = series.times
     values = series.values
-    grid_first = -(-int(times[0]) // rate)
-    grid_last = int(times[-1]) // rate
-    if grid_last < grid_first:
-        return FillResult(series, none, none)
-    grid = np.arange(grid_first, grid_last + 1, dtype=np.int64) * rate
+    grid_first = int(times[0]) // rate
+    grid = np.arange(grid_first, int(times[-1]) // rate + 1, dtype=np.int64) * rate
 
-    # bucket observed samples onto the grid; the last sample in a bucket wins
-    bucket = times // rate
-    keep_mask = (bucket >= grid_first) & (bucket <= grid_last)
-    bucket_idx = (bucket[keep_mask] - grid_first).astype(np.int64)
     grid_values = np.full(len(grid), np.nan)
-    grid_values[bucket_idx] = values[keep_mask]  # later samples overwrite earlier
+    grid_values[times // rate - grid_first] = values  # later samples overwrite earlier
 
     missing = np.flatnonzero(np.isnan(grid_values))
     gaps = grid[missing]

@@ -74,6 +74,11 @@ CLOUD_SIGMA = 0.5
 CLOUD_RHO = 0.2
 INDOOR_DRIFT_COUPLING = 0.5
 INDOOR_NOISE_COUPLING = 0.7
+INDOOR_OFFSET = 4.0        # indoor mean above outdoor mean, degC
+BASE_SWING = 2.0           # indoor diurnal swing, good insulation, degC
+POOR_SWING = 12.0          # indoor diurnal swing, poor insulation, degC
+BLINDS_ATTENUATION = 0.25  # share of the solar gain that blinds let in
+STATION_RATE = 3600        # seconds between weather and atmosphere station samples
 # Rooms respond to solar input with first-order thermal lag; an instantaneous
 # gain term would leave hourly temperature rises uncorrelated with the input
 # level, hiding exactly the signature the shading detector looks for.
@@ -146,15 +151,9 @@ class ScenarioSpec:
     days: int
     sites: tuple[SiteSpec, ...]
     sensing_rate: int = 300          # classroom and power sensors
-    station_rate: int = 3600         # weather and atmosphere station sensors
     noise_sigma: float = 0.2
-    indoor_offset: float = 4.0       # indoor mean above outdoor mean
-    base_swing: float = 2.0          # indoor diurnal swing, good insulation
-    poor_swing: float = 12.0         # indoor diurnal swing, poor insulation
     gain_amplitude: float = 4.0      # peak solar gain without blinds, degC
-    blinds_attenuation: float = 0.25
     event_drop: float = 2.0          # occupant event magnitude, degC
-    indoor_noise_coupling: float = INDOOR_NOISE_COUPLING
 
     def __post_init__(self):
         if self.seed < 0:
@@ -169,8 +168,8 @@ class ScenarioSpec:
         if not np.isfinite(self.noise_sigma) or np.signbit(self.noise_sigma):
             raise ScenarioError(f"noise_sigma must be finite and not negative, got "
                                 f"{self.noise_sigma!r}")
-        if self.sensing_rate <= 0 or self.station_rate <= 0:
-            raise ScenarioError("sensing rates must be positive")
+        if self.sensing_rate <= 0:
+            raise ScenarioError("sensing_rate must be positive")
         if not self.sites:
             raise ScenarioError("scenario needs at least one site")
         seen = set()
@@ -386,7 +385,7 @@ class _SiteGenerator:
             tz_offset_minutes=site_spec.tz_offset_minutes,
             cold_climate=site_spec.cold_climate,
             rooms=tuple(
-                Classroom(room_id=r.room_id, site_id=sid, orientation=r.orientation,
+                Classroom(room_id=r.room_id, orientation=r.orientation,
                           label=f"{r.insulation} insulation, blinds {'yes' if r.blinds else 'no'}")
                 for r in site_spec.rooms),
         )
@@ -432,7 +431,6 @@ class _SiteGenerator:
 
     def weather_history(self) -> WeatherHistory:
         return WeatherHistory(
-            site_id=self.site.site_id,
             times=self.hour_times,
             outdoor_temp=self.outdoor_hourly,
             wind_speed=self.wind,
@@ -445,12 +443,12 @@ class _SiteGenerator:
         times = self.grid(spec.sensing_rate)
         hidx = self.hour_index(times)
         h_loc = self.local_hours(times)
-        swing = spec.poor_swing if room.insulation == "poor" else spec.base_swing
-        blinds_mult = spec.blinds_attenuation if room.blinds else 1.0
+        swing = POOR_SWING if room.insulation == "poor" else BASE_SWING
+        blinds_mult = BLINDS_ATTENUATION if room.blinds else 1.0
         base = (
-            self.site_spec.outdoor_mean + spec.indoor_offset
+            self.site_spec.outdoor_mean + INDOOR_OFFSET
             + INDOOR_DRIFT_COUPLING * self.drift(times)
-            + spec.indoor_noise_coupling * self.smooth_noise(times)
+            + INDOOR_NOISE_COUPLING * self.smooth_noise(times)
         )
         solar_input = (
             spec.gain_amplitude * blinds_mult
@@ -515,7 +513,7 @@ class _SiteGenerator:
         return times, values
 
     def station(self, kind: SensorKind) -> tuple[np.ndarray, np.ndarray]:
-        times = self.grid(self.spec.station_rate)
+        times = self.grid(STATION_RATE)
         hidx = self.hour_index(times)
         noise = self.rng.normal(0.0, 0.2, len(times))
         if kind is SensorKind.OUTDOOR_TEMPERATURE:
@@ -779,7 +777,7 @@ def generate(spec: ScenarioSpec, out_dir: Path | str | None = None) -> Generated
         ):
             s_times, s_values = gen.station(kind)
             site_sensors.append((
-                SensorMeta(f"{sid}-{suffix}", sid, kind, spec.station_rate),
+                SensorMeta(f"{sid}-{suffix}", sid, kind, STATION_RATE),
                 s_times, s_values, False,
             ))
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from contextlib import contextmanager
 from datetime import date, datetime, timezone
 
 import numpy as np
@@ -33,6 +34,20 @@ def parse_stamps(texts) -> np.ndarray:
     return parse_iso8601_bytes(np.frombuffer(b"".join(texts), np.uint8), stops - sizes, stops)
 
 
+@contextmanager
+def constants(module, **values):
+    """Set the named constants of `module` for the body of a `with` block.
+
+    The analysis modules read their thresholds and windows from module
+    constants when called, so a test sets them here. Unlike the `monkeypatch`
+    fixture, this works inside a Hypothesis `@given` body; a name the module
+    lacks raises AttributeError."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in values.items():
+            patch.setattr(module, name, value)
+        yield
+
+
 def series_at(sensor_id: str, start: int, rate: int, values) -> TimeSeries:
     values = np.asarray(values, dtype=float)
     times = start + rate * np.arange(len(values), dtype=np.int64)
@@ -48,8 +63,8 @@ def tiny_site() -> Site:
         start_time=utc(2017, 9, 4),
         tz_offset_minutes=0,
         rooms=(
-            Classroom("r1", "alpha", Orientation.SW, "corner room"),
-            Classroom("r2", "alpha", Orientation.N),
+            Classroom("r1", Orientation.SW, "corner room"),
+            Classroom("r2", Orientation.N),
         ),
     )
 

@@ -151,7 +151,6 @@ def oracle_load_weather(document: str) -> dict[str, WeatherHistory]:
         if np.any(np.diff(times[idx]) <= 0):
             raise IngestError(f"site {site_id}: timestamps not strictly increasing")
         histories[site_id] = WeatherHistory(
-            site_id=site_id,
             times=times[idx],
             outdoor_temp=temp[idx],
             wind_speed=wind[idx],

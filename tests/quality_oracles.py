@@ -186,9 +186,11 @@ def oracle_fill_missing(series: TimeSeries, meta: SensorMeta, window: int) -> Fi
     """Align a series to its expected sampling grid and impute gaps.
 
     The grid runs at the sensor's sensing rate, anchored at epoch multiples
-    of the rate, spanning the observed extent of the series. Each missing
-    grid point is filled with the mean of the observed samples in its
-    trailing window (g - W, g); grid points with an empty window stay
+    of the rate, from the grid point at or before the first sample to the
+    one at or before the last. Each sample lands on the grid point at or
+    before it, and of several the last wins. Each missing grid point is
+    filled with the mean of the observed samples in its trailing window
+    (g - W, g); grid points with an empty window stay
     absent and are reported.
     """
     rate = meta.sensing_rate
@@ -197,18 +199,12 @@ def oracle_fill_missing(series: TimeSeries, meta: SensorMeta, window: int) -> Fi
     w = window
     times = series.times
     values = series.values
-    grid_first = -(-int(times[0]) // rate)
-    grid_last = int(times[-1]) // rate
-    if grid_last < grid_first:
-        return FillResult(series, np.empty(0, np.int64), np.empty(0, np.int64))
-    grid = np.arange(grid_first, grid_last + 1, dtype=np.int64) * rate
+    grid_first = int(times[0]) // rate
+    grid = np.arange(grid_first, int(times[-1]) // rate + 1, dtype=np.int64) * rate
 
-    # bucket observed samples onto the grid; the last sample in a bucket wins
-    bucket = times // rate
-    keep_mask = (bucket >= grid_first) & (bucket <= grid_last)
-    bucket_idx = (bucket[keep_mask] - grid_first).astype(np.int64)
     grid_values = np.full(len(grid), np.nan)
-    grid_values[bucket_idx] = values[keep_mask]  # later samples overwrite earlier
+    for t, v in zip(times.tolist(), values.tolist()):
+        grid_values[t // rate - grid_first] = v  # later samples overwrite earlier
 
     missing = np.flatnonzero(np.isnan(grid_values))
     prefix = np.concatenate(([0.0], np.cumsum(values)))

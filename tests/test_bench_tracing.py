@@ -19,7 +19,7 @@ import numpy as np
 from schoolsense import quality
 from schoolsense.model import SensorKind, SensorMeta, TimeSeries
 
-from conftest import utc
+from conftest import constants, utc
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -69,8 +69,9 @@ def test_repair_counts_add_up_on_a_series_with_every_flag_kind_and_a_gap(monkeyp
     on[90:100] = False  # a 10-minute gap in the 60 s grid
     series = TimeSeries("p", utc(2017, 9, 4) + 60 * np.flatnonzero(on), values[on])
 
-    flag, flags = _traced(tracing._flag, quality.flag_outliers, series, 3600,
-                          kind=SensorKind.POWER_PHASE, zero_implausible=True, spike_sigma=10.0)
+    with constants(quality, SPIKE_SIGMA=10.0):
+        flag, flags = _traced(tracing._flag, quality.flag_outliers, series, 3600,
+                              kind=SensorKind.POWER_PHASE, zero_implausible=True)
     assert sorted(flags["kind"].tolist()) == list(quality.FlagKind)
     assert flag["flags"] == len(set(flags["index"].tolist())) == 3
 

@@ -366,11 +366,13 @@ SITE = SPEC["sites"][0]
     (dict(SPEC, start="9999-12-30", days=5), "days must end the period by 9999-12-31"),
     (dict(SPEC, typo_key=1), "unknown scenario keys: ['typo_key']"),
     (dict(SPEC, outdoor_mean=20.0), "unknown scenario keys: ['outdoor_mean']"),
+    (dict(SPEC, poor_swing=12.0), "unknown scenario keys: ['poor_swing']"),
     (dict(SPEC, sites=[dict(SITE, colour="blue")]), "unknown site keys: ['colour']"),
     (dict(SPEC, sites=[dict(SITE, rooms=[dict(SITE["rooms"][0], outdoor_mean=20.0)])]),
      "unknown room keys: ['outdoor_mean']"),
 ], ids=["seed-negative", "noise-negative", "noise-negative-zero", "past-year-9999",
-        "unknown-key", "site-key-at-top", "unknown-site-key", "site-key-in-room"])
+        "unknown-key", "site-key-at-top", "physics-constant", "unknown-site-key",
+        "site-key-in-room"])
 def test_spec_that_synth_cannot_generate_exits_2_writing_nothing(tmp_path, capsys, spec, message):
     _assert_synth_refuses(tmp_path, capsys, spec, message)
 
@@ -586,6 +588,25 @@ def test_catalog_id_outside_the_store_exits_2(work, capsys, site_id, sensor_id, 
     assert f"{named} cannot name a store directory" in err
     _assert_one_error_line(err)
     assert not (work / "fresh").exists()
+
+
+def test_room_with_two_indoor_temperature_sensors_exits_2_in_comfort_and_perf(work, capsys):
+    """Comfort and perf judge a room by its one indoor temperature series, so they
+    refuse a room with two rather than analyse one of them; ingest and quality,
+    which take each sensor alone, accept it."""
+    catalog = json.loads((work / "inputs" / "catalog.json").read_text())
+    temp = next(s for s in catalog["sensors"] if s["sensor_id"] == "s1-a-temp")
+    catalog["sensors"].append(dict(temp, sensor_id="s1-a-temp2"))
+    (work / "two_temps.json").write_text(json.dumps(catalog))
+    config = _write_config(work, catalog=str(work / "two_temps.json"))
+    for command in ("ingest", "quality"):
+        assert _run([command, *config], capsys)[0] == 0
+    for command in ("comfort", "perf"):
+        code, err = _run([command, *config, *(COMFORT if command == "comfort" else [])], capsys)
+        assert code == 2
+        assert ("site 's1', room 'a': two indoor temperature sensors, 's1-a-temp' and "
+                "'s1-a-temp2'") in err
+        _assert_one_error_line(err)
 
 
 @pytest.mark.parametrize("command", ["ingest", "quality", "comfort", "perf"])

@@ -22,11 +22,10 @@ from conftest import series_at, utc
 DAY = date(2017, 9, 12)  # a Tuesday, with a full week of weather before it
 
 
-def flat_weather(site_id="a", start=None, days=10, temp=20.0, wind=0.0, cloud=0.3):
+def flat_weather(start=None, days=10, temp=20.0, wind=0.0, cloud=0.3):
     start = utc(2017, 9, 4) if start is None else start
     times = start + 3600 * np.arange(days * 24, dtype=np.int64)
     return WeatherHistory(
-        site_id=site_id,
         times=times,
         outdoor_temp=np.full(len(times), float(temp)),
         wind_speed=np.full(len(times), float(wind)),
@@ -61,7 +60,7 @@ def test_prevailing_mean_alternating_days():
     times = start + 3600 * np.arange(7 * 24, dtype=np.int64)
     day_idx = (times - start) // 86400
     temps = np.where(day_idx % 2 == 0, 18.0, 22.0)
-    weather = WeatherHistory("a", times, temps, np.zeros(len(times)), np.zeros(len(times)))
+    weather = WeatherHistory(times, temps, np.zeros(len(times)), np.zeros(len(times)))
     pmo = prevailing_means(weather, [date_to_day(date(2017, 9, 11))], _site())
     # 4 days at 18, 3 at 22: mean of daily means
     assert pmo.tolist() == pytest.approx([(4 * 18 + 3 * 22) / 7])
@@ -241,8 +240,8 @@ def test_wind_extension_applies_per_hour():
     weather = flat_weather(temp=20.0)
     # 1.0 m/s in the weather hours of the first four slots: high limit 27.5 -> 29.3
     windy = (weather.times >= utc(2017, 9, 12, 8)) & (weather.times < utc(2017, 9, 12, 12))
-    weather = WeatherHistory("a", weather.times, weather.outdoor_temp,
-                             np.where(windy, 1.0, 0.0), weather.cloud_cover)
+    weather = WeatherHistory(weather.times, weather.outdoor_temp, np.where(windy, 1.0, 0.0),
+                             weather.cloud_cover)
     indoor = _school_day_series(utc(2017, 9, 12), [28.5] * 8)
     score = _score(indoor, weather)
     assert score.score == 0.5
@@ -349,8 +348,7 @@ def comfort_cases(draw):
     keep = rng.random(len(hours)) >= draw(st.sampled_from((0.0, 0.1, 0.6)))
     for day in rng.choice(n_days + 10, draw(st.integers(0, 4)), replace=False):
         keep[day * 24:(day + 1) * 24] = False
-    weather = WeatherHistory("a", hours[keep], temp[keep], wind[keep],
-                             np.zeros(np.count_nonzero(keep)))
+    weather = WeatherHistory(hours[keep], temp[keep], wind[keep], np.zeros(np.count_nonzero(keep)))
 
     # rooms: regular samples from an odd phase, some dropped, some rooms empty
     rooms = {}

@@ -204,7 +204,7 @@ def test_catalog_rejects_dangling_references(tiny_site):
 
 
 def test_site_rejects_duplicate_rooms():
-    room = Classroom("r", "a", Orientation.S)
+    room = Classroom("r", Orientation.S)
     with pytest.raises(ModelError):
         Site("a", 0.0, 0.0, 0, rooms=(room, room))
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import schoolsense
-from schoolsense import cli
+from schoolsense import cli, performance
 from schoolsense.ingest import WeatherHistory
 from schoolsense.model import (
     DAY_SECONDS,
@@ -33,10 +34,11 @@ from schoolsense.performance import (
     solar_gain_correlation,
     weekend_daily_swings,
 )
+from schoolsense.quality import flag_outliers
 from schoolsense.synthgen import GAIN_TIME_CONSTANT_S, _thermal_lag
 
 import test_cli
-from conftest import series_at, utc
+from conftest import constants, series_at, utc
 from performance_oracles import oracle_detect_occupant_events
 
 
@@ -117,6 +119,17 @@ def test_analysis_modules_leave_local_time_to_the_site_clock():
         assert "tz_offset_minutes" not in source, module
 
 
+@pytest.mark.parametrize("detector", [flag_outliers, weekend_daily_swings, poor_insulation_days,
+                                      solar_gain_correlation, detect_occupant_events],
+                         ids=lambda detector: detector.__name__)
+def test_detectors_take_no_settings_but_the_sensor_kind(detector):
+    # every building is judged by the same rules, so thresholds and windows are
+    # module constants; only flag_outliers' kind and zero_implausible vary by sensor
+    settings = {p.name for p in inspect.signature(detector).parameters.values()
+                if p.default is not p.empty or p.kind is p.KEYWORD_ONLY}
+    assert settings <= {"kind", "zero_implausible"}
+
+
 # ---------------------------------------------------------------- detectors
 
 SATURDAY = utc(2017, 9, 9)  # 2017-09-04 is a Monday
@@ -172,6 +185,10 @@ EVENT_OPTIONS = dict(
     recovery_minutes=st.sampled_from((10.0, 120.0)),
     sustain_minutes=st.sampled_from((0.0, 10.0, 30.0)),
 )
+# the `performance` constant that each of the oracle's keywords stands for
+EVENT_CONSTANTS = dict(drop="EVENT_DROP_C", within_minutes="EVENT_WITHIN_S",
+                       recovery_fraction="EVENT_RECOVERY_FRACTION",
+                       recovery_minutes="EVENT_RECOVERY_S", sustain_minutes="EVENT_SUSTAIN_S")
 
 
 @settings(deadline=None, max_examples=300)
@@ -181,7 +198,11 @@ EVENT_OPTIONS = dict(
 @example(series_at("t", SATURDAY, 60, [22.0, 19.0]), {})
 @example(series_at("t", SATURDAY, 60, [22.0, 22.0]), {"drop": 0.0})
 def test_detect_occupant_events_matches_loop(series, options):
-    got = detect_occupant_events(series, **options)
+    # the constants hold seconds where the oracle takes minutes
+    with constants(performance, **{EVENT_CONSTANTS[name]: int(value * 60)
+                                   if name.endswith("_minutes") else value
+                                   for name, value in options.items()}):
+        got = detect_occupant_events(series)
     want = oracle_detect_occupant_events(series, **options)
     assert [(e.time, repr(e.fall)) for e in got] == [(e.time, repr(e.fall)) for e in want]
 
@@ -199,9 +220,12 @@ def test_weekend_daily_swings_skips_days_with_too_few_samples():
 
 def test_weekend_daily_swings_keeps_a_day_of_min_samples():
     series = series_at("t", SATURDAY, 3600, 20.0 + np.arange(12))
-    report = weekend_daily_swings(series, _site(), min_samples=12)
+    with constants(performance, SWING_MIN_SAMPLES=12):
+        report = weekend_daily_swings(series, _site())
     assert [(s.day, s.swing) for s in report.swings] == [(SATURDAY // DAY_SECONDS, 11.0)]
-    assert weekend_daily_swings(series, _site(), min_samples=13).skipped_days == (SATURDAY // DAY_SECONDS,)
+    with constants(performance, SWING_MIN_SAMPLES=13):
+        report = weekend_daily_swings(series, _site())
+    assert report.skipped_days == (SATURDAY // DAY_SECONDS,)
 
 
 def test_weekend_daily_swings_uses_local_days():
@@ -224,7 +248,8 @@ def _swing(day: int, swing: float) -> DailySwing:
 @pytest.mark.parametrize("min_days, flagged", [(2, True), (3, False)])
 def test_poor_insulation_days_needs_min_days(min_days, flagged):
     report = SwingReport((_swing(1, 9.0), _swing(2, 3.0), _swing(3, 8.0)), ())
-    hits = poor_insulation_days(report, min_days=min_days)
+    with constants(performance, POOR_MIN_DAYS=min_days):
+        hits = poor_insulation_days(report)
     assert [(s.day, s.swing) for s in hits] == ([(1, 9.0), (3, 8.0)] if flagged else [])
 
 
@@ -232,7 +257,7 @@ def _weekend_weather(days: int = 2, cloud=None) -> WeatherHistory:
     times = SATURDAY + 3600 * np.arange(days * 24, dtype=np.int64)
     rng = np.random.default_rng(7)
     cloud = rng.uniform(0.0, 1.0, len(times)) if cloud is None else np.full(len(times), cloud)
-    return WeatherHistory("s", times, np.full(len(times), 15.0), np.zeros(len(times)), cloud)
+    return WeatherHistory(times, np.full(len(times), 15.0), np.zeros(len(times)), cloud)
 
 
 def _weekend_indoor(days: int = 2, start: int = SATURDAY, flat: bool = False) -> TimeSeries:
@@ -258,11 +283,12 @@ def test_solar_gain_correlation_skips_hours_without_weather():
     keep = np.ones(len(weather), dtype=bool)
     keep[10:13] = False
     keep[39:] = False
-    gappy = WeatherHistory("s", weather.times[keep], weather.outdoor_temp[keep],
+    gappy = WeatherHistory(weather.times[keep], weather.outdoor_temp[keep],
                            weather.wind_speed[keep], weather.cloud_cover[keep])
     full = solar_gain_correlation(_weekend_indoor(), weather, Orientation.S, _site())
-    assert solar_gain_correlation(_weekend_indoor(), gappy, Orientation.S, _site(),
-                                  min_hours=1).hours == full.hours - 3 - 3
+    with constants(performance, SOLAR_MIN_HOURS=1):
+        gapped = solar_gain_correlation(_weekend_indoor(), gappy, Orientation.S, _site())
+    assert gapped.hours == full.hours - 3 - 3
 
 
 def test_unshaded_from_the_threshold_r_on():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from schoolsense import quality
 from schoolsense.cli import main
 from schoolsense.ingest import SeriesStore, catalog_to_json
 from schoolsense.model import (
@@ -33,7 +34,7 @@ from schoolsense.quality import (
     zero_implausible_for,
 )
 
-from conftest import series_at, utc
+from conftest import constants, series_at, utc
 from quality_oracles import _interp_rank, oracle_availability_matrix
 
 
@@ -64,8 +65,10 @@ def test_quartiles_too_few():
     # [20, 20, 20, 20, 900] has q1 == q3 == 20, so 900 breaks the 3*IQR
     # bounds; with fewer samples in the window than required, no bound test runs
     series = series_at("s", utc(2017, 9, 4), 30, [20.0] * 4 + [900.0])
-    assert flag_outliers(series, 3600, min_window_samples=6).tolist() == []
-    flags = flag_outliers(series, 3600, min_window_samples=5)
+    with constants(quality, MIN_WINDOW_SAMPLES=6):
+        assert flag_outliers(series, 3600).tolist() == []
+    with constants(quality, MIN_WINDOW_SAMPLES=5):
+        flags = flag_outliers(series, 3600)
     assert flags.tolist() == [(4, FlagKind.BOUND_VIOLATION)]
 
 
@@ -333,6 +336,22 @@ def test_fill_gap_longer_than_window_reported():
     result = fill_missing(series, _meta(30), 10 * 60)
     assert len(result.unfilled) > 0
     assert len(result.filled) + len(result.unfilled) == 7200 // 30 - 1
+
+
+@pytest.mark.parametrize("offsets, values, grid, filled", [
+    # each sample lands on the grid point at or before it, the first one too
+    ([1000, 1300, 2500], [20.0, 21.0, 22.0], [600, 1200, 1800, 2400], [1800]),
+    # a lone sample off the grid moves onto it
+    ([1000], [20.0], [600], []),
+])
+def test_fill_puts_samples_off_the_grid_on_the_grid_point_before_them(offsets, values, grid,
+                                                                     filled):
+    t0 = utc(2017, 9, 4)
+    series = TimeSeries("s", t0 + np.array(offsets), np.array(values))
+    result = fill_missing(series, _meta(600), 10 * 60)
+    assert (result.series.times - t0).tolist() == grid
+    assert result.series.values.tolist() == sorted(values + [21.0] * len(filled))
+    assert (result.filled - t0).tolist() == filled
 
 
 def test_repair_pipeline_stable_on_second_pass(tiny_site):

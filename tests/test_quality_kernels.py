@@ -27,7 +27,7 @@ from schoolsense.quality import (
     replace_outliers,
 )
 
-from conftest import utc
+from conftest import constants, utc
 from quality_oracles import oracle_fill_missing, oracle_flag_outliers, oracle_replace_outliers
 
 T0 = utc(2017, 9, 4)
@@ -81,9 +81,14 @@ def _assert_same(got: np.ndarray, want: np.ndarray):
     assert got.tobytes() == want.tobytes()
 
 
-def _assert_same_flags(series, window, **options):
-    _assert_same(flag_outliers(series, window, **options),
-                 oracle_flag_outliers(series, window, **options))
+def _assert_same_flags(series, window, *, spike_sigma=quality.SPIKE_SIGMA,
+                       min_window_samples=quality.MIN_WINDOW_SAMPLES, **options):
+    """`flag_outliers` under the oracle's `spike_sigma` and `min_window_samples`
+    equals the oracle."""
+    with constants(quality, SPIKE_SIGMA=spike_sigma, MIN_WINDOW_SAMPLES=min_window_samples):
+        got = flag_outliers(series, window, **options)
+    _assert_same(got, oracle_flag_outliers(series, window, spike_sigma=spike_sigma,
+                                           min_window_samples=min_window_samples, **options))
 
 
 def _assert_same_repair(got, want):
@@ -153,7 +158,10 @@ def test_replace_outliers_matches_loop(case, window):
 @settings(deadline=None, max_examples=75)
 @given(series(), windows, st.fixed_dictionaries(FLAG_OPTIONS))
 def test_replace_outliers_of_flagged_series_matches_loop(s, window, options):
-    flagged = flag_outliers(s, window, **options)["index"]
+    with constants(quality, SPIKE_SIGMA=options["spike_sigma"],
+                   MIN_WINDOW_SAMPLES=options["min_window_samples"]):
+        flagged = flag_outliers(s, window, kind=options["kind"],
+                                zero_implausible=options["zero_implausible"])["index"]
     _assert_same_repair(replace_outliers(s, flagged, 3600),
                         oracle_replace_outliers(s, flagged, 3600))
 
@@ -245,11 +253,11 @@ def test_bucket_edges_bound_the_kth_smallest(case):
     assert (ranks[least] % BUCKET == 0).all()
 
 
-def _cleared_share(s, window, min_window_samples=4):
+def _cleared_share(s, window):
     """Share of the tested samples that the bound test's screen clears."""
     starts = _window_starts(s.times, s.times, window)
     ends = np.arange(1, len(s) + 1)
-    tested = np.flatnonzero(ends - starts >= min_window_samples)
+    tested = np.flatnonzero(ends - starts >= quality.MIN_WINDOW_SAMPLES)
     cleared = _screen(s.values, WaveletMatrix(s.values), starts[tested], ends[tested])
     return cleared.mean()
 

@@ -125,7 +125,7 @@ def test_measurements_writer_matches_the_line_by_line_writer(runs):
 @settings(max_examples=50, deadline=None)
 @given(st.dictionaries(_IDS, _run(3), max_size=4))
 def test_weather_writer_matches_the_line_by_line_writer(runs):
-    histories = {site: WeatherHistory(site, times, *columns)
+    histories = {site: WeatherHistory(times, *columns)
                  for site, (times, columns) in runs.items()}
     assert write_weather_csv(histories) == oracle_write_weather_csv(histories)
 
