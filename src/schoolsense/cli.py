@@ -51,10 +51,11 @@ caller that runs it in-process keeps its own collector as it was.
 
 Every text file a command reads or writes is UTF-8 whatever the locale.
 The CSV inputs, measurement files and ``weather.csv``, are read in pieces of
-whole lines, each parsed below the file's header and the results joined in
-file order, so a command never holds a whole input file (`_read_csv`). When a
-piece fails, the whole file is read again and parsed once, so an error names
-its line in the file exactly as a single read would.
+whole lines, each parsed below the file's header as it is read, so a command
+never holds a whole input file (`_read_csv`), and `ingest` spills each piece
+to its store's root rather than hold it (`cmd_ingest`). When a piece fails,
+the whole file is read again and parsed once, so an error names its line in
+the file exactly as a single read would.
 
 Errors are mapped to exit codes in `main` only, and each failure prints one
 ``error:`` line to stderr:
@@ -74,14 +75,16 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import shutil
 import sys
 from datetime import date
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .ingest import (
+    RECORD,
     IngestError,
     SeriesStore,
     StoreIntegrityError,
@@ -101,7 +104,6 @@ from .model import (
     QualityError,
     ScenarioError,
     SensorKind,
-    TimeSeries,
     day_to_date,
     format_iso8601,
     is_weekend,
@@ -198,27 +200,33 @@ def _parse_file(parse, path: Path, *args):
 _BLOCK = 1 << 18
 
 
-def _read_csv(parse, path: Path, *args) -> list:
-    """`parse`'s result for each line-aligned piece of a CSV file, in file order.
+def _read_csv(parse, path: Path, *args) -> Iterator:
+    """`parse`'s result for each line-aligned piece of a CSV file, in file order,
+    each yielded as soon as it is parsed.
 
     Each piece is about `_BLOCK` characters of whole lines, and `parse` gets
     it below the file's header line, so no more than a piece of the file is
-    held at a time. A file without a line below its header is one piece. If a
-    piece fails, the whole file is parsed once (`_parse_file`), so that an
-    error names its line in the file and outranks the file's other errors as
-    it would in one read; a non-UTF-8 file fails that way too.
+    held at a time. `cmd_ingest` keeps no piece: it appends each to spill
+    files in `SPILL_DIR` under the store root, so it writes every sample
+    twice, and removes that directory when it ends. A file without a line
+    below its header is one piece. If a piece fails, the whole file is parsed
+    once (`_parse_file`) for its error alone, so that the error names its line
+    in the file and outranks the file's other errors as it would in one read;
+    no piece is yielded twice. A non-UTF-8 file fails that way too.
     """
     try:
         with open(path, encoding="utf-8") as lines:
             header = lines.readline()
-            pieces = []
-            while piece := lines.read(_BLOCK):
+            piece = lines.read(_BLOCK)
+            while True:
                 if not piece.endswith("\n"):
                     piece += lines.readline()
-                pieces.append(parse(header + piece, *args))
-            return pieces or [parse(header, *args)]
-    except (IngestError, UnicodeDecodeError):
-        return [_parse_file(parse, path, *args)]
+                yield parse(header + piece, *args)
+                if not (piece := lines.read(_BLOCK)):
+                    return
+    except (IngestError, UnicodeDecodeError) as exc:
+        _parse_file(parse, path, *args)  # raises the error of one read of the file
+        raise IngestError(f"{path}: {exc}") from None
 
 
 def _read_weather(path: Path) -> dict[str, WeatherHistory]:
@@ -227,7 +235,7 @@ def _read_weather(path: Path) -> dict[str, WeatherHistory]:
     A site's stamps must increase across pieces too; where they do not, the
     whole file is parsed once and raises the error that its one read gives.
     """
-    pieces = _read_csv(load_weather, path)
+    pieces = list(_read_csv(load_weather, path))
     histories = {}
     for site_id in sorted({site_id for piece in pieces for site_id in piece}):
         parts = [piece[site_id] for piece in pieces if site_id in piece]
@@ -265,31 +273,62 @@ def cmd_synth(spec_path: Path, out_dir: Path) -> None:
               f"spike rate {site.spike_rate}")
 
 
+# The directory under the store root that holds `ingest`'s spill files while it
+# runs. A site id holds no comma (`ingest._store_id`), so no site's directory
+# can take its name.
+SPILL_DIR = "ingest,spill"
+
+
 def cmd_ingest(config: RunConfig) -> None:
+    """Read every measurement file into the store, one series per catalog sensor.
+
+    A later file may resend a stamp, so a sensor is saved only once every file
+    is read. Until then, each piece's samples are appended, as `RECORD` bytes,
+    to one spill file per sensor in `SPILL_DIR` under the store root, opened
+    and closed for each append. After the last file, each sensor in catalog order
+    is read from its spill, merged by `last_wins` (appends follow file order,
+    then piece order, so the later sample of a stamp wins), saved, and its
+    spill deleted. Ingest thus holds one piece, then one sensor, at a time, at
+    the price of writing every sample twice, at 16 B each time. The spill
+    directory, and any directory the ingest made and left empty, is removed
+    when it ends, on an error too, so a failing ingest leaves the store as it
+    found it.
+    """
     catalog = _parse_file(parse_catalog, config.catalog)
     paths = list(config.measurements)
     if not paths:
         raise ConfigError("no measurement files configured")
 
-    parts = {m.sensor_id: [TimeSeries.empty(m.sensor_id)] for m in catalog.sensors}
-    rejects: dict[str, int] = {}
-    for path in paths:
-        for parsed in _read_csv(parse_measurements, path, catalog):
-            for sensor_id, series in parsed.series.items():
-                parts[sensor_id].append(series)
-            for sensor_id, count in parsed.rejected.items():
-                rejects[sensor_id] = rejects.get(sensor_id, 0) + count
-
     store = SeriesStore(config.store)
+    spill = store.root / SPILL_DIR
+    made = [d for d in (store.root, *store.root.parents) if not d.exists()]
+    shutil.rmtree(spill, ignore_errors=True)  # left by an ingest that was killed
+    spill.mkdir(parents=True)
+    rejects: dict[str, int] = {}
     stored = 0
-    for meta in catalog.sensors:
-        # files and their pieces are read in order, so a later sample wins a
-        # repeated timestamp
-        merged = last_wins(meta.sensor_id,
-                           np.concatenate([s.times for s in parts[meta.sensor_id]]),
-                           np.concatenate([s.values for s in parts[meta.sensor_id]]))
-        store.save(meta.site_id, merged)
-        stored += len(merged)
+    try:
+        for path in paths:
+            for parsed in _read_csv(parse_measurements, path, catalog):
+                for sensor_id, series in parsed.series.items():
+                    records = np.empty(len(series), RECORD)
+                    records["t"], records["v"] = series.times, series.values
+                    with open(spill / sensor_id, "ab") as out:
+                        out.write(records)
+                for sensor_id, count in parsed.rejected.items():
+                    rejects[sensor_id] = rejects.get(sensor_id, 0) + count
+        for meta in catalog.sensors:
+            path = spill / meta.sensor_id
+            records = np.fromfile(path, RECORD) if path.exists() else np.empty(0, RECORD)
+            merged = last_wins(meta.sensor_id, records["t"], records["v"])
+            store.save(meta.site_id, merged)
+            path.unlink(missing_ok=True)
+            stored += len(merged)
+    finally:
+        shutil.rmtree(spill, ignore_errors=True)
+        for directory in made:  # innermost first
+            if any(directory.iterdir()):
+                break
+            directory.rmdir()
     _write_csv(
         config.out / "rejects.csv", "sensor_id,lines",
         [f"{sid},{rejects[sid]}" for sid in sorted(rejects)])

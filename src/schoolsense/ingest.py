@@ -41,7 +41,12 @@ values, every other spelling, and every value where long double has fewer
 than 64 bits, are decoded to str one at a time and given to float(). Only an
 error computes a line number, from its row's byte offset. A parser holds a
 whole document's arrays at once, so `cli` hands it a file in line-aligned
-pieces, each below the header (`cli._read_csv`).
+pieces, each below the header (`cli._read_csv`). `cli.cmd_ingest` keeps no
+piece: it appends each piece's samples, as `RECORD`s, to one spill file per
+sensor in the directory `cli.SPILL_DIR` under the store root, whose name no
+site id can take, and saves each sensor from its spill once every file is
+read. Every sample is thus written twice. The spill directory is removed when
+the ingest ends, whether it succeeds or fails.
 
 Every text file, CSV or JSON, is UTF-8 whatever the locale.
 """
@@ -447,10 +452,11 @@ def _float_column(table: _Table, k: int) -> np.ndarray:
 
 
 def last_wins(sensor_id: str, times: np.ndarray, values: np.ndarray) -> TimeSeries:
-    """A series from samples in arrival order; a repeated timestamp keeps its last value."""
-    order = np.argsort(times, kind="stable")
-    times, values = times[order], values[order]
-    if len(times) > 1:
+    """A series from samples in arrival order; a repeated timestamp keeps its last value.
+    Samples whose stamps already increase, as most pieces' and spills' do, are not sorted."""
+    if not np.all(times[1:] > times[:-1]):
+        order = np.argsort(times, kind="stable")
+        times, values = times[order], values[order]
         last_of_run = np.concatenate((times[1:] != times[:-1], [True]))
         times, values = times[last_of_run], values[last_of_run]
     return TimeSeries(sensor_id, times, values)
@@ -546,8 +552,8 @@ class SeriesStore:
     """On-disk series store: one packed record file per sensor.
 
     ``records.bin`` holds a sensor's whole series as `RECORD`s in time order,
-    so it is written with one `tobytes` and read with one `frombuffer`; save
-    and load are bit-exact. ``manifest.json`` beside it is
+    so it is written from one array's buffer and read with one `frombuffer`;
+    save and load are bit-exact. ``manifest.json`` beside it is
     ``{"crc32": c, "rows": n}`` for the whole file. A save replaces the
     sensor's series and never reads what was there, so a store holds exactly
     what its last writer computed. One writer per sensor directory. Reading a
@@ -612,9 +618,9 @@ class SeriesStore:
         sensor_dir.mkdir(parents=True, exist_ok=True)
         records = np.empty(len(series), RECORD)
         records["t"], records["v"] = series.times, series.values
-        data = records.tobytes()
-        (sensor_dir / "records.bin").write_bytes(data)
-        manifest = {"crc32": zlib.crc32(data), "rows": len(records)}
+        # the array's own buffer is written and summed, so no copy of it is made
+        (sensor_dir / "records.bin").write_bytes(records)
+        manifest = {"crc32": zlib.crc32(records), "rows": len(records)}
         (sensor_dir / "manifest.json").write_text(json.dumps(manifest) + "\n", encoding="utf-8")
         days = series.times // DAY_SECONDS
         return int(np.count_nonzero(np.diff(days))) + 1 if len(days) else 0

@@ -78,6 +78,8 @@ INDOOR_OFFSET = 4.0        # indoor mean above outdoor mean, degC
 BASE_SWING = 2.0           # indoor diurnal swing, good insulation, degC
 POOR_SWING = 12.0          # indoor diurnal swing, poor insulation, degC
 BLINDS_ATTENUATION = 0.25  # share of the solar gain that blinds let in
+GAIN_AMPLITUDE = 4.0       # peak solar gain without blinds, degC
+EVENT_DROP = 2.0           # occupant event magnitude, degC
 STATION_RATE = 3600        # seconds between weather and atmosphere station samples
 # Rooms respond to solar input with first-order thermal lag; an instantaneous
 # gain term would leave hourly temperature rises uncorrelated with the input
@@ -152,8 +154,6 @@ class ScenarioSpec:
     sites: tuple[SiteSpec, ...]
     sensing_rate: int = 300          # classroom and power sensors
     noise_sigma: float = 0.2
-    gain_amplitude: float = 4.0      # peak solar gain without blinds, degC
-    event_drop: float = 2.0          # occupant event magnitude, degC
 
     def __post_init__(self):
         if self.seed < 0:
@@ -451,7 +451,7 @@ class _SiteGenerator:
             + INDOOR_NOISE_COUPLING * self.smooth_noise(times)
         )
         solar_input = (
-            spec.gain_amplitude * blinds_mult
+            GAIN_AMPLITUDE * blinds_mult
             * (1.0 - self.cloud[hidx])
             * orientation_gain(h_loc, room.orientation)
         )
@@ -479,11 +479,10 @@ class _SiteGenerator:
                 f"{len(slots)} weekday slots")
         picks = self.rng.choice(len(slots), size=room.occupant_events, replace=False)
         rate = spec.sensing_rate
-        drop = spec.event_drop
         # 10-minute fall with a brief overshoot (the initial draught), a hold
         # while the window stays open, then a 40-minute recovery
         knots = np.array([0.0, 600.0, 900.0, 2100.0, 4500.0])
-        depths = np.array([0.0, 1.15 * drop, drop, drop, 0.0])
+        depths = np.array([0.0, 1.15 * EVENT_DROP, EVENT_DROP, EVENT_DROP, 0.0])
         troughs = []
         for p in sorted(picks.tolist()):
             d, h = slots[p]

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from datetime import date, timedelta
 from pathlib import Path
@@ -16,7 +17,13 @@ import pytest
 
 import schoolsense
 from schoolsense import cli
-from schoolsense.ingest import RECORD, SeriesStore, load_weather, parse_catalog
+from schoolsense.ingest import (
+    RECORD,
+    SeriesStore,
+    load_weather,
+    parse_catalog,
+    parse_measurements,
+)
 from schoolsense.model import CATEGORIES, parse_iso8601, to_epoch
 
 SPEC = {
@@ -367,12 +374,14 @@ SITE = SPEC["sites"][0]
     (dict(SPEC, typo_key=1), "unknown scenario keys: ['typo_key']"),
     (dict(SPEC, outdoor_mean=20.0), "unknown scenario keys: ['outdoor_mean']"),
     (dict(SPEC, poor_swing=12.0), "unknown scenario keys: ['poor_swing']"),
+    (dict(SPEC, gain_amplitude=4.0), "unknown scenario keys: ['gain_amplitude']"),
+    (dict(SPEC, event_drop=2.0), "unknown scenario keys: ['event_drop']"),
     (dict(SPEC, sites=[dict(SITE, colour="blue")]), "unknown site keys: ['colour']"),
     (dict(SPEC, sites=[dict(SITE, rooms=[dict(SITE["rooms"][0], outdoor_mean=20.0)])]),
      "unknown room keys: ['outdoor_mean']"),
 ], ids=["seed-negative", "noise-negative", "noise-negative-zero", "past-year-9999",
-        "unknown-key", "site-key-at-top", "physics-constant", "unknown-site-key",
-        "site-key-in-room"])
+        "unknown-key", "site-key-at-top", "physics-constant", "gain-constant", "event-constant",
+        "unknown-site-key", "site-key-in-room"])
 def test_spec_that_synth_cannot_generate_exits_2_writing_nothing(tmp_path, capsys, spec, message):
     _assert_synth_refuses(tmp_path, capsys, spec, message)
 
@@ -562,7 +571,7 @@ def test_weather_stamp_going_back_at_a_piece_boundary_exits_2(work, capsys, monk
     rows[40], rows[41] = rows[41], rows[40]
     weather.write_text("\n".join([header, *rows]) + "\n")
     monkeypatch.setattr(cli, "_BLOCK", len("\n".join(rows[:41])) + 1)
-    pieces = cli._read_csv(load_weather, weather)
+    pieces = list(cli._read_csv(load_weather, weather))
     assert len(pieces) > 1 and len(pieces[0]["s1"]) == 41
     period = COMFORT if command == "comfort" else []
     code, err = _run([command, *_write_config(work), *period], capsys)
@@ -1038,22 +1047,118 @@ def test_perf_period_is_local_days_of_a_site_far_from_utc(tmp_path, capsys):
                                    if "2017-10-08" <= row.split(",")[2] < "2017-10-10"]
 
 
-def test_ingest_later_file_wins_repeated_timestamp(work, capsys):
+def test_ingest_later_file_wins_repeated_timestamp(work, capsys, monkeypatch):
+    """The later sample of a repeated stamp wins, whether it comes in a later file or in
+    a later piece of the same file: the files are read whole, then in pieces of a line."""
     first = work / "first.csv"
     second = work / "second.csv"
     first.write_text("sensor_id,timestamp,value\n"
                      "s1-a-temp,2017-10-02T00:00:00Z,20.0\n"
-                     "s1-a-temp,2017-10-02T00:10:00Z,21.0\n")
+                     "s1-a-temp,2017-10-02T00:10:00Z,21.0\n"
+                     "s1-a-temp,2017-10-02T00:00:00Z,23.0\n")
     second.write_text("sensor_id,timestamp,value\n"
                       "s1-a-temp,2017-10-02T00:20:00Z,22.0\n"
                       "s1-a-temp,2017-10-02T00:10:00Z,25.0\n")
-    store = work / "fresh_store"
-    conf = _write_config(work, store=str(store), measurements=[str(first), str(second)])
-    assert cli.main(["ingest", *conf]) == 0
-    assert capsys.readouterr().out.startswith("ingested 3 samples from 2 files")
-    loaded = SeriesStore(store).load("s1", "s1-a-temp").series
-    assert loaded.values.tolist() == [20.0, 25.0, 22.0]
-    assert np.all(np.diff(loaded.times) == 600)
+    for block in (cli._BLOCK, 16):
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        store = work / f"store-{block}"
+        conf = _write_config(work, store=str(store), measurements=[str(first), str(second)])
+        assert cli.main(["ingest", *conf]) == 0
+        assert capsys.readouterr().out.startswith("ingested 3 samples from 2 files")
+        loaded = SeriesStore(store).load("s1", "s1-a-temp").series
+        assert loaded.values.tolist() == [23.0, 25.0, 22.0]
+        assert np.all(np.diff(loaded.times) == 600)
+        assert not (store / cli.SPILL_DIR).exists()
+
+
+@pytest.mark.parametrize("store", ["store", "fresh/store"], ids=["existing", "fresh"])
+def test_failing_ingest_leaves_the_store_as_it_found_it(work, capsys, monkeypatch, store):
+    """The second file's last piece holds a bad value, so the first file and the rest of
+    the second are spilled when the error fires. Ingest exits 2, every file under an
+    existing store keeps its bytes, a store that did not exist still does not, and no
+    spill directory is left."""
+    store = work / store
+    before = {path: path.read_bytes() for path in sorted(work.rglob("*")) if path.is_file()}
+    good = work / "inputs" / "measurements" / "s1.csv"
+    lines = good.read_text().splitlines()
+    sensor_id, stamp, _ = lines[-1].split(",")
+    lines[-1] = f"{sensor_id},{stamp},21.5x"
+    bad = work / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(cli, "_BLOCK", 1 << 12)
+    assert bad.stat().st_size > 3 * cli._BLOCK
+    spilled = []
+
+    def parse(document, catalog):
+        spill = store / cli.SPILL_DIR
+        spilled.append(sum(path.stat().st_size for path in spill.iterdir()))
+        return parse_measurements(document, catalog)
+
+    monkeypatch.setattr(cli, "parse_measurements", parse)
+    conf = _write_config(work, store=str(store), measurements=[str(good), str(bad)])
+    del before[work / "config.json"]
+    code, err = _run(["ingest", *conf], capsys)
+    assert code == 2
+    assert f"{bad}: line {len(lines)}: bad value '21.5x'" in err
+    _assert_one_error_line(err)
+    # when the failing piece was parsed, the first file and more were spilled
+    assert spilled[-1] > (len(lines) - 1) * RECORD.itemsize
+    after = {path: path.read_bytes() for path in sorted(work.rglob("*")) if path.is_file()}
+    del after[work / "config.json"], after[bad]
+    assert after == before
+    assert not (work / "fresh").exists()
+    assert not (store / cli.SPILL_DIR).exists()
+
+
+def test_ingest_drops_a_spill_left_by_a_killed_ingest(work, capsys):
+    """A spill directory that a killed ingest left behind, holding a sample that no
+    input has, is removed before the files are read: the store is what an ingest
+    into a clean store writes."""
+    clean = work / "clean"
+    assert cli.main(["ingest", *_write_config(work, store=str(clean))]) == 0
+    left = work / "store" / cli.SPILL_DIR
+    left.mkdir()
+    stale = np.zeros(1, RECORD)
+    stale["t"], stale["v"] = parse_iso8601("2030-01-01T00:00:00Z"), 99.0
+    (left / "s1-a-temp").write_bytes(stale.tobytes())
+    assert cli.main(["ingest", *_write_config(work)]) == 0
+    capsys.readouterr()
+    assert not left.exists()
+    assert ({path.relative_to(clean): path.read_bytes() for path in clean.rglob("*")
+             if path.is_file()}
+            == {path.relative_to(work / "store"): path.read_bytes()
+                for path in (work / "store").rglob("*") if path.is_file()})
+
+
+def test_ingest_peak_does_not_grow_with_the_data(tmp_path, capsys, monkeypatch):
+    """Doubling the days of a catalog of three sites doubles what ingest reads, but not
+    its peak (`tracemalloc`): it holds one piece of a file, then one sensor's series, at
+    a time. Keeping the added samples alone would take 16 B each; the peak grows by less
+    than a quarter of that. It grew by 0.08 of it here, and by 1.18 of it when every
+    piece's series was kept until the last file was read."""
+    monkeypatch.setattr(cli, "_BLOCK", 1 << 14)
+    sites = [{"site_id": f"s{i}", "rooms": [{"room_id": room} for room in "abcd"]}
+             for i in (1, 2, 3)]
+    peaks, samples = [], []
+    for days in (14, 28):
+        root = tmp_path / str(days)
+        root.mkdir()
+        (root / "spec.json").write_text(json.dumps(dict(SPEC, days=days, sites=sites)))
+        assert cli.main(["synth", str(root / "spec.json"), "--out", str(root / "inputs")]) == 0
+        measurements = sorted((root / "inputs" / "measurements").glob("*.csv"))
+        assert len(measurements) == 3
+        assert all(path.stat().st_size > 3 * cli._BLOCK for path in measurements)
+        conf = _write_config(root, measurements=[str(path) for path in measurements])
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert cli.main(["ingest", *conf]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        samples.append(int(capsys.readouterr().out.split()[1]))
+    assert samples[1] > 1.9 * samples[0]
+    assert peaks[1] - peaks[0] < 16 * (samples[1] - samples[0]) / 4
 
 
 def test_ingest_replaces_every_catalog_sensor(work, capsys):

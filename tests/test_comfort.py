@@ -17,7 +17,7 @@ from schoolsense.ingest import WeatherHistory
 from schoolsense.model import Site, TimeSeries, date_to_day
 
 from comfort_oracles import oracle_site_comfort_summary
-from conftest import series_at, utc
+from conftest import constants, series_at, utc
 
 DAY = date(2017, 9, 12)  # a Tuesday, with a full week of weather before it
 
@@ -279,9 +279,10 @@ def test_site_summary_no_data_errors():
 
 
 def test_warm_site_scores_higher_than_cold_site():
+    from schoolsense import synthgen
     from schoolsense.synthgen import RoomSpec, ScenarioSpec, SiteSpec, generate
     spec = ScenarioSpec(
-        seed=6, start=date(2017, 9, 4), days=21, gain_amplitude=1.0,
+        seed=6, start=date(2017, 9, 4), days=21,
         sites=(
             SiteSpec(site_id="south", outdoor_mean=22.0,
                      rooms=(RoomSpec("a"), RoomSpec("b"))),
@@ -289,7 +290,8 @@ def test_warm_site_scores_higher_than_cold_site():
                      rooms=(RoomSpec("a"), RoomSpec("b"))),
         ),
     )
-    out = generate(spec)
+    with constants(synthgen, GAIN_AMPLITUDE=1.0):
+        out = generate(spec)
     start, end = date(2017, 9, 11), date(2017, 9, 25)
     means = {}
     for site_id in ("south", "north"):

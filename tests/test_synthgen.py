@@ -78,13 +78,15 @@ def test_spec_values_must_have_their_json_type(doc, field):
     (dict(MINIMAL, typo_key=1), "unknown scenario keys: ['typo_key']"),
     (dict(MINIMAL, outdoor_mean=20.0), "unknown scenario keys: ['outdoor_mean']"),
     (dict(MINIMAL, poor_swing=12.0), "unknown scenario keys: ['poor_swing']"),
+    (dict(MINIMAL, gain_amplitude=4.0), "unknown scenario keys: ['gain_amplitude']"),
+    (dict(MINIMAL, event_drop=2.0), "unknown scenario keys: ['event_drop']"),
     (dict(MINIMAL, sites=[dict(SITE, colour="blue")]), "unknown site keys: ['colour']"),
     (dict(MINIMAL, sites=[dict(SITE, rooms=[dict(ROOM, outdoor_mean=20.0)])]),
      "unknown room keys: ['outdoor_mean']"),
 ], ids=["site0-missing field 'site_id'", "site1-bad scenario field", "site2-bad scenario field",
         "seed-negative", "noise-negative", "noise-negative-zero", "past-year-9999",
-        "unknown-key", "site-key-at-top", "physics-constant", "unknown-site-key",
-        "site-key-in-room"])
+        "unknown-key", "site-key-at-top", "physics-constant", "gain-constant", "event-constant",
+        "unknown-site-key", "site-key-in-room"])
 def test_bad_spec_raises_scenario_error(doc, message):
     with pytest.raises(ScenarioError, match=re.escape(message)):
         ScenarioSpec.from_json(json.dumps(doc))
