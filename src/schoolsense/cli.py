@@ -53,7 +53,8 @@ Every text file a command reads or writes is UTF-8 whatever the locale.
 The CSV inputs, measurement files and ``weather.csv``, are read in pieces of
 whole lines, each parsed below the file's header as it is read, so a command
 never holds a whole input file (`_read_csv`), and `ingest` spills each piece
-to its store's root rather than hold it (`cmd_ingest`). When a piece fails,
+to one unnamed file beside its store rather than hold it, writing nothing
+under the store before its first save (`cmd_ingest`). When a piece fails,
 the whole file is read again and parsed once, so an error names its line in
 the file exactly as a single read would.
 
@@ -75,7 +76,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import shutil
 import sys
 from datetime import date
 from pathlib import Path
@@ -206,13 +206,13 @@ def _read_csv(parse, path: Path, *args) -> Iterator:
 
     Each piece is about `_BLOCK` characters of whole lines, and `parse` gets
     it below the file's header line, so no more than a piece of the file is
-    held at a time. `cmd_ingest` keeps no piece: it appends each to spill
-    files in `SPILL_DIR` under the store root, so it writes every sample
-    twice, and removes that directory when it ends. A file without a line
-    below its header is one piece. If a piece fails, the whole file is parsed
-    once (`_parse_file`) for its error alone, so that the error names its line
-    in the file and outranks the file's other errors as it would in one read;
-    no piece is yielded twice. A non-UTF-8 file fails that way too.
+    held at a time. `cmd_ingest` keeps no piece: it appends each to one
+    unnamed spill file beside the store, so it writes every sample twice, and
+    writes nothing under the store before its first save. A file without a
+    line below its header is one piece. If a piece fails, the whole file is
+    parsed once (`_parse_file`) for its error alone, so that the error names
+    its line in the file and outranks the file's other errors as it would in
+    one read; no piece is yielded twice. A non-UTF-8 file fails that way too.
     """
     try:
         with open(path, encoding="utf-8") as lines:
@@ -273,62 +273,56 @@ def cmd_synth(spec_path: Path, out_dir: Path) -> None:
               f"spike rate {site.spike_rate}")
 
 
-# The directory under the store root that holds `ingest`'s spill files while it
-# runs. A site id holds no comma (`ingest._store_id`), so no site's directory
-# can take its name.
-SPILL_DIR = "ingest,spill"
-
-
 def cmd_ingest(config: RunConfig) -> None:
     """Read every measurement file into the store, one series per catalog sensor.
 
     A later file may resend a stamp, so a sensor is saved only once every file
     is read. Until then, each piece's samples are appended, as `RECORD` bytes,
-    to one spill file per sensor in `SPILL_DIR` under the store root, opened
-    and closed for each append. After the last file, each sensor in catalog order
-    is read from its spill, merged by `last_wins` (appends follow file order,
-    then piece order, so the later sample of a stamp wins), saved, and its
-    spill deleted. Ingest thus holds one piece, then one sensor, at a time, at
-    the price of writing every sample twice, at 16 B each time. The spill
-    directory, and any directory the ingest made and left empty, is removed
-    when it ends, on an error too, so a failing ingest leaves the store as it
-    found it.
+    to one unnamed spill file beside the store: a temporary file in the store
+    root, or in its nearest parent that exists, so that it lies on the store's
+    file system, not in a `$TMPDIR` that may be tmpfs and so hold it in memory.
+    An index in memory keeps each sensor's (offset, rows) spans. After the last
+    file, each sensor in catalog order is read back from its spans (in file
+    order, then piece order, so the later sample of a stamp wins), merged by
+    `last_wins` and saved. Ingest thus holds one piece, then one sensor, at a
+    time, at the price of writing every sample twice, at 16 B each time.
+    Nothing under the store is written before the first save, so a failing
+    parse leaves the store as it found it, and the spill, having no name, goes
+    with the process however it ends.
     """
+    import tempfile
     catalog = _parse_file(parse_catalog, config.catalog)
     paths = list(config.measurements)
     if not paths:
         raise ConfigError("no measurement files configured")
 
     store = SeriesStore(config.store)
-    spill = store.root / SPILL_DIR
-    made = [d for d in (store.root, *store.root.parents) if not d.exists()]
-    shutil.rmtree(spill, ignore_errors=True)  # left by an ingest that was killed
-    spill.mkdir(parents=True)
+    beside = next(d for d in (store.root, *store.root.parents) if d.exists())
+    spans: dict[str, list[tuple[int, int]]] = {}
     rejects: dict[str, int] = {}
     stored = 0
-    try:
+    with tempfile.TemporaryFile(dir=beside) as spill:
         for path in paths:
             for parsed in _read_csv(parse_measurements, path, catalog):
                 for sensor_id, series in parsed.series.items():
                     records = np.empty(len(series), RECORD)
                     records["t"], records["v"] = series.times, series.values
-                    with open(spill / sensor_id, "ab") as out:
-                        out.write(records)
+                    spans.setdefault(sensor_id, []).append((spill.tell(), len(records)))
+                    spill.write(records)
                 for sensor_id, count in parsed.rejected.items():
                     rejects[sensor_id] = rejects.get(sensor_id, 0) + count
         for meta in catalog.sensors:
-            path = spill / meta.sensor_id
-            records = np.fromfile(path, RECORD) if path.exists() else np.empty(0, RECORD)
+            parts = spans.get(meta.sensor_id, [])
+            records = np.empty(sum(rows for _, rows in parts), RECORD)
+            start = 0
+            for offset, rows in parts:
+                spill.seek(offset)
+                if spill.readinto(records[start:start + rows]) != rows * RECORD.itemsize:
+                    raise OSError(f"short read from ingest's spill file in {beside}")
+                start += rows
             merged = last_wins(meta.sensor_id, records["t"], records["v"])
             store.save(meta.site_id, merged)
-            path.unlink(missing_ok=True)
             stored += len(merged)
-    finally:
-        shutil.rmtree(spill, ignore_errors=True)
-        for directory in made:  # innermost first
-            if any(directory.iterdir()):
-                break
-            directory.rmdir()
     _write_csv(
         config.out / "rejects.csv", "sensor_id,lines",
         [f"{sid},{rejects[sid]}" for sid in sorted(rejects)])
@@ -340,14 +334,13 @@ def cmd_quality(config: RunConfig, end: date | None = None) -> None:
     from . import quality as quality_mod
     catalog = _parse_file(parse_catalog, config.catalog)
     store = SeriesStore(config.store)
-    if not store.sites():
-        raise ConfigError(f"no data in store {config.store}")
     # the first pass reads every stored series in catalog order, keeping only
-    # its last stamp, so that no store or period error fires after a write
+    # its last stamp, so that no store or period error fires after a write; a
+    # missing store loads every series empty
     loaded = (store.load(m.site_id, m.sensor_id).series for m in catalog.sensors)
     last = max((int(s.times[-1]) for s in loaded if len(s)), default=None)
     if last is None:
-        raise ConfigError("no data in store (all sensors empty)")
+        raise ConfigError(f"no data in store {config.store}")
     end_epoch = (last // DAY_SECONDS + 1) * DAY_SECONDS if end is None else to_epoch(end)
     if all(catalog.site(m.site_id).start_time >= end_epoch for m in catalog.sensors):
         raise ConfigError(f"the period ends {day_to_date(end_epoch // DAY_SECONDS)}, "
@@ -396,8 +389,7 @@ def cmd_quality(config: RunConfig, end: date | None = None) -> None:
     def group_stats(totals: dict[str, list]) -> list[tuple[str, int, int, float, float]]:
         """(group, positions, sensors, outage %, outlier %) for each group that
         expects a sample in the period, in the order of `totals`."""
-        return [(group, len(positions), sensors,
-                 quality_mod.outage_percentage(np.array([expected]), np.array([observed])),
+        return [(group, len(positions), sensors, 100.0 * (1.0 - observed / expected),
                  100.0 * flags / samples if samples else 0.0)
                 for group, (sensors, positions, expected, observed, samples, flags)
                 in totals.items() if expected]

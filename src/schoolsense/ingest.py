@@ -42,11 +42,10 @@ than 64 bits, are decoded to str one at a time and given to float(). Only an
 error computes a line number, from its row's byte offset. A parser holds a
 whole document's arrays at once, so `cli` hands it a file in line-aligned
 pieces, each below the header (`cli._read_csv`). `cli.cmd_ingest` keeps no
-piece: it appends each piece's samples, as `RECORD`s, to one spill file per
-sensor in the directory `cli.SPILL_DIR` under the store root, whose name no
-site id can take, and saves each sensor from its spill once every file is
-read. Every sample is thus written twice. The spill directory is removed when
-the ingest ends, whether it succeeds or fails.
+piece: it appends each piece's samples, as `RECORD`s, to one unnamed spill
+file beside the store, and saves each sensor from its spans of the spill once
+every file is read. Every sample is thus written twice, and nothing under the
+store is written before the first save.
 
 Every text file, CSV or JSON, is UTF-8 whatever the locale.
 """

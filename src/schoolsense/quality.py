@@ -94,15 +94,6 @@ def availability_matrix(
     return days, expected, observed
 
 
-def outage_percentage(expected: np.ndarray, observed: np.ndarray) -> float:
-    """100 * (1 - observed/expected) over all the given days, with each
-    day's observed count capped at its expected count."""
-    total = int(expected.sum())
-    if total == 0:
-        raise QualityError("no expected samples in group")
-    return 100.0 * (1.0 - int(np.minimum(observed, expected).sum()) / total)
-
-
 class FlagKind(IntEnum):
     """A flag's kind code, in priority order: the first that holds is given."""
 

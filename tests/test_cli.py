@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import zlib
 from datetime import date, timedelta
@@ -267,8 +268,14 @@ def test_store_with_per_day_files_exits_1(work, capsys, command, store):
     (["ingest"], {"measurements": []}, 2),
     (["ingest"], {"measurements": 5}, 2),
     (["ingest"], {"catalog": 5}, 2),
+    (["ingest"], {"store": "inputs/catalog.json/store"}, 1),
 ])
-def test_config_problems_map_to_exit_codes(work, capsys, command, overrides, expected):
+def test_config_problems_map_to_exit_codes(work, capsys, monkeypatch, command, overrides,
+                                           expected):
+    def parse(document, catalog):
+        raise AssertionError("no case may get as far as reading a measurement")
+
+    monkeypatch.setattr(cli, "parse_measurements", parse)
     conf = _write_config(work, **overrides)
     code, err = _run([*command, *conf], capsys)
     assert code == expected
@@ -763,6 +770,26 @@ def test_quality_has_no_from_option(work, capsys):
     _assert_one_error_line(err)
 
 
+@pytest.mark.parametrize("ingested", [False, True], ids=["missing-store", "no-rows"])
+def test_quality_on_a_store_without_data_exits_2(work, capsys, ingested):
+    """A store that does not exist, and one that an ingest filled with empty series
+    because no row named a catalog sensor, hold no data: quality exits 2 and writes
+    nothing under `out`."""
+    store, out = work / "empty-store", work / "empty-out"
+    unknown = work / "unknown.csv"
+    unknown.write_text("sensor_id,timestamp,value\nnot-in-catalog,2017-10-02T00:00:00Z,1.0\n")
+    conf = _write_config(work, store=str(store), out=str(out), measurements=[str(unknown)])
+    if ingested:
+        assert _run(["ingest", *conf], capsys) == (0, "")
+        assert SeriesStore(store).sites() == ["s1"]
+    listing = sorted(work.rglob("*"))
+    code, err = _run(["quality", *conf], capsys)
+    assert code == 2
+    assert f"error: no data in store {store}" in err
+    _assert_one_error_line(err)
+    assert sorted(work.rglob("*")) == listing
+
+
 @pytest.mark.parametrize("end", ["2017-10-02", "2017-09-01"])
 def test_quality_period_ending_before_every_start_exits_2(work, capsys, end):
     # the store starts 2017-10-02: an end on or before it leaves nothing to audit
@@ -1068,15 +1095,15 @@ def test_ingest_later_file_wins_repeated_timestamp(work, capsys, monkeypatch):
         loaded = SeriesStore(store).load("s1", "s1-a-temp").series
         assert loaded.values.tolist() == [23.0, 25.0, 22.0]
         assert np.all(np.diff(loaded.times) == 600)
-        assert not (store / cli.SPILL_DIR).exists()
+        assert [(path.name, path.is_dir()) for path in store.iterdir()] == [("s1", True)]
 
 
 @pytest.mark.parametrize("store", ["store", "fresh/store"], ids=["existing", "fresh"])
 def test_failing_ingest_leaves_the_store_as_it_found_it(work, capsys, monkeypatch, store):
     """The second file's last piece holds a bad value, so the first file and the rest of
     the second are spilled when the error fires. Ingest exits 2, every file under an
-    existing store keeps its bytes, a store that did not exist still does not, and no
-    spill directory is left."""
+    existing store keeps its bytes, and a store that did not exist still does not. The
+    spill has no name, so no path under the workspace appears while the files are read."""
     store = work / store
     before = {path: path.read_bytes() for path in sorted(work.rglob("*")) if path.is_file()}
     good = work / "inputs" / "measurements" / "s1.csv"
@@ -1087,47 +1114,57 @@ def test_failing_ingest_leaves_the_store_as_it_found_it(work, capsys, monkeypatc
     bad.write_text("\n".join(lines) + "\n")
     monkeypatch.setattr(cli, "_BLOCK", 1 << 12)
     assert bad.stat().st_size > 3 * cli._BLOCK
-    spilled = []
+    conf = _write_config(work, store=str(store), measurements=[str(good), str(bad)])
+    listing = sorted(work.rglob("*"))
+    parsed_lines = []
 
     def parse(document, catalog):
-        spill = store / cli.SPILL_DIR
-        spilled.append(sum(path.stat().st_size for path in spill.iterdir()))
+        assert sorted(work.rglob("*")) == listing
+        parsed_lines.append(document.count("\n") - 1)
         return parse_measurements(document, catalog)
 
     monkeypatch.setattr(cli, "parse_measurements", parse)
-    conf = _write_config(work, store=str(store), measurements=[str(good), str(bad)])
     del before[work / "config.json"]
     code, err = _run(["ingest", *conf], capsys)
     assert code == 2
     assert f"{bad}: line {len(lines)}: bad value '21.5x'" in err
     _assert_one_error_line(err)
-    # when the failing piece was parsed, the first file and more were spilled
-    assert spilled[-1] > (len(lines) - 1) * RECORD.itemsize
+    # before the failing file was parsed whole for its error, the first file and more
+    # were spilled
+    assert sum(parsed_lines[:-1]) > len(lines) - 1
     after = {path: path.read_bytes() for path in sorted(work.rglob("*")) if path.is_file()}
     del after[work / "config.json"], after[bad]
     assert after == before
     assert not (work / "fresh").exists()
-    assert not (store / cli.SPILL_DIR).exists()
 
 
-def test_ingest_drops_a_spill_left_by_a_killed_ingest(work, capsys):
-    """A spill directory that a killed ingest left behind, holding a sample that no
-    input has, is removed before the files are read: the store is what an ingest
-    into a clean store writes."""
-    clean = work / "clean"
-    assert cli.main(["ingest", *_write_config(work, store=str(clean))]) == 0
-    left = work / "store" / cli.SPILL_DIR
-    left.mkdir()
-    stale = np.zeros(1, RECORD)
-    stale["t"], stale["v"] = parse_iso8601("2030-01-01T00:00:00Z"), 99.0
-    (left / "s1-a-temp").write_bytes(stale.tobytes())
-    assert cli.main(["ingest", *_write_config(work)]) == 0
-    capsys.readouterr()
-    assert not left.exists()
-    assert ({path.relative_to(clean): path.read_bytes() for path in clean.rglob("*")
-             if path.is_file()}
-            == {path.relative_to(work / "store"): path.read_bytes()
-                for path in (work / "store").rglob("*") if path.is_file()})
+def test_ingest_spill_read_short_exits_1(work, capsys, monkeypatch):
+    """A spill that holds fewer bytes than its index names fails the ingest with an
+    I/O error, rather than saving a shorter series."""
+    make_spill = tempfile.TemporaryFile
+
+    class CutOnRead:
+        def __init__(self, **kwargs):
+            self.spill = make_spill(**kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.spill, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.spill.close()
+
+        def seek(self, offset):
+            self.spill.truncate(0)
+            return self.spill.seek(offset)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", CutOnRead)
+    code, err = _run(["ingest", "--config", str(work / "config.json")], capsys)
+    assert code == 1
+    assert "short read from ingest's spill file" in err
+    _assert_one_error_line(err)
 
 
 def test_ingest_peak_does_not_grow_with_the_data(tmp_path, capsys, monkeypatch):
