@@ -55,8 +55,9 @@ whole lines, each parsed below the file's header as it is read, so a command
 never holds a whole input file (`_read_csv`), and `ingest` spills each piece
 to one unnamed file beside its store rather than hold it, writing nothing
 under the store before its first save (`cmd_ingest`). When a piece fails,
-the whole file is read again and parsed once, so an error names its line in
-the file exactly as a single read would.
+the whole file is parsed once more, so an error names its line exactly as a
+single read would; weather stamps that go back across pieces need no re-read
+(`_read_weather`).
 
 Errors are mapped to exit codes in `main` only, and each failure prints one
 ``error:`` line to stderr:
@@ -187,7 +188,7 @@ def _write_csv(path: Path, header: str, rows: list[str]) -> None:
 def _parse_file(parse, path: Path, *args):
     """Read one input file and parse it; a format error names the file."""
     try:
-        return parse(path.read_text(encoding="utf-8"), *args)
+        return parse(path.read_bytes().decode("utf-8"), *args)  # no newline translation
     except (IngestError, UnicodeDecodeError) as exc:
         raise IngestError(f"{path}: {exc}") from None
 
@@ -204,7 +205,8 @@ def _read_csv(parse, path: Path, *args) -> Iterator:
     """`parse`'s result for each line-aligned piece of a CSV file, in file order,
     each yielded as soon as it is parsed.
 
-    Each piece is about `_BLOCK` characters of whole lines, and `parse` gets
+    Each piece is about `_BLOCK` characters of whole lines, each ending at its
+    ``\n`` as the parser's do (a lone ``\r`` stays in its line), and `parse` gets
     it below the file's header line, so no more than a piece of the file is
     held at a time. `cmd_ingest` keeps no piece: it appends each to one
     unnamed spill file beside the store, so it writes every sample twice, and
@@ -215,7 +217,7 @@ def _read_csv(parse, path: Path, *args) -> Iterator:
     one read; no piece is yielded twice. A non-UTF-8 file fails that way too.
     """
     try:
-        with open(path, encoding="utf-8") as lines:
+        with open(path, encoding="utf-8", newline="\n") as lines:
             header = lines.readline()
             piece = lines.read(_BLOCK)
             while True:
@@ -232,8 +234,10 @@ def _read_csv(parse, path: Path, *args) -> Iterator:
 def _read_weather(path: Path) -> dict[str, WeatherHistory]:
     """The weather file's histories, each site's pieces joined in file order.
 
-    A site's stamps must increase across pieces too; where they do not, the
-    whole file is parsed once and raises the error that its one read gives.
+    A site's stamps must increase across pieces too. By then every piece has
+    passed every per-row check, so one read could fail only at `load_weather`'s
+    per-site check, which takes sites in this loop's sorted order: its error is
+    raised here, and the file is not read again.
     """
     pieces = list(_read_csv(load_weather, path))
     histories = {}
@@ -241,7 +245,7 @@ def _read_weather(path: Path) -> dict[str, WeatherHistory]:
         parts = [piece[site_id] for piece in pieces if site_id in piece]
         times = np.concatenate([h.times for h in parts])
         if np.any(times[1:] <= times[:-1]):
-            return _parse_file(load_weather, path)
+            raise IngestError(f"{path}: site {site_id}: timestamps not strictly increasing")
         histories[site_id] = WeatherHistory(
             times, *(np.concatenate([getattr(h, name) for h in parts])
                      for name in ("outdoor_temp", "wind_speed", "cloud_cover")))

@@ -10,9 +10,9 @@ File formats:
   weather       CSV, header ``site_id,timestamp,outdoor_temp_c,wind_speed_ms,
                 cloud_cover``, hourly grid.
   store         ``<root>/<site_id>/<sensor_id>/records.bin``, one file per
-                sensor of packed little-endian (int64 epoch seconds, float64
-                value) records in time order, plus a ``manifest.json`` sidecar
-                with the file's row count and crc32. A save replaces the file.
+                sensor: a 16-byte header of a format magic, the crc32 and the
+                row count, then packed little-endian (int64 epoch seconds,
+                float64 value) records in time order. A save replaces the file.
 
 Both CSV formats share one table reader and one float-column parser, and
 their timestamps go through the `model` codec a whole column at a time.
@@ -546,19 +546,26 @@ class LoadResult(NamedTuple):
 # One stored sample: epoch seconds and value, little-endian, 16 bytes.
 RECORD = np.dtype([("t", "<i8"), ("v", "<f8")])
 
+# The 4 bytes that begin a record file, naming its format and its version;
+# older record files began with a record.
+RECORDS_MAGIC = b"SSR\x02"
+
 
 class SeriesStore:
-    """On-disk series store: one packed record file per sensor.
+    """On-disk series store: one self-checking record file per sensor.
 
-    ``records.bin`` holds a sensor's whole series as `RECORD`s in time order,
-    so it is written from one array's buffer and read with one `frombuffer`;
-    save and load are bit-exact. ``manifest.json`` beside it is
-    ``{"crc32": c, "rows": n}`` for the whole file. A save replaces the
-    sensor's series and never reads what was there, so a store holds exactly
-    what its last writer computed. One writer per sensor directory. Reading a
-    sensor checks, in order: the manifest's shape, the file size against the
+    ``records.bin`` is a 16-byte header, one `RECORD` long, followed by a
+    sensor's whole series as `RECORD`s in time order: it is written from one
+    array's buffer and read with one `frombuffer`, and save and load are
+    bit-exact. The header is `RECORDS_MAGIC`, then the crc32 (uint32) and the
+    count (uint64) of the records after it, little-endian. A save replaces
+    the sensor's series and never reads what was there, so a store holds
+    exactly what its last writer computed. One writer per sensor directory.
+    Reading a sensor checks, in order: the magic, the file size against the
     row count, the crc32, that stamps strictly increase, and that every value
-    is finite. A failure names the file, and rows are counted from 1.
+    is finite. A sensor directory without a ``records.bin`` that begins with
+    the magic is a store of an older version. A failure names the file, and
+    rows are counted from 1.
     """
 
     def __init__(self, root: Path | str):
@@ -567,38 +574,41 @@ class SeriesStore:
     def _sensor_dir(self, site_id: str, sensor_id: str) -> Path:
         return self.root / site_id / sensor_id
 
-    @staticmethod
-    def _read_records(sensor_dir: Path) -> np.ndarray:
-        """The records of one sensor directory, after every check."""
-        manifest_path = sensor_dir / "manifest.json"
-        if not manifest_path.exists():
-            raise StoreIntegrityError(f"{sensor_dir}: missing manifest")
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # not UTF-8 or not JSON
-            raise StoreIntegrityError(f"{manifest_path}: corrupt manifest: {exc}") from None
-        # JSON decodes to exact types, and `type(...) is int` also refuses true and false
-        if type(manifest) is dict and not set(manifest) <= {"crc32", "rows"}:
-            raise StoreIntegrityError(
-                f"{manifest_path}: store of an older version; "
-                f"delete it and re-run ingest and the stages after it")
-        if not (type(manifest) is dict
-                and all(type(manifest.get(key)) is int for key in ("rows", "crc32"))
-                and manifest["rows"] >= 0):
-            raise StoreIntegrityError(
-                f"{manifest_path}: manifest is not an object with integer rows and crc32, "
-                f"rows at least 0")
+    def save(self, site_id: str, series: TimeSeries) -> int:
+        """Write the series as the sensor's whole record file, replacing what
+        was there; returns how many UTC days it covers."""
+        sensor_dir = self._sensor_dir(site_id, series.sensor_id)
+        sensor_dir.mkdir(parents=True, exist_ok=True)
+        # the header is the first record's place, so the file is one array's buffer
+        records = np.empty(len(series) + 1, RECORD)
+        records["t"][1:], records["v"][1:] = series.times, series.values
+        header = (RECORDS_MAGIC + zlib.crc32(records[1:]).to_bytes(4, "little")
+                  + len(series).to_bytes(8, "little"))
+        records[:1].view(np.uint8)[:] = np.frombuffer(header, np.uint8)
+        (sensor_dir / "records.bin").write_bytes(records)
+        days = series.times // DAY_SECONDS
+        return int(np.count_nonzero(np.diff(days))) + 1 if len(days) else 0
 
+    def load(self, site_id: str, sensor_id: str) -> LoadResult:
+        """Load one sensor's series, after every check; absent sensors load empty."""
+        sensor_dir = self._sensor_dir(site_id, sensor_id)
+        if not sensor_dir.is_dir():
+            return LoadResult(TimeSeries.empty(sensor_id))
         path = sensor_dir / "records.bin"
-        data = path.read_bytes()
-        size = manifest["rows"] * RECORD.itemsize
+        data = path.read_bytes() if path.exists() else b""
+        if data[:4] != RECORDS_MAGIC:
+            raise StoreIntegrityError(
+                f"{path}: store of an older version; "
+                f"delete it and re-run ingest and the stages after it")
+        rows = int.from_bytes(data[8:16], "little")
+        size = (rows + 1) * RECORD.itemsize
         if len(data) != size:
             raise StoreIntegrityError(
-                f"{path}: {len(data)} bytes, but the manifest's row count {manifest['rows']} "
-                f"needs {size}")
-        if zlib.crc32(data) != manifest["crc32"]:
-            raise StoreIntegrityError(f"{path}: crc32 does not match the manifest")
-        records = np.frombuffer(data, RECORD)
+                f"{path}: {len(data)} bytes, but the header's row count {rows} needs {size}")
+        body = memoryview(data)[RECORD.itemsize:]
+        if zlib.crc32(body) != int.from_bytes(data[4:8], "little"):
+            raise StoreIntegrityError(f"{path}: crc32 does not match the header")
+        records = np.frombuffer(body, RECORD)
         times = records["t"]
         for bad, message in (
             # compared, not differenced: a difference of int64 stamps can wrap
@@ -608,29 +618,7 @@ class SeriesStore:
         ):
             if bad.any():
                 raise StoreIntegrityError(f"{path}: row {int(np.argmax(bad)) + 1}: {message}")
-        return records
-
-    def save(self, site_id: str, series: TimeSeries) -> int:
-        """Write the series as the sensor's whole record file, replacing what
-        was there; returns how many UTC days it covers."""
-        sensor_dir = self._sensor_dir(site_id, series.sensor_id)
-        sensor_dir.mkdir(parents=True, exist_ok=True)
-        records = np.empty(len(series), RECORD)
-        records["t"], records["v"] = series.times, series.values
-        # the array's own buffer is written and summed, so no copy of it is made
-        (sensor_dir / "records.bin").write_bytes(records)
-        manifest = {"crc32": zlib.crc32(records), "rows": len(records)}
-        (sensor_dir / "manifest.json").write_text(json.dumps(manifest) + "\n", encoding="utf-8")
-        days = series.times // DAY_SECONDS
-        return int(np.count_nonzero(np.diff(days))) + 1 if len(days) else 0
-
-    def load(self, site_id: str, sensor_id: str) -> LoadResult:
-        """Load one sensor's series; absent sensors load empty."""
-        sensor_dir = self._sensor_dir(site_id, sensor_id)
-        if not sensor_dir.is_dir():
-            return LoadResult(TimeSeries.empty(sensor_id))
-        records = self._read_records(sensor_dir)
-        return LoadResult(TimeSeries(sensor_id, records["t"], records["v"]))
+        return LoadResult(TimeSeries(sensor_id, times, records["v"]))
 
     def sites(self) -> list[str]:
         if not self.root.is_dir():

@@ -20,6 +20,8 @@ import schoolsense
 from schoolsense import cli
 from schoolsense.ingest import (
     RECORD,
+    RECORDS_MAGIC,
+    IngestError,
     SeriesStore,
     load_weather,
     parse_catalog,
@@ -124,46 +126,59 @@ def test_truncated_repaired_partition_exits_1(work, capsys, command):
     _assert_one_error_line(err)
 
 
-@pytest.mark.parametrize("command, store", [
-    (["quality"], "store"),
-    (["perf"], "out/repaired"),
-])
-def test_corrupt_manifest_exits_1(work, capsys, command, store):
-    (work / store / "s1" / "s1-a-temp" / "manifest.json").write_text("{")
-    code, err = _run([*command, "--config", str(work / "config.json")], capsys)
-    assert code == 1
-    assert "corrupt manifest" in err
-    _assert_one_error_line(err)
+# The 16-byte header that begins a record file.
+HEADER = np.dtype([("magic", "S4"), ("crc32", "<u4"), ("rows", "<u8")])
 
 
-def _edit_manifest(manifest, edit):
-    """Replace the manifest by `edit` of it."""
-    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+def _read_store_file(records_file):
+    """The header and the records of a record file, as arrays one can change."""
+    data = records_file.read_bytes()
+    return (np.frombuffer(data, HEADER, count=1).copy(),
+            np.frombuffer(data, RECORD, offset=HEADER.itemsize).copy())
 
 
-def _set_record(records_file, manifest, row, **fields):
-    """Change record `row` and restamp the file's crc32, so that the checks
+def _add_to_row_count(records_file, rows):
+    header, records = _read_store_file(records_file)
+    header["rows"] += rows
+    records_file.write_bytes(header.tobytes() + records.tobytes())
+
+
+def _set_record(records_file, row, **fields):
+    """Change record `row` and restamp the header's crc32, so that the checks
     after the crc are the ones that see the change."""
-    records = np.fromfile(records_file, RECORD)
+    header, records = _read_store_file(records_file)
     for name, value in fields.items():
         records[name][row] = value
-    records_file.write_bytes(records.tobytes())
-    _edit_manifest(manifest, lambda entry: dict(entry, crc32=zlib.crc32(records.tobytes())))
+    header["crc32"] = zlib.crc32(records.tobytes())
+    records_file.write_bytes(header.tobytes() + records.tobytes())
+
+
+def _write_older_version(records_file, keep_records=True):
+    """The store of the version before the header: bare records, and beside them a
+    manifest of their row count and crc32; or the manifest alone."""
+    records = _read_store_file(records_file)[1].tobytes()
+    (records_file.parent / "manifest.json").write_text(json.dumps(
+        {"crc32": zlib.crc32(records), "rows": len(records) // RECORD.itemsize}))
+    if keep_records:
+        records_file.write_bytes(records)
+    else:
+        records_file.unlink()
 
 
 def _noon_of_next_day(records_file):
     """Noon of the day after the first record's, past the second record's stamp."""
-    first = int(np.fromfile(records_file, RECORD)["t"][0])
+    first = int(_read_store_file(records_file)[1]["t"][0])
     return (first // 86400 + 1) * 86400 + 12 * 3600
 
 
 def _cut_first_record(records_file, cut):
     """Cut bytes from the end of the first record."""
     data = records_file.read_bytes()
-    records_file.write_bytes(data[:RECORD.itemsize - cut] + data[RECORD.itemsize:])
+    end = HEADER.itemsize + RECORD.itemsize
+    records_file.write_bytes(data[:end - cut] + data[end:])
 
 
-def _flip_byte(records_file, at=RECORD.itemsize + 8):
+def _flip_byte(records_file, at=HEADER.itemsize + RECORD.itemsize + 8):
     """Flip the lowest mantissa bit of the second value: only the crc32 can tell."""
     data = bytearray(records_file.read_bytes())
     data[at] ^= 0x01
@@ -174,40 +189,30 @@ def _append_bytes(path, data=b"\xff\xfe"):
     path.write_bytes(path.read_bytes() + data)
 
 
-# damage -> (how to do it to the record file or to the manifest, what the error says)
+# damage -> (how to do it to the record file, what the error says)
 STORE_DAMAGE = {
-    "truncated partition": (
-        lambda records, manifest: _cut_first_record(records, cut=5), "row count"),
-    "trailing bytes": (lambda records, manifest: _append_bytes(records), "row count"),
+    "truncated partition": (lambda records: _cut_first_record(records, cut=5), "row count"),
+    "trailing bytes": (_append_bytes, "row count"),
     "row count off by one": (
-        lambda records, manifest: _edit_manifest(
-            manifest, lambda entry: dict(entry, rows=entry["rows"] + 1)), "row count"),
-    "flipped byte": (lambda records, manifest: _flip_byte(records), "crc32"),
+        lambda records: _add_to_row_count(records, 1), "row count"),
+    "flipped byte": (_flip_byte, "crc32"),
     "repeated timestamp": (
-        lambda records, manifest: _set_record(
-            records, manifest, 2, t=np.fromfile(records, RECORD)["t"][1]),
+        lambda records: _set_record(records, 2, t=_read_store_file(records)[1]["t"][1]),
         "row 3: timestamp not after"),
     "timestamp of another day": (
-        lambda records, manifest: _set_record(records, manifest, 0,
-                                              t=_noon_of_next_day(records)),
+        lambda records: _set_record(records, 0, t=_noon_of_next_day(records)),
         "row 2: timestamp not after"),
     "bad timestamp": (
-        lambda records, manifest: _set_record(records, manifest, 1,
-                                              t=np.iinfo(np.int64).min),
+        lambda records: _set_record(records, 1, t=np.iinfo(np.int64).min),
         "row 2: timestamp not after"),
     "non-numeric value": (
-        lambda records, manifest: _set_record(records, manifest, 1, v=np.nan),
-        "row 2: non-finite value"),
+        lambda records: _set_record(records, 1, v=np.nan), "row 2: non-finite value"),
     "infinite value": (
-        lambda records, manifest: _set_record(records, manifest, -1, v=-np.inf),
-        "non-finite value"),
-    "non-UTF-8 manifest": (
-        lambda records, manifest: _append_bytes(manifest), "corrupt manifest"),
-    # the manifest of the CSV partitions mapped each day to its row count
-    "CSV-era manifest": (
-        lambda records, manifest: _edit_manifest(
-            manifest, lambda entry: {"2017-10-02": entry["rows"]}),
-        "re-run ingest"),
+        lambda records: _set_record(records, -1, v=-np.inf), "non-finite value"),
+    "header of an older version": (_write_older_version, "store of an older version"),
+    "no record file": (
+        lambda records: _write_older_version(records, keep_records=False),
+        "store of an older version"),
 }
 
 
@@ -217,14 +222,12 @@ STORE_DAMAGE = {
     (["perf"], "out/repaired"),
 ])
 def test_damaged_store_exits_1_naming_the_file(work, capsys, command, store, damage):
-    sensor_dir = work / store / "s1" / "s1-a-temp"
-    records, manifest = sensor_dir / "records.bin", sensor_dir / "manifest.json"
+    records = work / store / "s1" / "s1-a-temp" / "records.bin"
     do_damage, message = STORE_DAMAGE[damage]
-    do_damage(records, manifest)
+    do_damage(records)
     code, err = _run([*command, "--config", str(work / "config.json")], capsys)
     assert code == 1
-    named = manifest if "manifest" in damage else records
-    assert f"error: {named}: " in err
+    assert f"error: {records}: " in err
     assert message in err
     _assert_one_error_line(err)
 
@@ -238,7 +241,7 @@ def test_store_with_per_day_files_exits_1(work, capsys, command, store):
     # the layout before one record file per sensor: <day>.bin files, and a
     # manifest mapping each day to its rows and crc32
     sensor_dir = work / store / "s1" / "s1-a-temp"
-    records = np.fromfile(sensor_dir / "records.bin", RECORD)
+    records = _read_store_file(sensor_dir / "records.bin")[1]
     entries = {}
     for day in np.unique(records["t"] // 86400).tolist():
         data = records[records["t"] // 86400 == day].tobytes()
@@ -255,7 +258,7 @@ def test_store_with_per_day_files_exits_1(work, capsys, command, store):
         assert _run(["quality", *conf], capsys) == (0, "")
     else:
         assert code == 1
-        assert f"error: {sensor_dir / 'manifest.json'}: store of an older version" in err
+        assert f"error: {sensor_dir / 'records.bin'}: store of an older version" in err
         assert "re-run ingest" in err
         _assert_one_error_line(err)
 
@@ -518,9 +521,10 @@ def _ingest_outcome(work, capsys, measurements, name):
 
 
 def _crlf_split(header, rows):
-    """CRLF line endings, and a first piece that ends where the \r\n of line 41 begins:
-    the reader counts characters once each \r\n has become \n."""
-    return ("\r\n".join([header, *rows]) + "\r\n").encode(), len("\n".join(rows[:40]))
+    """CRLF line endings, and a first piece that ends between the \r and the \n of line
+    41: the reader counts the file's own characters, two for each \r\n."""
+    return (("\r\n".join([header, *rows]) + "\r\n").encode(),
+            len("\r\n".join(rows[:40])) + 1)
 
 
 def _long_line(header, rows):
@@ -567,6 +571,35 @@ def test_text_at_a_piece_boundary_reads_as_the_whole_file(work, capsys, monkeypa
         assert (code, err) == (0, "")
 
 
+@pytest.mark.parametrize("block", [cli._BLOCK, 64])
+@pytest.mark.parametrize("case, message", [
+    ("in a value", "line 2: bad value '21.\\r5'"),
+    ("joining two records", "line 2: expected 3 fields, got 5"),
+], ids=["in-a-value", "joining-two-records"])
+def test_lone_cr_is_no_line_break(work, capsys, monkeypatch, case, message, block):
+    """A line ends at its \\n alone, so a lone \\r is a character of its line, and ingest
+    names the line and the error that the parser gives on the whole text, before a bad
+    value further on."""
+    header, *rows = (work / "inputs" / "measurements" / "s1.csv").read_text().splitlines()
+    sensor_id, stamp, _ = rows[30].split(",")
+    rows[30] = f"{sensor_id},{stamp},21.5x"
+    if case == "in a value":
+        sensor_id, stamp, _ = rows[0].split(",")
+        rows[0] = f"{sensor_id},{stamp},21.\r5"
+    else:
+        rows[:2] = [rows[0] + "\r" + rows[1]]
+    text = "\n".join([header, *rows]) + "\n"
+    path = work / "lone_cr.csv"
+    path.write_bytes(text.encode())
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    code, err = _run(["ingest", *_write_config(work, measurements=[str(path)])], capsys)
+    catalog = parse_catalog((work / "inputs" / "catalog.json").read_text())
+    with pytest.raises(IngestError) as parsed:
+        parse_measurements(text, catalog)
+    assert str(parsed.value) == message
+    assert (code, err) == (2, f"error: {path}: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["comfort", "perf"])
 def test_weather_stamp_going_back_at_a_piece_boundary_exits_2(work, capsys, monkeypatch,
                                                               command):
@@ -584,6 +617,32 @@ def test_weather_stamp_going_back_at_a_piece_boundary_exits_2(work, capsys, monk
     code, err = _run([command, *_write_config(work), *period], capsys)
     assert code == 2
     assert f"error: {weather}: site s1: timestamps not strictly increasing" in err
+    _assert_one_error_line(err)
+
+
+def test_weather_stamps_going_back_at_two_sites_name_the_first_in_sorted_order(
+        work, capsys, monkeypatch):
+    """Stamps go back across pieces at s1, then further on in the file at s0: the error
+    names s0, as one read of the whole file would, and the file is not read again."""
+    weather = work / "inputs" / "weather.csv"
+    header, *rows = weather.read_text().splitlines()
+    s1 = rows[:48]
+    s1[10], s1[11] = s1[11], s1[10]
+    s0 = [row.replace("s1,", "s0,", 1) for row in rows[:48]]
+    s0[20], s0[21] = s0[21], s0[20]
+    weather.write_text("\n".join([header, *s1, *s0]) + "\n")
+    monkeypatch.setattr(cli, "_BLOCK", 1)  # a piece per line
+
+    parse_file = cli._parse_file
+
+    def no_weather_reread(parse, path, *args):
+        assert parse is not load_weather, f"{path} was read again"
+        return parse_file(parse, path, *args)
+
+    monkeypatch.setattr(cli, "_parse_file", no_weather_reread)
+    code, err = _run(["perf", *_write_config(work)], capsys)
+    assert code == 2
+    assert f"error: {weather}: site s0: timestamps not strictly increasing" in err
     _assert_one_error_line(err)
 
 
@@ -1209,8 +1268,8 @@ def test_ingest_replaces_every_catalog_sensor(work, capsys):
     lengths = {meta.sensor_id: len(store.load(meta.site_id, meta.sensor_id).series)
                for meta in catalog.sensors}
     assert lengths == {sensor_id: int(sensor_id == "s1-a-temp") for sensor_id in lengths}
-    empty = json.loads((work / "store" / "s1" / "s1-power" / "manifest.json").read_text())
-    assert empty == {"crc32": 0, "rows": 0}
+    empty = _read_store_file(work / "store" / "s1" / "s1-power" / "records.bin")
+    assert empty[0].tolist() == [(RECORDS_MAGIC, 0, 0)] and len(empty[1]) == 0
 
 
 def _power_spike_flags(out):

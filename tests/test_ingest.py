@@ -857,16 +857,22 @@ def test_store_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(loaded.series.values, series.values)  # bit-exact
 
 
+def _header(records_file):
+    """The magic, crc32 and row count in a record file's header."""
+    data = records_file.read_bytes()
+    return data[:4], int.from_bytes(data[4:8], "little"), int.from_bytes(data[8:16], "little")
+
+
 def test_store_partitions_by_day(tmp_path):
     series = series_at("t1", utc(2017, 9, 4, 23), 1800, np.arange(10.0))
     SeriesStore(tmp_path).save("alpha", series)
     sensor_dir = tmp_path / "alpha" / "t1"
-    assert sorted(p.name for p in sensor_dir.iterdir()) == ["manifest.json", "records.bin"]
+    assert [p.name for p in sensor_dir.iterdir()] == ["records.bin"]
     data = (sensor_dir / "records.bin").read_bytes()
-    assert len(data) == 10 * RECORD.itemsize
+    assert len(data) == 11 * RECORD.itemsize
     # one row count and one crc32 for the whole file, whichever days it covers
-    assert json.loads((sensor_dir / "manifest.json").read_text()) == {
-        "crc32": zlib.crc32(data), "rows": 10}
+    assert _header(sensor_dir / "records.bin") == (
+        ingest.RECORDS_MAGIC, zlib.crc32(data[RECORD.itemsize:]), 10)
 
 
 @pytest.mark.parametrize("start, samples, partitions", [
@@ -878,7 +884,7 @@ def test_store_save_returns_partitions_written(tmp_path, start, samples, partiti
     series = series_at("t1", start, 1800, np.arange(float(samples)))
     store = SeriesStore(tmp_path)
     assert store.save("alpha", series) == partitions
-    assert json.loads((tmp_path / "alpha" / "t1" / "manifest.json").read_text())["rows"] == samples
+    assert _header(tmp_path / "alpha" / "t1" / "records.bin")[2] == samples
     assert len(store.load("alpha", "t1").series) == samples
 
 
@@ -888,47 +894,19 @@ def test_store_missing_sensor_absent(tmp_path):
 
 
 def test_store_corrupt_manifest_detected(tmp_path):
+    # the header holds what a manifest beside the records once held
     series = series_at("t1", utc(2017, 9, 4), 30, np.arange(10.0))
     store = SeriesStore(tmp_path)
     store.save("alpha", series)
-    manifest = tmp_path / "alpha" / "t1" / "manifest.json"
-    entries = json.loads(manifest.read_text())
-    entries["rows"] = 99
-    manifest.write_text(json.dumps(entries))
-    with pytest.raises(StoreIntegrityError, match="row count"):
+    records_file = tmp_path / "alpha" / "t1" / "records.bin"
+    data = bytearray(records_file.read_bytes())
+    data[8:16] = (99).to_bytes(8, "little")
+    records_file.write_bytes(data)
+    with pytest.raises(StoreIntegrityError, match="row count 99") as info:
         store.load("alpha", "t1")
-
-
-@pytest.mark.parametrize("text", ["{", "[1, 2]"])
-def test_store_unreadable_manifest_detected(tmp_path, text):
-    series = series_at("t1", utc(2017, 9, 4), 30, np.arange(10.0))
-    store = SeriesStore(tmp_path)
-    store.save("alpha", series)
-    (tmp_path / "alpha" / "t1" / "manifest.json").write_text(text)
-    with pytest.raises(StoreIntegrityError, match="manifest"):
-        store.load("alpha", "t1")
-    store.save("alpha", series)  # a save never reads the damaged files
+    assert str(info.value).startswith(f"{records_file}: ")
+    store.save("alpha", series)  # a save never reads the damaged file
     assert np.array_equal(store.load("alpha", "t1").series.values, series.values)
-
-
-@pytest.mark.parametrize("entry, message", [
-    ({"2017-09-04": 10}, "re-run ingest"),  # a store written with CSV partitions
-    ([10, 0], "not an object"),
-    ({"rows": 10}, "integer rows and crc32"),
-    ({"rows": "10", "crc32": 0}, "integer rows and crc32"),
-    ({"rows": -1, "crc32": 0}, "rows at least 0"),
-    ({"2017-09-04": {"rows": 10, "crc32": 0}}, "re-run ingest"),  # one file per day
-    ({"rows": True, "crc32": 0}, "integer rows and crc32"),
-])
-def test_store_manifest_entries_must_be_records(tmp_path, entry, message):
-    series = series_at("t1", utc(2017, 9, 4), 30, np.arange(10.0))
-    store = SeriesStore(tmp_path)
-    store.save("alpha", series)
-    manifest = tmp_path / "alpha" / "t1" / "manifest.json"
-    manifest.write_text(json.dumps(entry))
-    with pytest.raises(StoreIntegrityError, match=message) as info:
-        store.load("alpha", "t1")
-    assert str(info.value).startswith(f"{manifest}: ")
 
 
 # Signed zero, subnormals and the ends of the float64 range must survive as bytes.
